@@ -36,10 +36,10 @@ print(f"true effect of full vs no exposure: {example.true_ate}")
 
 # every unit's exposure distribution under the fair-coin design, exactly
 table = exact_gps_table(graph, example.design)
-single = table.dists[table.unit_dist[0]]
-double = table.dists[table.unit_dist[-1]]
-print("\nexposure distribution of a single:", {float(p): float(q) for p, q in zip(single.support, single.probs)})
-print("exposure distribution of a double:", {float(p): float(q) for p, q in zip(double.support, double.probs)})
+single = table.distribution(0)
+double = table.distribution(graph.n_outcome - 1)
+print("\nexposure distribution of a single:", {float(p): float(q) for p, q in zip(*single)})
+print("exposure distribution of a double:", {float(p): float(q) for p, q in zip(*double)})
 
 # one realized experiment
 z = draw_assignments(example.design, graph.m_diversion, 400, substream(20260819, 60))

@@ -27,11 +27,10 @@ design = AssignmentDesign.bernoulli(0.5)
 
 # exact table: one distribution per distinct weight row
 table = exact_gps_table(graph, design)
-print(f"{graph.n_outcome} units share {len(table.dists)} distinct exposure distributions")
+print(f"{graph.n_outcome} units share {table.n_dists} distinct exposure distributions")
 unit = int(np.argmax(graph.degrees))
-dist = table.dists[table.unit_dist[unit]]
 print(f"\nunit {unit} (degree {graph.degrees[unit]}):")
-for point, prob in zip(dist.support, dist.probs):
+for point, prob in zip(*table.distribution(unit)):
     print(f"  P(E = {point:.3f}) = {prob:.4f}")
 
 # monte carlo agrees on the atoms
@@ -39,7 +38,7 @@ mc = mc_gps(graph, design, Bucketing.atoms(), n_draws=50_000, rng=substream(2026
 err = max(
     abs(mc.at(i, float(p)) - float(q))
     for i in range(graph.n_outcome)
-    for p, q in zip(table.dists[table.unit_dist[i]].support, table.dists[table.unit_dist[i]].probs)
+    for p, q in zip(*table.distribution(i))
 )
 print(f"\nmax |monte carlo - exact| over every unit and atom: {err:.4f} (50k draws)")
 

@@ -49,13 +49,9 @@ from .estimators import (
 )
 from .gps import (
     Bucketing,
-    ExposureDistribution,
     GpsTable,
-    exact_gps,
     exact_gps_table,
-    gps_at,
     mc_gps,
-    product_gps,
 )
 from .graph import (
     BipartiteGraph,
@@ -115,7 +111,6 @@ __all__ = [
     "DgpSpec",
     "DoseResponseCurve",
     "ErrorVarianceEstimates",
-    "ExposureDistribution",
     "GpsTable",
     "GraphSpec",
     "IdMap",
@@ -148,10 +143,8 @@ __all__ = [
     "draw_assignments",
     "edges_cut_sweep",
     "estimate_sigmas",
-    "exact_gps",
     "exact_gps_table",
     "generate_outcomes",
-    "gps_at",
     "ht_estimate",
     "ht_weighted_regression",
     "krr_fit",
@@ -168,7 +161,6 @@ __all__ = [
     "ols",
     "ols_asymptotic_interval",
     "parametric_bootstrap",
-    "product_gps",
     "run_study",
     "simple_example",
     "smooth_curve_linear",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .graph import BipartiteGraph, IdMap, _open_read
+from .graph import BipartiteGraph, IdMap, _as_readonly, _open_read
 from .seeding import as_generator
 
 BERNOULLI = "bernoulli"
@@ -49,12 +49,11 @@ class AssignmentDesign:
     @classmethod
     def bernoulli_heterogeneous(cls, p_vec) -> "AssignmentDesign":
         """Independent coins with a per-diversion-unit probability vector."""
-        p_vec = np.ascontiguousarray(p_vec, dtype=np.float64)
+        p_vec = _as_readonly(p_vec, np.float64)
         if p_vec.ndim != 1 or p_vec.size == 0:
             raise ValidationError("p_vec must be a nonempty 1-d vector")
         if np.any(~np.isfinite(p_vec)) or np.any(p_vec <= 0.0) or np.any(p_vec >= 1.0):
             raise ValidationError("all probabilities must lie strictly inside (0, 1)")
-        p_vec.setflags(write=False)
         return cls(kind=BERNOULLI_HETEROGENEOUS, p_vec=p_vec)
 
     @classmethod

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, MissingCellError
 from .gps import ATOM_TOL, Bucketing, GpsTable
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _as_readonly
 from .numerics import DesignMatrix, KernelFit, LinearFit, krr_fit, krr_predict, ols
 
 # Scores below this floor are lifted to it before dividing (with a warning).
@@ -31,7 +31,12 @@ class PropensityTrimWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned per-unit data: outcomes, exposures, graph rows, score rows."""
+    """Aligned per-unit data: outcomes, exposures and score rows.
+
+    Row k is outcome unit `source_indices[k]` of `graph`, the experiment's
+    graph, which every resample shares; `source_indices` defaults to all
+    graph rows in order. `gps` rows are aligned with the dataset's rows.
+    """
 
     y: np.ndarray
     exposure: np.ndarray
@@ -40,17 +45,22 @@ class Dataset:
     source_indices: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        exposure = np.ascontiguousarray(self.exposure, dtype=np.float64)
-        n = self.graph.n_outcome
-        if y.shape != (n,) or exposure.shape != (n,):
+        rows = self.graph.n_outcome
+        src = _as_readonly(
+            np.arange(rows) if self.source_indices is None else self.source_indices, np.int64
+        )
+        y = _as_readonly(self.y, np.float64)
+        exposure = _as_readonly(self.exposure, np.float64)
+        n = src.size
+        if src.ndim != 1 or y.shape != (n,) or exposure.shape != (n,):
             raise ValueError("y and exposure must align with the graph's outcome units")
+        if n and (src.min() < 0 or src.max() >= rows):
+            raise ValueError("source_indices must be rows of the graph")
         if self.gps.n_units != n:
             raise ValueError("gps table must align with the graph's outcome units")
-        y.setflags(write=False)
-        exposure.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "exposure", exposure)
+        object.__setattr__(self, "source_indices", src)
 
     @classmethod
     def build(cls, graph, gps, y, exposure, *, drop_isolated: bool = True) -> "Dataset":
@@ -77,20 +87,31 @@ class Dataset:
     def n_units(self) -> int:
         return int(self.y.size)
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Number of diversion neighbors of each row's outcome unit."""
+        return self.graph.degrees[self.source_indices]
+
+    def row_graph(self) -> BipartiteGraph:
+        """The graph's rows in this dataset's row order (the graph itself when they coincide)."""
+        src = self.source_indices
+        if src.size == self.graph.n_outcome and np.array_equal(src, np.arange(src.size)):
+            return self.graph
+        return self.graph.take(src)
+
     def take(self, indices) -> "Dataset":
-        """Row resample/subset; shares distribution objects with the parent."""
+        """Row resample/subset; shares the graph and the score table's arrays."""
         indices = np.asarray(indices, dtype=np.int64)
-        src = self.source_indices if self.source_indices is not None else np.arange(self.n_units)
         return Dataset(
             y=self.y[indices],
             exposure=self.exposure[indices],
-            graph=self.graph.take(indices),
+            graph=self.graph,
             gps=self.gps.take(indices),
-            source_indices=np.asarray(src)[indices],
+            source_indices=self.source_indices[indices],
         )
 
     def observed_scores(self) -> np.ndarray:
-        # graph and gps rows are taken alongside y, so no index mapping here
+        # gps rows are taken alongside y, so no index mapping here
         return self.gps.observed_scores(self.exposure)
 
 
@@ -406,16 +427,14 @@ class DoseResponseCurve:
     estimator: str = ""
 
     def __post_init__(self):
-        grid = np.ascontiguousarray(self.grid, dtype=np.float64)
-        mu = np.ascontiguousarray(self.mu_hat, dtype=np.float64)
+        grid = _as_readonly(self.grid, np.float64)
+        mu = _as_readonly(self.mu_hat, np.float64)
         if grid.ndim != 1 or grid.shape != mu.shape or grid.size == 0:
             raise ValueError("grid and mu_hat must be matching nonempty vectors")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly ascending")
         if grid[0] < -ATOM_TOL or grid[-1] > 1.0 + ATOM_TOL:
             raise ValueError("grid levels must lie in [0, 1]")
-        grid.setflags(write=False)
-        mu.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "mu_hat", mu)
 

@@ -7,15 +7,17 @@ at a unit's realized exposure ("observed scores") weight inverse-propensity
 estimators; scores evaluated at a common query level across all units
 ("imputed scores") drive dose-response imputation.
 
-Two constructions are provided. `exact_gps` enumerates a unit's neighbor
-assignments (Bernoulli designs, capped degree) and yields exact atoms.
-`mc_gps` estimates the table for any design by simulating assignments and
-bucketing the resulting exposures, either on the same atom grid or on
-equal-width bins.
+Two constructions are provided. `exact_gps_table` enumerates each unit's
+neighbor assignments (Bernoulli designs, capped degree) and yields exact
+atoms. `mc_gps` estimates the table for any design by simulating
+assignments and bucketing the resulting exposures, either on the same atom
+grid or on equal-width bins. Both return a `GpsTable`, which stores every
+distinct distribution in one set of flat arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ from .design import (
     draw_assignments,
 )
 from .errors import DataError, ValidationError
-from .graph import BipartiteGraph, IdMap, _open_write
+from .graph import BipartiteGraph, IdMap, _as_readonly, _open_write
 from .seeding import as_generator
 
 # Exposure values closer than this are the same atom.
@@ -57,10 +59,9 @@ class Bucketing:
         if self.mode == "bins":
             if self.edges is None or len(self.edges) < 2:
                 raise ValidationError("bin bucketing needs at least two edges")
-            edges = np.ascontiguousarray(self.edges, dtype=np.float64)
+            edges = _as_readonly(self.edges, np.float64)
             if np.any(np.diff(edges) <= 0):
                 raise ValidationError("bin edges must be strictly increasing")
-            edges.setflags(write=False)
             object.__setattr__(self, "edges", edges)
 
     @classmethod
@@ -76,65 +77,6 @@ class Bucketing:
         return cls(mode="bins", edges=np.linspace(lo, hi, n_bins + 1))
 
 
-@dataclass(frozen=True)
-class ExposureDistribution:
-    """Distribution of one unit's exposure under the design.
-
-    support : atom values (atoms mode) or bin centers (bins mode), ascending
-    probs   : matching probabilities, summing to 1
-    """
-
-    support: np.ndarray
-    probs: np.ndarray
-    bucketing: Bucketing
-
-    def __post_init__(self):
-        support = np.ascontiguousarray(self.support, dtype=np.float64)
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if support.ndim != 1 or support.shape != probs.shape or support.size == 0:
-            raise ValidationError("support and probs must be matching nonempty vectors")
-        if np.any(np.diff(support) <= 0):
-            raise ValidationError("support must be strictly ascending")
-        if probs.min() < -1e-12:
-            raise ValidationError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {probs.sum():.12f}, expected 1")
-        support.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-    def mass_at(self, e: float) -> float:
-        return float(self.mass_at_many(np.asarray([e]))[0])
-
-    def mass_at_many(self, e: np.ndarray) -> np.ndarray:
-        """Probability mass at each query level (0 where nothing matches)."""
-        e = np.asarray(e, dtype=np.float64)
-        if self.bucketing.mode == "atoms":
-            out = np.zeros(e.shape)
-            pos = np.searchsorted(self.support, e)
-            for shift in (0, -1):  # candidate atoms on both sides of the insertion point
-                idx = np.clip(pos + shift, 0, self.support.size - 1)
-                hit = np.abs(self.support[idx] - e) <= self.bucketing.tol
-                out = np.where(hit & (out == 0), self.probs[idx], out)
-            return out
-        edges = self.bucketing.edges
-        tol = self.bucketing.tol
-        idx = np.searchsorted(edges, e, side="right") - 1
-        # the top edge closes the last bin; tol absorbs float spill past either end
-        idx = np.where((e >= edges[-1]) & (e <= edges[-1] + tol), len(edges) - 2, idx)
-        idx = np.where((e < edges[0]) & (e >= edges[0] - tol), 0, idx)
-        inside = (idx >= 0) & (idx <= len(edges) - 2)
-        return np.where(inside, self.probs[np.clip(idx, 0, len(edges) - 2)], 0.0)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.dot((self.support - mu) ** 2, self.probs))
-
-
 def _merge_atoms(support: np.ndarray, probs: np.ndarray, tol: float):
     order = np.argsort(support, kind="stable")
     support = support[order]
@@ -145,70 +87,49 @@ def _merge_atoms(support: np.ndarray, probs: np.ndarray, tol: float):
     return support[starts], np.add.reduceat(probs, starts)
 
 
-def _neighbor_probabilities(graph: BipartiteGraph, design: AssignmentDesign, i: int) -> np.ndarray:
-    lo, hi = graph.indptr[i], graph.indptr[i + 1]
-    if design.kind == BERNOULLI:
-        return np.full(hi - lo, design.p)
-    if design.kind == BERNOULLI_HETEROGENEOUS:
-        p = design.probabilities(graph.m_diversion)
-        return p[graph.indices[lo:hi]]
-    raise ValueError(
-        f"exact enumeration supports Bernoulli designs only, not {design.kind!r}; use mc_gps"
-    )
-
-
-def exact_gps(
-    graph: BipartiteGraph,
-    design: AssignmentDesign,
-    i: int,
-    *,
-    tol: float = ATOM_TOL,
-    max_degree: int = MAX_EXACT_DEGREE,
-) -> ExposureDistribution:
-    """Exact exposure distribution of outcome unit i under a Bernoulli design.
-
-    Enumerates the unit's neighbor assignments by convolving one neighbor
-    at a time, merging exposure values within `tol` of each other into one
-    atom. Equivalent to summing over all 2^degree assignment patterns.
-
-    Raises
-    ------
-    ValueError
-        Degree above `max_degree` (use `mc_gps`), or a non-Bernoulli design.
-    """
-    if not 0 <= i < graph.n_outcome:
-        raise IndexError(f"outcome unit {i} out of range [0, {graph.n_outcome})")
-    lo, hi = graph.indptr[i], graph.indptr[i + 1]
-    degree = hi - lo
-    if degree > max_degree:
-        raise ValueError(
-            f"unit {i} has degree {degree} > cap {max_degree}: "
-            "exact enumeration would be exponential, use mc_gps instead"
-        )
-    p_nbrs = _neighbor_probabilities(graph, design, i)
-    return _convolve_row(graph.weights[lo:hi], p_nbrs, tol)
-
-
-def _convolve_row(row_weights: np.ndarray, p_nbrs: np.ndarray, tol: float) -> ExposureDistribution:
+def _convolve_row(row_weights: np.ndarray, p_nbrs: np.ndarray, tol: float):
     support = np.zeros(1)
     probs = np.ones(1)
     for w, p in zip(row_weights, p_nbrs):
         support = np.concatenate([support, support + w])
         probs = np.concatenate([probs * (1.0 - p), probs * p])
         support, probs = _merge_atoms(support, probs, tol)
-    return ExposureDistribution(support, probs, Bucketing.atoms(tol))
+    return support, probs
+
+
+def _segment_searchsorted(values: np.ndarray, start: np.ndarray, stop: np.ndarray, q: np.ndarray):
+    """Left insertion point of each q[k] in the ascending slice values[start[k]:stop[k]].
+
+    One bisection step per pass over all queries, so the passes number
+    log2 of the longest slice.
+    """
+    lo, hi = start, stop
+    last = max(values.size - 1, 0)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        below = active & (values[np.minimum(mid, last)] < q)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
 
 
 @dataclass(frozen=True)
 class GpsTable:
-    """Per-unit exposure distributions plus fast batched score lookups.
+    """Per-unit exposure distributions in flat arrays, with batched score lookups.
 
-    Units sharing an identical (weights, probabilities) row share one
-    distribution object; `unit_dist` maps each unit to its distribution.
-    Query levels must lie inside [lo, hi], the reachable exposure range.
+    Distribution d is `support[offsets[d]:offsets[d + 1]]` (atom values,
+    or bin centers in bins mode, ascending) with the matching slice of
+    `probs`. `unit_dist` maps each unit to its distribution; units sharing
+    an identical (weights, probabilities) row share one. The arrays are
+    validated once, here; `take` shares them. Query levels must lie inside
+    [lo, hi], the reachable exposure range.
     """
 
-    dists: tuple[ExposureDistribution, ...]
+    offsets: np.ndarray
+    support: np.ndarray
+    probs: np.ndarray
     unit_dist: np.ndarray
     mode: str  # "exact" | "monte-carlo"
     bucketing: Bucketing
@@ -216,20 +137,55 @@ class GpsTable:
     hi: float
 
     def __post_init__(self):
-        unit_dist = np.ascontiguousarray(self.unit_dist, dtype=np.int64)
+        offsets = _as_readonly(self.offsets, np.int64)
+        support = _as_readonly(self.support, np.float64)
+        probs = _as_readonly(self.probs, np.float64)
+        unit_dist = _as_readonly(self.unit_dist, np.int64)
+        if support.ndim != 1 or support.shape != probs.shape:
+            raise ValidationError("support and probs must be matching vectors")
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != support.size:
+            raise ValidationError("offsets must run from 0 to the number of atoms")
+        sizes = np.diff(offsets)
+        if np.any(sizes <= 0):
+            raise ValidationError("every distribution needs a nonempty support")
+        if self.bucketing.mode == "bins" and np.any(sizes != self.bucketing.edges.size - 1):
+            raise ValidationError("a binned distribution needs one entry per bin")
+        steps = np.diff(support)
+        steps[offsets[1:-1] - 1] = np.inf  # the next distribution may start lower
+        if np.any(steps <= 0):
+            raise ValidationError("support must be strictly ascending within each distribution")
+        if probs.size and probs.min() < -1e-12:
+            raise ValidationError("probabilities must be nonnegative")
+        sums = np.add.reduceat(probs, offsets[:-1]) if sizes.size else probs
+        off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+        if off.size:
+            raise ValidationError(
+                f"probabilities of distribution {off[0]} sum to {sums[off[0]]:.12f}, expected 1"
+            )
         if unit_dist.ndim != 1:
             raise ValidationError("unit_dist must be a vector")
-        if unit_dist.size and (unit_dist.min() < 0 or unit_dist.max() >= len(self.dists)):
-            raise ValidationError("unit_dist points outside dists")
-        unit_dist.setflags(write=False)
+        if unit_dist.size and (unit_dist.min() < 0 or unit_dist.max() >= sizes.size):
+            raise ValidationError("unit_dist points outside the distributions")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "unit_dist", unit_dist)
 
     @property
     def n_units(self) -> int:
         return int(self.unit_dist.size)
 
-    def distribution(self, i: int) -> ExposureDistribution:
-        return self.dists[int(self.unit_dist[i])]
+    @property
+    def n_dists(self) -> int:
+        return int(self.offsets.size - 1)
+
+    def distribution(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(support, probs) of unit i's exposure distribution, as read-only views."""
+        if not 0 <= i < self.n_units:
+            raise IndexError(f"unit {i} out of range [0, {self.n_units})")
+        d = self.unit_dist[i]
+        lo, hi = self.offsets[d], self.offsets[d + 1]
+        return self.support[lo:hi], self.probs[lo:hi]
 
     def _check_range(self, e: np.ndarray) -> None:
         tol = self.bucketing.tol
@@ -241,17 +197,39 @@ class GpsTable:
                 f"[{self.lo}, {self.hi}]"
             )
 
+    def _mass(self, dist: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Mass distribution dist[k] puts on level e[k] (0 where nothing matches)."""
+        tol = self.bucketing.tol
+        if self.bucketing.mode == "bins":
+            edges = self.bucketing.edges
+            top = len(edges) - 2
+            idx = np.searchsorted(edges, e, side="right") - 1
+            # the top edge closes the last bin; tol absorbs float spill past either end
+            idx = np.where((e >= edges[-1]) & (e <= edges[-1] + tol), top, idx)
+            idx = np.where((e < edges[0]) & (e >= edges[0] - tol), 0, idx)
+            inside = (idx >= 0) & (idx <= top)
+            return np.where(inside, self.probs[self.offsets[dist] + np.clip(idx, 0, top)], 0.0)
+        start, stop = self.offsets[dist], self.offsets[dist + 1]
+        pos = _segment_searchsorted(self.support, start, stop, e)
+        out = np.zeros(e.shape)
+        for shift in (0, -1):  # candidate atoms on both sides of the insertion point
+            idx = np.clip(pos + shift, start, stop - 1)
+            hit = np.abs(self.support[idx] - e) <= tol
+            out = np.where(hit & (out == 0), self.probs[idx], out)
+        return out
+
     def at(self, i: int, e: float) -> float:
         """Score of unit i at level e (0 when e carries no mass)."""
         if not 0 <= i < self.n_units:
             raise IndexError(f"unit {i} out of range [0, {self.n_units})")
-        self._check_range(np.asarray([e]))
-        return self.distribution(i).mass_at(e)
+        e = np.asarray([e], dtype=np.float64)
+        self._check_range(e)
+        return float(self._mass(self.unit_dist[[i]], e)[0])
 
     def imputed_scores(self, e: float) -> np.ndarray:
         """Score of every unit at the common query level e."""
         self._check_range(np.asarray([e]))
-        per_dist = np.array([d.mass_at(e) for d in self.dists])
+        per_dist = self._mass(np.arange(self.n_dists), np.full(self.n_dists, float(e)))
         return per_dist[self.unit_dist]
 
     def observed_scores(self, exposures: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
@@ -261,55 +239,54 @@ class GpsTable:
         if exposures.shape != ids.shape:
             raise ValueError("exposures must align with the selected units")
         self._check_range(exposures)
-        out = np.empty(exposures.shape)
-        for d_id in np.unique(ids):
-            mask = ids == d_id
-            out[mask] = self.dists[d_id].mass_at_many(exposures[mask])
-        return out
+        return self._mass(ids, exposures)
+
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = self.offsets[:-1]
+        mean = np.add.reduceat(self.support * self.probs, starts)
+        dev = self.support - np.repeat(mean, np.diff(self.offsets))
+        return mean, np.add.reduceat(dev * dev * self.probs, starts)
 
     def dist_variance(self) -> np.ndarray:
         """Per-unit variance of the exposure distribution."""
-        per_dist = np.array([d.variance() for d in self.dists])
-        return per_dist[self.unit_dist]
+        return self._moments()[1][self.unit_dist]
 
     def dist_mean(self) -> np.ndarray:
-        per_dist = np.array([d.mean() for d in self.dists])
-        return per_dist[self.unit_dist]
+        return self._moments()[0][self.unit_dist]
 
     def take(self, units) -> "GpsTable":
-        """Row subset sharing the underlying distribution objects."""
-        units = np.asarray(units, dtype=np.int64)
-        return GpsTable(
-            dists=self.dists,
-            unit_dist=self.unit_dist[units],
-            mode=self.mode,
-            bucketing=self.bucketing,
-            lo=self.lo,
-            hi=self.hi,
-        )
+        """Row subset sharing the distribution arrays; only unit_dist is new."""
+        unit_dist = self.unit_dist[np.asarray(units, dtype=np.int64)]
+        if unit_dist.ndim != 1:
+            raise ValidationError("units must be a vector")
+        unit_dist.setflags(write=False)
+        sub = copy.copy(self)
+        object.__setattr__(sub, "unit_dist", unit_dist)
+        return sub
 
     def write_csv(self, dest, id_map: IdMap | None = None) -> None:
-        """Audit serialization: one row per (unit, atom-or-bin, probability)."""
+        """Audit serialization: one row per (unit, atom-or-bin, probability).
+
+        Rows are formatted as they are written, so memory stays flat in the
+        table size.
+        """
         ids = id_map.outcome_ids if id_map is not None else [str(i) for i in range(self.n_units)]
+        offsets = self.offsets.tolist()
+        edges = None
+        if self.bucketing.mode == "bins":
+            edges = [repr(v) for v in self.bucketing.edges.tolist()]
         with _open_write(dest) as fh:
             writer = csv.writer(fh)
             writer.writerow(["outcome_id", "exposure_lo", "exposure_hi", "probability"])
-            for i in range(self.n_units):
-                d = self.distribution(i)
-                if d.bucketing.mode == "atoms":
-                    for v, q in zip(d.support, d.probs):
-                        writer.writerow([ids[i], repr(float(v)), repr(float(v)), repr(float(q))])
+            for i, d in enumerate(self.unit_dist.tolist()):
+                lo, hi = offsets[d], offsets[d + 1]
+                probs = self.probs[lo:hi].tolist()
+                if edges is None:
+                    for v, q in zip(self.support[lo:hi].tolist(), probs):
+                        writer.writerow([ids[i], repr(v), repr(v), repr(q)])
                 else:
-                    edges = d.bucketing.edges
-                    for b, q in enumerate(d.probs):
-                        writer.writerow(
-                            [ids[i], repr(float(edges[b])), repr(float(edges[b + 1])), repr(float(q))]
-                        )
-
-
-def gps_at(table: GpsTable, i: int, e: float) -> float:
-    """Score of unit i at level e. Convenience wrapper around `GpsTable.at`."""
-    return table.at(i, e)
+                    for b, q in enumerate(probs):
+                        writer.writerow([ids[i], edges[b], edges[b + 1], repr(q)])
 
 
 def exact_gps_table(
@@ -319,27 +296,51 @@ def exact_gps_table(
     tol: float = ATOM_TOL,
     max_degree: int = MAX_EXACT_DEGREE,
 ) -> GpsTable:
-    """Exact table for all units; identical rows share one distribution."""
-    if design.kind == BERNOULLI_HETEROGENEOUS:
-        design.probabilities(graph.m_diversion)  # fail fast on length mismatch
+    """Exact table for all units under a Bernoulli design.
+
+    Convolves each distinct (weights, probabilities) row one neighbor at a
+    time, merging exposure values within `tol` of each other into one
+    atom, which equals summing over all 2^degree assignment patterns.
+    Identical rows share one distribution.
+
+    Raises
+    ------
+    ValueError
+        Degree above `max_degree` (use `mc_gps`), or a non-Bernoulli design.
+    """
+    if design.kind not in (BERNOULLI, BERNOULLI_HETEROGENEOUS):
+        raise ValueError(
+            f"exact enumeration supports Bernoulli designs only, not {design.kind!r}; use mc_gps"
+        )
+    p_all = design.probabilities(graph.m_diversion)  # fails fast on a length mismatch
+    degrees = graph.degrees
+    too_big = np.flatnonzero(degrees > max_degree)
+    if too_big.size:
+        i = int(too_big[0])
+        raise ValueError(
+            f"unit {i} has degree {degrees[i]} > cap {max_degree}: "
+            "exact enumeration would be exponential, use mc_gps instead"
+        )
     cache: dict[bytes, int] = {}
-    dists: list[ExposureDistribution] = []
+    supports: list[np.ndarray] = []
+    probs: list[np.ndarray] = []
     unit_dist = np.empty(graph.n_outcome, dtype=np.int64)
     for i in range(graph.n_outcome):
         lo, hi = graph.indptr[i], graph.indptr[i + 1]
-        if hi - lo > max_degree:
-            raise ValueError(
-                f"unit {i} has degree {hi - lo} > cap {max_degree}: "
-                "exact enumeration would be exponential, use mc_gps instead"
-            )
-        p_nbrs = _neighbor_probabilities(graph, design, i)
-        key = graph.weights[lo:hi].tobytes() + b"|" + p_nbrs.tobytes()
-        if key not in cache:
-            cache[key] = len(dists)
-            dists.append(_convolve_row(graph.weights[lo:hi], p_nbrs, tol))
-        unit_dist[i] = cache[key]
+        w, p_nbrs = graph.weights[lo:hi], p_all[graph.indices[lo:hi]]
+        key = w.tobytes() + b"|" + p_nbrs.tobytes()
+        d = cache.get(key)
+        if d is None:
+            d = cache[key] = len(supports)
+            s, q = _convolve_row(w, p_nbrs, tol)
+            supports.append(s)
+            probs.append(q)
+        unit_dist[i] = d
+    sizes = [s.size for s in supports]
     return GpsTable(
-        dists=tuple(dists),
+        offsets=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        support=np.concatenate(supports) if supports else np.empty(0),
+        probs=np.concatenate(probs) if probs else np.empty(0),
         unit_dist=unit_dist,
         mode=EXACT,
         bucketing=Bucketing.atoms(tol),
@@ -361,11 +362,13 @@ def mc_gps(
 
     Works for any design. Deterministic for a fixed rng seed. With atom
     bucketing, exposures are quantized to the atom tolerance; with bins,
-    the bucketing must cover the graph's reachable exposure range.
+    the bucketing must cover the graph's reachable exposure range. Every
+    unit gets its own distribution.
     """
     if n_draws <= 0:
         raise ValueError("n_draws must be positive")
     rng = as_generator(rng)
+    n = graph.n_outcome
     hi_reachable = graph.max_row_sum
     if bucketing.mode == "bins":
         edges = bucketing.edges
@@ -374,11 +377,13 @@ def mc_gps(
                 f"bin edges [{edges[0]}, {edges[-1]}] do not cover the reachable "
                 f"exposure range [0, {hi_reachable}]"
             )
-        counts = np.zeros((graph.n_outcome, len(edges) - 1), dtype=np.int64)
+        counts = np.zeros((n, len(edges) - 1), dtype=np.int64)
     else:
-        atom_counts: dict[int, int] = {}
+        # key = unit << 42 | quantized exposure, so sorted keys group by unit
         shift = np.int64(1) << np.int64(42)
         quantum = bucketing.tol
+        atom_keys = np.empty(0, dtype=np.int64)
+        atom_counts = np.empty(0)
 
     csr = graph.to_csr()
     done = 0
@@ -391,59 +396,34 @@ def mc_gps(
             idx = np.clip(
                 np.searchsorted(edges, exposures, side="right") - 1, 0, len(edges) - 2
             )
-            flat = (np.arange(graph.n_outcome)[:, None] * (len(edges) - 1) + idx).ravel()
+            flat = (np.arange(n)[:, None] * (len(edges) - 1) + idx).ravel()
             counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape).astype(np.int64)
         else:
             q = np.rint(exposures / quantum).astype(np.int64)
-            keys = (np.arange(graph.n_outcome, dtype=np.int64)[:, None] * shift + q).ravel()
-            uniq, cts = np.unique(keys, return_counts=True)
-            for key, ct in zip(uniq.tolist(), cts.tolist()):
-                atom_counts[key] = atom_counts.get(key, 0) + ct
+            keys, cts = np.unique((np.arange(n, dtype=np.int64)[:, None] * shift + q).ravel(),
+                                  return_counts=True)
+            atom_keys, inverse = np.unique(np.concatenate([atom_keys, keys]), return_inverse=True)
+            atom_counts = np.bincount(inverse, weights=np.concatenate([atom_counts, cts]))
         done += take
 
-    dists: list[ExposureDistribution] = []
-    unit_dist = np.arange(graph.n_outcome, dtype=np.int64)
     if bucketing.mode == "bins":
-        centers = (bucketing.edges[:-1] + bucketing.edges[1:]) / 2.0
-        for i in range(graph.n_outcome):
-            dists.append(
-                ExposureDistribution(centers, counts[i] / float(n_draws), bucketing)
-            )
-        lo, hi = float(bucketing.edges[0]), float(bucketing.edges[-1])
+        n_bins = len(edges) - 1
+        offsets = np.arange(n + 1, dtype=np.int64) * n_bins
+        support = np.tile((edges[:-1] + edges[1:]) / 2.0, n)
+        probs = (counts / float(n_draws)).ravel()
+        lo, hi = float(edges[0]), float(edges[-1])
     else:
-        per_unit: list[dict[int, int]] = [dict() for _ in range(graph.n_outcome)]
-        for key, ct in atom_counts.items():
-            per_unit[key >> 42][key & ((1 << 42) - 1)] = ct
-        for i in range(graph.n_outcome):
-            qs = np.array(sorted(per_unit[i].keys()), dtype=np.int64)
-            probs = np.array([per_unit[i][q] for q in qs], dtype=np.float64) / n_draws
-            dists.append(ExposureDistribution(qs * quantum, probs, bucketing))
+        offsets = np.searchsorted(atom_keys >> 42, np.arange(n + 1))
+        support = (atom_keys & (shift - 1)) * quantum
+        probs = atom_counts / n_draws
         lo, hi = 0.0, hi_reachable
     return GpsTable(
-        dists=tuple(dists),
-        unit_dist=unit_dist,
+        offsets=offsets,
+        support=support,
+        probs=probs,
+        unit_dist=np.arange(n, dtype=np.int64),
         mode=MONTE_CARLO,
         bucketing=bucketing,
         lo=lo,
         hi=hi,
     )
-
-
-def product_gps(p_vec: np.ndarray, z_partial: np.ndarray) -> float:
-    """Probability of one neighbor-assignment pattern under independent coins.
-
-    Multiplies p_j over treated neighbors and (1 - p_j) over untreated
-    ones. When the neighbor weights are all distinct, each exposure value
-    identifies a unique pattern, so this is also the score at that
-    exposure; with tied weights several patterns share an exposure and the
-    caller must sum over them (exact_gps does exactly that).
-    """
-    p_vec = np.asarray(p_vec, dtype=np.float64)
-    z_partial = np.asarray(z_partial)
-    if p_vec.shape != z_partial.shape or p_vec.ndim != 1:
-        raise ValueError("p_vec and z_partial must be matching 1-d vectors")
-    if p_vec.size and (p_vec.min() <= 0.0 or p_vec.max() >= 1.0):
-        raise ValidationError("all probabilities must lie strictly inside (0, 1)")
-    if not np.all((z_partial == 0) | (z_partial == 1)):
-        raise ValueError("z_partial must be 0/1")
-    return float(np.prod(np.where(z_partial == 1, p_vec, 1.0 - p_vec)))

@@ -29,12 +29,9 @@ EDGE_HEADER = ("outcome_id", "diversion_id", "weight")
 NORMALIZED_TOL = 1e-9
 
 
-def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out.base is None and out is not arr:
-        pass
-    else:
-        out = out.copy()
+def _as_readonly(arr, dtype) -> np.ndarray:
+    """Frozen C-contiguous copy; the caller's array stays writable."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

@@ -150,7 +150,7 @@ def block_bootstrap(
     """
     rng = as_generator(rng)
     if labels is None:
-        _, out_labels, _ = connected_components(data.graph)
+        _, out_labels, _ = connected_components(data.row_graph())
     else:
         out_labels = np.asarray(labels)
         if out_labels.shape != (data.n_units,):
@@ -184,14 +184,15 @@ def block_bootstrap(
 
 def ols_asymptotic_interval(
     fit,
-    column: int,
+    contrast,
     *,
     level: float = DEFAULT_LEVEL,
 ) -> IntervalEstimate:
-    """Normal-theory interval for one regression coefficient."""
-    se = float(np.sqrt(fit.coef_cov[column, column]))
+    """Normal-theory interval for a linear contrast of regression coefficients."""
+    contrast = np.asarray(contrast, dtype=np.float64)
+    est = float(contrast @ fit.coef)
+    se = float(np.sqrt(contrast @ fit.coef_cov @ contrast))
     z = float(stats.norm.ppf(0.5 + level / 2))
-    est = float(fit.coef[column])
     return IntervalEstimate(
         estimate=est,
         lower=est - z * se,
@@ -351,11 +352,12 @@ def parametric_bootstrap(
         raise NumericalError("design matrix is rank deficient; cannot refit replicates")
     coef = sla.solve_triangular(r, q.T @ target)
     resid = target - phi @ coef
-    sigmas = _split_residual_variance(resid, data.graph, k, ddof_correction)
+    graph = data.row_graph()
+    sigmas = _split_residual_variance(resid, graph, k, ddof_correction)
     estimate = float(contrast @ coef)
 
-    w = data.graph.to_csr()
-    m = data.graph.m_diversion
+    w = graph.to_csr()
+    m = graph.m_diversion
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, n_replicates))

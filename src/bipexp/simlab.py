@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .design import AssignmentDesign, draw_assignment, linear_exposure
 from .errors import ConfigError, DataError, NumericalError
@@ -35,11 +34,12 @@ from .estimators import (
     stratified_estimate,
 )
 from .gps import MAX_EXACT_DEGREE, Bucketing, GpsTable, exact_gps_table, mc_gps
-from .graph import BipartiteGraph, GraphSpec, contiguous_blocks, synth_graph
+from .graph import BipartiteGraph, GraphSpec, _open_write, contiguous_blocks, synth_graph
 from .inference import (
     IntervalEstimate,
     block_bootstrap,
     naive_bootstrap,
+    ols_asymptotic_interval,
     parametric_bootstrap,
 )
 from .numerics import DesignMatrix, ols
@@ -165,7 +165,7 @@ def _point_correct_spec(data: Dataset) -> float:
 
 def _design_correct_spec(data: Dataset):
     # true surface under the heterogeneous DGP: per-unit slope = degree
-    s = data.graph.degrees.astype(np.float64)
+    s = data.degrees.astype(np.float64)
     phi = np.column_stack([np.ones(data.n_units), s * data.exposure])
     return phi, data.y, np.array([0.0, s.mean()])
 
@@ -174,7 +174,7 @@ def _bound_correct_spec(full_data: Dataset):
     # the estimand multiplies the slope by the study graph's mean degree,
     # a fixed population quantity; freezing it keeps bootstrap resamples
     # from adding mean-degree noise the estimator never faces
-    m_bar = float(full_data.graph.degrees.mean())
+    m_bar = float(full_data.degrees.mean())
 
     def statistic(data: Dataset) -> float:
         phi, y, _ = _design_correct_spec(data)
@@ -279,16 +279,7 @@ def _interval_ols_asymptotic(data, est, b, level, rng, block_labels=None) -> Int
     phi, target, contrast = est.design(data)
     labels = tuple(f"c{j}" for j in range(phi.shape[1]))
     fit = ols(DesignMatrix(np.asarray(phi, dtype=np.float64), labels), target)
-    estd = float(contrast @ fit.coef)
-    se = float(np.sqrt(contrast @ fit.coef_cov @ contrast))
-    z = float(stats.norm.ppf(0.5 + level / 2))
-    return IntervalEstimate(
-        estimate=estd,
-        lower=estd - z * se,
-        upper=estd + z * se,
-        level=level,
-        method="ols-asymptotic",
-    )
+    return ols_asymptotic_interval(fit, contrast, level=level)
 
 
 INTERVAL_METHODS = {
@@ -387,30 +378,15 @@ class SimStudyResult:
 
     def write_csv(self, dest) -> None:
         rows = self.summary()
-        fields = list(rows[0].keys())
-        close = False
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            writer = csv.DictWriter(dest, fieldnames=fields)
+        with _open_write(dest) as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-        finally:
-            if close:
-                dest.close()
 
     def write_json(self, dest) -> None:
-        close = False
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            dest = open(dest, "w")
-            close = True
-        try:
-            json.dump(self.as_dict(), dest, indent=2)
-            dest.write("\n")
-        finally:
-            if close:
-                dest.close()
+        with _open_write(dest) as fh:
+            json.dump(self.as_dict(), fh, indent=2)
+            fh.write("\n")
 
 
 def default_gps_table(
@@ -649,18 +625,10 @@ def edges_cut_sweep(
 
 
 def write_sweep_csv(rows: list[dict], dest) -> None:
-    fields = list(rows[0].keys())
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        dest = open(dest, "w", newline="")
-        close = True
-    try:
-        writer = csv.DictWriter(dest, fieldnames=fields)
+    with _open_write(dest) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if close:
-            dest.close()
 
 
 # -- worked two-type fixture ---------------------------------------------------

@@ -226,13 +226,13 @@ def test_criterion_7_gps_properties():
         substream(SEED, 49),
     )
     table = exact_gps_table(graph, BERN)
-    sum_err = max(abs(d.probs.sum() - 1.0) for d in table.dists)
+    bounds = zip(table.offsets[:-1], table.offsets[1:])
+    sum_err = max(abs(table.probs[lo:hi].sum() - 1.0) for lo, hi in bounds)
 
     mc = mc_gps(graph, BERN, Bucketing.atoms(), n_draws=100_000, rng=substream(SEED, 50))
     mc_err = 0.0
     for i in range(graph.n_outcome):
-        exact = table.dists[table.unit_dist[i]]
-        for point, prob in zip(exact.support, exact.probs):
+        for point, prob in zip(*table.distribution(i)):
             mc_err = max(mc_err, abs(mc.at(i, float(point)) - float(prob)))
 
     # balancing: within groups sharing r(1, W_i), the frequency of full

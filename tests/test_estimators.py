@@ -26,6 +26,7 @@ from bipexp.errors import DataError, MissingCellError, RankDeficiencyError
 from bipexp.estimators import (
     CellMeanSurface,
     Dataset,
+    DoseResponseCurve,
     PropensityTrimWarning,
     ate,
     beta_cell_means,
@@ -39,7 +40,7 @@ from bipexp.estimators import (
     smooth_curve_linear,
     stratified_estimate,
 )
-from bipexp.gps import Bucketing, ExposureDistribution, GpsTable, exact_gps_table
+from bipexp.gps import Bucketing, GpsTable, exact_gps_table
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
 
@@ -204,9 +205,9 @@ def test_ht_weighted_regression_empty_level(two_type_data):
 def test_ht_weighted_regression_positivity_failure():
     # a table that puts no mass on the observed exposure
     graph = BipartiteGraph.from_rows([[(0, 1.0)]], m_diversion=1)
-    dist = ExposureDistribution(np.array([1.0]), np.array([1.0]), Bucketing.atoms())
     table = GpsTable(
-        dists=(dist,), unit_dist=np.zeros(1, dtype=np.int64), mode="monte-carlo",
+        offsets=np.array([0, 1]), support=np.array([1.0]), probs=np.array([1.0]),
+        unit_dist=np.zeros(1, dtype=np.int64), mode="monte-carlo",
         bucketing=Bucketing.atoms(), lo=0.0, hi=1.0,
     )
     data = Dataset(y=np.array([3.0]), exposure=np.array([0.0]), graph=graph, gps=table)
@@ -441,12 +442,39 @@ def test_dataset_build_drops_isolated_units():
 
 
 def test_dataset_take_tracks_sources(two_type_data):
+    np.testing.assert_array_equal(two_type_data.source_indices, np.arange(8))
     sub = two_type_data.take([5, 1, 5])
     np.testing.assert_array_equal(sub.source_indices, [5, 1, 5])
     np.testing.assert_array_equal(sub.y, two_type_data.y[[5, 1, 5]])
     again = sub.take([2, 0])
     np.testing.assert_array_equal(again.source_indices, [5, 5])
     np.testing.assert_allclose(sub.observed_scores(), two_type_data.observed_scores()[[5, 1, 5]])
+    # resamples share the experiment's graph; the row-aligned one is built on request
+    assert sub.graph is two_type_data.graph
+    assert two_type_data.row_graph() is two_type_data.graph
+    np.testing.assert_array_equal(sub.degrees, [2, 1, 2])
+    rows = sub.row_graph()
+    assert rows.n_outcome == 3
+    np.testing.assert_array_equal(rows.degrees, sub.degrees)
+    assert rows.row_weights(1) == two_type_data.graph.row_weights(1)
+
+
+def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_half):
+    table = exact_gps_table(two_type_graph, bernoulli_half)
+    y, e = np.zeros(8), np.zeros(8)
+    data = Dataset(y=y, exposure=e, graph=two_type_graph, gps=table, source_indices=np.arange(8))
+    grid, mu = np.array([0.0, 1.0]), np.array([0.5, 1.5])
+    DoseResponseCurve(grid=grid, mu_hat=mu)
+    flat = [np.array([0, 1]), np.array([1.0]), np.array([1.0]), np.array([0])]
+    GpsTable(offsets=flat[0], support=flat[1], probs=flat[2], unit_dist=flat[3],
+             mode="exact", bucketing=Bucketing.atoms(), lo=0.0, hi=1.0)
+    edges, p_vec = np.linspace(0.0, 1.0, 3), np.full(12, 0.5)
+    Bucketing(mode="bins", edges=edges)
+    AssignmentDesign.bernoulli_heterogeneous(p_vec)
+    for arr in (y, e, grid, mu, *flat, edges, p_vec):
+        assert arr.flags.writeable
+    y[0] = 1.0
+    assert data.y[0] == 0.0 and not data.y.flags.writeable
 
 
 @settings(deadline=None, max_examples=25)

@@ -2,9 +2,11 @@
 
 The main oracle enumerates all 2^m neighbor assignment patterns directly
 (no shared code with the convolution in the package); uniform-weight rows
-additionally have the binomial closed form.
+additionally have the binomial closed form. Score lookups on the flat
+table are checked against a plain per-distribution lookup written here.
 """
 
+import bisect
 import csv
 import itertools
 
@@ -22,12 +24,9 @@ from bipexp.gps import (
     MAX_EXACT_DEGREE,
     MONTE_CARLO,
     Bucketing,
-    ExposureDistribution,
-    exact_gps,
+    GpsTable,
     exact_gps_table,
-    gps_at,
     mc_gps,
-    product_gps,
 )
 from bipexp.graph import BipartiteGraph
 from bipexp.seeding import substream
@@ -55,6 +54,26 @@ def one_row_graph(weights):
     return BipartiteGraph.from_rows([row], m_diversion=len(weights))
 
 
+def one_row_distribution(weights, p):
+    """(support, probs) of the exact table of a single row."""
+    return exact_gps_table(one_row_graph(weights), AssignmentDesign.bernoulli(p)).distribution(0)
+
+
+def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0):
+    """Table holding the given per-distribution arrays, one unit per distribution by default."""
+    sizes = [len(s) for s in supports]
+    return GpsTable(
+        offsets=np.concatenate([[0], np.cumsum(sizes)]),
+        support=np.concatenate(supports),
+        probs=np.concatenate(probs),
+        unit_dist=np.arange(len(supports)) if unit_dist is None else unit_dist,
+        mode=MONTE_CARLO,
+        bucketing=bucketing or Bucketing.atoms(),
+        lo=0.0,
+        hi=hi,
+    )
+
+
 # -- exact construction vs oracles ------------------------------------------
 
 
@@ -63,9 +82,9 @@ def test_exact_matches_enumeration_on_small_graph(small_graph):
     for i in range(small_graph.n_outcome):
         w = [wt for _, wt in small_graph.row_weights(i)]
         support, probs = enumerate_exposures(w, [0.3] * len(w))
-        dist = exact_gps(small_graph, design, i)
-        np.testing.assert_allclose(dist.support, support, atol=1e-12)
-        np.testing.assert_allclose(dist.probs, probs, atol=1e-12)
+        got_support, got_probs = exact_gps_table(small_graph, design).distribution(i)
+        np.testing.assert_allclose(got_support, support, atol=1e-12)
+        np.testing.assert_allclose(got_probs, probs, atol=1e-12)
 
 
 def test_exact_matches_enumeration_heterogeneous(small_graph):
@@ -75,17 +94,16 @@ def test_exact_matches_enumeration_heterogeneous(small_graph):
         idx = [j for j, _ in small_graph.row_weights(i)]
         w = [wt for _, wt in small_graph.row_weights(i)]
         support, probs = enumerate_exposures(w, p_vec[idx])
-        dist = exact_gps(small_graph, design, i)
-        np.testing.assert_allclose(dist.support, support, atol=1e-12)
-        np.testing.assert_allclose(dist.probs, probs, atol=1e-12)
+        got_support, got_probs = exact_gps_table(small_graph, design).distribution(i)
+        np.testing.assert_allclose(got_support, support, atol=1e-12)
+        np.testing.assert_allclose(got_probs, probs, atol=1e-12)
 
 
 def test_exact_matches_binomial_closed_form():
     m, p = 6, 0.4
-    graph = one_row_graph([1.0 / m] * m)
-    dist = exact_gps(graph, AssignmentDesign.bernoulli(p), 0)
-    np.testing.assert_allclose(dist.support, np.arange(m + 1) / m, atol=1e-12)
-    np.testing.assert_allclose(dist.probs, stats.binom.pmf(np.arange(m + 1), m, p), atol=1e-12)
+    support, probs = one_row_distribution([1.0 / m] * m, p)
+    np.testing.assert_allclose(support, np.arange(m + 1) / m, atol=1e-12)
+    np.testing.assert_allclose(probs, stats.binom.pmf(np.arange(m + 1), m, p), atol=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -96,18 +114,17 @@ def test_exact_matches_binomial_closed_form():
 def test_exact_matches_enumeration_property(weights, p):
     # dyadic weights keep all partial sums exact, so the oracle's dict
     # keying on float equality agrees with the tolerance-based merge
-    graph = one_row_graph(weights)
     support, probs = enumerate_exposures(weights, [p] * len(weights))
-    dist = exact_gps(graph, AssignmentDesign.bernoulli(p), 0)
-    np.testing.assert_allclose(dist.support, support, atol=1e-12)
-    np.testing.assert_allclose(dist.probs, probs, atol=1e-12)
+    got_support, got_probs = one_row_distribution(weights, p)
+    np.testing.assert_allclose(got_support, support, atol=1e-12)
+    np.testing.assert_allclose(got_probs, probs, atol=1e-12)
 
 
 def test_scores_sum_to_one(small_graph, two_type_graph, bernoulli_half):
     for graph in (small_graph, two_type_graph):
         table = exact_gps_table(graph, bernoulli_half)
         for i in range(graph.n_outcome):
-            assert abs(table.distribution(i).probs.sum() - 1.0) <= 1e-12
+            assert abs(table.distribution(i)[1].sum() - 1.0) <= 1e-12
 
 
 def test_endpoint_scores_positive(small_graph):
@@ -130,15 +147,15 @@ def test_two_type_endpoint_scores(two_type_graph, bernoulli_half):
 
 
 def test_tied_weights_merge_patterns():
-    dist = exact_gps(one_row_graph([0.5, 0.5]), AssignmentDesign.bernoulli(0.3), 0)
-    np.testing.assert_allclose(dist.support, [0.0, 0.5, 1.0], atol=1e-12)
-    np.testing.assert_allclose(dist.probs, [0.49, 0.42, 0.09], atol=1e-12)
+    support, probs = one_row_distribution([0.5, 0.5], 0.3)
+    np.testing.assert_allclose(support, [0.0, 0.5, 1.0], atol=1e-12)
+    np.testing.assert_allclose(probs, [0.49, 0.42, 0.09], atol=1e-12)
 
 
 def test_nearly_tied_weights_merge_within_tol():
-    dist = exact_gps(one_row_graph([0.5, 0.5 + 1e-12]), AssignmentDesign.bernoulli(0.3), 0)
-    assert dist.support.size == 3
-    np.testing.assert_allclose(dist.probs, [0.49, 0.42, 0.09], atol=1e-12)
+    support, probs = one_row_distribution([0.5, 0.5 + 1e-12], 0.3)
+    assert support.size == 3
+    np.testing.assert_allclose(probs, [0.49, 0.42, 0.09], atol=1e-12)
 
 
 def test_degree_cap_points_to_monte_carlo():
@@ -146,19 +163,19 @@ def test_degree_cap_points_to_monte_carlo():
     graph = one_row_graph([1.0 / m] * m)
     design = AssignmentDesign.bernoulli(0.5)
     with pytest.raises(ValueError, match="mc_gps"):
-        exact_gps(graph, design, 0)
-    with pytest.raises(ValueError, match="mc_gps"):
         exact_gps_table(graph, design)
 
 
 def test_non_bernoulli_design_rejected(small_graph):
     with pytest.raises(ValueError, match="mc_gps"):
-        exact_gps(small_graph, AssignmentDesign.completely_randomized(2), 0)
+        exact_gps_table(small_graph, AssignmentDesign.completely_randomized(2))
 
 
 def test_exact_gps_unit_out_of_range(small_graph, bernoulli_half):
-    with pytest.raises(IndexError):
-        exact_gps(small_graph, bernoulli_half, 4)
+    table = exact_gps_table(small_graph, bernoulli_half)
+    for i in (4, -1):
+        with pytest.raises(IndexError):
+            table.distribution(i)
 
 
 # -- table behavior ----------------------------------------------------------
@@ -166,7 +183,7 @@ def test_exact_gps_unit_out_of_range(small_graph, bernoulli_half):
 
 def test_table_shares_identical_rows(two_type_graph, bernoulli_half):
     table = exact_gps_table(two_type_graph, bernoulli_half)
-    assert len(table.dists) == 2
+    assert table.n_dists == 2
     np.testing.assert_array_equal(table.unit_dist, [0, 0, 0, 0, 1, 1, 1, 1])
     assert table.mode == EXACT
 
@@ -212,7 +229,9 @@ def test_query_outside_range_raises(small_graph, bernoulli_half):
 def test_take_shares_distribution_objects(two_type_graph, bernoulli_half):
     table = exact_gps_table(two_type_graph, bernoulli_half)
     sub = table.take(np.array([6, 1]))
-    assert sub.dists is table.dists
+    assert sub.offsets is table.offsets
+    assert sub.support is table.support
+    assert sub.probs is table.probs
     np.testing.assert_array_equal(sub.unit_dist, table.unit_dist[[6, 1]])
     assert sub.at(0, 0.5) == table.at(6, 0.5)
     assert sub.at(1, 1.0) == table.at(1, 1.0)
@@ -225,11 +244,6 @@ def test_dist_mean_variance_binomial():
     # exposure is Binomial(m, p) / m
     np.testing.assert_allclose(table.dist_mean(), [p], atol=1e-12)
     np.testing.assert_allclose(table.dist_variance(), [p * (1 - p) / m], atol=1e-12)
-
-
-def test_gps_at_is_table_at(small_graph, bernoulli_half):
-    table = exact_gps_table(small_graph, bernoulli_half)
-    assert gps_at(table, 1, 0.5) == table.at(1, 0.5)
 
 
 def test_write_csv_roundtrip(tmp_path, two_type_graph, bernoulli_half):
@@ -256,12 +270,12 @@ def test_mc_matches_exact_on_atoms(small_graph, bernoulli_half):
     mc = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), n_draws, substream(7, 2))
     assert mc.mode == MONTE_CARLO
     for i in range(small_graph.n_outcome):
-        truth = exact.distribution(i)
+        support, probs = exact.distribution(i)
         # every simulated atom sits on a true atom, and masses agree to 4 sigma
-        got = mc.distribution(i).mass_at_many(truth.support)
-        assert abs(mc.distribution(i).probs.sum() - 1.0) <= 1e-9
-        band = 4.0 * np.sqrt(truth.probs * (1 - truth.probs) / n_draws)
-        assert np.all(np.abs(got - truth.probs) <= band + 1e-12)
+        got = mc.observed_scores(support, units=np.full(support.size, i))
+        assert abs(mc.distribution(i)[1].sum() - 1.0) <= 1e-9
+        band = 4.0 * np.sqrt(probs * (1 - probs) / n_draws)
+        assert np.all(np.abs(got - probs) <= band + 1e-12)
         assert abs(got.sum() - 1.0) <= 1e-9
 
 
@@ -272,10 +286,10 @@ def test_mc_bins_aggregate_exact_mass(small_graph, bernoulli_half):
     exact = exact_gps_table(small_graph, bernoulli_half)
     edges = bucketing.edges
     for i in range(small_graph.n_outcome):
-        truth = exact.distribution(i)
-        idx = np.clip(np.searchsorted(edges, truth.support, side="right") - 1, 0, 3)
-        want = np.bincount(idx, weights=truth.probs, minlength=4)
-        got = mc.distribution(i).probs
+        support, probs = exact.distribution(i)
+        idx = np.clip(np.searchsorted(edges, support, side="right") - 1, 0, 3)
+        want = np.bincount(idx, weights=probs, minlength=4)
+        got = mc.distribution(i)[1]
         band = 4.0 * np.sqrt(want * (1 - want) / n_draws)
         assert np.all(np.abs(got - want) <= band + 1e-12)
 
@@ -288,9 +302,9 @@ def test_mc_bins_must_cover_reachable_range(small_graph, bernoulli_half):
 def test_mc_deterministic_for_fixed_seed(small_graph, bernoulli_half):
     a = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(3, 2))
     b = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(3, 2))
-    for da, db in zip(a.dists, b.dists):
-        np.testing.assert_array_equal(da.support, db.support)
-        np.testing.assert_array_equal(da.probs, db.probs)
+    np.testing.assert_array_equal(a.offsets, b.offsets)
+    np.testing.assert_array_equal(a.support, b.support)
+    np.testing.assert_array_equal(a.probs, b.probs)
 
 
 def test_mc_rejects_nonpositive_draws(small_graph, bernoulli_half):
@@ -338,21 +352,6 @@ def test_units_grouped_by_score_balance():
 # -- building blocks ---------------------------------------------------------
 
 
-def test_product_gps_matches_manual():
-    p = np.array([0.2, 0.6, 0.9])
-    assert product_gps(p, np.array([1, 0, 1])) == pytest.approx(0.2 * 0.4 * 0.9)
-    assert product_gps(p, np.array([0, 0, 0])) == pytest.approx(0.8 * 0.4 * 0.1)
-
-
-def test_product_gps_validation():
-    with pytest.raises(ValueError, match="matching"):
-        product_gps(np.array([0.5, 0.5]), np.array([1]))
-    with pytest.raises(ValidationError, match="strictly inside"):
-        product_gps(np.array([0.0, 0.5]), np.array([1, 0]))
-    with pytest.raises(ValueError, match="0/1"):
-        product_gps(np.array([0.5, 0.5]), np.array([1, 2]))
-
-
 def test_bucketing_validation():
     with pytest.raises(ValidationError, match="mode"):
         Bucketing(mode="histogram")
@@ -367,26 +366,136 @@ def test_bucketing_validation():
 
 
 def test_distribution_validation():
-    atoms = Bucketing.atoms()
+    half = np.array([0.5, 0.5])
     with pytest.raises(ValidationError, match="ascending"):
-        ExposureDistribution(np.array([0.5, 0.1]), np.array([0.5, 0.5]), atoms)
+        flat_table([np.array([0.5, 0.1])], [half])
     with pytest.raises(ValidationError, match="nonnegative"):
-        ExposureDistribution(np.array([0.0, 1.0]), np.array([1.2, -0.2]), atoms)
+        flat_table([np.array([0.0, 1.0])], [np.array([1.2, -0.2])])
     with pytest.raises(ValidationError, match="sum"):
-        ExposureDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4]), atoms)
+        flat_table([np.array([0.0, 1.0])], [np.array([0.5, 0.4])])
+    # the sum is checked per distribution, not over the whole table
+    with pytest.raises(ValidationError, match="sum"):
+        flat_table([np.array([0.0, 1.0]), np.array([0.5])], [np.array([0.5, 0.7]), np.array([0.8])])
+    with pytest.raises(ValidationError, match="nonempty"):
+        flat_table([np.array([0.0, 1.0]), np.array([])], [half, np.array([])])
+    with pytest.raises(ValidationError, match="one entry per bin"):
+        flat_table([np.array([0.25, 0.75])], [half], bucketing=Bucketing.equal_width(4))
+    with pytest.raises(ValidationError, match="unit_dist"):
+        flat_table([np.array([0.0, 1.0])], [half], unit_dist=np.array([0, 1]))
+    # support restarts lower at a distribution boundary: accepted
+    table = flat_table([np.array([0.5, 1.0]), np.array([0.0, 0.25])], [half, half])
+    assert table.at(1, 0.0) == 0.5
 
 
 def test_bins_top_edge_closed():
     bucketing = Bucketing.equal_width(2, 0.0, 1.0)
-    dist = ExposureDistribution(np.array([0.25, 0.75]), np.array([0.3, 0.7]), bucketing)
-    assert dist.mass_at(1.0) == pytest.approx(0.7)
-    assert dist.mass_at(0.5) == pytest.approx(0.7)  # right-open lower bin
-    assert dist.mass_at(0.0) == pytest.approx(0.3)
-    assert dist.mass_at(1.2) == 0.0
+    table = flat_table([np.array([0.25, 0.75])], [np.array([0.3, 0.7])], bucketing, hi=1.5)
+    assert table.at(0, 1.0) == pytest.approx(0.7)
+    assert table.at(0, 0.5) == pytest.approx(0.7)  # right-open lower bin
+    assert table.at(0, 0.0) == pytest.approx(0.3)
+    assert table.at(0, 1.2) == 0.0
 
 
 def test_atom_tolerance_is_two_sided():
-    dist = ExposureDistribution(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25]), Bucketing.atoms())
-    assert dist.mass_at(0.5 + 0.5 * ATOM_TOL) == pytest.approx(0.5)
-    assert dist.mass_at(0.5 - 0.5 * ATOM_TOL) == pytest.approx(0.5)
-    assert dist.mass_at(0.5 + 3 * ATOM_TOL) == 0.0
+    table = flat_table([np.array([0.0, 0.5, 1.0])], [np.array([0.25, 0.5, 0.25])])
+    assert table.at(0, 0.5 + 0.5 * ATOM_TOL) == pytest.approx(0.5)
+    assert table.at(0, 0.5 - 0.5 * ATOM_TOL) == pytest.approx(0.5)
+    assert table.at(0, 0.5 + 3 * ATOM_TOL) == 0.0
+
+
+# -- flat lookups against a per-distribution reference -------------------------
+
+
+def reference_mass(support, probs, bucketing, e):
+    """Plain per-distribution lookup: the mass one distribution puts on level e.
+
+    Atoms: the atom at the left insertion point wins when it lies within tol
+    and carries mass, else the atom before it when that lies within tol.
+    Bins: right-open bins, the top edge closes the last bin, and tol absorbs
+    spill past either end.
+    """
+    tol = bucketing.tol
+    if bucketing.mode == "atoms":
+        pos = bisect.bisect_left(list(support), e)
+        out = 0.0
+        for k in (pos, pos - 1):
+            k = min(max(k, 0), len(support) - 1)
+            if abs(support[k] - e) <= tol and out == 0:
+                out = probs[k]
+        return out
+    edges = list(bucketing.edges)
+    if edges[-1] <= e <= edges[-1] + tol:
+        return probs[-1]
+    if edges[0] - tol <= e < edges[0]:
+        return probs[0]
+    for b in range(len(edges) - 1):
+        if edges[b] <= e < edges[b + 1]:
+            return probs[b]
+    return 0.0
+
+
+grid_points = st.integers(0, 64).map(lambda k: k / 64.0)
+
+
+@st.composite
+def flat_tables(draw):
+    """A random atom or bin table with a few distributions and units."""
+    n_dists = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        bucketing = Bucketing.atoms()
+        supports = []
+        for _ in range(n_dists):
+            atoms = sorted(draw(st.sets(grid_points, min_size=1, max_size=6)))
+            # twins closer than 2 * tol let two atoms match one query, which
+            # pins down which side of the insertion point is checked first
+            twins = [a + draw(st.sampled_from([0.5, 1.0, 1.5])) * bucketing.tol
+                     for a in atoms[:-1] if draw(st.booleans())]
+            supports.append(np.array(sorted(atoms + twins)))
+    else:
+        bucketing = Bucketing.equal_width(draw(st.integers(1, 5)), 0.0, 1.0)
+        centers = (bucketing.edges[:-1] + bucketing.edges[1:]) / 2.0
+        supports = [centers] * n_dists
+    probs = []
+    for s in supports:
+        # zero masses exercise the fall-through to the atom before the insertion point
+        raw = np.array(draw(st.lists(st.integers(0, 5), min_size=s.size, max_size=s.size)), float)
+        raw[draw(st.integers(0, s.size - 1))] += 1.0
+        probs.append(raw / raw.sum())
+    unit_dist = np.array(draw(st.lists(st.integers(0, n_dists - 1), min_size=1, max_size=8)))
+    return flat_table(supports, probs, bucketing, unit_dist), supports, probs
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=flat_tables())
+def test_flat_lookups_match_reference(data):
+    table, supports, probs = data
+    tol = table.bucketing.tol
+    between = [(s[1:] + s[:-1]) / 2.0 for s in supports]
+    off_support = np.array([1.0, 27.0, 77.0, 127.0]) / 128.0
+    anchors = np.concatenate(supports + between + [off_support])
+    if table.bucketing.mode == "bins":
+        anchors = np.concatenate([anchors, table.bucketing.edges])
+    shifts = np.array([0.0, 0.5, -0.5, 3.0, -3.0]) * tol
+    queries = np.unique((anchors[:, None] + shifts).ravel())
+    queries = queries[(queries >= table.lo - tol) & (queries <= table.hi + tol)]
+
+    def want(i, e):
+        d = table.unit_dist[i]
+        return reference_mass(supports[d], probs[d], table.bucketing, float(e))
+
+    units = np.arange(table.n_units)
+    for e in queries:
+        expected = [want(i, e) for i in units]
+        assert table.imputed_scores(e).tolist() == expected
+        assert [table.at(i, e) for i in units] == expected
+    pick = np.resize(units, queries.size)
+    expected = [want(i, e) for i, e in zip(pick, queries)]
+    assert table.observed_scores(queries, units=pick).tolist() == expected
+
+    # moments: the old per-distribution dot products, up to rounding
+    mean = np.array([np.dot(supports[d], probs[d]) for d in table.unit_dist])
+    var = np.array([
+        np.dot((supports[d] - m) ** 2, probs[d]) for d, m in zip(table.unit_dist, mean)
+    ])
+    np.testing.assert_allclose(table.dist_mean(), mean, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(table.dist_variance(), var, rtol=0, atol=1e-15)

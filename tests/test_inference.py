@@ -188,7 +188,7 @@ def test_ols_asymptotic_interval_matches_normal_theory():
     x = np.column_stack([np.ones(120), rng.normal(size=120)])
     y = x @ np.array([1.0, 2.0]) + rng.normal(size=120)
     fit = ols(x, y)
-    iv = ols_asymptotic_interval(fit, 1, level=0.95)
+    iv = ols_asymptotic_interval(fit, [0, 1], level=0.95)
     se = np.sqrt(fit.coef_cov[1, 1])
     z = stats.norm.ppf(0.975)
     assert iv.estimate == pytest.approx(fit.coef[1])
