@@ -75,7 +75,6 @@ from .inference import (
     parametric_bootstrap,
 )
 from .numerics import (
-    DesignMatrix,
     KernelFit,
     LinearFit,
     krr_fit,
@@ -107,7 +106,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "DesignMatrix",
     "DgpSpec",
     "DoseResponseCurve",
     "ErrorVarianceEstimates",

@@ -40,7 +40,15 @@ from .estimators import (
     dose_response,
 )
 from .gps import Bucketing, exact_gps_table, mc_gps
-from .graph import GraphSpec, IdMap, load_edge_list, synth_graph, write_edge_list
+from .graph import (
+    GraphSpec,
+    IdMap,
+    _write_csv_rows,
+    _write_json,
+    load_edge_list,
+    synth_graph,
+    write_edge_list,
+)
 from .inference import IntervalEstimate
 from .seeding import substream
 from .simlab import (
@@ -51,7 +59,6 @@ from .simlab import (
     edges_cut_sweep,
     run_study,
     simple_example,
-    write_sweep_csv,
 )
 
 PRESETS = (
@@ -258,17 +265,11 @@ def _load_column(path: str, key_header: str, value_header: str, index: dict[str,
 
 
 def _write_table(rows: list[dict], out_dir: Path, stem: str, fmt: str) -> Path:
+    path = out_dir / f"{stem}.{fmt}"
     if fmt == "json":
-        path = out_dir / f"{stem}.json"
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        return path
-    path = out_dir / f"{stem}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_json(rows, path)
+    else:
+        _write_csv_rows(rows, path)
     return path
 
 
@@ -283,9 +284,7 @@ def _write_provenance(out_dir: Path, command: str, raw: bytes, seed: int, output
     }
     if notes:
         record["notes"] = notes
-    with open(out_dir / "provenance.json", "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    _write_json(record, out_dir / "provenance.json")
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -329,9 +328,7 @@ def cmd_graph_gen(cfg: dict, args) -> int:
         "degree_histogram": {str(d): int(c) for d, c in enumerate(hist) if c > 0},
         "row_normalized": bool(graph.row_normalized),
     }
-    with open(out_dir / "graph_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary, out_dir / "graph_summary.json")
     _write_provenance(out_dir, "graph-gen", args.raw_config, seed,
                       ["graph.csv", "graph_summary.json"])
     print(f"graph-gen: wrote {graph_path} ({graph.n_outcome}x{graph.m_diversion}, {graph.nnz} edges)")
@@ -559,7 +556,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         workers=args.workers,
     )
     sweep_path = out_dir / "sweep.csv"
-    write_sweep_csv(rows, sweep_path)
+    _write_csv_rows(rows, sweep_path)
     _write_provenance(out_dir, "sweep", args.raw_config, seed, ["sweep.csv"])
     print(f"sweep: wrote {sweep_path} ({len(rows)} rows)")
     return 0

@@ -11,6 +11,7 @@ directly.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DataError, MissingCellError
 from .gps import ATOM_TOL, Bucketing, GpsTable
 from .graph import BipartiteGraph, _as_readonly
-from .numerics import DesignMatrix, KernelFit, LinearFit, krr_fit, krr_predict, ols
+from .numerics import KernelFit, LinearFit, krr_fit, krr_predict, ols
 
 # Scores below this floor are lifted to it before dividing (with a warning).
 TRIM_FLOOR = 1e-6
@@ -100,15 +101,19 @@ class Dataset:
         return self.graph.take(src)
 
     def take(self, indices) -> "Dataset":
-        """Row resample/subset; shares the graph and the score table's arrays."""
+        """Row resample/subset; shares the graph and the score table's arrays.
+
+        The gathers are fresh arrays aligned by construction, so they are
+        frozen in place instead of going through the copying constructor.
+        """
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            y=self.y[indices],
-            exposure=self.exposure[indices],
-            graph=self.graph,
-            gps=self.gps.take(indices),
-            source_indices=self.source_indices[indices],
-        )
+        sub = copy.copy(self)
+        object.__setattr__(sub, "gps", self.gps.take(indices))
+        for name in ("y", "exposure", "source_indices"):
+            rows = getattr(self, name)[indices]
+            rows.setflags(write=False)
+            object.__setattr__(sub, name, rows)
+        return sub
 
     def observed_scores(self) -> np.ndarray:
         # gps rows are taken alongside y, so no index mapping here
@@ -131,8 +136,7 @@ def naive_ols(data: Dataset) -> float:
     e = data.exposure
     if np.ptp(e) <= 0:
         raise DataError("exposure is constant; the naive regression slope is undefined")
-    x = DesignMatrix(np.column_stack([np.ones(data.n_units), e]), ("const", "exposure"))
-    return float(ols(x, data.y).coef[1])
+    return float(ols(np.column_stack([np.ones(data.n_units), e]), data.y).coef[1])
 
 
 # -- inverse-propensity weighting -------------------------------------------
@@ -172,9 +176,10 @@ class HtWeightedRegression:
     """Inverse-propensity estimates recast as one weighted regression.
 
     Regressing Y_i / sqrt(score_i(E_i)) on indicator columns
-    1[E_i = e_r] / sqrt(score_i(e_r)) reproduces the per-level
-    inverse-propensity ratios as coefficients, and `fit` carries the
-    design so the inference module can resample or perturb it.
+    1[E_i = e_r] / sqrt(score_i(e_r)) gives the per-level ratio (Hajek)
+    estimates as coefficients: the inverse-weighted outcome sum over the
+    inverse-weight sum, where `ht_estimate` divides by n. `fit` carries
+    the design so the inference module can resample or perturb it.
     """
 
     levels: np.ndarray
@@ -222,8 +227,7 @@ def ht_weighted_regression(
             )
         phi[mask, r] = 1.0 / np.sqrt(imputed)
     target = data.y / np.sqrt(observed)
-    labels = tuple(f"level_{e:g}" for e in grid)
-    fit = ols(DesignMatrix(phi, labels), target)
+    fit = ols(phi, target, labels=[f"level_{e:g}" for e in grid])
     return HtWeightedRegression(
         levels=grid, estimates=fit.coef.copy(), fit=fit, design=phi, target=target
     )
@@ -381,8 +385,8 @@ def beta_poly_fit(data: Dataset) -> PolynomialSurface:
             f"need at least {len(POLY_LABELS)} observations for the polynomial surface"
         )
     scores = data.observed_scores()
-    x = DesignMatrix(_poly_features(data.exposure, scores), POLY_LABELS)
-    return PolynomialSurface(coef=ols(x, data.y).coef)
+    x = _poly_features(data.exposure, scores)
+    return PolynomialSurface(coef=ols(x, data.y, labels=POLY_LABELS).coef)
 
 
 def beta_krr_fit(
@@ -406,7 +410,7 @@ def beta_krr_fit(
     scores = data.observed_scores()
     x = np.column_stack([data.exposure, scores])
     if np.ptp(data.exposure) > 0:
-        trend = DesignMatrix(np.column_stack([np.ones(data.n_units), data.exposure]), ("const", "e"))
+        trend = np.column_stack([np.ones(data.n_units), data.exposure])
         mean_coef = ols(trend, data.y).coef
     else:
         mean_coef = np.array([float(data.y.mean()), 0.0])  # degenerate: no exposure variation
@@ -492,9 +496,7 @@ def smooth_curve_linear(curve: DoseResponseCurve) -> DoseResponseCurve:
     """Optional post-hoc smoothing: replace the curve by its linear fit."""
     if curve.grid.size < 2:
         raise ValueError("need at least two grid levels to smooth")
-    x = DesignMatrix(
-        np.column_stack([np.ones(curve.grid.size), curve.grid]), ("const", "level")
-    )
+    x = np.column_stack([np.ones(curve.grid.size), curve.grid])
     fit = ols(x, curve.mu_hat)
     return DoseResponseCurve(
         grid=curve.grid,

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ParseError, ValidationError
 from .seeding import as_generator
@@ -174,8 +177,6 @@ class BipartiteGraph:
         return out
 
     def to_csr(self):
-        from scipy import sparse
-
         return sparse.csr_matrix(
             (self.weights, self.indices, self.indptr),
             shape=(self.n_outcome, self.m_diversion),
@@ -239,6 +240,21 @@ def _open_write(dest):
     if isinstance(dest, (str, os.PathLike)):
         return open(dest, "w", encoding="utf-8", newline="")
     return _NonClosing(dest)
+
+
+def _write_csv_rows(rows: list[dict], dest) -> None:
+    """CSV with a header from the first row's keys, then one line per row."""
+    with _open_write(dest) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _write_json(obj, dest) -> None:
+    """Two-space indented JSON ending in a newline."""
+    with _open_write(dest) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 class _NonClosing:
@@ -473,27 +489,19 @@ def _synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
 
 
 def connected_components(graph: BipartiteGraph) -> tuple[int, np.ndarray, np.ndarray]:
-    """Connected components of the bipartite graph via union-find.
+    """Connected components of the bipartite graph.
 
     Returns (count, outcome_labels, diversion_labels); labels are dense ints
     shared across the two sides. Units without edges form singleton
     components.
     """
     n, m = graph.n_outcome, graph.m_diversion
-    parent = np.arange(n + m, dtype=np.int64)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     rows = np.repeat(np.arange(n), graph.degrees)
-    for i, j in zip(rows, graph.indices):
-        ra, rb = find(int(i)), find(int(n + j))
-        if ra != rb:
-            parent[rb] = ra
-
-    roots = np.fromiter((find(int(a)) for a in range(n + m)), dtype=np.int64, count=n + m)
-    _, labels = np.unique(roots, return_inverse=True)
-    return int(labels.max() + 1 if labels.size else 0), labels[:n], labels[n:]
+    # outcome i is node i, diversion j is node n + j; every stored edge links
+    # them, whatever its weight
+    adjacency = sparse.csr_matrix(
+        (np.ones(rows.size), (rows, n + graph.indices)), shape=(n + m, n + m)
+    )
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    labels = labels.astype(np.int64)
+    return int(count), labels[:n], labels[n:]

@@ -17,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import stats
 
 from .errors import DataError, NumericalError
 from .estimators import Dataset
 from .graph import BipartiteGraph, connected_components
+from .numerics import ols
 from .seeding import as_generator
 
 DEFAULT_LEVEL = 0.95
@@ -238,10 +238,8 @@ def estimate_sigmas(
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     if phi.ndim != 2 or phi.shape[0] != y.size:
         raise ValueError("design must be a matrix aligned with y")
-    coef, _, design_rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-    return _split_residual_variance(
-        y - phi @ coef, graph, int(design_rank), ddof_correction
-    )
+    fit = ols(phi, y)
+    return _split_residual_variance(fit.residuals, graph, fit.rank, ddof_correction)
 
 
 def _split_residual_variance(
@@ -293,11 +291,8 @@ def correlated_error_variance(
     Y = phi @ beta + W @ gamma + eps with iid eps and iid gamma."""
     phi = np.asarray(phi, dtype=np.float64)
     n = phi.shape[0]
-    q = phi.T @ phi / n
-    try:
-        q_inv = np.linalg.inv(q)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("design moment matrix is singular") from exc
+    # (phi.T @ phi)^-1 depends on the design alone; the zero response is a placeholder
+    q_inv = n * ols(phi, np.zeros(n)).xtx_inv()
     wt_phi = graph.to_csr().T @ phi  # (m, k)
     q_cross = wt_phi.T @ wt_phi / n
     cov = sigma2_eps * q_inv + sigma2_gamma * (q_inv @ q_cross @ q_inv)
@@ -330,9 +325,11 @@ def parametric_bootstrap(
 
     Fits target ~ phi, splits the residual variance with `estimate_sigmas`,
     then repeatedly rebuilds synthetic targets
-    phi @ coef + W @ gamma_b + eps_b and refits. The interval is formed
-    from quantiles of the replicate contrasts (default contrast: last
-    column minus first, the endpoint difference).
+    phi @ coef + W @ gamma_b + eps_b and refits them all through the
+    fit's QR factorisation. The interval is formed from quantiles of the
+    replicate contrasts (default contrast: last column minus first, the
+    endpoint difference). A rank-deficient design raises
+    `RankDeficiencyError`, as in `ols`.
     """
     rng = as_generator(rng)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
@@ -346,15 +343,10 @@ def parametric_bootstrap(
         contrast[-1] = 1.0
     contrast = np.asarray(contrast, dtype=np.float64)
 
-    q, r = sla.qr(phi, mode="economic")
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise NumericalError("design matrix is rank deficient; cannot refit replicates")
-    coef = sla.solve_triangular(r, q.T @ target)
-    resid = target - phi @ coef
+    fit = ols(phi, target)
     graph = data.row_graph()
-    sigmas = _split_residual_variance(resid, graph, k, ddof_correction)
-    estimate = float(contrast @ coef)
+    sigmas = _split_residual_variance(fit.residuals, graph, fit.rank, ddof_correction)
+    estimate = float(contrast @ fit.coef)
 
     w = graph.to_csr()
     m = graph.m_diversion
@@ -362,8 +354,8 @@ def parametric_bootstrap(
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, n_replicates))
     eps = rng.normal(0.0, np.sqrt(sigmas.sigma2_eps), size=(n, n_replicates))
-    targets = (phi @ coef)[:, None] + w @ gamma + eps
-    coef_reps = sla.solve_triangular(r, q.T @ targets)  # (k, B)
+    targets = (phi @ fit.coef)[:, None] + w @ gamma + eps
+    coef_reps = fit.solve(targets)  # (k, B), on the same factorisation
     reps = contrast @ coef_reps
     iv = _quantile_interval(estimate, reps, level, "parametric-bootstrap", interval)
     return ParametricBootstrapResult(
@@ -371,6 +363,6 @@ def parametric_bootstrap(
         interval=iv,
         sigmas=sigmas,
         replicates=np.asarray(reps),
-        coef=np.asarray(coef),
+        coef=fit.coef,
         coef_replicates=np.asarray(coef_reps),
     )

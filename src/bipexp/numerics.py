@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import NumericalError, RankDeficiencyError
 
-# Singular values below RANK_TOL * largest count as zero.
+# R-diagonal entries below RANK_TOL * the largest count as zero.
 RANK_TOL = 1e-10
 
 DEFAULT_RIDGE = 1e-3
@@ -24,25 +24,29 @@ DEFAULT_RIDGE = 1e-3
 _BANDWIDTH_SAMPLE = 1500
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """A regressor matrix with named columns (names surface in errors)."""
+def _qr_solve(q, r, piv, rhs) -> np.ndarray:
+    z = sla.solve_triangular(r, q.T @ rhs)
+    coef = np.empty_like(z)
+    coef[piv] = z
+    return coef
 
-    values: np.ndarray
-    labels: tuple[str, ...]
 
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("design matrix must be 2-d")
-        if len(self.labels) != values.shape[1]:
-            raise ValueError("need one label per column")
-        object.__setattr__(self, "values", values)
+def _xtx_inv(r, piv) -> np.ndarray:
+    k = r.shape[0]
+    r_inv = sla.solve_triangular(r, np.eye(k))
+    out = np.empty((k, k))
+    out[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return out
 
 
 @dataclass(frozen=True)
 class LinearFit:
-    """OLS result: coefficients, residuals, and homoskedastic covariance."""
+    """OLS result: coefficients, residuals, and homoskedastic covariance.
+
+    Keeps the pivoted QR factorisation x[:, piv] = q @ r it was solved
+    through, so further responses on the same design are solved without
+    factoring again.
+    """
 
     coef: np.ndarray
     residuals: np.ndarray
@@ -50,43 +54,49 @@ class LinearFit:
     sigma2: float
     labels: tuple[str, ...]
     rank: int
+    q: np.ndarray
+    r: np.ndarray
+    piv: np.ndarray
 
     def predict(self, x) -> np.ndarray:
-        x = x.values if isinstance(x, DesignMatrix) else np.asarray(x, dtype=np.float64)
-        return x @ self.coef
+        return np.asarray(x, dtype=np.float64) @ self.coef
+
+    def solve(self, rhs) -> np.ndarray:
+        """Coefficients of new responses on the design: (n,) gives (k,), (n, B) gives (k, B)."""
+        return _qr_solve(self.q, self.r, self.piv, np.asarray(rhs, dtype=np.float64))
+
+    def xtx_inv(self) -> np.ndarray:
+        """(x.T @ x)^-1 from the factorisation, in the design's column order."""
+        return _xtx_inv(self.r, self.piv)
 
 
-def _coerce_design(x, labels):
-    if isinstance(x, DesignMatrix):
-        return x.values, x.labels
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("design matrix must be 2-d")
-    if labels is None:
-        labels = tuple(f"x{k}" for k in range(x.shape[1]))
-    return x, tuple(labels)
-
-
-def ols(x, y, *, labels=None, rank_tol: float = RANK_TOL) -> LinearFit:
+def ols(x, y, *, labels=None) -> LinearFit:
     """Ordinary least squares through a pivoted QR decomposition.
 
     Parameters
     ----------
-    x : ndarray (n, k) or DesignMatrix
+    x : ndarray (n, k)
     y : ndarray (n,)
-    rank_tol : float
-        Relative threshold on the R diagonal for rank detection.
+    labels : sequence of k str, optional
+        Column names for error messages; defaults to x0, x1, ...
 
     Raises
     ------
     RankDeficiencyError
-        Numerically collinear columns; the error lists their labels.
+        Numerically collinear columns (an R-diagonal entry at or below
+        RANK_TOL times the largest); the error lists their labels.
     ValueError
-        Fewer observations than columns, or non-finite entries.
+        Fewer observations than columns, a label count that differs from
+        the column count, or non-finite entries.
     """
-    x, labels = _coerce_design(x, labels)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("design matrix must be 2-d")
     n, k = x.shape
+    labels = tuple(f"x{j}" for j in range(k)) if labels is None else tuple(labels)
+    if len(labels) != k:
+        raise ValueError(f"need one label per column ({len(labels)} labels, {k} columns)")
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
     if n < k:
@@ -96,7 +106,7 @@ def ols(x, y, *, labels=None, rank_tol: float = RANK_TOL) -> LinearFit:
 
     q, r, piv = sla.qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    threshold = rank_tol * (diag[0] if diag.size else 0.0)
+    threshold = RANK_TOL * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > threshold)) if diag.size else 0
     if rank < k:
         culprits = tuple(labels[j] for j in piv[rank:])
@@ -106,25 +116,21 @@ def ols(x, y, *, labels=None, rank_tol: float = RANK_TOL) -> LinearFit:
             columns=culprits,
         )
 
-    z = sla.solve_triangular(r, q.T @ y)
-    coef = np.empty(k)
-    coef[piv] = z
+    coef = _qr_solve(q, r, piv, y)
     residuals = y - x @ coef
     dof = n - k
     sigma2 = float(residuals @ residuals / dof) if dof > 0 else 0.0
-    r_inv = sla.solve_triangular(r, np.eye(k))
-    xtx_inv_piv = r_inv @ r_inv.T
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
-    cov = sigma2 * xtx_inv
-    cov = (cov + cov.T) / 2.0
+    cov = sigma2 * _xtx_inv(r, piv)
     return LinearFit(
         coef=coef,
         residuals=residuals,
-        coef_cov=cov,
+        coef_cov=(cov + cov.T) / 2.0,
         sigma2=sigma2,
         labels=labels,
         rank=rank,
+        q=q,
+        r=r,
+        piv=piv,
     )
 
 

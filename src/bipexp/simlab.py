@@ -10,8 +10,6 @@ comparison across graphs with increasing cross-component wiring.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +32,14 @@ from .estimators import (
     stratified_estimate,
 )
 from .gps import MAX_EXACT_DEGREE, Bucketing, GpsTable, exact_gps_table, mc_gps
-from .graph import BipartiteGraph, GraphSpec, _open_write, contiguous_blocks, synth_graph
+from .graph import (
+    BipartiteGraph,
+    GraphSpec,
+    _write_csv_rows,
+    _write_json,
+    contiguous_blocks,
+    synth_graph,
+)
 from .inference import (
     IntervalEstimate,
     block_bootstrap,
@@ -42,7 +47,7 @@ from .inference import (
     ols_asymptotic_interval,
     parametric_bootstrap,
 )
-from .numerics import DesignMatrix, ols
+from .numerics import ols
 from .seeding import substream
 
 HOMOGENEOUS = "homogeneous"
@@ -130,9 +135,12 @@ class StudyEstimator:
     """Named ATE estimator: a point function plus an optional linear design.
 
     `point` maps a Dataset to an ATE estimate. `design`, when present,
-    maps a Dataset to (phi, target, contrast) such that
-    contrast @ ols_coef(phi, target) reproduces the point estimate; the
-    parametric bootstrap and asymptotic intervals require it. `bound`,
+    maps a Dataset to (phi, target, contrast), the linear fit that the
+    parametric bootstrap and asymptotic intervals require and centre on,
+    contrast @ ols(phi, target).coef. For `naive-ols`, `correct-spec` and
+    `gps-poly` that equals the point estimate; `ht`'s design is the ratio
+    (Hajek) form, whose level coefficients divide the inverse-weighted
+    outcome sum by the inverse-weight sum rather than by n. `bound`,
     when present, maps the full study Dataset to the statistic handed to
     resampling bootstraps, letting the estimator freeze population
     quantities (resampling should perturb the data, not the estimand).
@@ -157,12 +165,6 @@ def _design_naive_ols(data: Dataset):
     return phi, data.y, np.array([0.0, 1.0])
 
 
-def _point_correct_spec(data: Dataset) -> float:
-    phi, y, contrast = _design_correct_spec(data)
-    fit = ols(DesignMatrix(phi, ("const", "degree_x_exposure")), y)
-    return float(contrast @ fit.coef)
-
-
 def _design_correct_spec(data: Dataset):
     # true surface under the heterogeneous DGP: per-unit slope = degree
     s = data.degrees.astype(np.float64)
@@ -178,10 +180,14 @@ def _bound_correct_spec(full_data: Dataset):
 
     def statistic(data: Dataset) -> float:
         phi, y, _ = _design_correct_spec(data)
-        fit = ols(DesignMatrix(phi, ("const", "degree_x_exposure")), y)
+        fit = ols(phi, y, labels=("const", "degree_x_exposure"))
         return m_bar * float(fit.coef[1])
 
     return statistic
+
+
+def _point_correct_spec(data: Dataset) -> float:
+    return _bound_correct_spec(data)(data)
 
 
 def _point_ht(data: Dataset) -> float:
@@ -257,13 +263,16 @@ def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEsti
     )
 
 
-def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
+def _linear_design(data, est, method: str):
     if est.design is None:
         raise ConfigError(
-            f"estimator {est.name!r} has no linear design; "
-            "the parametric bootstrap does not apply"
+            f"estimator {est.name!r} has no linear design; the {method} does not apply"
         )
-    phi, target, contrast = est.design(data)
+    return est.design(data)
+
+
+def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
+    phi, target, contrast = _linear_design(data, est, "parametric bootstrap")
     out = parametric_bootstrap(
         data, phi, target, contrast=contrast, n_replicates=b, level=level, rng=rng
     )
@@ -271,15 +280,8 @@ def _interval_parametric(data, est, b, level, rng, block_labels=None) -> Interva
 
 
 def _interval_ols_asymptotic(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    if est.design is None:
-        raise ConfigError(
-            f"estimator {est.name!r} has no linear design; "
-            "the asymptotic interval does not apply"
-        )
-    phi, target, contrast = est.design(data)
-    labels = tuple(f"c{j}" for j in range(phi.shape[1]))
-    fit = ols(DesignMatrix(np.asarray(phi, dtype=np.float64), labels), target)
-    return ols_asymptotic_interval(fit, contrast, level=level)
+    phi, target, contrast = _linear_design(data, est, "asymptotic interval")
+    return ols_asymptotic_interval(ols(phi, target), contrast, level=level)
 
 
 INTERVAL_METHODS = {
@@ -377,16 +379,10 @@ class SimStudyResult:
         }
 
     def write_csv(self, dest) -> None:
-        rows = self.summary()
-        with _open_write(dest) as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv_rows(self.summary(), dest)
 
     def write_json(self, dest) -> None:
-        with _open_write(dest) as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.as_dict(), dest)
 
 
 def default_gps_table(
@@ -622,13 +618,6 @@ def edges_cut_sweep(
                 }
             )
     return rows
-
-
-def write_sweep_csv(rows: list[dict], dest) -> None:
-    with _open_write(dest) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # -- worked two-type fixture ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""The first three demos run end to end against the current API.
+"""Every demo runs end to end against the current API.
 
 Each demo is started as its own interpreter with the package source on
 PYTHONPATH, so a renamed or removed public name fails here rather than
@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("01_simple_example.py", "02_exposure_distributions.py", "03_dose_response.py")
+DEMOS = (
+    "01_simple_example.py",
+    "02_exposure_distributions.py",
+    "03_dose_response.py",
+    "04_bootstrap_coverage.py",
+    "05_edges_cut.py",
+)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

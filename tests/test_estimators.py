@@ -459,6 +459,14 @@ def test_dataset_take_tracks_sources(two_type_data):
     assert rows.row_weights(1) == two_type_data.graph.row_weights(1)
 
 
+def test_take_returns_frozen_arrays_of_its_own(two_type_data):
+    sub = two_type_data.take([5, 1, 5])
+    for name in ("y", "exposure", "source_indices"):
+        child, parent = getattr(sub, name), getattr(two_type_data, name)
+        assert not child.flags.writeable
+        assert not np.shares_memory(child, parent)
+
+
 def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_half):
     table = exact_gps_table(two_type_graph, bernoulli_half)
     y, e = np.zeros(8), np.zeros(8)

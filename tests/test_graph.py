@@ -229,3 +229,47 @@ def test_id_map_identity():
     id_map = IdMap.identity(2, 3)
     assert id_map.outcome_ids == ("0", "1")
     assert id_map.diversion_ids == ("0", "1", "2")
+
+
+def bfs_components(graph: BipartiteGraph) -> np.ndarray:
+    """Plain breadth-first labels over nodes 0..n-1 (outcome) and n..n+m-1 (diversion)."""
+    n, m = graph.n_outcome, graph.m_diversion
+    nbrs = [[] for _ in range(n + m)]
+    for i in range(n):
+        for j, _ in graph.row_weights(i):
+            nbrs[i].append(n + j)
+            nbrs[n + j].append(i)
+    labels = np.full(n + m, -1)
+    for start in range(n + m):
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in nbrs[a]:
+                    if labels[b] < 0:
+                        labels[b] = start
+                        nxt.append(b)
+            frontier = nxt
+    return labels
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), m=st.integers(1, 30))
+def test_connected_components_partition_matches_bfs(seed, n, m):
+    rng = np.random.default_rng(seed)
+    # sparse rows, many of them empty, leave isolated units on both sides
+    rows = [
+        [(int(j), 1.0) for j in rng.choice(m, size=min(int(rng.integers(0, 3)), m), replace=False)]
+        for _ in range(n)
+    ]
+    g = BipartiteGraph.from_rows(rows, m_diversion=m)
+    count, o_labels, d_labels = connected_components(g)
+    got = np.concatenate([o_labels, d_labels])
+    want = bfs_components(g)
+    # same partition: the label pairs form a bijection between the two labelings
+    pairs = set(zip(got.tolist(), want.tolist()))
+    assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist())) == count
+    assert sorted(set(got.tolist())) == list(range(count))

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, linear_exposure_many
-from bipexp.errors import DataError, NumericalError
+from bipexp.errors import DataError, NumericalError, RankDeficiencyError
 from bipexp.estimators import Dataset
 from bipexp.gps import exact_gps_table
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
@@ -303,10 +303,25 @@ def test_correlated_error_variance_matches_empirical_covariance():
     assert abs(got[0, 1] - want[0, 1]) <= 0.2 * abs(want[0, 1]) + 0.05 * np.sqrt(want[0, 0] * want[1, 1])
 
 
+def test_near_collinear_design_is_rank_deficient_everywhere():
+    data, phi, y = parametric_inputs(31)
+    twin = phi[:, 1] + 1e-12 * substream(31, 5).normal(size=phi.shape[0])
+    near = np.column_stack([phi, twin])
+    calls = (
+        lambda: estimate_sigmas(y, near, data.graph),
+        lambda: correlated_error_variance(near, data.graph, 0.5, 0.5),
+        lambda: parametric_bootstrap(data, near, y, n_replicates=60, rng=substream(31, 4)),
+    )
+    for call in calls:
+        with pytest.raises(RankDeficiencyError, match="collinear columns") as err:
+            call()
+        assert err.value.columns in (("x1",), ("x2",))
+
+
 def test_correlated_error_variance_singular_design():
     graph, _ = correlated_population(23)
     phi = np.ones((graph.n_outcome, 2))  # duplicated constant column
-    with pytest.raises(NumericalError, match="singular"):
+    with pytest.raises(RankDeficiencyError, match="rank deficient"):
         correlated_error_variance(phi, graph, 0.5, 0.5)
 
 
@@ -329,20 +344,26 @@ def parametric_inputs(seed: int):
 
 def test_parametric_bootstrap_matches_per_replicate_refit():
     data, phi, y = parametric_inputs(24)
-    res = parametric_bootstrap(data, phi, y, n_replicates=60, rng=substream(25, 4))
+    # the rank rule is relative, so a tiny but well-conditioned design refits too
+    for scale in (1.0, 1e-12):
+        res = parametric_bootstrap(data, scale * phi, y, n_replicates=60, rng=substream(25, 4))
 
-    # replay the identical noise stream and refit each replicate directly
-    rng = substream(25, 4)
-    n, k = phi.shape
-    m = data.graph.m_diversion
-    gamma = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_gamma), size=(m, 60))
-    eps = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_eps), size=(n, 60))
-    w = data.graph.to_csr()
-    targets = (phi @ res.coef)[:, None] + w @ gamma + eps
-    for b in range(60):
-        coef_b, *_ = np.linalg.lstsq(phi, targets[:, b], rcond=None)
-        np.testing.assert_allclose(res.coef_replicates[:, b], coef_b, atol=1e-9)
-    np.testing.assert_allclose(res.replicates, res.coef_replicates[1] - res.coef_replicates[0], atol=1e-12)
+        # replay the identical noise stream and refit each replicate directly
+        rng = substream(25, 4)
+        n, k = phi.shape
+        m = data.graph.m_diversion
+        gamma = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_gamma), size=(m, 60))
+        eps = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_eps), size=(n, 60))
+        w = data.graph.to_csr()
+        targets = (scale * phi @ res.coef)[:, None] + w @ gamma + eps
+        for b in range(60):
+            coef_b, *_ = np.linalg.lstsq(scale * phi, targets[:, b], rcond=None)
+            np.testing.assert_allclose(scale * res.coef_replicates[:, b], scale * coef_b, atol=1e-9)
+        np.testing.assert_allclose(
+            scale * res.replicates,
+            scale * (res.coef_replicates[1] - res.coef_replicates[0]),
+            atol=1e-12,
+        )
 
     lo, hi = np.quantile(res.replicates, [0.025, 0.975])
     assert res.interval.lower == pytest.approx(lo)

@@ -14,7 +14,6 @@ from scipy.spatial.distance import cdist
 
 from bipexp.errors import NumericalError, RankDeficiencyError
 from bipexp.numerics import (
-    DesignMatrix,
     KernelFit,
     krr_fit,
     krr_predict,
@@ -74,9 +73,9 @@ def test_ols_saturated_fit_has_zero_sigma2():
 def test_rank_deficiency_names_collinear_columns():
     rng = rng_for(4)
     a = rng.normal(size=30)
-    x = DesignMatrix(np.column_stack([np.ones(30), a, 2.0 * a]), ("const", "a", "twice_a"))
+    x = np.column_stack([np.ones(30), a, 2.0 * a])
     with pytest.raises(RankDeficiencyError) as err:
-        ols(x, rng.normal(size=30))
+        ols(x, rng.normal(size=30), labels=("const", "a", "twice_a"))
     assert len(err.value.columns) == 1
     assert err.value.columns[0] in ("a", "twice_a")
     assert "collinear" in str(err.value)
@@ -98,18 +97,28 @@ def test_ols_input_validation(x, y, match):
 
 def test_design_matrix_validation():
     with pytest.raises(ValueError, match="label"):
-        DesignMatrix(np.ones((3, 2)), ("only_one",))
+        ols(np.ones((3, 2)), np.ones(3), labels=("only_one",))
     with pytest.raises(ValueError, match="2-d"):
-        DesignMatrix(np.ones(3), ("a",))
+        ols(np.ones(3), np.ones(3), labels=("a",))
+    fit = ols(np.column_stack([np.ones(4), np.arange(4.0)]), np.arange(4.0))
+    assert fit.labels == ("x0", "x1")
 
 
-def test_linear_fit_predict_accepts_both_forms():
-    x = DesignMatrix(np.column_stack([np.ones(5), np.arange(5.0)]), ("const", "t"))
+def test_linear_fit_predict_and_solve():
+    rng = rng_for(11)
+    x = np.column_stack([np.ones(5), np.arange(5.0)])
     fit = ols(x, 2.0 + 3.0 * np.arange(5.0))
     grid = np.column_stack([np.ones(3), np.array([10.0, 11.0, 12.0])])
     want = 2.0 + 3.0 * np.array([10.0, 11.0, 12.0])
     np.testing.assert_allclose(fit.predict(grid), want, atol=1e-10)
-    np.testing.assert_allclose(fit.predict(DesignMatrix(grid, ("const", "t"))), want, atol=1e-10)
+    # new responses reuse the factorisation: one vector or an (n, B) block
+    block = rng.normal(size=(5, 4))
+    coefs = fit.solve(block)
+    assert coefs.shape == (2, 4)
+    for b in range(4):
+        np.testing.assert_allclose(coefs[:, b], ols(x, block[:, b]).coef, atol=1e-12)
+    np.testing.assert_allclose(fit.solve(block[:, 0]), coefs[:, 0], atol=1e-12)
+    np.testing.assert_allclose(fit.xtx_inv(), np.linalg.inv(x.T @ x), atol=1e-12)
 
 
 @settings(deadline=None, max_examples=40)

@@ -13,10 +13,13 @@ import pytest
 
 from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
 from bipexp.errors import ConfigError, DataError
-from bipexp.estimators import Dataset
+from bipexp.estimators import Dataset, ht_estimate
+from bipexp.gps import ATOM_TOL
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
+from bipexp.numerics import ols
 from bipexp.simlab import (
+    ENDPOINT_GRID,
     ESTIMATOR_REGISTRY,
     SEED_SCHEME,
     DgpSpec,
@@ -112,6 +115,33 @@ def test_resolve_estimators():
 
 
 # -- run_study -------------------------------------------------------------------
+
+
+def test_linear_designs_reproduce_point_estimates_except_ht():
+    # paper scale: 1000 outcome units, 100 diversion units, degrees 1-10
+    spec = GraphSpec(kind="uniform-degree", n_outcome=1000, m_diversion=100, deg_min=1, deg_max=10)
+    graph = synth_graph(spec, substream(41, 0))
+    design = AssignmentDesign.bernoulli(0.5)
+    rng = substream(41, 1)
+    exposure = linear_exposure(graph, draw_assignment(design, graph.m_diversion, rng))
+    dgp = DgpSpec(graph=graph, design=design, effect="heterogeneous", sigma2_eps=0.5, sigma2_gamma=0.5)
+    y = generate_outcomes(dgp, graph, exposure, rng)
+    data = Dataset.build(graph, default_gps_table(graph, design), y, exposure)
+    for name in ("naive-ols", "correct-spec", "gps-poly"):
+        est = ESTIMATOR_REGISTRY[name]
+        phi, target, contrast = est.design(data)
+        assert contrast @ ols(phi, target).coef == pytest.approx(est.point(data), rel=1e-12)
+    # ht's design is the ratio (Hajek) form: a level's coefficient divides the
+    # inverse-weighted outcome sum by the inverse-weight sum, the point
+    # estimate divides it by n
+    est = ESTIMATOR_REGISTRY["ht"]
+    phi, target, contrast = est.design(data)
+    coef = ols(phi, target).coef
+    for r, e in enumerate(ENDPOINT_GRID):
+        at_e = np.abs(data.exposure - e) <= ATOM_TOL
+        weight_sum = np.sum(1.0 / data.gps.imputed_scores(e)[at_e])
+        assert coef[r] * weight_sum / data.n_units == pytest.approx(ht_estimate(data, e), rel=1e-12)
+    assert abs(contrast @ coef - est.point(data)) > 0.1
 
 
 def test_run_study_bias_rmse_identity_and_truth():
