@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -29,7 +28,6 @@ from .errors import (
     ConfigError,
     DataError,
     NumericalError,
-    ParseError,
 )
 from .estimators import (
     Dataset,
@@ -43,6 +41,7 @@ from .gps import Bucketing, exact_gps_table, mc_gps
 from .graph import (
     GraphSpec,
     IdMap,
+    _read_id_column,
     _write_csv_rows,
     _write_json,
     load_edge_list,
@@ -126,6 +125,20 @@ def _get(section: dict, key: str, kind, where: str, default=None, required: bool
     if wrong_type or bool_as_number:
         raise ConfigError(f"{where}.{key} must be {getattr(kind, '__name__', kind)}")
     return value
+
+
+def _unit_levels(value, where: str, *, ascending: bool) -> list[float]:
+    """A nonempty list of numbers in [0, 1], strictly ascending when asked."""
+    ok = isinstance(value, list) and bool(value) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+        for v in value
+    )
+    if ok and ascending:
+        ok = all(a < b for a, b in zip(value, value[1:]))
+    if not ok:
+        order = "strictly ascending " if ascending else ""
+        raise ConfigError(f"{where} must be a nonempty list of {order}numbers in [0, 1]")
+    return [float(v) for v in value]
 
 
 # -- section builders ---------------------------------------------------------
@@ -220,44 +233,6 @@ def _parse_intervals(cfg: dict, names: list[str]) -> dict[str, tuple]:
                     f"(known: {', '.join(sorted(INTERVAL_METHODS))})"
                 )
         out[key] = tuple(methods)
-    return out
-
-
-# -- column-file loaders --------------------------------------------------------
-
-
-def _load_column(path: str, key_header: str, value_header: str, index: dict[str, int]) -> np.ndarray:
-    """Read a strict two-column CSV covering every id in `index` exactly once."""
-    out = np.full(len(index), np.nan)
-    seen = np.zeros(len(index), dtype=bool)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip() for h in header] != [key_header, value_header]:
-            raise ParseError(
-                f"{path}: expected header {key_header!r},{value_header!r}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: expected 2 columns, got {len(row)}", line=lineno)
-            key = row[0].strip()
-            if key not in index:
-                raise DataError(f"{path}: unknown {key_header} {key!r} (line {lineno})")
-            i = index[key]
-            if seen[i]:
-                raise DataError(f"{path}: duplicate {key_header} {key!r} (line {lineno})")
-            try:
-                out[i] = float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad {value_header} value {row[1]!r}", line=lineno) from exc
-            seen[i] = True
-    if not np.all(seen):
-        missing = int((~seen).sum())
-        raise DataError(f"{path}: {missing} {key_header} values missing")
     return out
 
 
@@ -376,17 +351,16 @@ def _build_estimate_inputs(cfg: dict, seed: int):
     graph, id_map, _ = build_graph(cfg, seed)
     design = build_design(cfg, id_map)
     outcomes_path = _get(sec, "outcomes", str, "data", required=True)
-    y = _load_column(outcomes_path, "outcome_id", "y", id_map.outcome_index())
+    y = _read_id_column(outcomes_path, "outcome_id", "y", id_map.outcome_ids)
     if "exposures" in sec and "assignment" in sec:
         raise ConfigError("give either data.assignment or data.exposures, not both")
     if "exposures" in sec:
-        exposure = _load_column(
-            _get(sec, "exposures", str, "data"), "outcome_id", "exposure",
-            id_map.outcome_index(),
+        exposure = _read_id_column(
+            _get(sec, "exposures", str, "data"), "outcome_id", "exposure", id_map.outcome_ids
         )
     else:
         z_path = _get(sec, "assignment", str, "data", required=True)
-        z = _load_column(z_path, "diversion_id", "z", id_map.diversion_index())
+        z = _read_id_column(z_path, "diversion_id", "z", id_map.diversion_ids)
         if not np.all((z == 0) | (z == 1)):
             raise DataError(f"{z_path}: assignment values must be 0 or 1")
         exposure = linear_exposure(graph, z.astype(np.uint8))
@@ -416,8 +390,8 @@ def cmd_estimate(cfg: dict, args) -> int:
     b = _get(cfg, "b_replicates", int, "config", default=1000)
     level = _get(cfg, "level", float, "config", default=0.95)
     grid = cfg.get("grid")
-    if grid is not None and (not isinstance(grid, list) or not grid):
-        raise ConfigError("grid must be a nonempty list of exposure levels")
+    if grid is not None:
+        grid = _unit_levels(grid, "grid", ascending=True)
 
     data, _ = _build_estimate_inputs(cfg, seed)
     rows: list[dict] = []
@@ -526,9 +500,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     out_dir = _resolve_out(cfg, args)
     sec = _section(cfg, "sweep")
     _check_keys(sec, _SWEEP_KEYS, "sweep")
-    shares = sec.get("cut_shares", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-    if not isinstance(shares, list) or not shares:
-        raise ConfigError("sweep.cut_shares must be a nonempty list")
+    shares = _unit_levels(
+        sec.get("cut_shares", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), "sweep.cut_shares", ascending=False
+    )
     gsec = _section(cfg, "graph")
     _check_keys(gsec, _GRAPH_KEYS, "graph")
     spec = GraphSpec(
@@ -544,7 +518,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     design = build_design(cfg, None)
     rows = edges_cut_sweep(
         spec,
-        [float(s) for s in shares],
+        shares,
         design=design,
         sigma2_eps=_get(sec, "sigma2_eps", float, "sweep", default=0.5),
         sigma2_gamma=_get(sec, "sigma2_gamma", float, "sweep", default=0.5),

@@ -9,13 +9,12 @@ reserved for degenerate test harnesses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .graph import BipartiteGraph, IdMap, _as_readonly, _open_read
+from .errors import ValidationError
+from .graph import BipartiteGraph, IdMap, _as_readonly, _read_id_column
 from .seeding import as_generator
 
 BERNOULLI = "bernoulli"
@@ -131,35 +130,7 @@ def load_probability_file(source, id_map: IdMap) -> np.ndarray:
     Every diversion unit in `id_map` must appear exactly once, and every
     probability must lie strictly inside (0, 1).
     """
-    index = id_map.diversion_index()
-    p = np.full(len(id_map.diversion_ids), np.nan)
-    with _open_read(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: expected header diversion_id,p", 1)
-        if tuple(h.strip() for h in header) != ("diversion_id", "p"):
-            raise ParseError(f"expected header diversion_id,p, got {','.join(header)}", 1)
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 2:
-                raise ParseError(f"expected 2 fields, got {len(record)}", lineno)
-            did, ptext = (f.strip() for f in record)
-            if did not in index:
-                raise ValidationError(f"line {lineno}: unknown diversion id {did!r}")
-            try:
-                val = float(ptext)
-            except ValueError:
-                raise ParseError(f"probability {ptext!r} is not a decimal literal", lineno)
-            if not np.isnan(p[index[did]]):
-                raise ValidationError(f"line {lineno}: duplicate diversion id {did!r}")
-            p[index[did]] = val
-    missing = np.flatnonzero(np.isnan(p))
-    if missing.size:
-        names = ", ".join(id_map.diversion_ids[j] for j in missing[:5])
-        raise ValidationError(f"missing probabilities for {missing.size} diversion units ({names}...)")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    p = _read_id_column(source, "diversion_id", "p", id_map.diversion_ids)
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValidationError("all probabilities must lie strictly inside (0, 1)")
     return p

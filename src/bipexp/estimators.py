@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class Dataset:
         object.__setattr__(self, "source_indices", src)
 
     @classmethod
-    def build(cls, graph, gps, y, exposure, *, drop_isolated: bool = True) -> "Dataset":
+    def build(cls, graph, gps, y, exposure) -> "Dataset":
         """Assemble a dataset, excluding isolated outcome units.
 
         An isolated unit's exposure is constantly 0, so its score away from
@@ -73,7 +73,7 @@ class Dataset:
         """
         data = cls(y=y, exposure=exposure, graph=graph, gps=gps)
         isolated = np.flatnonzero(graph.degrees == 0)
-        if isolated.size and drop_isolated:
+        if isolated.size:
             warnings.warn(
                 f"excluded {isolated.size} isolated outcome units from estimation "
                 "(no diversion neighbors, exposure identically 0)",

@@ -7,8 +7,8 @@ at a unit's realized exposure ("observed scores") weight inverse-propensity
 estimators; scores evaluated at a common query level across all units
 ("imputed scores") drive dose-response imputation.
 
-Two constructions are provided. `exact_gps_table` enumerates each unit's
-neighbor assignments (Bernoulli designs, capped degree) and yields exact
+Two constructions are provided. `exact_gps_table` convolves every distinct
+neighborhood at once (Bernoulli designs, capped degree) and yields exact
 atoms. `mc_gps` estimates the table for any design by simulating
 assignments and bucketing the resulting exposures, either on the same atom
 grid or on equal-width bins. Both return a `GpsTable`, which stores every
@@ -38,6 +38,10 @@ ATOM_TOL = 1e-9
 
 # Degrees above this cap make exact enumeration unreasonable.
 MAX_EXACT_DEGREE = 20
+
+# Assignments `mc_gps` draws per batch; the batches set the order of the
+# rng stream, so changing this changes the table.
+MC_CHUNK = 512
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -75,26 +79,6 @@ class Bucketing:
         if not hi > lo:
             raise ValidationError("need hi > lo")
         return cls(mode="bins", edges=np.linspace(lo, hi, n_bins + 1))
-
-
-def _merge_atoms(support: np.ndarray, probs: np.ndarray, tol: float):
-    order = np.argsort(support, kind="stable")
-    support = support[order]
-    probs = probs[order]
-    if support.size <= 1:
-        return support, probs
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(support) > tol]))
-    return support[starts], np.add.reduceat(probs, starts)
-
-
-def _convolve_row(row_weights: np.ndarray, p_nbrs: np.ndarray, tol: float):
-    support = np.zeros(1)
-    probs = np.ones(1)
-    for w, p in zip(row_weights, p_nbrs):
-        support = np.concatenate([support, support + w])
-        probs = np.concatenate([probs * (1.0 - p), probs * p])
-        support, probs = _merge_atoms(support, probs, tol)
-    return support, probs
 
 
 def _segment_searchsorted(values: np.ndarray, start: np.ndarray, stop: np.ndarray, q: np.ndarray):
@@ -289,24 +273,22 @@ class GpsTable:
                         writer.writerow([ids[i], edges[b], edges[b + 1], repr(q)])
 
 
-def exact_gps_table(
-    graph: BipartiteGraph,
-    design: AssignmentDesign,
-    *,
-    tol: float = ATOM_TOL,
-    max_degree: int = MAX_EXACT_DEGREE,
-) -> GpsTable:
+def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable:
     """Exact table for all units under a Bernoulli design.
 
-    Convolves each distinct (weights, probabilities) row one neighbor at a
-    time, merging exposure values within `tol` of each other into one
-    atom, which equals summing over all 2^degree assignment patterns.
-    Identical rows share one distribution.
+    Units whose (weights, probabilities) rows are identical byte for byte
+    share one distribution; distributions are numbered in order of first
+    appearance. All distinct rows are convolved together, one pass per
+    neighbor position: every row with a j-th neighbor doubles its atoms
+    (that neighbor untreated, then treated), the atoms are stably sorted by
+    (distribution, exposure), and each run whose consecutive gaps are
+    within `ATOM_TOL` merges into its first atom. This equals summing over
+    all 2^degree assignment patterns.
 
     Raises
     ------
     ValueError
-        Degree above `max_degree` (use `mc_gps`), or a non-Bernoulli design.
+        Degree above `MAX_EXACT_DEGREE` (use `mc_gps`), or a non-Bernoulli design.
     """
     if design.kind not in (BERNOULLI, BERNOULLI_HETEROGENEOUS):
         raise ValueError(
@@ -314,36 +296,72 @@ def exact_gps_table(
         )
     p_all = design.probabilities(graph.m_diversion)  # fails fast on a length mismatch
     degrees = graph.degrees
-    too_big = np.flatnonzero(degrees > max_degree)
+    too_big = np.flatnonzero(degrees > MAX_EXACT_DEGREE)
     if too_big.size:
         i = int(too_big[0])
         raise ValueError(
-            f"unit {i} has degree {degrees[i]} > cap {max_degree}: "
+            f"unit {i} has degree {degrees[i]} > cap {MAX_EXACT_DEGREE}: "
             "exact enumeration would be exponential, use mc_gps instead"
         )
-    cache: dict[bytes, int] = {}
-    supports: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    unit_dist = np.empty(graph.n_outcome, dtype=np.int64)
-    for i in range(graph.n_outcome):
-        lo, hi = graph.indptr[i], graph.indptr[i + 1]
-        w, p_nbrs = graph.weights[lo:hi], p_all[graph.indices[lo:hi]]
-        key = w.tobytes() + b"|" + p_nbrs.tobytes()
-        d = cache.get(key)
-        if d is None:
-            d = cache[key] = len(supports)
-            s, q = _convolve_row(w, p_nbrs, tol)
-            supports.append(s)
-            probs.append(q)
-        unit_dist[i] = d
-    sizes = [s.size for s in supports]
+    n, width = graph.n_outcome, int(degrees.max(initial=0))
+    first_edge = graph.indptr[:-1]
+    p_edge = p_all[graph.indices]
+    # Rows compare by degree and the raw bits of their weights and
+    # probabilities, zero-padded to one width, as a bytes key would. The
+    # stable sort keeps equal rows in unit order, so each run of equal rows
+    # starts at its first unit.
+    cols = [degrees]
+    for j in range(width):
+        for values in (graph.weights, p_edge):
+            col = np.where(degrees > j, values.take(first_edge + j, mode="clip"), 0.0)
+            cols.append(col.view(np.int64))
+    order = np.lexsort(cols)
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for col in cols:
+        ordered = col[order]
+        same &= ordered[1:] == ordered[:-1]
+    del cols
+    new_row = np.concatenate([np.ones(min(n, 1), dtype=bool), ~same])
+    first_unit = np.empty(n, dtype=np.int64)
+    first_unit[order] = order[new_row][np.cumsum(new_row) - 1]
+    # ascending first units number the distributions in order of appearance
+    reps, unit_dist = np.unique(first_unit, return_inverse=True)
+    n_dists = reps.size
+    deg, rep_edge = degrees[reps], first_edge[reps]
+
+    # Atoms of the distributions still convolving, grouped by distribution
+    # and ascending within each; a distribution is set aside once its
+    # neighbors are used up.
+    dist = np.arange(n_dists, dtype=np.int32)
+    support = np.zeros(n_dists)
+    probs = np.ones(n_dists)
+    finished = []
+    for j in range(width):
+        live = deg[dist] > j
+        finished.append((dist[~live], support[~live], probs[~live]))
+        dist, support, probs = dist[live], support[live], probs[live]
+        edge = rep_edge[dist] + j
+        q = p_edge[edge]
+        dist = np.concatenate([dist, dist])
+        support = np.concatenate([support, support + graph.weights[edge]])
+        probs = np.concatenate([probs * (1.0 - q), probs * q])
+        order = np.lexsort((support, dist))
+        dist, support, probs = dist[order], support[order], probs[order]
+        new_run = (np.diff(support) > ATOM_TOL) | (np.diff(dist) != 0)
+        starts = np.flatnonzero(np.concatenate([[True], new_run]))
+        dist, support, probs = dist[starts], support[starts], np.add.reduceat(probs, starts)
+    finished.append((dist, support, probs))
+    dist, support, probs = (np.concatenate(part) for part in zip(*finished))
+    del finished
+    order = np.argsort(dist, kind="stable")
+    dist, support, probs = dist[order], support[order], probs[order]
     return GpsTable(
-        offsets=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
-        support=np.concatenate(supports) if supports else np.empty(0),
-        probs=np.concatenate(probs) if probs else np.empty(0),
+        offsets=np.searchsorted(dist, np.arange(n_dists + 1)),
+        support=support,
+        probs=probs,
         unit_dist=unit_dist,
         mode=EXACT,
-        bucketing=Bucketing.atoms(tol),
+        bucketing=Bucketing.atoms(),
         lo=0.0,
         hi=graph.max_row_sum,
     )
@@ -355,8 +373,6 @@ def mc_gps(
     bucketing: Bucketing,
     n_draws: int = 10_000,
     rng=None,
-    *,
-    chunk_size: int = 512,
 ) -> GpsTable:
     """Monte Carlo table: simulate assignments, bucket the exposures.
 
@@ -388,16 +404,18 @@ def mc_gps(
     csr = graph.to_csr()
     done = 0
     while done < n_draws:
-        take = min(chunk_size, n_draws - done)
+        take = min(MC_CHUNK, n_draws - done)
         z = draw_assignments(design, graph.m_diversion, take, rng)
         exposures = csr @ z.astype(np.float64)  # (n_outcome, take)
         if bucketing.mode == "bins":
-            # coverage was validated above, so clipping only absorbs float spill
-            idx = np.clip(
-                np.searchsorted(edges, exposures, side="right") - 1, 0, len(edges) - 2
-            )
-            flat = (np.arange(n)[:, None] * (len(edges) - 1) + idx).ravel()
-            counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape).astype(np.int64)
+            # coverage was validated above, so clipping only absorbs float spill;
+            # one (n_outcome, batch) index array is updated in place
+            idx = np.searchsorted(edges, exposures, side="right")
+            del exposures
+            idx -= 1
+            np.clip(idx, 0, len(edges) - 2, out=idx)
+            idx += np.arange(n)[:, None] * (len(edges) - 1)
+            counts += np.bincount(idx.ravel(), minlength=counts.size).reshape(counts.shape)
         else:
             q = np.rint(exposures / quantum).astype(np.int64)
             keys, cts = np.unique((np.arange(n, dtype=np.int64)[:, None] * shift + q).ravel(),

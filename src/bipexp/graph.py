@@ -14,10 +14,9 @@ reported against the original ids.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -236,6 +235,46 @@ def _open_read(source):
     return _NonClosing(source)
 
 
+def _read_id_column(source, key_header: str, value_header: str, ids) -> np.ndarray:
+    """Values of a two-column CSV keyed by external id, aligned with `ids`.
+
+    The header must be exactly ``key_header,value_header`` and every id in
+    `ids` must appear exactly once. Malformed lines raise ParseError;
+    unknown, duplicate or missing ids raise ValidationError.
+    """
+    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
+    index = {s: i for i, s in enumerate(ids)}
+    out = np.full(len(index), np.nan)
+    seen = np.zeros(len(index), dtype=bool)
+    with _open_read(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != [key_header, value_header]:
+            got = "an empty file" if header is None else ",".join(header)
+            raise ParseError(f"{where}expected header {key_header},{value_header}, got {got}", 1)
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != 2:
+                raise ParseError(f"{where}expected 2 fields, got {len(record)}", lineno)
+            key, text = (f.strip() for f in record)
+            i = index.get(key)
+            if i is None:
+                raise ValidationError(f"line {lineno}: {where}unknown {key_header} {key!r}")
+            if seen[i]:
+                raise ValidationError(f"line {lineno}: {where}duplicate {key_header} {key!r}")
+            try:
+                out[i] = float(text)
+            except ValueError:
+                raise ParseError(f"{where}{value_header} {text!r} is not a decimal literal", lineno)
+            seen[i] = True
+    missing = np.flatnonzero(~seen)
+    if missing.size:
+        names = ", ".join(ids[j] for j in missing[:5]) + (", ..." if missing.size > 5 else "")
+        raise ValidationError(f"{where}missing {value_header} for {missing.size} ids ({names})")
+    return out
+
+
 def _open_write(dest):
     if isinstance(dest, (str, os.PathLike)):
         return open(dest, "w", encoding="utf-8", newline="")
@@ -423,22 +462,9 @@ def synth_graph(spec: GraphSpec, rng=None) -> BipartiteGraph:
         return graph
     rng = as_generator(rng if rng is not None else spec.seed)
     if spec.kind == "uniform-degree":
-        return _synth_uniform(spec, rng)
+        # one block holding every unit, so there is nothing to rewire
+        spec = replace(spec, n_blocks=1, cross_share=0.0)
     return _synth_blocks(spec, rng)
-
-
-def _synth_uniform(spec: GraphSpec, rng) -> BipartiteGraph:
-    if spec.deg_max > spec.m_diversion:
-        raise ValidationError(
-            f"deg_max {spec.deg_max} exceeds number of diversion units {spec.m_diversion}"
-        )
-    degrees = rng.integers(spec.deg_min, spec.deg_max + 1, size=spec.n_outcome)
-    rows = []
-    for m in degrees:
-        nbrs = rng.choice(spec.m_diversion, size=int(m), replace=False)
-        w = 1.0 / m
-        rows.append([(int(j), w) for j in nbrs])
-    return BipartiteGraph.from_rows(rows, m_diversion=spec.m_diversion)
 
 
 def _synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
@@ -448,15 +474,14 @@ def _synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
     d_members = [np.flatnonzero(d_blocks == b) for b in range(k)]
     min_block = min(len(m) for m in d_members)
     if spec.deg_max > min_block:
-        raise ValidationError(
-            f"deg_max {spec.deg_max} exceeds smallest block's diversion count {min_block}"
-        )
+        where = "number of diversion units" if k == 1 else "smallest block's diversion count"
+        raise ValidationError(f"deg_max {spec.deg_max} exceeds {where} {min_block}")
     degrees = rng.integers(spec.deg_min, spec.deg_max + 1, size=spec.n_outcome)
-    neighbor_sets = []
+    # sets are built only when rows are rewired; lists are cheaper
+    neighbors = []
     for i in range(spec.n_outcome):
         pool = d_members[o_blocks[i]]
-        nbrs = rng.choice(pool, size=int(degrees[i]), replace=False)
-        neighbor_sets.append(set(int(j) for j in nbrs))
+        neighbors.append(rng.choice(pool, size=int(degrees[i]), replace=False).tolist())
 
     n_cut = int(round(spec.cross_share * int(degrees.sum())))
     if n_cut:
@@ -464,22 +489,23 @@ def _synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
         # diversion endpoint to a unit outside the row's block
         owner = np.repeat(np.arange(spec.n_outcome), degrees)
         cut_slots = rng.choice(owner.size, size=n_cut, replace=False)
-        flat = np.concatenate([sorted(s) for s in neighbor_sets]).astype(np.int64)
+        neighbors = [set(row) for row in neighbors]
+        flat = np.concatenate([sorted(s) for s in neighbors]).astype(np.int64)
         for slot in cut_slots:
             i = int(owner[slot])
             old_j = int(flat[slot])
-            if old_j not in neighbor_sets[i]:
+            if old_j not in neighbors[i]:
                 continue  # already rewired away via another slot of the same row
             own = o_blocks[i]
             while True:
                 j_new = int(rng.integers(spec.m_diversion))
-                if d_blocks[j_new] != own and j_new not in neighbor_sets[i]:
+                if d_blocks[j_new] != own and j_new not in neighbors[i]:
                     break
-            neighbor_sets[i].discard(old_j)
-            neighbor_sets[i].add(j_new)
+            neighbors[i].discard(old_j)
+            neighbors[i].add(j_new)
 
     rows = []
-    for i, nbrs in enumerate(neighbor_sets):
+    for i, nbrs in enumerate(neighbors):
         w = 1.0 / degrees[i]
         rows.append([(j, w) for j in sorted(nbrs)])
     return BipartiteGraph.from_rows(rows, m_diversion=spec.m_diversion)

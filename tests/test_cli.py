@@ -289,6 +289,17 @@ def test_estimate_unknown_estimator_exits_2(tmp_path, capsys):
     assert "unknown estimator" in stderr_record(capsys)["message"]
 
 
+@pytest.mark.parametrize("grid", [[1.0, 0.0], ["a", 1.0]])
+def test_estimate_bad_grid_exits_2(tmp_path, capsys, grid):
+    cfg_path = fixture_config(tmp_path, grid=grid)
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "grid must be a nonempty list of strictly ascending numbers in [0, 1]" in record["message"]
+    assert not (out / "estimates.csv").exists()
+
+
 # -- simulate and sweep ---------------------------------------------------------
 
 
@@ -335,6 +346,22 @@ def test_sweep_command(tmp_path):
     assert len(rows) == 4
     assert [float(r["cut_share"]) for r in rows] == [0.0, 0.0, 0.25, 0.25]
     assert {r["interval_method"] for r in rows} == {"naive-bootstrap", "block-bootstrap"}
+
+
+def test_sweep_bad_cut_share_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.yaml"
+    write_yaml(cfg_path, {
+        "graph": {"kind": "blocks", "n_outcome": 40, "m_diversion": 20,
+                  "deg_min": 1, "deg_max": 2, "n_blocks": 5},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "sweep": {"cut_shares": [0.0, "x"], "n_sims": 2, "b_replicates": 50},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "sweep.cut_shares must be a nonempty list of numbers in [0, 1]" in record["message"]
+    assert not (out / "sweep.csv").exists()
 
 
 # -- config plumbing -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -125,3 +126,23 @@ def test_load_probability_file_boundary_probability():
     id_map = IdMap(("u",), ("a",))
     with pytest.raises(Exception):
         load_probability_file(io.StringIO("diversion_id,p\na,1.0\n"), id_map)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("diversion_id,p\na,0.5\nb,0.5,1\n", ParseError, "line 3: expected 2 fields, got 3"),
+    ("diversion_id,p\na,half\nb,0.5\n", ParseError, "line 2: p 'half' is not a decimal literal"),
+    ("", ParseError, "line 1: expected header diversion_id,p, got an empty file"),
+    ("diversion_id,p\na,0.5\nq,0.5\nb,0.5\n", ValidationError, "line 3: unknown diversion_id 'q'"),
+    ("diversion_id,p\na,0.5\na,0.25\nb,0.5\n", ValidationError, "line 3: duplicate diversion_id 'a'"),
+    ("diversion_id,p\na,nan\nb,0.5\n", ValidationError, "strictly inside (0, 1)"),
+])
+def test_load_probability_file_rejects_bad_lines(text, error, message):
+    id_map = IdMap(("u",), ("a", "b"))
+    with pytest.raises(error, match=re.escape(message)):
+        load_probability_file(io.StringIO(text), id_map)
+
+
+def test_load_probability_file_lists_missing_ids():
+    id_map = IdMap(("u",), tuple("abcdefg"))
+    with pytest.raises(ValidationError, match=re.escape("missing p for 6 ids (b, c, d, e, f, ...)")):
+        load_probability_file(io.StringIO("diversion_id,p\na,0.5\n"), id_map)

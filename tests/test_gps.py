@@ -2,8 +2,9 @@
 
 The main oracle enumerates all 2^m neighbor assignment patterns directly
 (no shared code with the convolution in the package); uniform-weight rows
-additionally have the binomial closed form. Score lookups on the flat
-table are checked against a plain per-distribution lookup written here.
+additionally have the binomial closed form. The flat exact builder is
+pinned bit for bit to a per-row reference convolution, and score lookups
+on the flat table to a plain per-distribution lookup, both written here.
 """
 
 import bisect
@@ -12,7 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -169,6 +170,86 @@ def test_degree_cap_points_to_monte_carlo():
 def test_non_bernoulli_design_rejected(small_graph):
     with pytest.raises(ValueError, match="mc_gps"):
         exact_gps_table(small_graph, AssignmentDesign.completely_randomized(2))
+
+
+def reference_exact_arrays(graph, p_all):
+    """Per-row reference for the exact table's (offsets, support, probs, unit_dist).
+
+    Rows with the same weight and probability bytes share one distribution,
+    numbered by first appearance. Each new row is convolved one neighbor at
+    a time: append the atoms shifted by the weight (untreated copies first),
+    stable-sort by exposure, and merge each run of gaps within ATOM_TOL into
+    its first atom by summing its masses in order.
+    """
+    seen: dict[bytes, int] = {}
+    supports, probs, unit_dist = [], [], []
+    for i in range(graph.n_outcome):
+        lo, hi = graph.indptr[i], graph.indptr[i + 1]
+        w, p = graph.weights[lo:hi], p_all[graph.indices[lo:hi]]
+        key = w.tobytes() + b"|" + p.tobytes()
+        if key not in seen:
+            seen[key] = len(supports)
+            s, q = np.zeros(1), np.ones(1)
+            for wk, pk in zip(w, p):
+                s = np.concatenate([s, s + wk])
+                q = np.concatenate([q * (1.0 - pk), q * pk])
+                order = np.argsort(s, kind="stable")
+                s, q = s[order], q[order]
+                starts = np.flatnonzero(np.concatenate([[True], np.diff(s) > ATOM_TOL]))
+                s, q = s[starts], np.add.reduceat(q, starts)
+            supports.append(s)
+            probs.append(q)
+        unit_dist.append(seen[key])
+    sizes = [s.size for s in supports]
+    return (
+        np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        np.concatenate(supports) if supports else np.empty(0),
+        np.concatenate(probs) if probs else np.empty(0),
+        np.array(unit_dist, dtype=np.int64),
+    )
+
+
+# Near ties: 0.5 and 0.5 + 1.2e-9 lie farther apart than ATOM_TOL, but a
+# weight of 0.6e-9 puts atoms between them, so one run chains across all.
+WEIGHT_PALETTE = (0.0, 0.6e-9, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.5 + 0.6e-9, 0.5 + 1.2e-9, 1.0)
+
+
+@st.composite
+def bernoulli_graphs(draw):
+    """Small graph and Bernoulli design: duplicate rows, zero and near-tie weights."""
+    m = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))  # a duplicate row
+            continue
+        nbrs = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(m, 5))) if m else []
+        rows.append([(j, draw(st.sampled_from(WEIGHT_PALETTE))) for j in nbrs])
+    graph = BipartiteGraph.from_rows(rows, m_diversion=m)
+    if m and draw(st.booleans()):
+        p = draw(st.lists(st.sampled_from([0.1, 0.3, 0.3, 0.7]) | st.floats(0.01, 0.99),
+                          min_size=m, max_size=m))
+        return graph, AssignmentDesign.bernoulli_heterogeneous(p)
+    return graph, AssignmentDesign.bernoulli(draw(st.floats(0.01, 0.99)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=bernoulli_graphs())
+@example(case=(BipartiteGraph.from_rows([], m_diversion=0), AssignmentDesign.bernoulli(0.5)))
+@example(case=(BipartiteGraph.from_rows([[], [], []], m_diversion=2),
+               AssignmentDesign.bernoulli_heterogeneous([0.2, 0.6])))
+@example(case=(BipartiteGraph.from_rows(
+    [[(0, 0.5), (1, 0.5 + 1.2e-9), (2, 0.6e-9)], [(0, 0.0), (3, 0.25)],
+     [(0, 0.5), (1, 0.5 + 1.2e-9), (2, 0.6e-9)]], m_diversion=4),
+    AssignmentDesign.bernoulli_heterogeneous([0.1, 0.3, 0.7, 0.45])))
+def test_exact_table_matches_per_row_reference(case):
+    graph, design = case
+    table = exact_gps_table(graph, design)
+    want = reference_exact_arrays(graph, design.probabilities(graph.m_diversion))
+    for name, expected in zip(("offsets", "support", "probs", "unit_dist"), want):
+        got = getattr(table, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def test_exact_gps_unit_out_of_range(small_graph, bernoulli_half):

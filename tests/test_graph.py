@@ -186,7 +186,7 @@ def test_graph_spec_validation():
         GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=5, deg_min=3, deg_max=2)
     with pytest.raises(ValidationError):
         GraphSpec(kind="external-file")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="exceeds number of diversion units 2"):
         synth_graph(GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=2, deg_min=3, deg_max=3))
 
 
