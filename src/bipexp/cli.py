@@ -48,7 +48,7 @@ from .graph import (
     synth_graph,
     write_edge_list,
 )
-from .inference import IntervalEstimate
+from .inference import MIN_BOOTSTRAP, IntervalEstimate
 from .seeding import substream
 from .simlab import (
     ESTIMATOR_REGISTRY,
@@ -236,6 +236,33 @@ def _parse_intervals(cfg: dict, names: list[str]) -> dict[str, tuple]:
     return out
 
 
+_BOOTSTRAP_METHODS = ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap")
+
+
+def _asks_bootstrap(intervals: dict[str, tuple]) -> bool:
+    return any(m in _BOOTSTRAP_METHODS for methods in intervals.values() for m in methods)
+
+
+def _replicates_and_level(
+    section: dict, where: str, *, default_b: int, bootstrap: bool
+) -> tuple[int, float]:
+    """`b_replicates` and `level`, checked before any computation.
+
+    The level must lie in (0, 1); the replicate count must reach
+    `MIN_BOOTSTRAP` when a bootstrap interval will run.
+    """
+    b = _get(section, "b_replicates", int, where, default=default_b)
+    level = _get(section, "level", float, where, default=0.95)
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"{where}.level must be in (0, 1), got {level}")
+    if bootstrap and b < MIN_BOOTSTRAP:
+        raise ConfigError(
+            f"{where}.b_replicates must be at least {MIN_BOOTSTRAP} "
+            f"for bootstrap intervals, got {b}"
+        )
+    return b, level
+
+
 # -- output plumbing -------------------------------------------------------------
 
 
@@ -387,8 +414,9 @@ def cmd_estimate(cfg: dict, args) -> int:
     out_dir = _resolve_out(cfg, args)
     names = _parse_estimators(cfg)
     intervals = _parse_intervals(cfg, names)
-    b = _get(cfg, "b_replicates", int, "config", default=1000)
-    level = _get(cfg, "level", float, "config", default=0.95)
+    b, level = _replicates_and_level(
+        cfg, "config", default_b=1000, bootstrap=_asks_bootstrap(intervals)
+    )
     grid = cfg.get("grid")
     if grid is not None:
         grid = _unit_levels(grid, "grid", ascending=True)
@@ -445,6 +473,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     n_sims = _get(sec, "n_sims", int, "study", default=100)
     if n_sims <= 0:
         raise ConfigError("study.n_sims must be positive")
+    names = _parse_estimators(cfg)
+    intervals = _parse_intervals(cfg, names)
+    b, level = _replicates_and_level(
+        sec, "study", default_b=200, bootstrap=_asks_bootstrap(intervals)
+    )
     graph, id_map, spec = build_graph(cfg, seed)
     design = build_design(cfg, id_map)
     redraw = _get(sec, "redraw_graph", bool, "study", default=False)
@@ -457,8 +490,6 @@ def cmd_simulate(cfg: dict, args) -> int:
         redraw_graph=redraw,
         label=_get(sec, "label", str, "study", default=""),
     )
-    names = _parse_estimators(cfg)
-    intervals = _parse_intervals(cfg, names)
     gps_table = None if redraw else build_gps(cfg, graph, design, seed)
 
     def progress(done: int, total: int) -> None:
@@ -468,8 +499,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     result = run_study(
         dgp, names, intervals,
         n_sims=n_sims,
-        b_replicates=_get(sec, "b_replicates", int, "study", default=200),
-        level=_get(sec, "level", float, "study", default=0.95),
+        b_replicates=b,
+        level=level,
         master_seed=seed,
         workers=args.workers,
         gps=gps_table,
@@ -500,6 +531,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     out_dir = _resolve_out(cfg, args)
     sec = _section(cfg, "sweep")
     _check_keys(sec, _SWEEP_KEYS, "sweep")
+    # every sweep runs the naive and block bootstraps
+    b, level = _replicates_and_level(sec, "sweep", default_b=200, bootstrap=True)
     shares = _unit_levels(
         sec.get("cut_shares", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), "sweep.cut_shares", ascending=False
     )
@@ -524,8 +557,8 @@ def cmd_sweep(cfg: dict, args) -> int:
         sigma2_gamma=_get(sec, "sigma2_gamma", float, "sweep", default=0.5),
         estimator=_get(sec, "estimator", str, "sweep", default="naive-ols"),
         n_sims=_get(sec, "n_sims", int, "sweep", default=100),
-        b_replicates=_get(sec, "b_replicates", int, "sweep", default=200),
-        level=_get(sec, "level", float, "sweep", default=0.95),
+        b_replicates=b,
+        level=level,
         master_seed=seed,
         workers=args.workers,
     )

@@ -29,6 +29,13 @@ DEFAULT_LEVEL = 0.95
 MIN_BOOTSTRAP = 50
 MAX_FAILURE_SHARE = 0.01
 
+# Gram eigenvalues at or below GRAM_RANK_TOL * m * the largest count as zero
+# when splitting the residual variance. The Gram W.T @ W squares W's singular
+# values, so its rounding floor is about eps * lambda_max; lstsq's rcond
+# (eps * max(n, m) on the singular values themselves) would count that noise
+# as rank.
+GRAM_RANK_TOL = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class IntervalEstimate:
@@ -224,11 +231,14 @@ def estimate_sigmas(
 ) -> ErrorVarianceEstimates:
     """Method-of-moments split of residual variance.
 
-    Regresses y on the design, then the residuals on the graph's dense
-    columns; the remaining scatter identifies the unit-level variance and
-    the explained mass, rescaled by the graph's total squared weight,
-    identifies the variance of the diversion-side noise. A negative
-    diversion-side estimate is clipped to zero and flagged.
+    Regresses y on the design, then projects the residuals onto the span
+    of the graph's columns, through the m x m Gram matrix W.T @ W of the
+    sparse weights; W's rank is the number of Gram eigenvalues above
+    `GRAM_RANK_TOL` * m * the largest. The remaining scatter identifies
+    the unit-level variance and the explained mass, rescaled by the
+    graph's total squared weight, identifies the variance of the
+    diversion-side noise. A negative diversion-side estimate is clipped
+    to zero and flagged.
 
     With `ddof_correction` (default), both divisors account for degrees of
     freedom absorbed by the graph regression and by the design fit; the
@@ -252,9 +262,21 @@ def _split_residual_variance(
     n = u.size
     if n != graph.n_outcome:
         raise ValueError("residuals must align with the graph's outcome units")
-    w = graph.to_dense()
-    coef, _, w_rank, _ = np.linalg.lstsq(w, u, rcond=None)
-    eps_hat = u - w @ coef
+    # Project u onto col(W) through the m x m Gram matrix, never the n x m W.
+    w = graph.to_csr()
+    lam, vecs = np.linalg.eigh((w.T @ w).toarray())
+    keep = lam > GRAM_RANK_TOL * lam.size * (lam[-1] if lam.size else 0.0)
+    w_rank = int(keep.sum())
+    v_k, lam_k = vecs[:, keep], lam[keep]
+    # The Gram squares W's condition number, so one solve leaves an error of
+    # about eps * cond(W)^2 in the projection; a second pass on the residual
+    # (corrected semi-normal equations) removes it, which matters when W has
+    # nearly dependent columns.
+    coef = np.zeros(lam.size)
+    eps_hat = u
+    for _ in range(2):
+        coef = coef + v_k @ ((v_k.T @ (w.T @ eps_hat)) / lam_k)
+        eps_hat = u - w @ coef
     rss = float(eps_hat @ eps_hat)
     if ddof_correction:
         dof = n - int(w_rank) - int(design_rank)
@@ -337,6 +359,8 @@ def parametric_bootstrap(
     n, k = phi.shape
     if target.shape != (n,):
         raise ValueError("target must align with the design's rows")
+    if n_replicates < MIN_BOOTSTRAP:
+        raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     if contrast is None:
         contrast = np.zeros(k)
         contrast[0] = -1.0
@@ -350,8 +374,6 @@ def parametric_bootstrap(
 
     w = graph.to_csr()
     m = graph.m_diversion
-    if n_replicates < MIN_BOOTSTRAP:
-        raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, n_replicates))
     eps = rng.normal(0.0, np.sqrt(sigmas.sigma2_eps), size=(n, n_replicates))
     targets = (phi @ fit.coef)[:, None] + w @ gamma + eps

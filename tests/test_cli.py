@@ -300,6 +300,67 @@ def test_estimate_bad_grid_exits_2(tmp_path, capsys, grid):
     assert not (out / "estimates.csv").exists()
 
 
+def interval_settings_config(tmp_path, command, settings):
+    """An estimate, simulate or sweep config asking for a bootstrap interval."""
+    if command == "estimate":
+        cfg = {"seed": 3,
+               "data": {"fixture": "simple-example", "n_single": 60, "n_double": 60},
+               "estimators": ["naive-ols"],
+               "intervals": {"naive-ols": ["naive-bootstrap"]}, **settings}
+        out_name = "estimates.csv"
+    elif command == "simulate":
+        cfg = {"graph": {"kind": "uniform-degree", "n_outcome": 40, "m_diversion": 12,
+                         "deg_min": 1, "deg_max": 3},
+               "design": {"kind": "bernoulli", "p": 0.5},
+               "study": {"n_sims": 2, "b_replicates": 50, **settings},
+               "estimators": ["naive-ols"],
+               "intervals": {"naive-ols": ["parametric-bootstrap"]}}
+        out_name = "study.csv"
+    else:
+        cfg = {"graph": {"kind": "blocks", "n_outcome": 40, "m_diversion": 20,
+                         "deg_min": 1, "deg_max": 2, "n_blocks": 5},
+               "design": {"kind": "bernoulli", "p": 0.5},
+               "sweep": {"cut_shares": [0.0], "n_sims": 2, "b_replicates": 50, **settings}}
+        out_name = "sweep.csv"
+    path = tmp_path / f"{command}.yaml"
+    write_yaml(path, cfg)
+    return path, out_name
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"level": 1.5}, "level must be in (0, 1), got 1.5"),
+        ({"level": 0.0}, "level must be in (0, 1), got 0.0"),
+        ({"b_replicates": 20}, "b_replicates must be at least 50 for bootstrap intervals, got 20"),
+        ({"b_replicates": 0}, "b_replicates must be at least 50 for bootstrap intervals, got 0"),
+    ],
+    ids=["level-1.5", "level-0", "b-20", "b-0"],
+)
+def test_bad_level_or_replicates_exit_2_before_computing(tmp_path, capsys, command, settings, message):
+    cfg_path, out_name = interval_settings_config(tmp_path, command, settings)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (out / out_name).exists()
+
+
+def test_replicate_floor_applies_only_to_bootstrap_intervals(tmp_path):
+    cfg_path = fixture_config(
+        tmp_path,
+        estimators=["naive-ols"],
+        intervals={"naive-ols": ["ols-asymptotic"]},
+        b_replicates=20,
+        grid=None,
+    )
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [r["interval_method"] for r in read_rows(out / "estimates.csv")] == ["", "ols-asymptotic"]
+
+
 # -- simulate and sweep ---------------------------------------------------------
 
 

@@ -9,6 +9,8 @@ Carlo error).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, linear_exposure_many
@@ -281,6 +283,115 @@ def test_estimate_sigmas_degenerate_inputs():
         estimate_sigmas(np.ones(2), np.ones((2, 1)), empty)
 
 
+def dense_split_reference(u, graph, design_rank, ddof_correction):
+    """The variance split through a dense W and lstsq, as it stood before the Gram route.
+
+    Returns sigma2_eps and sigma2_gamma_raw, each with the size of the u.u
+    term it is computed from (u.u over the same divisor), which sets its
+    rounding floor.
+    """
+    n = u.size
+    uu = float(u @ u)
+    w = graph.to_dense()
+    coef, _, w_rank, _ = np.linalg.lstsq(w, u, rcond=None)
+    eps_hat = u - w @ coef
+    rss = float(eps_hat @ eps_hat)
+    if ddof_correction:
+        dof = n - int(w_rank) - int(design_rank)
+        if dof <= 0:
+            raise DataError("no residual degrees of freedom left for variance estimation")
+        divisor = dof
+        sigma2_eps = rss / dof
+        numer = uu - rss - sigma2_eps * float(w_rank)
+    else:
+        divisor = n
+        sigma2_eps = rss / n
+        numer = uu - n * sigma2_eps
+    denom = graph.sum_squared_weights()
+    if denom <= 0:
+        raise DataError("graph has no edges; diversion-side variance is unidentified")
+    return (sigma2_eps, uu / divisor), (numer / denom, uu / denom)
+
+
+SPLIT_WEIGHTS = (0.0, 0.0, 0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def split_cases(draw):
+    """Sparse weight matrix with duplicated, near-duplicated and empty columns, n at or just above m."""
+    m = draw(st.integers(1, 10))
+    n = m + draw(st.sampled_from([0, 1, 2, 3, 8, 20]))
+    a = np.array(draw(st.lists(st.sampled_from(SPLIT_WEIGHTS), min_size=n * m, max_size=n * m)))
+    a = a.reshape(n, m)
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        a[:, j] = a[:, draw(st.integers(0, m - 1))]  # duplicated column
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=1)):
+        # a near-duplicate: W stays full rank with a singular value ~1e-4
+        a[:, j] = a[:, draw(st.integers(0, m - 1))]
+        a[draw(st.integers(0, n - 1)), j] += draw(st.sampled_from([1e-3, 1e-4]))
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        a[:, j] = 0.0  # all-zero column
+    if draw(st.booleans()):
+        sums = a.sum(axis=1, keepdims=True)
+        a = np.divide(a, sums, out=np.zeros_like(a), where=sums > 0)
+    graph = BipartiteGraph.from_rows(
+        [[(j, a[i, j]) for j in np.flatnonzero(a[i])] for i in range(n)], m_diversion=m
+    )
+    return graph, draw(st.integers(0, 2**31)), draw(st.integers(1, 2)), draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=split_cases())
+@example(case=(BipartiteGraph.from_rows([[], [], []], m_diversion=2), 0, 1, True))
+@example(case=(BipartiteGraph.from_rows([[(0, 1.0)], [(0, 1.0)], [(1, 1.0)]], m_diversion=2), 1, 1, True))
+@example(case=(BipartiteGraph.from_rows(  # cond(W) ~ 8e5: one Gram solve is off by rel 3e-10
+    [[], [], [], [(6, 0.25), (8, 1 / 3)], [(6, 0.25), (8, 0.25)], [], [],
+     [(0, 1e-4), (6, 2.0)], [], [(1, 1 / 3)], [], [], []], m_diversion=10), 0, 1, False))
+def test_estimate_sigmas_matches_dense_reference(case):
+    """The Gram split agrees with the dense lstsq split.
+
+    sigma2_eps and sigma2_gamma_raw agree within rel 1e-10 of the larger of
+    the value and the u.u term it is a difference of (an RSS that is all
+    rounding, as when W spans every row, is compared at that floor), the
+    clip flag agrees wherever raw lies outside that tolerance of zero, and
+    the same DataError is raised wherever the reference raises one.
+    """
+    graph, seed, k, ddof = case
+    n = graph.n_outcome
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    phi = np.column_stack([np.ones(n), rng.normal(size=n)])[:, :k]
+    y = phi @ np.array([1.0, 2.0])[:k] + graph.to_csr() @ rng.normal(size=graph.m_diversion)
+    y = y + rng.normal(size=n)
+    fit = ols(phi, y)
+    try:
+        want = dense_split_reference(fit.residuals, graph, fit.rank, ddof)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            estimate_sigmas(y, phi, graph, ddof_correction=ddof)
+        assert str(err.value) == str(exc)
+        return
+    got = estimate_sigmas(y, phi, graph, ddof_correction=ddof)
+    (want_eps, eps_floor), (want_raw, raw_floor) = want
+    assert abs(got.sigma2_eps - want_eps) <= 1e-10 * max(want_eps, eps_floor)
+    tol = 1e-10 * max(abs(want_raw), raw_floor)
+    assert abs(got.sigma2_gamma_raw - want_raw) <= tol
+    if abs(want_raw) > tol:
+        assert got.clipped == (want_raw < 0)
+
+
+def test_variance_split_and_parametric_bootstrap_never_densify(monkeypatch):
+    data, phi, y = parametric_inputs(32)
+
+    def refuse(self):
+        raise AssertionError("the n x m weight matrix was built")
+
+    monkeypatch.setattr(BipartiteGraph, "to_dense", refuse)
+    est = estimate_sigmas(y, phi, data.graph)
+    res = parametric_bootstrap(data, phi, y, n_replicates=60, rng=substream(33, 4))
+    assert res.sigmas == est
+
+
 def test_correlated_error_variance_matches_empirical_covariance():
     graph, design = correlated_population(21)
     n, m = graph.n_outcome, graph.m_diversion
@@ -391,6 +502,9 @@ def test_parametric_bootstrap_validation():
     bad = np.column_stack([phi[:, 0], phi[:, 0]])
     with pytest.raises(NumericalError, match="rank deficient"):
         parametric_bootstrap(data, bad, y)
+    # the replicate count is checked before the fit
+    with pytest.raises(ValueError, match="at least 50"):
+        parametric_bootstrap(data, bad, y, n_replicates=10)
 
 
 def test_parametric_bootstrap_interval_covers_truth_here():
