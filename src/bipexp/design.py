@@ -95,9 +95,10 @@ def draw_assignments(design: AssignmentDesign, m: int, n_draws: int, rng=None) -
     if design.kind == COMPLETELY_RANDOMIZED:
         if design.k > m:
             raise ValidationError(f"k={design.k} exceeds number of diversion units {m}")
+        # one shuffle per row, drawn as rng.permutation(m) would draw it
+        perms = rng.permuted(np.tile(np.arange(m), (n_draws, 1)), axis=1)
         out = np.zeros((m, n_draws), dtype=np.uint8)
-        for t in range(n_draws):
-            out[rng.permutation(m)[: design.k], t] = 1
+        out[perms[:, : design.k], np.arange(n_draws)[:, None]] = 1
         return out
     raise ValidationError(f"unknown design kind {design.kind!r}")
 

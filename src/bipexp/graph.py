@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import ParseError, ValidationError
+from .errors import DataError, ParseError, ValidationError
 from .seeding import as_generator
 
 EDGE_HEADER = ("outcome_id", "diversion_id", "weight")
@@ -316,6 +318,9 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     assigned dense indices in first-appearance order. With
     ``normalize=True`` each nonempty row is rescaled to sum to 1.
 
+    When several lines are bad, the error names the first of them in file
+    order. Line numbers count CSV records, header included.
+
     Returns
     -------
     (BipartiteGraph, IdMap)
@@ -327,13 +332,12 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     ValidationError
         Negative weight or duplicate (outcome, diversion) pair.
     """
-    outcome_ids: list[str] = []
-    diversion_ids: list[str] = []
     o_index: dict[str, int] = {}
     d_index: dict[str, int] = {}
-    rows: list[list[tuple[int, float]]] = []
-    seen: set[tuple[int, int]] = set()
-
+    # one typed entry per edge, in file order: no per-edge Python object
+    # outlives its line
+    rows, cols, lines, weights = array("q"), array("q"), array("q"), array("d")
+    bad_line = None
     with _open_read(source) as fh:
         reader = csv.reader(fh)
         try:
@@ -344,46 +348,65 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
             raise ParseError(
                 f"expected header {','.join(EDGE_HEADER)}, got {','.join(header)}", 1
             )
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 3:
-                raise ParseError(f"expected 3 fields, got {len(record)}", lineno)
-            oid, did, wtext = (f.strip() for f in record)
-            try:
-                w = float(wtext)
-            except ValueError:
-                raise ParseError(f"weight {wtext!r} is not a decimal literal", lineno)
-            if not np.isfinite(w):
-                raise ParseError(f"weight {wtext!r} is not finite", lineno)
-            if w < 0:
-                raise ValidationError(f"line {lineno}: negative weight {w!r}")
-            if oid not in o_index:
-                o_index[oid] = len(outcome_ids)
-                outcome_ids.append(oid)
-                rows.append([])
-            if did not in d_index:
-                d_index[did] = len(diversion_ids)
-                diversion_ids.append(did)
-            key = (o_index[oid], d_index[did])
-            if key in seen:
-                raise ValidationError(
-                    f"line {lineno}: duplicate edge ({oid!r}, {did!r})"
-                )
-            seen.add(key)
-            rows[o_index[oid]].append((d_index[did], w))
+        try:
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != 3:
+                    raise ParseError(f"expected 3 fields, got {len(record)}", lineno)
+                oid, did, wtext = record
+                wtext = wtext.strip()
+                try:
+                    w = float(wtext)
+                except ValueError:
+                    raise ParseError(f"weight {wtext!r} is not a decimal literal", lineno)
+                if not math.isfinite(w):
+                    raise ParseError(f"weight {wtext!r} is not finite", lineno)
+                if w < 0:
+                    raise ValidationError(f"line {lineno}: negative weight {w!r}")
+                rows.append(o_index.setdefault(oid.strip(), len(o_index)))
+                cols.append(d_index.setdefault(did.strip(), len(d_index)))
+                lines.append(lineno)
+                weights.append(w)
+        except (DataError, csv.Error) as exc:
+            # raised below unless an earlier line repeats an edge
+            bad_line = exc
 
+    outcome_ids, diversion_ids = tuple(o_index), tuple(d_index)
+    row = np.frombuffer(rows, dtype=np.int64)
+    col = np.frombuffer(cols, dtype=np.int64)
+    # stable: ties keep file order, so the second edge of a repeated pair
+    # follows the first, and each row's edges come out by ascending column
+    order = np.lexsort((col, row))
+    row_s, col_s = row[order], col[order]
+    repeats = order[1:][(row_s[1:] == row_s[:-1]) & (col_s[1:] == col_s[:-1])]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValidationError(
+            f"line {lines[k]}: duplicate edge ({outcome_ids[row[k]]!r}, {diversion_ids[col[k]]!r})"
+        )
+    if bad_line is not None:
+        raise bad_line
+
+    n = len(outcome_ids)
+    w = np.frombuffer(weights, dtype=np.float64)
     if normalize:
-        for oid_idx, row in enumerate(rows):
-            total = sum(w for _, w in row)
-            if row and total <= 0:
-                raise ValidationError(
-                    f"cannot normalize outcome unit {outcome_ids[oid_idx]!r}: row sum is 0"
-                )
-            rows[oid_idx] = [(j, w / total) for j, w in row]
-
-    graph = BipartiteGraph.from_rows(rows, m_diversion=len(diversion_ids))
-    return graph, IdMap(tuple(outcome_ids), tuple(diversion_ids))
+        # bincount adds each row's weights one by one in file order
+        totals = np.bincount(row, weights=w, minlength=n)
+        zero = np.flatnonzero(totals <= 0)
+        if zero.size:
+            raise ValidationError(
+                f"cannot normalize outcome unit {outcome_ids[zero[0]]!r}: row sum is 0"
+            )
+        w = w / totals[row]
+    graph = BipartiteGraph(
+        n_outcome=n,
+        m_diversion=len(diversion_ids),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]),
+        indices=col_s,
+        weights=w[order],
+    )
+    return graph, IdMap(outcome_ids, diversion_ids)
 
 
 def write_edge_list(graph: BipartiteGraph, dest, id_map: IdMap | None = None) -> None:
@@ -477,38 +500,46 @@ def _synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
         where = "number of diversion units" if k == 1 else "smallest block's diversion count"
         raise ValidationError(f"deg_max {spec.deg_max} exceeds {where} {min_block}")
     degrees = rng.integers(spec.deg_min, spec.deg_max + 1, size=spec.n_outcome)
-    # sets are built only when rows are rewired; lists are cheaper
-    neighbors = []
-    for i in range(spec.n_outcome):
-        pool = d_members[o_blocks[i]]
-        neighbors.append(rng.choice(pool, size=int(degrees[i]), replace=False).tolist())
+    chosen = [rng.choice(d_members[o_blocks[i]], size=int(degrees[i]), replace=False)
+              for i in range(spec.n_outcome)]
+    owner = np.repeat(np.arange(spec.n_outcome), degrees)
+    flat = np.concatenate(chosen).astype(np.int64)
+    flat = flat[np.lexsort((flat, owner))]  # each row's neighbours ascending
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
 
     n_cut = int(round(spec.cross_share * int(degrees.sum())))
     if n_cut:
         # pick edge slots uniformly over all edges, then rewire each slot's
-        # diversion endpoint to a unit outside the row's block
-        owner = np.repeat(np.arange(spec.n_outcome), degrees)
+        # diversion endpoint to a unit outside the row's block; sets are
+        # built only for the rows that get rewired
         cut_slots = rng.choice(owner.size, size=n_cut, replace=False)
-        neighbors = [set(row) for row in neighbors]
-        flat = np.concatenate([sorted(s) for s in neighbors]).astype(np.int64)
+        rewired: dict[int, set[int]] = {}
         for slot in cut_slots:
             i = int(owner[slot])
+            nbrs = rewired.get(i)
+            if nbrs is None:
+                nbrs = rewired[i] = set(flat[indptr[i]:indptr[i + 1]].tolist())
             old_j = int(flat[slot])
-            if old_j not in neighbors[i]:
+            if old_j not in nbrs:
                 continue  # already rewired away via another slot of the same row
             own = o_blocks[i]
             while True:
                 j_new = int(rng.integers(spec.m_diversion))
-                if d_blocks[j_new] != own and j_new not in neighbors[i]:
+                if d_blocks[j_new] != own and j_new not in nbrs:
                     break
-            neighbors[i].discard(old_j)
-            neighbors[i].add(j_new)
+            nbrs.discard(old_j)
+            nbrs.add(j_new)
+        for i, nbrs in rewired.items():
+            # a rewire swaps one neighbour for another, so the row keeps its degree
+            flat[indptr[i]:indptr[i + 1]] = sorted(nbrs)
 
-    rows = []
-    for i, nbrs in enumerate(neighbors):
-        w = 1.0 / degrees[i]
-        rows.append([(j, w) for j in sorted(nbrs)])
-    return BipartiteGraph.from_rows(rows, m_diversion=spec.m_diversion)
+    return BipartiteGraph(
+        n_outcome=spec.n_outcome,
+        m_diversion=spec.m_diversion,
+        indptr=indptr,
+        indices=flat,
+        weights=np.repeat(1.0 / degrees, degrees),
+    )
 
 
 # -- connectivity ----------------------------------------------------------

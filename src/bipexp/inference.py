@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .errors import DataError, NumericalError
 from .estimators import Dataset
@@ -199,7 +199,7 @@ def ols_asymptotic_interval(
     contrast = np.asarray(contrast, dtype=np.float64)
     est = float(contrast @ fit.coef)
     se = float(np.sqrt(contrast @ fit.coef_cov @ contrast))
-    z = float(stats.norm.ppf(0.5 + level / 2))
+    z = float(ndtri(0.5 + level / 2))
     return IntervalEstimate(
         estimate=est,
         lower=est - z * se,

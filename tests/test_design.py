@@ -52,6 +52,29 @@ def test_completely_randomized_k_exceeding_m():
         draw_assignment(AssignmentDesign.completely_randomized(5), 3)
 
 
+def per_draw_cr(m: int, n_draws: int, k: int, rng) -> np.ndarray:
+    """Reference: one permutation per draw, its first k units treated."""
+    out = np.zeros((m, n_draws), dtype=np.uint8)
+    for t in range(n_draws):
+        out[rng.permutation(m)[:k], t] = 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, n_draws, k", [(1, 1, 1), (8, 3, 3), (37, 100, 36), (100, 512, 50), (1000, 20, 3)]
+)
+def test_completely_randomized_matches_per_draw_permutations(m, n_draws, k):
+    design = AssignmentDesign.completely_randomized(k)
+    got_rng, want_rng = substream(9, m), substream(9, m)
+    got = draw_assignments(design, m, n_draws, got_rng)
+    np.testing.assert_array_equal(got, per_draw_cr(m, n_draws, k, want_rng))
+    assert got.dtype == np.uint8
+    # the generator is left in the same state: the next draw agrees too
+    np.testing.assert_array_equal(
+        draw_assignments(design, m, 2, got_rng), per_draw_cr(m, 2, k, want_rng)
+    )
+
+
 def test_bernoulli_draw_frequencies():
     d = AssignmentDesign.bernoulli_heterogeneous([0.1, 0.5, 0.9])
     z = draw_assignments(d, 3, 20_000, rng=substream(1))

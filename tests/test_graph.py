@@ -1,8 +1,9 @@
+import csv
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipexp.errors import ParseError, ValidationError
@@ -119,6 +120,124 @@ def test_edge_list_roundtrip(tmp_path, small_graph):
     assert id_map.outcome_ids == tuple(str(i) for i in range(4))
 
 
+def reference_load_edge_list(text: str, normalize: bool):
+    """Per-edge reference loader: tuples, a set of seen pairs and per-row lists."""
+    outcome_ids, diversion_ids = [], []
+    o_index, d_index = {}, {}
+    rows, seen = [], set()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file: expected header outcome_id,diversion_id,weight", 1)
+    if tuple(h.strip() for h in header) != ("outcome_id", "diversion_id", "weight"):
+        raise ParseError(
+            f"expected header outcome_id,diversion_id,weight, got {','.join(header)}", 1
+        )
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != 3:
+            raise ParseError(f"expected 3 fields, got {len(record)}", lineno)
+        oid, did, wtext = (f.strip() for f in record)
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise ParseError(f"weight {wtext!r} is not a decimal literal", lineno)
+        if not np.isfinite(w):
+            raise ParseError(f"weight {wtext!r} is not finite", lineno)
+        if w < 0:
+            raise ValidationError(f"line {lineno}: negative weight {w!r}")
+        if oid not in o_index:
+            o_index[oid] = len(outcome_ids)
+            outcome_ids.append(oid)
+            rows.append([])
+        if did not in d_index:
+            d_index[did] = len(diversion_ids)
+            diversion_ids.append(did)
+        key = (o_index[oid], d_index[did])
+        if key in seen:
+            raise ValidationError(f"line {lineno}: duplicate edge ({oid!r}, {did!r})")
+        seen.add(key)
+        rows[o_index[oid]].append((d_index[did], w))
+    if normalize:
+        for i, row in enumerate(rows):
+            # a plain running sum in file order: float sum() is compensated
+            # from Python 3.12 on
+            total = 0.0
+            for _, w in row:
+                total += w
+            if total <= 0:
+                raise ValidationError(
+                    f"cannot normalize outcome unit {outcome_ids[i]!r}: row sum is 0"
+                )
+            rows[i] = [(j, w / total) for j, w in row]
+    graph = BipartiteGraph.from_rows(rows, m_diversion=len(diversion_ids))
+    return graph, IdMap(tuple(outcome_ids), tuple(diversion_ids))
+
+
+# ids with quoted commas, quotes, padding and line breaks; a small pool
+# makes repeated edges and padded twins of one id likely
+EDGE_IDS = st.text(alphabet="ab ,\"\n", max_size=3)
+GOOD_WEIGHTS = st.one_of(
+    st.floats(0.0, 10.0).map(repr),
+    st.sampled_from(["0", " 1 ", "0.1", "0.2", "0.7", "3.3", "-0.0", "1_0"]),
+)
+BAD_WEIGHTS = st.sampled_from(["-1", "-2.5e-3", "abc", "", "inf", "-inf", "nan", "1e400", "0x1"])
+GOOD_LINES = st.one_of(st.tuples(EDGE_IDS, EDGE_IDS, GOOD_WEIGHTS).map(list), st.just([]))
+BAD_LINES = st.one_of(
+    st.tuples(EDGE_IDS, EDGE_IDS, BAD_WEIGHTS).map(list),
+    st.lists(st.sampled_from(["u", "d", "1"]), min_size=1, max_size=5)
+    .filter(lambda r: len(r) != 3),
+)
+
+
+@st.composite
+def edge_files(draw) -> str:
+    """Edge-list text: mostly good lines, up to three bad ones spliced in."""
+    lines = draw(st.lists(GOOD_LINES, max_size=25))
+    for bad in draw(st.lists(BAD_LINES, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    header = draw(st.sampled_from(
+        ["outcome_id,diversion_id,weight"] * 4 + [" outcome_id , diversion_id,weight", "a,b,c", ""]
+    ))
+    buf = io.StringIO(newline="")
+    if header:
+        buf.write(header + "\r\n")
+    csv.writer(buf).writerows(lines)
+    return buf.getvalue()
+
+
+def outcome(load, text, normalize):
+    """A loader's graph and ids as bytes, or the class, message and line it raised."""
+    try:
+        graph, id_map = load(text, normalize)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        graph.n_outcome, graph.m_diversion, graph.indptr.tobytes(), graph.indices.tobytes(),
+        graph.weights.tobytes(), id_map,
+    )
+
+
+HEADER = "outcome_id,diversion_id,weight\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_files(), normalize=st.booleans())
+@example(text=HEADER + "u,d,1\nu,d,1\nv,d,x\n", normalize=False)
+@example(text=HEADER + "u,d,1\nv,d,-1\nu, d,1\n", normalize=False)
+@example(text=HEADER + "u,d,1\nv,d,1\nv,d,1\nu,d,1\n", normalize=False)
+@example(text=HEADER + "u,d,1\nv,d,0\nw,d,0\n", normalize=True)
+# file order sums u's row to 1 - 2**-53, column order to 1
+@example(text=HEADER + "v,a,1\nu,b,0.2\nu,c,0.7\nu,a,0.1\n", normalize=True)
+@example(text=HEADER + "u,d,1\n\n\"v,\n\",d,1\n\nu,d,2\n", normalize=False)
+def test_load_edge_list_matches_reference(text, normalize):
+    def load(t, nm):
+        return load_edge_list(io.StringIO(t, newline=""), normalize=nm)
+
+    assert outcome(load, text, normalize) == outcome(reference_load_edge_list, text, normalize)
+
+
 # -- synthesis ---------------------------------------------------------------
 
 
@@ -170,6 +289,59 @@ def test_blocks_cross_share_rewires_roughly_that_fraction():
         for j, _ in g.row_weights(i)
     )
     assert 0.2 <= cross / g.nnz <= 0.4
+
+
+def reference_synth_blocks(spec: GraphSpec, rng) -> BipartiteGraph:
+    """Per-row reference: neighbour lists and sets, then `from_rows`."""
+    k = spec.n_blocks
+    o_blocks = contiguous_blocks(spec.n_outcome, k)
+    d_blocks = contiguous_blocks(spec.m_diversion, k)
+    d_members = [np.flatnonzero(d_blocks == b) for b in range(k)]
+    degrees = rng.integers(spec.deg_min, spec.deg_max + 1, size=spec.n_outcome)
+    neighbors = [
+        rng.choice(d_members[o_blocks[i]], size=int(degrees[i]), replace=False).tolist()
+        for i in range(spec.n_outcome)
+    ]
+    n_cut = int(round(spec.cross_share * int(degrees.sum())))
+    if n_cut:
+        owner = np.repeat(np.arange(spec.n_outcome), degrees)
+        cut_slots = rng.choice(owner.size, size=n_cut, replace=False)
+        neighbors = [set(row) for row in neighbors]
+        flat = np.concatenate([sorted(s) for s in neighbors]).astype(np.int64)
+        for slot in cut_slots:
+            i = int(owner[slot])
+            old_j = int(flat[slot])
+            if old_j not in neighbors[i]:
+                continue
+            while True:
+                j_new = int(rng.integers(spec.m_diversion))
+                if d_blocks[j_new] != o_blocks[i] and j_new not in neighbors[i]:
+                    break
+            neighbors[i].discard(old_j)
+            neighbors[i].add(j_new)
+    rows = [[(j, 1.0 / degrees[i]) for j in sorted(nbrs)] for i, nbrs in enumerate(neighbors)]
+    return BipartiteGraph.from_rows(rows, m_diversion=spec.m_diversion)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 201])
+@pytest.mark.parametrize("shape", [
+    dict(kind="uniform-degree", n_outcome=300, m_diversion=40, deg_min=1, deg_max=10),
+    dict(kind="blocks", n_outcome=500, m_diversion=60, deg_min=1, deg_max=6, n_blocks=5),
+    dict(kind="blocks", n_outcome=500, m_diversion=60, deg_min=2, deg_max=6, n_blocks=5, cross_share=0.1),
+    dict(kind="blocks", n_outcome=200, m_diversion=12, deg_min=1, deg_max=6, n_blocks=2, cross_share=0.9),
+])
+def test_synth_graph_matches_per_row_reference(seed, shape):
+    spec = GraphSpec(**shape)
+    got_rng, want_rng = substream(seed, 10), substream(seed, 10)
+    got = synth_graph(spec, got_rng)
+    want = reference_synth_blocks(
+        spec if spec.kind == "blocks" else GraphSpec(**{**shape, "kind": "blocks"}), want_rng
+    )
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    # both consumed the same draws
+    assert got_rng.random() == want_rng.random()
 
 
 def test_contiguous_blocks_shapes():

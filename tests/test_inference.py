@@ -7,6 +7,12 @@ of replicated fits (the Gaussian linear model makes them equal up to Monte
 Carlo error).
 """
 
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +203,32 @@ def test_ols_asymptotic_interval_matches_normal_theory():
     assert iv.lower == pytest.approx(fit.coef[1] - z * se)
     assert iv.upper == pytest.approx(fit.coef[1] + z * se)
     assert iv.method == "ols-asymptotic"
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-6, 1 - 1e-9])
+def test_ols_asymptotic_z_is_the_normal_quantile_bit_for_bit(level):
+    # with estimate 0 and standard error 1 the upper end is z itself
+    unit = types.SimpleNamespace(coef=np.array([0.0]), coef_cov=np.array([[1.0]]))
+    iv = ols_asymptotic_interval(unit, [1.0], level=level)
+    assert iv.upper == float(stats.norm.ppf(0.5 + level / 2))
+    assert iv.lower == -iv.upper
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second of every fresh process
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, bipexp, bipexp.cli\n"
+        "print([m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 # -- variance splitting --------------------------------------------------------
