@@ -4,8 +4,9 @@ Exposure distributions: exact convolution, Monte Carlo, and balancing
 
 The probability that a unit lands at each exposure level is the
 convolution of its weighted neighbor assignments. Small neighborhoods
-get the exact distribution; larger ones fall back to Monte Carlo over
-binned exposures. The score at a level acts as a balancing weight: among
+get the exact distribution, under Bernoulli and completely randomized
+designs alike; larger ones fall back to Monte Carlo over binned
+exposures. The score at a level acts as a balancing weight: among
 units sharing r(1, W_i), full exposure occurs with exactly that
 frequency, whatever else distinguishes them.
 

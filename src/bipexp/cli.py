@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DataError,
     NumericalError,
+    ValidationError,
 )
 from .estimators import (
     Dataset,
@@ -149,6 +150,14 @@ _GRAPH_KEYS = (
 )
 
 
+def _graph_spec(**fields) -> GraphSpec:
+    """A GraphSpec from config values; an invalid recipe is a config error."""
+    try:
+        return GraphSpec(**fields)
+    except ValidationError as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+
+
 def build_graph(cfg: dict, seed: int):
     """Load or synthesize the graph; returns (graph, id_map, spec_or_none)."""
     sec = _section(cfg, "graph")
@@ -158,7 +167,7 @@ def build_graph(cfg: dict, seed: int):
         path = _get(sec, "path", str, "graph", required=True)
         graph, id_map = load_edge_list(path, normalize=_get(sec, "normalize", bool, "graph", default=False))
         return graph, id_map, None
-    spec = GraphSpec(
+    spec = _graph_spec(
         kind=kind,
         n_outcome=_get(sec, "n_outcome", int, "graph", required=True),
         m_diversion=_get(sec, "m_diversion", int, "graph", required=True),
@@ -538,14 +547,15 @@ def cmd_sweep(cfg: dict, args) -> int:
     )
     gsec = _section(cfg, "graph")
     _check_keys(gsec, _GRAPH_KEYS, "graph")
-    spec = GraphSpec(
+    # the largest share validates the recipe; the sweep sets each share itself
+    spec = _graph_spec(
         kind=_get(gsec, "kind", str, "graph", default="blocks"),
         n_outcome=_get(gsec, "n_outcome", int, "graph", required=True),
         m_diversion=_get(gsec, "m_diversion", int, "graph", required=True),
         deg_min=_get(gsec, "deg_min", int, "graph", default=1),
         deg_max=_get(gsec, "deg_max", int, "graph", default=1),
         n_blocks=_get(gsec, "n_blocks", int, "graph", default=10),
-        cross_share=0.0,
+        cross_share=max(shares),
         normalize=_get(gsec, "normalize", bool, "graph", default=True),
     )
     design = build_design(cfg, None)

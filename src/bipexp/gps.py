@@ -8,11 +8,12 @@ estimators; scores evaluated at a common query level across all units
 ("imputed scores") drive dose-response imputation.
 
 Two constructions are provided. `exact_gps_table` convolves every distinct
-neighborhood at once (Bernoulli designs, capped degree) and yields exact
-atoms. `mc_gps` estimates the table for any design by simulating
-assignments and bucketing the resulting exposures, either on the same atom
-grid or on equal-width bins. Both return a `GpsTable`, which stores every
-distinct distribution in one set of flat arrays.
+neighborhood at once and yields exact atoms, for every shipped design
+(Bernoulli, heterogeneous Bernoulli and completely randomized) up to a
+degree cap. `mc_gps` estimates the table for any design and degree by
+simulating assignments and bucketing the resulting exposures, either on
+the same atom grid or on equal-width bins. Both return a `GpsTable`,
+which stores every distinct distribution in one set of flat arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    BERNOULLI,
-    BERNOULLI_HETEROGENEOUS,
-    AssignmentDesign,
-    draw_assignments,
-)
+from .design import COMPLETELY_RANDOMIZED, AssignmentDesign, draw_assignments
 from .errors import DataError, ValidationError
 from .graph import BipartiteGraph, IdMap, _as_readonly, _open_write
 from .seeding import as_generator
@@ -273,8 +269,24 @@ class GpsTable:
                         writer.writerow([ids[i], edges[b], edges[b + 1], repr(q)])
 
 
+def _merge_atoms(groups: list, support: np.ndarray, probs: np.ndarray):
+    """Stably sort atoms by (*groups, support) and merge runs into their first atom.
+
+    A run shares every group key and has consecutive gaps within `ATOM_TOL`;
+    its masses are summed in order.
+    """
+    order = np.lexsort((support, *groups[::-1]))
+    support, probs = support[order], probs[order]
+    groups = [g[order] for g in groups]
+    new_run = np.diff(support) > ATOM_TOL
+    for g in groups:
+        new_run |= np.diff(g) != 0
+    starts = np.flatnonzero(np.concatenate([[True], new_run]))
+    return [g[starts] for g in groups], support[starts], np.add.reduceat(probs, starts)
+
+
 def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable:
-    """Exact table for all units under a Bernoulli design.
+    """Exact table for all units, under a Bernoulli or completely randomized design.
 
     Units whose (weights, probabilities) rows are identical byte for byte
     share one distribution; distributions are numbered in order of first
@@ -282,19 +294,32 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
     neighbor position: every row with a j-th neighbor doubles its atoms
     (that neighbor untreated, then treated), the atoms are stably sorted by
     (distribution, exposure), and each run whose consecutive gaps are
-    within `ATOM_TOL` merges into its first atom. This equals summing over
-    all 2^degree assignment patterns.
+    within `ATOM_TOL` merges into its first atom. Under a Bernoulli design
+    this equals summing over all 2^degree assignment patterns.
+
+    Under complete randomization (k of M treated) each atom also carries
+    c, its number of treated neighbors so far. Neighbor j is treated with
+    probability (k - c) / (M - j) and untreated with (M - j - k + c) / (M - j),
+    which draws the neighbors' statuses one by one without replacement, so
+    a pattern with c of d neighbors treated gets C(M - d, k - c) / C(M, k)
+    with no binomial to overflow. Branches the design cannot reach (more
+    than k treated, or more than M - k untreated) are dropped. Atoms merge
+    on (distribution, c, exposure) during the pass and on (distribution,
+    exposure) at the end.
 
     Raises
     ------
     ValueError
-        Degree above `MAX_EXACT_DEGREE` (use `mc_gps`), or a non-Bernoulli design.
+        Degree above `MAX_EXACT_DEGREE` (use `mc_gps`).
+    ValidationError
+        A completely randomized design with more treated units than
+        diversion units.
     """
-    if design.kind not in (BERNOULLI, BERNOULLI_HETEROGENEOUS):
-        raise ValueError(
-            f"exact enumeration supports Bernoulli designs only, not {design.kind!r}; use mc_gps"
-        )
-    p_all = design.probabilities(graph.m_diversion)  # fails fast on a length mismatch
+    cr = design.kind == COMPLETELY_RANDOMIZED
+    m = graph.m_diversion
+    if cr and design.k > m:
+        raise ValidationError(f"k={design.k} exceeds number of diversion units {m}")
+    p_all = design.probabilities(m)  # fails fast on a length mismatch
     degrees = graph.degrees
     too_big = np.flatnonzero(degrees > MAX_EXACT_DEGREE)
     if too_big.size:
@@ -335,26 +360,39 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
     dist = np.arange(n_dists, dtype=np.int32)
     support = np.zeros(n_dists)
     probs = np.ones(n_dists)
+    if cr:
+        k = design.k
+        treated = np.zeros(n_dists, dtype=np.int64)
     finished = []
     for j in range(width):
         live = deg[dist] > j
         finished.append((dist[~live], support[~live], probs[~live]))
         dist, support, probs = dist[live], support[live], probs[live]
         edge = rep_edge[dist] + j
-        q = p_edge[edge]
-        dist = np.concatenate([dist, dist])
-        support = np.concatenate([support, support + graph.weights[edge]])
-        probs = np.concatenate([probs * (1.0 - q), probs * q])
-        order = np.lexsort((support, dist))
-        dist, support, probs = dist[order], support[order], probs[order]
-        new_run = (np.diff(support) > ATOM_TOL) | (np.diff(dist) != 0)
-        starts = np.flatnonzero(np.concatenate([[True], new_run]))
-        dist, support, probs = dist[starts], support[starts], np.add.reduceat(probs, starts)
+        if cr:
+            c = treated[live]
+            # reachable branches: at most M - k untreated and at most k treated
+            off, on = j - c < m - k, c < k
+            dist = np.concatenate([dist[off], dist[on]])
+            support = np.concatenate([support[off], (support + graph.weights[edge])[on]])
+            probs = np.concatenate([probs[off] * ((m - j - k + c[off]) / (m - j)),
+                                    probs[on] * ((k - c[on]) / (m - j))])
+            treated = np.concatenate([c[off], c[on] + 1])
+            (dist, treated), support, probs = _merge_atoms([dist, treated], support, probs)
+        else:
+            q = p_edge[edge]
+            dist = np.concatenate([dist, dist])
+            support = np.concatenate([support, support + graph.weights[edge]])
+            probs = np.concatenate([probs * (1.0 - q), probs * q])
+            (dist,), support, probs = _merge_atoms([dist], support, probs)
     finished.append((dist, support, probs))
     dist, support, probs = (np.concatenate(part) for part in zip(*finished))
     del finished
-    order = np.argsort(dist, kind="stable")
-    dist, support, probs = dist[order], support[order], probs[order]
+    if cr and dist.size:
+        (dist,), support, probs = _merge_atoms([dist], support, probs)
+    else:
+        order = np.argsort(dist, kind="stable")
+        dist, support, probs = dist[order], support[order], probs[order]
     return GpsTable(
         offsets=np.searchsorted(dist, np.arange(n_dists + 1)),
         support=support,

@@ -468,6 +468,11 @@ class GraphSpec:
                 raise ValidationError("n_blocks must be >= 1")
             if not 0.0 <= self.cross_share <= 1.0:
                 raise ValidationError("cross_share must lie in [0, 1]")
+            if self.n_blocks == 1 and self.cross_share > 0.0:
+                raise ValidationError(
+                    f"cross_share {self.cross_share} needs n_blocks >= 2: with n_blocks 1 "
+                    "there is no other block to rewire edges to"
+                )
 
 
 def contiguous_blocks(n: int, k: int) -> np.ndarray:

@@ -36,6 +36,10 @@ MAX_FAILURE_SHARE = 0.01
 # as rank.
 GRAM_RANK_TOL = float(np.finfo(np.float64).eps)
 
+# Noise values the parametric bootstrap draws per block. The blocks fill
+# the same stream as one (n, B) draw, so this changes memory, not results.
+NOISE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class IntervalEstimate:
@@ -348,10 +352,11 @@ def parametric_bootstrap(
     Fits target ~ phi, splits the residual variance with `estimate_sigmas`,
     then repeatedly rebuilds synthetic targets
     phi @ coef + W @ gamma_b + eps_b and refits them all through the
-    fit's QR factorisation. The interval is formed from quantiles of the
-    replicate contrasts (default contrast: last column minus first, the
-    endpoint difference). A rank-deficient design raises
-    `RankDeficiencyError`, as in `ols`.
+    fit's QR factorisation. The targets fill one (n, B) array, with the
+    noise drawn in blocks of `NOISE_BLOCK` values. The interval is formed
+    from quantiles of the replicate contrasts (default contrast: last
+    column minus first, the endpoint difference). A rank-deficient design
+    raises `RankDeficiencyError`, as in `ols`.
     """
     rng = as_generator(rng)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
@@ -372,11 +377,18 @@ def parametric_bootstrap(
     sigmas = _split_residual_variance(fit.residuals, graph, fit.rank, ddof_correction)
     estimate = float(contrast @ fit.coef)
 
-    w = graph.to_csr()
-    m = graph.m_diversion
-    gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, n_replicates))
-    eps = rng.normal(0.0, np.sqrt(sigmas.sigma2_eps), size=(n, n_replicates))
-    targets = (phi @ fit.coef)[:, None] + w @ gamma + eps
+    gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(graph.m_diversion, n_replicates))
+    # only one (n, B) array is live: W @ gamma's result takes the fitted
+    # column, then eps one row block at a time, which gives the bits of
+    # (phi @ coef + W @ gamma) + eps from the same rng stream
+    targets = graph.to_csr() @ gamma
+    del gamma
+    targets += (phi @ fit.coef)[:, None]
+    scale = np.sqrt(sigmas.sigma2_eps)
+    rows = max(1, NOISE_BLOCK // n_replicates)
+    for lo in range(0, n, rows):
+        block = targets[lo:lo + rows]
+        block += rng.normal(0.0, scale, size=block.shape)
     coef_reps = fit.solve(targets)  # (k, B), on the same factorisation
     reps = contrast @ coef_reps
     iv = _quantile_interval(estimate, reps, level, "parametric-bootstrap", interval)

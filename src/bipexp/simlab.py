@@ -392,8 +392,12 @@ def default_gps_table(
     rng=None,
     mc_draws: int = 100_000,
 ) -> GpsTable:
-    """Exact propensity table when feasible, Monte Carlo bins otherwise."""
-    if design.kind != "completely-randomized" and int(graph.degrees.max(initial=0)) <= MAX_EXACT_DEGREE:
+    """Exact propensity table when every degree is within `MAX_EXACT_DEGREE`.
+
+    That holds for any design kind. Heavier graphs get `mc_gps` with
+    `mc_draws` draws into 20 equal-width bins, drawn from `rng`.
+    """
+    if int(graph.degrees.max(initial=0)) <= MAX_EXACT_DEGREE:
         return exact_gps_table(graph, design)
     return mc_gps(graph, design, Bucketing.equal_width(), n_draws=mc_draws, rng=rng)
 

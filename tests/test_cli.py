@@ -93,6 +93,27 @@ def test_graph_gen_deterministic_and_seed_sensitive(tmp_path):
     assert json.loads((c / "provenance.json").read_text())["seed"] == 9
 
 
+def test_one_block_cross_share_exits_2(tmp_path, capsys):
+    # the graph section's n_blocks defaults to 1, which leaves no block to
+    # rewire to; this used to hang
+    graph = {"kind": "blocks", "n_outcome": 10, "m_diversion": 5, "deg_min": 1, "deg_max": 2,
+             "cross_share": 0.5}
+    cfg_path = graph_gen_config(tmp_path, graph=graph)
+    assert main(["graph-gen", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "cross_share" in record["message"] and "n_blocks" in record["message"]
+
+    sweep_path = tmp_path / "sweep.yaml"
+    write_yaml(sweep_path, {
+        "graph": {**graph, "cross_share": 0.0, "n_blocks": 1},  # the sweep sets the share
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "sweep": {"cut_shares": [0.0, 0.25], "n_sims": 2, "b_replicates": 50},
+    })
+    assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "s")]) == 2
+    assert "n_blocks" in stderr_record(capsys)["message"]
+
+
 def test_graph_gen_rejects_external_graph(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text(EDGES_CSV)
@@ -154,6 +175,29 @@ def test_gps_monte_carlo_mode(tmp_path):
     for unit in ("a", "b", "c"):
         total = sum(float(r["probability"]) for r in rows if r["outcome_id"] == unit)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gps_completely_randomized_is_exact(tmp_path):
+    # one of {x, y} treated: a sees x with probability 1/2, and b always sees
+    # exactly one of its two half-weight neighbors
+    outputs = {}
+    for mode in ("exact", "auto", "monte-carlo"):
+        cfg_path = external_graph_config(tmp_path, {"mode": mode, "n_draws": 2000})
+        cfg = yaml.safe_load(cfg_path.read_text())
+        cfg["design"] = {"kind": "completely-randomized", "k": 1}
+        write_yaml(cfg_path, cfg)
+        out = tmp_path / mode
+        assert main(["gps", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs[mode] = (out / "gps.csv").read_bytes()
+    assert outputs["auto"] == outputs["exact"]
+    rows = read_rows(tmp_path / "exact" / "gps.csv")
+    got = [(r["outcome_id"], float(r["exposure_lo"]), float(r["exposure_hi"]),
+            float(r["probability"])) for r in rows]
+    assert got == [("a", 0.0, 0.0, 0.5), ("a", 1.0, 1.0, 0.5), ("b", 0.5, 0.5, 1.0),
+                   ("c", 0.0, 0.0, 0.5), ("c", 1.0, 1.0, 0.5)]
+    # the simulator stays available on request
+    mc_rows = read_rows(tmp_path / "monte-carlo" / "gps.csv")
+    assert all(float(r["exposure_lo"]) < float(r["exposure_hi"]) for r in mc_rows)
 
 
 def test_gps_unknown_mode_exits_2(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The main oracle enumerates all 2^m neighbor assignment patterns directly
 (no shared code with the convolution in the package); uniform-weight rows
-additionally have the binomial closed form. The flat exact builder is
+additionally have the binomial closed form. Completely randomized tables
+are checked against all C(M, k) treated sets. The flat exact builder is
 pinned bit for bit to a per-row reference convolution, and score lookups
 on the flat table to a plain per-distribution lookup, both written here.
 """
@@ -10,6 +11,7 @@ on the flat table to a plain per-distribution lookup, both written here.
 import bisect
 import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from bipexp.gps import (
     exact_gps_table,
     mc_gps,
 )
-from bipexp.graph import BipartiteGraph
+from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
 
 
@@ -167,9 +169,85 @@ def test_degree_cap_points_to_monte_carlo():
         exact_gps_table(graph, design)
 
 
-def test_non_bernoulli_design_rejected(small_graph):
-    with pytest.raises(ValueError, match="mc_gps"):
-        exact_gps_table(small_graph, AssignmentDesign.completely_randomized(2))
+# -- exact construction under complete randomization ------------------------
+
+
+def enumerate_cr_exposures(nbrs, weights, m, k):
+    """Oracle: every one of the C(m, k) treated sets, each with mass 1 / C(m, k).
+
+    Sums run over the row's neighbors in order and key on float equality,
+    so callers must use weights whose distinct subset sums lie farther
+    apart than ATOM_TOL.
+    """
+    counts: dict[float, int] = {}
+    for chosen in itertools.combinations(range(m), k):
+        treated = set(chosen)
+        e = sum((w for j, w in zip(nbrs, weights) if j in treated), 0.0)
+        counts[e] = counts.get(e, 0) + 1
+    support = sorted(counts)
+    return np.array(support), np.array([counts[v] for v in support]) / math.comb(m, k)
+
+
+def assert_cr_table_matches_enumeration(rows, m, k):
+    graph = BipartiteGraph.from_rows(rows, m_diversion=m)
+    table = exact_gps_table(graph, AssignmentDesign.completely_randomized(k))
+    assert table.mode == EXACT
+    for i, row in enumerate(rows):
+        support, probs = enumerate_cr_exposures([j for j, _ in row], [w for _, w in row], m, k)
+        got_support, got_probs = table.distribution(i)
+        assert got_support.shape == support.shape, (row, m, k)
+        np.testing.assert_allclose(got_support, support, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_probs, probs, rtol=0, atol=1e-12)
+        # closed form: each neighbor is treated with probability k / m
+        np.testing.assert_allclose(got_support @ got_probs, k / m * sum(w for _, w in row),
+                                   rtol=0, atol=1e-12)
+
+
+def test_completely_randomized_matches_enumeration():
+    # every M <= 12 and k, on rows of random degree and random weights;
+    # k = M, and k below a row's degree, leave branches the design cannot reach
+    rng = np.random.default_rng(20261018)
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            rows = []
+            for _ in range(3):
+                nbrs = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False))
+                weights = rng.uniform(0.05, 1.0, nbrs.size)
+                rows.append([(int(j), float(w)) for j, w in zip(nbrs, weights)])
+            assert_cr_table_matches_enumeration(rows, m, k)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), m=st.integers(1, 9))
+def test_completely_randomized_matches_enumeration_property(data, m):
+    # dyadic weights with ties and zeros, so atoms merge within and across
+    # treated counts; duplicate rows share a distribution
+    k = data.draw(st.integers(1, m))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if rows and data.draw(st.booleans()):
+            rows.append(data.draw(st.sampled_from(rows)))
+            continue
+        nbrs = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+        rows.append([(j, data.draw(st.integers(0, 16)) / 16.0) for j in sorted(nbrs)])
+    assert_cr_table_matches_enumeration(rows, m, k)
+
+
+def test_completely_randomized_full_exposure_closed_form():
+    # a degree-10 unit of a paper-scale graph under CR(50 of 100): all ten
+    # neighbors treated with probability C(90, 40) / C(100, 50)
+    graph = synth_graph(GraphSpec("uniform-degree", 1000, 100, 1, 10), substream(401, 10))
+    table = exact_gps_table(graph, AssignmentDesign.completely_randomized(50))
+    unit = int(np.flatnonzero(graph.degrees == 10)[0])
+    want = math.comb(90, 40) / math.comb(100, 50)
+    assert table.at(unit, 1.0) == pytest.approx(want, rel=1e-12)
+    assert table.at(unit, 1.0) == pytest.approx(5.934e-4, rel=1e-4)
+    assert table.n_dists == 10  # one per degree: equal weights 1 / degree
+
+
+def test_completely_randomized_k_above_m_rejected(small_graph):
+    with pytest.raises(ValidationError, match="exceeds"):
+        exact_gps_table(small_graph, AssignmentDesign.completely_randomized(5))
 
 
 def reference_exact_arrays(graph, p_all):
@@ -394,7 +472,7 @@ def test_mc_rejects_nonpositive_draws(small_graph, bernoulli_half):
 
 
 def test_mc_handles_completely_randomized(two_type_graph):
-    # exact enumeration refuses this design; the simulator must not
+    # the simulator handles this design too
     design = AssignmentDesign.completely_randomized(6)
     table = mc_gps(two_type_graph, design, Bucketing.atoms(), 4000, substream(5, 2))
     # single-neighbor units: P(E = 1) = 6/12 exactly under 6-of-12 sampling

@@ -362,6 +362,16 @@ def test_graph_spec_validation():
         synth_graph(GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=2, deg_min=3, deg_max=3))
 
 
+def test_one_block_spec_rejects_cross_share():
+    # with one block there is no other block to rewire to: the spec used to
+    # be accepted, and synth_graph then never returned
+    fields = dict(kind="blocks", n_outcome=10, m_diversion=5, deg_min=1, deg_max=2)
+    with pytest.raises(ValidationError, match="cross_share 0.5 needs n_blocks >= 2"):
+        GraphSpec(**fields, n_blocks=1, cross_share=0.5)
+    assert synth_graph(GraphSpec(**fields, n_blocks=1), 1).n_outcome == 10
+    assert synth_graph(GraphSpec(**fields, n_blocks=2, cross_share=0.5), 1).n_outcome == 10
+
+
 def test_connected_components_counts_isolates():
     g = BipartiteGraph.from_rows([[(0, 1.0)], [], [(2, 1.0)]], m_diversion=3)
     count, o_labels, d_labels = connected_components(g)

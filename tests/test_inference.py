@@ -10,6 +10,7 @@ Carlo error).
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, l
 from bipexp.errors import DataError, NumericalError, RankDeficiencyError
 from bipexp.estimators import Dataset
 from bipexp.gps import exact_gps_table
+from bipexp import inference
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.inference import (
     IntervalEstimate,
@@ -471,8 +473,8 @@ def test_correlated_error_variance_singular_design():
 # -- parametric bootstrap ------------------------------------------------------
 
 
-def parametric_inputs(seed: int):
-    graph, design = correlated_population(seed, n=200, m=30)
+def parametric_inputs(seed: int, *, n=200, m=30):
+    graph, design = correlated_population(seed, n=n, m=m)
     n, m = graph.n_outcome, graph.m_diversion
     rng = substream(seed, 4)
     z = draw_assignments(design, m, 1, rng)[:, 0]
@@ -512,6 +514,45 @@ def test_parametric_bootstrap_matches_per_replicate_refit():
     assert res.interval.lower == pytest.approx(lo)
     assert res.interval.upper == pytest.approx(hi)
     assert res.interval.method == "parametric-bootstrap"
+
+
+@pytest.mark.parametrize("block", [None, 1, 1000])
+def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
+    # the targets used to be built in one expression; the blocked in-place
+    # build must give the same bits, however the noise blocks fall
+    if block is not None:
+        monkeypatch.setattr(inference, "NOISE_BLOCK", block)
+    contrast = np.array([-1.0, 1.0])
+    for seed in (24, 26):
+        data, phi, y = parametric_inputs(seed)
+        res = parametric_bootstrap(data, phi, y, n_replicates=60, rng=substream(seed + 1, 4))
+
+        rng = substream(seed + 1, 4)
+        n, m = phi.shape[0], data.graph.m_diversion
+        gamma = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_gamma), size=(m, 60))
+        eps = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_eps), size=(n, 60))
+        targets = (phi @ res.coef)[:, None] + data.row_graph().to_csr() @ gamma + eps
+        coef_reps = ols(phi, y).solve(targets)
+        reps = contrast @ coef_reps
+        iv = _quantile_interval(res.estimate, reps, 0.95, "parametric-bootstrap", "percentile")
+        assert res.coef_replicates.tobytes() == coef_reps.tobytes()
+        assert res.replicates.tobytes() == reps.tobytes()
+        assert (res.interval.lower, res.interval.upper) == (iv.lower, iv.upper)
+
+
+def test_parametric_bootstrap_holds_one_target_array():
+    # tracemalloc counts numpy's buffers, so this peak is deterministic; the
+    # one-expression build held about three (n, B) arrays at once
+    n, b = 2000, 200
+    data, phi, y = parametric_inputs(31, n=n, m=100)
+    parametric_bootstrap(data, phi, y, n_replicates=b, rng=substream(32, 4))
+    tracemalloc.start()
+    try:
+        parametric_bootstrap(data, phi, y, n_replicates=b, rng=substream(32, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * b * 8
 
 
 def test_parametric_bootstrap_contrast_and_estimate():

@@ -14,7 +14,7 @@ import pytest
 from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
 from bipexp.errors import ConfigError, DataError
 from bipexp.estimators import Dataset, ht_estimate
-from bipexp.gps import ATOM_TOL
+from bipexp.gps import ATOM_TOL, exact_gps_table
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
 from bipexp.numerics import ols
@@ -279,15 +279,16 @@ def test_default_gps_table_switches_modes():
     graph = synth_graph(SMALL_GRAPH_SPEC)
     exact = default_gps_table(graph, AssignmentDesign.bernoulli(0.5))
     assert exact.mode == "exact"
-    cr = default_gps_table(
-        graph, AssignmentDesign.completely_randomized(5), rng=substream(31, 2), mc_draws=500
-    )
-    assert cr.mode == "monte-carlo"
+    cr_design = AssignmentDesign.completely_randomized(5)
+    cr = default_gps_table(graph, cr_design, rng=substream(31, 2), mc_draws=500)
+    assert cr.mode == "exact"
+    want = exact_gps_table(graph, cr_design)
+    for name in ("offsets", "support", "probs", "unit_dist"):
+        assert getattr(cr, name).tobytes() == getattr(want, name).tobytes(), name
     heavy = BipartiteGraph.from_rows([[(j, 1.0 / 25) for j in range(25)]], m_diversion=25)
-    mc = default_gps_table(
-        heavy, AssignmentDesign.bernoulli(0.5), rng=substream(31, 2), mc_draws=500
-    )
-    assert mc.mode == "monte-carlo"
+    for heavy_design in (AssignmentDesign.bernoulli(0.5), AssignmentDesign.completely_randomized(10)):
+        mc = default_gps_table(heavy, heavy_design, rng=substream(31, 2), mc_draws=500)
+        assert mc.mode == "monte-carlo"
 
 
 # -- worked example ----------------------------------------------------------------
