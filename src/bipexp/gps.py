@@ -19,14 +19,21 @@ which stores every distinct distribution in one set of flat arrays.
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import COMPLETELY_RANDOMIZED, AssignmentDesign, draw_assignments
 from .errors import DataError, ValidationError
-from .graph import BipartiteGraph, IdMap, _as_readonly, _open_write
+from .graph import (
+    BipartiteGraph,
+    IdMap,
+    _as_readonly,
+    _float_fields,
+    _id_fields,
+    _segment_gather,
+    _write_csv_blocks,
+)
 from .seeding import as_generator
 
 # Exposure values closer than this are the same atom.
@@ -247,26 +254,44 @@ class GpsTable:
     def write_csv(self, dest, id_map: IdMap | None = None) -> None:
         """Audit serialization: one row per (unit, atom-or-bin, probability).
 
-        Rows are formatted as they are written, so memory stays flat in the
-        table size.
+        The columns are outcome_id, exposure_lo, exposure_hi and
+        probability. An atom row gives the atom as both ends; a bin row
+        gives the bin's edges. Floats are written by `repr`, so they read
+        back exactly, and the bytes are those `csv.writer` writes. Units
+        are labelled by `id_map`'s outcome ids, which must number one per
+        unit, or else by their indices. Rows are formatted and written one
+        block of units at a time, so memory stays flat in the table size.
+
+        Raises
+        ------
+        ValueError
+            `id_map` does not have one outcome id per unit; raised before
+            `dest` is opened.
         """
-        ids = id_map.outcome_ids if id_map is not None else [str(i) for i in range(self.n_units)]
-        offsets = self.offsets.tolist()
+        ids = None
+        if id_map is not None:
+            ids = id_map.outcome_ids
+            if len(ids) != self.n_units:
+                raise ValueError(f"id map has {len(ids)} outcome ids for {self.n_units} units")
         edges = None
         if self.bucketing.mode == "bins":
-            edges = [repr(v) for v in self.bucketing.edges.tolist()]
-        with _open_write(dest) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outcome_id", "exposure_lo", "exposure_hi", "probability"])
-            for i, d in enumerate(self.unit_dist.tolist()):
-                lo, hi = offsets[d], offsets[d + 1]
-                probs = self.probs[lo:hi].tolist()
-                if edges is None:
-                    for v, q in zip(self.support[lo:hi].tolist(), probs):
-                        writer.writerow([ids[i], repr(v), repr(v), repr(q)])
-                else:
-                    for b, q in enumerate(probs):
-                        writer.writerow([ids[i], edges[b], edges[b + 1], repr(q)])
+            edges = np.array(_float_fields(self.bucketing.edges), dtype=object)
+
+        def block_columns(lo, hi):
+            dist = self.unit_dist[lo:hi]
+            sizes = self.offsets[dist + 1] - self.offsets[dist]
+            atoms = _segment_gather(self.offsets, dist, sizes)
+            unit_ids = _id_fields(ids, lo, hi, sizes)
+            probs = list(map(repr, self.probs[atoms].tolist()))
+            if edges is None:
+                levels = _float_fields(self.support[atoms])
+                return unit_ids, levels, levels, probs
+            # a binned distribution has one entry per bin
+            bins = np.tile(np.arange(edges.size - 1), hi - lo)
+            return unit_ids, edges[bins].tolist(), edges[bins + 1].tolist(), probs
+
+        _write_csv_blocks(dest, ("outcome_id", "exposure_lo", "exposure_hi", "probability"),
+                          self.n_units, block_columns)
 
 
 def _merge_atoms(groups: list, support: np.ndarray, probs: np.ndarray):
@@ -309,7 +334,7 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
 
     Raises
     ------
-    ValueError
+    DataError
         Degree above `MAX_EXACT_DEGREE` (use `mc_gps`).
     ValidationError
         A completely randomized design with more treated units than
@@ -324,7 +349,7 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
     too_big = np.flatnonzero(degrees > MAX_EXACT_DEGREE)
     if too_big.size:
         i = int(too_big[0])
-        raise ValueError(
+        raise DataError(
             f"unit {i} has degree {degrees[i]} > cap {MAX_EXACT_DEGREE}: "
             "exact enumeration would be exponential, use mc_gps instead"
         )

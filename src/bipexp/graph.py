@@ -17,8 +17,10 @@ import csv
 import json
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -224,11 +226,8 @@ class IdMap:
             (outcome_dest, "outcome_id", self.outcome_ids),
             (diversion_dest, "diversion_id", self.diversion_ids),
         ):
-            with _open_write(dest) as fh:
-                writer = csv.writer(fh)
-                writer.writerow([header, "index"])
-                for idx, ext in enumerate(ids):
-                    writer.writerow([ext, idx])
+            _write_csv_blocks(dest, (header, "index"), len(ids), lambda lo, hi, ids=ids: (
+                _id_fields(ids, lo, hi), _id_fields(None, lo, hi)))
 
 
 def _open_read(source):
@@ -281,6 +280,56 @@ def _open_write(dest):
     if isinstance(dest, (str, os.PathLike)):
         return open(dest, "w", encoding="utf-8", newline="")
     return _NonClosing(dest)
+
+
+# Units (table or graph rows, or ids) per block of CSV rows formatted and
+# written together: one block's text at a time keeps the writers' memory
+# flat in the file size.
+_WRITE_BLOCK = 4096
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_quote(text: str) -> str:
+    """`text` as a field of `csv.writer`'s default dialect.
+
+    That dialect (QUOTE_MINIMAL) quotes exactly the fields holding a comma,
+    a double quote or a line break, and doubles the quotes inside.
+    """
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _id_fields(ids, lo: int, hi: int, repeats=1) -> list[str]:
+    """Quoted ids[lo:hi], or the indices lo..hi-1 when ids is None.
+
+    Each field is repeated `repeats` times: one count for all, or one per id.
+    """
+    fields = list(map(str, range(lo, hi))) if ids is None else [_csv_quote(s) for s in ids[lo:hi]]
+    return np.repeat(np.array(fields, dtype=object), repeats).tolist()
+
+
+def _float_fields(values: np.ndarray) -> list[str]:
+    """repr of each float, formatted once per distinct bit pattern."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv_blocks(dest, header, n_units: int, block_columns) -> None:
+    """Write `header`, then the rows of units 0..n_units-1, one block at a time.
+
+    `block_columns(lo, hi)` returns the rows of units lo..hi-1 as columns:
+    equal-length lists of fields that are already formatted and quoted.
+    The bytes are those `csv.writer` writes for the same rows.
+    """
+    with _open_write(dest) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_units, _WRITE_BLOCK):
+            rows = zip(*block_columns(lo, min(lo + _WRITE_BLOCK, n_units)))
+            # the empty last item ends every row, the last one too, with \r\n
+            fh.write("\r\n".join(chain(map(",".join, rows), [""])))
 
 
 def _write_csv_rows(rows: list[dict], dest) -> None:
@@ -410,16 +459,28 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
 
 
 def write_edge_list(graph: BipartiteGraph, dest, id_map: IdMap | None = None) -> None:
-    """Serialize to edge-list CSV; float repr round-trips weights exactly."""
-    if id_map is None:
-        id_map = IdMap.identity(graph.n_outcome, graph.m_diversion)
-    with _open_write(dest) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_HEADER)
-        for i in range(graph.n_outcome):
-            lo, hi = graph.indptr[i], graph.indptr[i + 1]
-            for j, w in zip(graph.indices[lo:hi], graph.weights[lo:hi]):
-                writer.writerow([id_map.outcome_ids[i], id_map.diversion_ids[j], repr(float(w))])
+    """Serialize to edge-list CSV; float repr round-trips weights exactly.
+
+    Without an id map the ids are the dense indices. Raises ValueError,
+    before `dest` is opened, when the id map does not match the graph.
+    """
+    outcome_ids = diversion_ids = None
+    if id_map is not None:
+        outcome_ids, diversion_ids = id_map.outcome_ids, id_map.diversion_ids
+        if (len(outcome_ids), len(diversion_ids)) != (graph.n_outcome, graph.m_diversion):
+            raise ValueError(
+                f"id map has {len(outcome_ids)} outcome and {len(diversion_ids)} diversion "
+                f"ids for a {graph.n_outcome}x{graph.m_diversion} graph"
+            )
+    diversion = np.array(_id_fields(diversion_ids, 0, graph.m_diversion), dtype=object)
+
+    def block_columns(lo, hi):
+        first, last = graph.indptr[lo], graph.indptr[hi]
+        return (_id_fields(outcome_ids, lo, hi, graph.degrees[lo:hi]),
+                diversion[graph.indices[first:last]].tolist(),
+                _float_fields(graph.weights[first:last]))
+
+    _write_csv_blocks(dest, EDGE_HEADER, graph.n_outcome, block_columns)
 
 
 # -- synthesis -------------------------------------------------------------

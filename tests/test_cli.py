@@ -206,6 +206,23 @@ def test_gps_unknown_mode_exits_2(tmp_path, capsys):
     assert "unknown gps mode" in stderr_record(capsys)["message"]
 
 
+def test_gps_exact_above_degree_cap_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    write_yaml(cfg_path, {
+        "graph": {"kind": "uniform-degree", "n_outcome": 5, "m_diversion": 30,
+                  "deg_min": 25, "deg_max": 25},
+        "design": {"kind": "completely-randomized", "k": 10},
+        "gps": {"mode": "exact"},
+    })
+    out = tmp_path / "out"
+    assert main(["gps", "--config", str(cfg_path), "--out", str(out)]) == 3
+    record = stderr_record(capsys)
+    assert record["error"] == "DataError" and record["exit_code"] == 3
+    assert "unit 0 has degree 25 > cap 20" in record["message"]
+    assert "mc_gps" in record["message"]
+    assert not (out / "gps.csv").exists()
+
+
 # -- estimate -----------------------------------------------------------------
 
 

@@ -4,14 +4,19 @@ The main oracle enumerates all 2^m neighbor assignment patterns directly
 (no shared code with the convolution in the package); uniform-weight rows
 additionally have the binomial closed form. Completely randomized tables
 are checked against all C(M, k) treated sets. The flat exact builder is
-pinned bit for bit to a per-row reference convolution, and score lookups
-on the flat table to a plain per-distribution lookup, both written here.
+pinned bit for bit to a per-row reference convolution, score lookups on
+the flat table to a plain per-distribution lookup, and the block-wise
+`gps.csv` writer byte for byte to a per-row `csv.writer` loop, all
+written here.
 """
 
 import bisect
 import csv
+import io
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from bipexp.gps import (
     exact_gps_table,
     mc_gps,
 )
-from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
+from bipexp.graph import BipartiteGraph, GraphSpec, IdMap, synth_graph
 from bipexp.seeding import substream
 
 
@@ -165,7 +170,7 @@ def test_degree_cap_points_to_monte_carlo():
     m = MAX_EXACT_DEGREE + 1
     graph = one_row_graph([1.0 / m] * m)
     design = AssignmentDesign.bernoulli(0.5)
-    with pytest.raises(ValueError, match="mc_gps"):
+    with pytest.raises(DataError, match=f"unit 0 has degree {m} .*mc_gps"):
         exact_gps_table(graph, design)
 
 
@@ -658,3 +663,138 @@ def test_flat_lookups_match_reference(data):
     ])
     np.testing.assert_allclose(table.dist_mean(), mean, rtol=0, atol=1e-15)
     np.testing.assert_allclose(table.dist_variance(), var, rtol=0, atol=1e-15)
+
+
+# -- the gps.csv writer against the per-row writer -----------------------------
+
+
+def reference_write_csv(table, id_map=None) -> str:
+    """Per-row writer: one `csv.writer` row with three reprs per (unit, atom or bin)."""
+    ids = id_map.outcome_ids if id_map is not None else [str(i) for i in range(table.n_units)]
+    offsets = table.offsets.tolist()
+    edges = None
+    if table.bucketing.mode == "bins":
+        edges = [repr(v) for v in table.bucketing.edges.tolist()]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["outcome_id", "exposure_lo", "exposure_hi", "probability"])
+    for i, d in enumerate(table.unit_dist.tolist()):
+        lo, hi = offsets[d], offsets[d + 1]
+        probs = table.probs[lo:hi].tolist()
+        if edges is None:
+            for v, q in zip(table.support[lo:hi].tolist(), probs):
+                writer.writerow([ids[i], repr(v), repr(v), repr(q)])
+        else:
+            for b, q in enumerate(probs):
+                writer.writerow([ids[i], edges[b], edges[b + 1], repr(q)])
+    return buf.getvalue()
+
+
+def written(table, id_map=None) -> str:
+    buf = io.StringIO(newline="")
+    table.write_csv(buf, id_map=id_map)
+    return buf.getvalue()
+
+
+# every character csv.writer quotes for, padding, non-ASCII and NUL; empty ids too
+CSV_IDS = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "u", "é", "ß", "中", "\x00"]),
+                  max_size=4)
+
+
+@st.composite
+def mc_tables(draw):
+    """A Monte Carlo table, binned or on atoms, of a small random graph."""
+    spec = GraphSpec(kind="uniform-degree", n_outcome=draw(st.integers(1, 12)), m_diversion=6,
+                     deg_min=1, deg_max=draw(st.integers(1, 4)))
+    graph = synth_graph(spec, rng=draw(st.integers(0, 2**16)))
+    design = draw(st.sampled_from([AssignmentDesign.bernoulli(0.3),
+                                   AssignmentDesign.completely_randomized(2)]))
+    bucketing = draw(st.sampled_from([Bucketing.atoms(), Bucketing.equal_width(7)]))
+    return mc_gps(graph, design, bucketing, n_draws=draw(st.integers(1, 300)),
+                  rng=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def tables_to_write(draw):
+    """A table or a `take` subset of it, with an id map for it or None."""
+    table = draw(st.one_of(flat_tables().map(lambda data: data[0]), mc_tables()))
+    units = draw(st.none() | st.lists(st.integers(0, table.n_units - 1), max_size=10))
+    if units is not None:
+        table = table.take(units)
+    ids = st.lists(CSV_IDS, min_size=table.n_units, max_size=table.n_units)
+    return table, draw(st.none() | ids.map(lambda ids: IdMap(tuple(ids), ())))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=tables_to_write(), block=st.integers(1, 5))
+# 0.0 and -0.0 compare equal but print differently
+@example(case=(flat_table([np.array([-0.0, 1.0]), np.array([0.0, 1.0])], [np.full(2, 0.5)] * 2),
+               None), block=2)
+def test_write_csv_matches_per_row_writer(case, block):
+    table, id_map = case
+    # small blocks split even these tables across several of them
+    with mock.patch("bipexp.graph._WRITE_BLOCK", block):
+        assert written(table, id_map) == reference_write_csv(table, id_map)
+
+
+def wide_table(n_units: int) -> GpsTable:
+    """n_units units, each with its own five atoms and full-length probabilities."""
+    rng = np.random.default_rng(n_units)
+    return GpsTable(
+        offsets=np.arange(n_units + 1) * 5,
+        support=np.tile(np.arange(5) / 4.0, n_units),
+        probs=rng.dirichlet(np.ones(5), size=n_units).ravel(),
+        unit_dist=np.arange(n_units),
+        mode=EXACT,
+        bucketing=Bucketing.atoms(),
+        lo=0.0,
+        hi=1.0,
+    )
+
+
+def test_write_csv_matches_per_row_writer_across_full_blocks():
+    table = wide_table(10_000)
+    id_map = IdMap(tuple(f"unit {i:,}" for i in range(table.n_units)), ())
+    assert written(table) == reference_write_csv(table)
+    assert written(table, id_map) == reference_write_csv(table, id_map)
+
+
+class LineCounter:
+    """Write target that keeps only the number of lines written."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text: str) -> None:
+        self.lines += text.count("\n")
+
+
+def test_write_csv_memory_is_flat_in_table_size():
+    def write_peak(n_units: int) -> int:
+        table = wide_table(n_units)
+        sink = LineCounter()
+        tracemalloc.start()
+        try:
+            table.write_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.lines == 1 + 5 * n_units
+        return peak
+
+    small, large = write_peak(10_000), write_peak(50_000)
+    # a writer that held the whole file would peak five times higher at 50k
+    assert large <= 1.25 * small
+
+
+def test_write_csv_rejects_an_id_map_of_another_length(tmp_path, small_graph, bernoulli_half):
+    table = exact_gps_table(small_graph, bernoulli_half)
+    full = IdMap.identity(small_graph.n_outcome, small_graph.m_diversion)
+    dest = tmp_path / "gps.csv"
+    # a subset's units are not the first units of the full map
+    with pytest.raises(ValueError, match="2 units"):
+        table.take([3, 2]).write_csv(dest, id_map=full)
+    short = IdMap(full.outcome_ids[:3], full.diversion_ids)
+    with pytest.raises(ValueError, match="3 outcome ids for 4 units"):
+        table.write_csv(dest, id_map=short)
+    assert not dest.exists()  # raised before anything was written

@@ -1,5 +1,6 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +119,85 @@ def test_edge_list_roundtrip(tmp_path, small_graph):
     np.testing.assert_array_equal(back.indices, small_graph.indices)
     np.testing.assert_array_equal(back.weights, small_graph.weights)
     assert id_map.outcome_ids == tuple(str(i) for i in range(4))
+
+
+def reference_write_edge_list(graph, id_map=None) -> str:
+    """Per-edge writer: one `csv.writer` row per edge."""
+    if id_map is None:
+        id_map = IdMap.identity(graph.n_outcome, graph.m_diversion)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("outcome_id", "diversion_id", "weight"))
+    for i in range(graph.n_outcome):
+        lo, hi = graph.indptr[i], graph.indptr[i + 1]
+        for j, w in zip(graph.indices[lo:hi], graph.weights[lo:hi]):
+            writer.writerow([id_map.outcome_ids[i], id_map.diversion_ids[j], repr(float(w))])
+    return buf.getvalue()
+
+
+def reference_write_id_tables(id_map) -> tuple[str, str]:
+    """Per-id writer of the two id tables: one `csv.writer` row per id."""
+    out = []
+    for header, ids in (("outcome_id", id_map.outcome_ids), ("diversion_id", id_map.diversion_ids)):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow([header, "index"])
+        for idx, ext in enumerate(ids):
+            writer.writerow([ext, idx])
+        out.append(buf.getvalue())
+    return out[0], out[1]
+
+
+# every character csv.writer quotes for, padding, non-ASCII and NUL; empty ids too
+CSV_IDS = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "u", "é", "ß", "中", "\x00"]),
+                  max_size=4)
+# zero of both signs, subnormals and values whose repr needs all 17 digits
+WEIGHTS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([-0.0, 5e-324, 0.1, 1 / 3, 2 / 3]))
+
+
+@st.composite
+def graphs_with_ids(draw):
+    """A small graph, empty rows included, and an id map for it or None."""
+    m = draw(st.integers(0, 6))
+    rows = [
+        list(draw(st.dictionaries(st.integers(0, m - 1), WEIGHTS, max_size=m)).items()) if m else []
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    graph = BipartiteGraph.from_rows(rows, m_diversion=m)
+    id_map = draw(st.none() | st.builds(
+        IdMap,
+        st.lists(CSV_IDS, min_size=graph.n_outcome, max_size=graph.n_outcome).map(tuple),
+        st.lists(CSV_IDS, min_size=m, max_size=m).map(tuple),
+    ))
+    return graph, id_map
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=graphs_with_ids(), block=st.integers(1, 3))
+# 0.0 and -0.0 compare equal but print differently
+@example(case=(BipartiteGraph.from_rows([[(0, 0.0), (1, -0.0)]], m_diversion=2), None), block=3)
+def test_writers_match_per_row_writers(case, block):
+    graph, id_map = case
+    # small blocks split even these graphs across several of them
+    with mock.patch("bipexp.graph._WRITE_BLOCK", block):
+        buf = io.StringIO(newline="")
+        write_edge_list(graph, buf, id_map=id_map)
+        assert buf.getvalue() == reference_write_edge_list(graph, id_map)
+        if id_map is not None:
+            outcome_buf, diversion_buf = io.StringIO(newline=""), io.StringIO(newline="")
+            id_map.write_csv(outcome_buf, diversion_buf)
+            got = outcome_buf.getvalue(), diversion_buf.getvalue()
+            assert got == reference_write_id_tables(id_map)
+
+
+def test_write_edge_list_rejects_an_id_map_of_another_shape(tmp_path, small_graph):
+    dest = tmp_path / "graph.csv"
+    full = IdMap.identity(small_graph.n_outcome, small_graph.m_diversion)
+    for id_map in (IdMap(full.outcome_ids[:3], full.diversion_ids),
+                   IdMap(full.outcome_ids, full.diversion_ids[:2])):
+        with pytest.raises(ValueError, match="for a 4x4 graph"):
+            write_edge_list(small_graph, dest, id_map=id_map)
+    assert not dest.exists()  # raised before anything was written
 
 
 def reference_load_edge_list(text: str, normalize: bool):
