@@ -111,7 +111,8 @@ class GpsTable:
     `probs`. `unit_dist` maps each unit to its distribution; units sharing
     an identical (weights, probabilities) row share one. The arrays are
     validated once, here; `take` shares them. Query levels must lie inside
-    [lo, hi], the reachable exposure range.
+    [lo, hi], the reachable exposure range. Support, probabilities and the
+    range must be finite, with lo <= hi.
     """
 
     offsets: np.ndarray
@@ -130,6 +131,12 @@ class GpsTable:
         unit_dist = _as_readonly(self.unit_dist, np.int64)
         if support.ndim != 1 or support.shape != probs.shape:
             raise ValidationError("support and probs must be matching vectors")
+        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
+            raise ValidationError("support and probs must be finite")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
+            raise ValidationError(
+                f"exposure range [{self.lo}, {self.hi}] must be finite with lo <= hi"
+            )
         if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != support.size:
             raise ValidationError("offsets must run from 0 to the number of atoms")
         sizes = np.diff(offsets)

@@ -616,15 +616,38 @@ def connected_components(graph: BipartiteGraph) -> tuple[int, np.ndarray, np.nda
 
     Returns (count, outcome_labels, diversion_labels); labels are dense ints
     shared across the two sides. Units without edges form singleton
-    components.
+    components. The graph is immutable, so the result is computed once and
+    kept on it; the label arrays are read-only.
     """
+    cached = getattr(graph, "_components", None)
+    if cached is not None:
+        return cached
     n, m = graph.n_outcome, graph.m_diversion
-    rows = np.repeat(np.arange(n), graph.degrees)
     # outcome i is node i, diversion j is node n + j; every stored edge links
-    # them, whatever its weight
+    # them, whatever its weight, and diversion rows hold no edges
+    indptr = np.concatenate([graph.indptr, np.full(m, graph.nnz)])
     adjacency = sparse.csr_matrix(
-        (np.ones(rows.size), (rows, n + graph.indices)), shape=(n + m, n + m)
+        (np.ones(graph.nnz), n + graph.indices, indptr), shape=(n + m, n + m)
     )
     count, labels = csgraph.connected_components(adjacency, directed=False)
     labels = labels.astype(np.int64)
-    return int(count), labels[:n], labels[n:]
+    labels.setflags(write=False)
+    cached = (int(count), labels[:n], labels[n:])
+    object.__setattr__(graph, "_components", cached)
+    return cached
+
+
+def group_by_label(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Indices grouped by label, in one stable sort.
+
+    Returns (order, bounds): group g is `order[bounds[g]:bounds[g + 1]]`,
+    the indices holding the g-th smallest label, ascending. Empty labels
+    give no groups.
+    """
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    if not labels.size:
+        return order, np.zeros(1, dtype=np.int64)
+    ranked = labels[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return order, np.concatenate([[0], cuts, [labels.size]])

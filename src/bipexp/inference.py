@@ -9,6 +9,14 @@ Three routes:
   two-component error model (unit-level noise plus noise propagated from
   the diversion side through the graph), which stays honest when the
   naive bootstrap's independence assumption fails.
+
+The error model's variance split projects the residuals onto the graph's
+columns one connected component at a time: W.T @ W is block diagonal over
+the components, so each block is decomposed on its own, and a component
+wider than `MAX_GRAM_COLUMNS` diversion units raises `DataError` before
+anything of its size is allocated. The block bootstrap and the variance
+split group units by component with the same stable sort
+(`graph.group_by_label`).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from scipy.special import ndtri
 
 from .errors import DataError, NumericalError
 from .estimators import Dataset
-from .graph import BipartiteGraph, connected_components
+from .graph import BipartiteGraph, connected_components, group_by_label
 from .numerics import ols
 from .seeding import as_generator
 
@@ -29,12 +37,17 @@ DEFAULT_LEVEL = 0.95
 MIN_BOOTSTRAP = 50
 MAX_FAILURE_SHARE = 0.01
 
-# Gram eigenvalues at or below GRAM_RANK_TOL * m * the largest count as zero
-# when splitting the residual variance. The Gram W.T @ W squares W's singular
-# values, so its rounding floor is about eps * lambda_max; lstsq's rcond
-# (eps * max(n, m) on the singular values themselves) would count that noise
-# as rank.
+# Eigenvalues of a component's Gram block at or below GRAM_RANK_TOL * m * the
+# block's largest count as zero when splitting the residual variance. The
+# Gram W.T @ W squares W's singular values, so its rounding floor is about
+# eps * lambda_max; lstsq's rcond (eps * max(n, m) on the singular values
+# themselves) would count that noise as rank.
 GRAM_RANK_TOL = float(np.finfo(np.float64).eps)
+
+# Widest graph component, in diversion units, whose Gram block the variance
+# split will decompose. The block and its eigenvectors take 16 * width**2
+# bytes: 1 GiB at 8192, which an 8 GB host holds.
+MAX_GRAM_COLUMNS = 8192
 
 # Noise values the parametric bootstrap draws per block. The blocks fill
 # the same stream as one (n, B) draw, so this changes memory, not results.
@@ -166,8 +179,8 @@ def block_bootstrap(
         out_labels = np.asarray(labels)
         if out_labels.shape != (data.n_units,):
             raise ValueError("labels must assign one block per outcome unit")
-    uniq = np.unique(out_labels)
-    blocks = [np.flatnonzero(out_labels == c) for c in uniq]
+    order, bounds = group_by_label(out_labels)
+    blocks = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     if len(blocks) < 5:
         raise DataError(
             f"block bootstrap needs at least 5 graph components, found {len(blocks)}"
@@ -236,11 +249,15 @@ def estimate_sigmas(
     """Method-of-moments split of residual variance.
 
     Regresses y on the design, then projects the residuals onto the span
-    of the graph's columns, through the m x m Gram matrix W.T @ W of the
-    sparse weights; W's rank is the number of Gram eigenvalues above
-    `GRAM_RANK_TOL` * m * the largest. The remaining scatter identifies
-    the unit-level variance and the explained mass, rescaled by the
-    graph's total squared weight, identifies the variance of the
+    of the graph's columns. W.T @ W is block diagonal over the graph's
+    connected components, so the projection eigendecomposes one Gram
+    block of the sparse weights per component (a connected graph is one
+    block in the original column order); W's rank counts, in each block,
+    the eigenvalues above `GRAM_RANK_TOL` * m * the block's largest. A
+    component wider than `MAX_GRAM_COLUMNS` diversion units raises
+    `DataError` before its block is allocated. The remaining scatter
+    identifies the unit-level variance and the explained mass, rescaled
+    by the graph's total squared weight, identifies the variance of the
     diversion-side noise. A negative diversion-side estimate is clipped
     to zero and flagged.
 
@@ -266,20 +283,42 @@ def _split_residual_variance(
     n = u.size
     if n != graph.n_outcome:
         raise ValueError("residuals must align with the graph's outcome units")
-    # Project u onto col(W) through the m x m Gram matrix, never the n x m W.
-    w = graph.to_csr()
-    lam, vecs = np.linalg.eigh((w.T @ w).toarray())
-    keep = lam > GRAM_RANK_TOL * lam.size * (lam[-1] if lam.size else 0.0)
-    w_rank = int(keep.sum())
-    v_k, lam_k = vecs[:, keep], lam[keep]
+    # No row touches two components, so the m x m Gram W.T @ W is block
+    # diagonal over them: order the columns by component and project u onto
+    # col(W) one block at a time, never through the n x m W.
+    _, _, col_labels = connected_components(graph)
+    order, bounds = group_by_label(col_labels)
+    widest = int(np.diff(bounds).max(initial=0))
+    if widest > MAX_GRAM_COLUMNS:
+        raise DataError(
+            f"a graph component has {widest} diversion units; splitting the residual "
+            f"variance would take {2 * 8 * widest**2} bytes for its Gram block and "
+            f"eigenvectors (cap {MAX_GRAM_COLUMNS} columns), so it needs a graph that "
+            "breaks into smaller components"
+        )
+    # a connected graph is one block in its own column order: no reordering
+    several = bounds.size > 2
+    w = graph.to_csr()[:, order] if several else graph.to_csr()
+    gram = w.T @ w
+    blocks = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lam, vecs = np.linalg.eigh((gram[a:b, a:b] if several else gram).toarray())
+        # each block's eigenvalues carry its own rounding floor, not the
+        # largest block's
+        keep = lam > GRAM_RANK_TOL * order.size * lam[-1]
+        if keep.any():
+            blocks.append((a, b, vecs[:, keep], lam[keep]))
+    w_rank = sum(lam_k.size for *_, lam_k in blocks)
     # The Gram squares W's condition number, so one solve leaves an error of
     # about eps * cond(W)^2 in the projection; a second pass on the residual
     # (corrected semi-normal equations) removes it, which matters when W has
     # nearly dependent columns.
-    coef = np.zeros(lam.size)
+    coef = np.zeros(order.size)
     eps_hat = u
     for _ in range(2):
-        coef = coef + v_k @ ((v_k.T @ (w.T @ eps_hat)) / lam_k)
+        rhs = w.T @ eps_hat
+        for a, b, v_k, lam_k in blocks:
+            coef[a:b] += v_k @ ((v_k.T @ rhs[a:b]) / lam_k)
         eps_hat = u - w @ coef
     rss = float(eps_hat @ eps_hat)
     if ddof_correction:

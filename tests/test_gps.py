@@ -67,7 +67,7 @@ def one_row_distribution(weights, p):
     return exact_gps_table(one_row_graph(weights), AssignmentDesign.bernoulli(p)).distribution(0)
 
 
-def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0):
+def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0, lo=0.0):
     """Table holding the given per-distribution arrays, one unit per distribution by default."""
     sizes = [len(s) for s in supports]
     return GpsTable(
@@ -77,7 +77,7 @@ def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0):
         unit_dist=np.arange(len(supports)) if unit_dist is None else unit_dist,
         mode=MONTE_CARLO,
         bucketing=bucketing or Bucketing.atoms(),
-        lo=0.0,
+        lo=lo,
         hi=hi,
     )
 
@@ -549,6 +549,62 @@ def test_distribution_validation():
     # support restarts lower at a distribution boundary: accepted
     table = flat_table([np.array([0.5, 1.0]), np.array([0.0, 0.25])], [half, half])
     assert table.at(1, 0.0) == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_rejects_non_finite_values(bad):
+    half = np.array([0.5, 0.5])
+    with pytest.raises(ValidationError, match="support and probs must be finite"):
+        flat_table([np.array([0.0, bad])], [half])
+    with pytest.raises(ValidationError, match="support and probs must be finite"):
+        flat_table([np.array([bad, 1.0])], [half])
+    with pytest.raises(ValidationError, match="support and probs must be finite"):
+        flat_table([np.array([0.0, 1.0])], [np.array([0.5, bad])])
+    with pytest.raises(ValidationError, match="exposure range"):
+        flat_table([np.array([0.0, 1.0])], [half], lo=bad)
+    with pytest.raises(ValidationError, match="exposure range"):
+        flat_table([np.array([0.0, 1.0])], [half], hi=bad)
+
+
+def test_distribution_rejects_a_reversed_range():
+    with pytest.raises(ValidationError, match="lo <= hi"):
+        flat_table([np.array([0.5])], [np.array([1.0])], lo=0.6, hi=0.4)
+    # a single reachable level, as for a graph without edges, is a range
+    table = flat_table([np.array([0.5])], [np.array([1.0])], lo=0.5, hi=0.5)
+    assert table.at(0, 0.5) == 1.0
+
+
+def test_nan_atom_no_longer_builds_a_nan_mean():
+    # this table used to build, and dist_mean() returned nan
+    with pytest.raises(ValidationError, match="finite"):
+        GpsTable(
+            offsets=[0, 2], support=[0.0, np.nan], probs=[0.5, 0.5], unit_dist=[0],
+            mode=EXACT, bucketing=Bucketing.atoms(), lo=0.0, hi=1.0,
+        )
+
+
+def test_every_table_builder_passes_validation_and_take_skips_it(small_graph, bernoulli_half):
+    checked = []
+    real = GpsTable.__post_init__
+
+    def spy(self):
+        real(self)
+        checked.append(self)
+
+    bins = Bucketing.equal_width(4, 0.0, 1.0)
+    with mock.patch.object(GpsTable, "__post_init__", spy):
+        tables = [
+            exact_gps_table(small_graph, bernoulli_half),
+            exact_gps_table(small_graph, AssignmentDesign.completely_randomized(2)),
+            mc_gps(small_graph, bernoulli_half, bins, 500, substream(41, 2)),
+            mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(42, 2)),
+        ]
+        assert [id(t) for t in checked] == [id(t) for t in tables]
+        subs = [table.take(np.array([2, 0, 2])) for table in tables]
+    # a subset shares the validated arrays and is not checked again
+    assert len(checked) == len(tables)
+    for sub, table in zip(subs, tables):
+        assert sub.support is table.support and sub.probs is table.probs
 
 
 def test_bins_top_edge_closed():

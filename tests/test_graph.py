@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bipexp import graph as graph_module
 from bipexp.errors import ParseError, ValidationError
 from bipexp.graph import (
     BipartiteGraph,
@@ -460,6 +461,21 @@ def test_connected_components_counts_isolates():
     assert o_labels[0] == d_labels[0]
     assert o_labels[2] == d_labels[2]
     assert len({o_labels[1], d_labels[1], o_labels[0], o_labels[2]}) == 4
+
+
+def test_connected_components_are_computed_once_per_graph(monkeypatch):
+    g = BipartiteGraph.from_rows([[(0, 1.0)], [], [(2, 1.0), (1, 0.5)]], m_diversion=3)
+    first = connected_components(g)
+    assert not first[1].flags.writeable and not first[2].flags.writeable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("components computed again")
+
+    monkeypatch.setattr(graph_module.csgraph, "connected_components", refuse)
+    assert connected_components(g) is first
+    # a row subset is another graph with its own components
+    with pytest.raises(AssertionError, match="again"):
+        connected_components(g.take([2, 0]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,7 +25,13 @@ from bipexp.errors import DataError, NumericalError, RankDeficiencyError
 from bipexp.estimators import Dataset
 from bipexp.gps import exact_gps_table
 from bipexp import inference
-from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
+from bipexp.graph import (
+    BipartiteGraph,
+    GraphSpec,
+    connected_components,
+    group_by_label,
+    synth_graph,
+)
 from bipexp.inference import (
     IntervalEstimate,
     _quantile_interval,
@@ -38,6 +44,7 @@ from bipexp.inference import (
 )
 from bipexp.numerics import ols
 from bipexp.seeding import substream
+from bipexp.simlab import DgpSpec, run_study
 
 
 def singles_dataset(n: int, seed: int) -> Dataset:
@@ -188,6 +195,55 @@ def test_block_bootstrap_label_validation():
     lopsided = np.where(np.arange(data.n_units) < 8, 0, np.arange(data.n_units))
     with pytest.raises(DataError, match="half"):
         block_bootstrap(data, mean_outcome, labels=lopsided)
+
+
+def old_label_blocks(labels):
+    """Blocks as block_bootstrap built them before the shared grouping: one
+    flatnonzero scan per distinct label."""
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(labels=st.lists(st.integers(-3, 12), max_size=60))
+def test_label_groups_are_the_old_blocks(labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    order, bounds = group_by_label(labels)
+    got = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    want = old_label_blocks(labels)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_block_bootstrap_replicates_match_the_old_blocks(custom):
+    # same blocks in the same order draw the same replicates from the same stream
+    graph = synth_graph(
+        GraphSpec(kind="blocks", n_outcome=400, m_diversion=40, deg_min=1, deg_max=4,
+                  n_blocks=8, cross_share=0.0),
+        substream(7, 10),
+    )
+    design = AssignmentDesign.bernoulli(0.5)
+    rng = substream(8, 4)
+    e = linear_exposure(graph, draw_assignments(design, graph.m_diversion, 1, rng)[:, 0] * 1.0)
+    data = Dataset(y=e + rng.normal(size=graph.n_outcome), exposure=e, graph=graph,
+                   gps=exact_gps_table(graph, design))
+    labels = (np.arange(graph.n_outcome) * 7) % 11 if custom else None
+    iv = block_bootstrap(data, mean_outcome, labels=labels, rng=substream(9, 4))
+
+    blocks = old_label_blocks(connected_components(graph)[1] if labels is None else labels)
+    n = data.n_units
+
+    def sampler(r):
+        chosen, total = [], 0
+        while total < n:
+            b = blocks[int(r.integers(0, len(blocks)))]
+            chosen.append(b)
+            total += len(b)
+        return np.concatenate(chosen)[:n]
+
+    reps = inference._run_replicates(data, mean_outcome, sampler, 200, substream(9, 4), "block")
+    assert iv == _quantile_interval(iv.estimate, reps, 0.95, "block-bootstrap", "percentile")
 
 
 # -- asymptotic interval -------------------------------------------------------
@@ -351,10 +407,10 @@ SPLIT_WEIGHTS = (0.0, 0.0, 0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def split_cases(draw):
-    """Sparse weight matrix with duplicated, near-duplicated and empty columns, n at or just above m."""
-    m = draw(st.integers(1, 10))
-    n = m + draw(st.sampled_from([0, 1, 2, 3, 8, 20]))
+def weight_matrices(draw, max_m=10, extra_rows=(0, 1, 2, 3, 8, 20)):
+    """Dense weights with duplicated, near-duplicated and empty columns, n at or just above m."""
+    m = draw(st.integers(1, max_m))
+    n = m + draw(st.sampled_from(extra_rows))
     a = np.array(draw(st.lists(st.sampled_from(SPLIT_WEIGHTS), min_size=n * m, max_size=n * m)))
     a = a.reshape(n, m)
     for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
@@ -368,21 +424,63 @@ def split_cases(draw):
     if draw(st.booleans()):
         sums = a.sum(axis=1, keepdims=True)
         a = np.divide(a, sums, out=np.zeros_like(a), where=sums > 0)
-    graph = BipartiteGraph.from_rows(
+    return a
+
+
+def graph_of(a) -> BipartiteGraph:
+    n, m = a.shape
+    return BipartiteGraph.from_rows(
         [[(j, a[i, j]) for j in np.flatnonzero(a[i])] for i in range(n)], m_diversion=m
     )
+
+
+@st.composite
+def split_cases(draw):
+    """Sparse weight matrix with duplicated, near-duplicated and empty columns, n at or just above m."""
+    graph = graph_of(draw(weight_matrices()))
     return graph, draw(st.integers(0, 2**31)), draw(st.integers(1, 2)), draw(st.booleans())
 
 
-@settings(deadline=None, max_examples=200)
-@given(case=split_cases())
+@st.composite
+def block_split_cases(draw):
+    """Two to five disjoint weight blocks, scaled up to 1e4 apart, with isolated
+    diversion columns and edgeless rows, rows and columns shuffled.
+
+    W.T @ W is block diagonal over the components, and the scales put a
+    block's eigenvalues far below the largest block's, so the rank rule must
+    read each block against its own rounding floor.
+    """
+    blocks = [
+        draw(weight_matrices(max_m=6, extra_rows=(0, 1, 2, 5))) * 10.0 ** draw(st.integers(-2, 2))
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    n = sum(b.shape[0] for b in blocks) + draw(st.integers(0, 3))  # edgeless rows
+    m = sum(b.shape[1] for b in blocks) + draw(st.integers(0, 3))  # isolated columns
+    a = np.zeros((n, m))
+    i = j = 0
+    for b in blocks:
+        a[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    a = a[rng.permutation(n)][:, rng.permutation(m)]
+    return graph_of(a), draw(st.integers(0, 2**31)), draw(st.integers(1, 2)), draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=st.one_of(split_cases(), block_split_cases()))
 @example(case=(BipartiteGraph.from_rows([[], [], []], m_diversion=2), 0, 1, True))
 @example(case=(BipartiteGraph.from_rows([[(0, 1.0)], [(0, 1.0)], [(1, 1.0)]], m_diversion=2), 1, 1, True))
 @example(case=(BipartiteGraph.from_rows(  # cond(W) ~ 8e5: one Gram solve is off by rel 3e-10
     [[], [], [], [(6, 0.25), (8, 1 / 3)], [(6, 0.25), (8, 0.25)], [], [],
      [(0, 1e-4), (6, 2.0)], [], [(1, 1 / 3)], [], [], []], m_diversion=10), 0, 1, False))
+@example(case=(BipartiteGraph(  # a block 600x below the other: rank 3 only on its own floor
+    n_outcome=12, m_diversion=11, indptr=[0, 0, 0, 0, 0, 3, 4, 4, 4, 4, 4, 4, 7],
+    indices=[0, 5, 10, 8, 0, 5, 10],
+    weights=[0.00333333, 0.00333333, 0.00333333, 2.0, 0.00333328, 0.00333328, 0.00333344]),
+    0, 1, False))
 def test_estimate_sigmas_matches_dense_reference(case):
-    """The Gram split agrees with the dense lstsq split.
+    """The Gram split agrees with the dense lstsq split, on connected and on
+    block-diagonal weights.
 
     sigma2_eps and sigma2_gamma_raw agree within rel 1e-10 of the larger of
     the value and the u.u term it is a difference of (an RSS that is all
@@ -412,6 +510,125 @@ def test_estimate_sigmas_matches_dense_reference(case):
     assert abs(got.sigma2_gamma_raw - want_raw) <= tol
     if abs(want_raw) > tol:
         assert got.clipped == (want_raw < 0)
+
+
+def one_gram_split(u, graph, design_rank, ddof_correction):
+    """The split through one eigendecomposition of the whole m x m Gram, as it
+    stood before the per-component blocks."""
+    n = u.size
+    w = graph.to_csr()
+    lam, vecs = np.linalg.eigh((w.T @ w).toarray())
+    keep = lam > inference.GRAM_RANK_TOL * lam.size * (lam[-1] if lam.size else 0.0)
+    w_rank = int(keep.sum())
+    v_k, lam_k = vecs[:, keep], lam[keep]
+    coef = np.zeros(lam.size)
+    eps_hat = u
+    for _ in range(2):
+        coef = coef + v_k @ ((v_k.T @ (w.T @ eps_hat)) / lam_k)
+        eps_hat = u - w @ coef
+    rss = float(eps_hat @ eps_hat)
+    if ddof_correction:
+        sigma2_eps = rss / (n - w_rank - design_rank)
+        numer = float(u @ u) - rss - sigma2_eps * float(w_rank)
+    else:
+        sigma2_eps = rss / n
+        numer = float(u @ u) - n * sigma2_eps
+    raw = numer / graph.sum_squared_weights()
+    return sigma2_eps, raw, raw < 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(kind="uniform-degree", n_outcome=300, m_diversion=40, deg_min=1, deg_max=6),
+        dict(kind="uniform-degree", n_outcome=1000, m_diversion=100, deg_min=1, deg_max=10),
+        dict(kind="blocks", n_outcome=2000, m_diversion=200, deg_min=1, deg_max=10,
+             n_blocks=4, cross_share=0.1),
+    ],
+)
+def test_connected_graph_split_is_the_one_gram_split_bit_for_bit(spec):
+    # one component is one block in the original column order: the same
+    # eigh input and the same arithmetic as the whole-Gram split
+    for seed in (1, 2):
+        graph = synth_graph(GraphSpec(**spec), substream(seed, 10))
+        assert np.unique(connected_components(graph)[2]).size == 1
+        rng = np.random.default_rng(seed)
+        n = graph.n_outcome
+        phi = np.column_stack([np.ones(n), rng.random(n)])
+        y = phi @ [1.0, 2.0] + graph.to_csr() @ rng.normal(size=graph.m_diversion)
+        y = y + rng.normal(size=n)
+        fit = ols(phi, y)
+        for ddof in (True, False):
+            got = estimate_sigmas(y, phi, graph, ddof_correction=ddof)
+            want = one_gram_split(fit.residuals, graph, fit.rank, ddof)
+            assert (got.sigma2_eps, got.sigma2_gamma_raw, got.clipped) == want
+
+
+def test_split_decomposes_no_gram_block_wider_than_a_component(monkeypatch):
+    graph = synth_graph(
+        GraphSpec(kind="blocks", n_outcome=600, m_diversion=60, deg_min=1, deg_max=5,
+                  n_blocks=6, cross_share=0.0),
+        substream(3, 10),
+    )
+    _, _, col_labels = connected_components(graph)
+    widest = np.bincount(col_labels).max()
+    assert np.unique(col_labels).size >= 6 and widest < graph.m_diversion
+    shapes = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = np.random.default_rng(4)
+    n = graph.n_outcome
+    phi = np.column_stack([np.ones(n), rng.random(n)])
+    y = phi @ [1.0, 2.0] + graph.to_csr() @ rng.normal(size=graph.m_diversion) + rng.normal(size=n)
+    est = estimate_sigmas(y, phi, graph)
+    assert len(shapes) == np.unique(col_labels).size
+    assert max(shapes) == (widest, widest)
+    fit = ols(phi, y)
+    (want_eps, _), (want_raw, _) = dense_split_reference(fit.residuals, graph, fit.rank, True)
+    assert est.sigma2_eps == pytest.approx(want_eps, rel=1e-10)
+    assert est.sigma2_gamma_raw == pytest.approx(want_raw, rel=1e-10)
+
+
+def test_split_refuses_an_oversized_component_before_allocating():
+    # a chain of MAX_GRAM_COLUMNS + 1 diversion units is one component; its
+    # Gram block alone would take 8 * (MAX_GRAM_COLUMNS + 1)**2 bytes
+    m = inference.MAX_GRAM_COLUMNS + 1
+    n = m - 1
+    graph = BipartiteGraph(
+        n_outcome=n,
+        m_diversion=m,
+        indptr=np.arange(0, 2 * n + 1, 2),
+        indices=np.column_stack([np.arange(n), np.arange(1, m)]).ravel(),
+        weights=np.full(2 * n, 0.5),
+    )
+    u = np.random.default_rng(5).normal(size=n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as err:
+            inference._split_residual_variance(u, graph, 1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{m} diversion units" in str(err.value)
+    assert f"{16 * m * m} bytes" in str(err.value)
+    assert "smaller components" in str(err.value)
+    assert peak < 8 * m * m / 100
+
+
+def test_oversized_component_is_a_counted_interval_failure(monkeypatch):
+    # inside a study the guard's DataError is one failed interval, not a crash
+    monkeypatch.setattr(inference, "MAX_GRAM_COLUMNS", 5)
+    spec = GraphSpec(kind="uniform-degree", n_outcome=200, m_diversion=20, deg_min=1, deg_max=5)
+    dgp = DgpSpec(graph=spec, design=AssignmentDesign.bernoulli(0.5), effect="homogeneous",
+                  sigma2_eps=0.5, sigma2_gamma=0.5)
+    res = run_study(dgp, ["naive-ols"], {"naive-ols": ("parametric-bootstrap",)},
+                    n_sims=3, b_replicates=50, master_seed=6)
+    assert res.interval_failures[("naive-ols", "parametric-bootstrap")] == 3
 
 
 def test_variance_split_and_parametric_bootstrap_never_densify(monkeypatch):
