@@ -44,7 +44,6 @@ from .estimators import (
     ht_weighted_regression,
     naive_mean,
     naive_ols,
-    smooth_curve_linear,
     stratified_estimate,
 )
 from .gps import (
@@ -161,7 +160,6 @@ __all__ = [
     "parametric_bootstrap",
     "run_study",
     "simple_example",
-    "smooth_curve_linear",
     "stratified_estimate",
     "substream",
     "synth_graph",

@@ -55,8 +55,10 @@ from .simlab import (
     ESTIMATOR_REGISTRY,
     INTERVAL_METHODS,
     DgpSpec,
+    check_intervals,
     default_gps_table,
     edges_cut_sweep,
+    resolve_estimators,
     run_study,
     simple_example,
 )
@@ -219,11 +221,7 @@ def _parse_estimators(cfg: dict) -> list[str]:
     names = cfg.get("estimators", ["naive-ols"])
     if not isinstance(names, list) or not names:
         raise ConfigError("estimators must be a nonempty list")
-    for n in names:
-        if n not in ESTIMATOR_REGISTRY:
-            raise ConfigError(
-                f"unknown estimator {n!r} (known: {', '.join(sorted(ESTIMATOR_REGISTRY))})"
-            )
+    resolve_estimators(names)
     return names
 
 
@@ -231,17 +229,10 @@ def _parse_intervals(cfg: dict, names: list[str]) -> dict[str, tuple]:
     sec = _section(cfg, "intervals", required=False)
     out: dict[str, tuple] = {}
     for key, methods in sec.items():
-        if key not in names:
-            raise ConfigError(f"intervals name unknown estimator {key!r}")
         if not isinstance(methods, list):
             raise ConfigError("intervals values must be lists of method names")
-        for m in methods:
-            if m not in INTERVAL_METHODS:
-                raise ConfigError(
-                    f"unknown interval method {m!r} "
-                    f"(known: {', '.join(sorted(INTERVAL_METHODS))})"
-                )
         out[key] = tuple(methods)
+    check_intervals(resolve_estimators(names), out)
     return out
 
 

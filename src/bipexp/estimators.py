@@ -492,19 +492,6 @@ def ate(curve: DoseResponseCurve, *, tol: float = ATOM_TOL) -> float:
     return curve.level(1.0, tol=tol) - curve.level(0.0, tol=tol)
 
 
-def smooth_curve_linear(curve: DoseResponseCurve) -> DoseResponseCurve:
-    """Optional post-hoc smoothing: replace the curve by its linear fit."""
-    if curve.grid.size < 2:
-        raise ValueError("need at least two grid levels to smooth")
-    x = np.column_stack([np.ones(curve.grid.size), curve.grid])
-    fit = ols(x, curve.mu_hat)
-    return DoseResponseCurve(
-        grid=curve.grid,
-        mu_hat=fit.predict(x),
-        estimator=f"{curve.estimator}+linear" if curve.estimator else "linear",
-    )
-
-
 # -- stratification -----------------------------------------------------------
 
 

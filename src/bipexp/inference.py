@@ -10,12 +10,10 @@ Three routes:
   the diversion side through the graph), which stays honest when the
   naive bootstrap's independence assumption fails.
 
-The error model's variance split projects the residuals onto the graph's
-columns one connected component at a time: W.T @ W is block diagonal over
-the components, so each block is decomposed on its own, and a component
-wider than `MAX_GRAM_COLUMNS` diversion units raises `DataError` before
-anything of its size is allocated. The block bootstrap and the variance
-split group units by component with the same stable sort
+The error model's variance split is a method-of-moments estimate with
+exact trace coefficients: it needs sparse products and k x m arrays only,
+so it splits the variance on a connected graph of any width. The block
+bootstrap groups units by graph component with one stable sort
 (`graph.group_by_label`).
 """
 
@@ -30,24 +28,17 @@ from scipy.special import ndtri
 from .errors import DataError, NumericalError
 from .estimators import Dataset
 from .graph import BipartiteGraph, connected_components, group_by_label
-from .numerics import ols
+from .numerics import LinearFit, ols
 from .seeding import as_generator
 
 DEFAULT_LEVEL = 0.95
 MIN_BOOTSTRAP = 50
 MAX_FAILURE_SHARE = 0.01
 
-# Eigenvalues of a component's Gram block at or below GRAM_RANK_TOL * m * the
-# block's largest count as zero when splitting the residual variance. The
-# Gram W.T @ W squares W's singular values, so its rounding floor is about
-# eps * lambda_max; lstsq's rcond (eps * max(n, m) on the singular values
-# themselves) would count that noise as rank.
-GRAM_RANK_TOL = float(np.finfo(np.float64).eps)
-
-# Widest graph component, in diversion units, whose Gram block the variance
-# split will decompose. The block and its eigenvectors take 16 * width**2
-# bytes: 1 GiB at 8192, which an 8 GB host holds.
-MAX_GRAM_COLUMNS = 8192
+# The variance split's 2 x 2 moment system counts as singular when its
+# determinant is at most SPLIT_TOL times the size of the products it is a
+# difference of; each product carries a rounding error of a few ulps of it.
+SPLIT_TOL = 1e-10
 
 # Noise values the parametric bootstrap draws per block. The blocks fill
 # the same stream as one (n, B) draw, so this changes memory, not results.
@@ -231,7 +222,12 @@ def ols_asymptotic_interval(
 
 @dataclass(frozen=True)
 class ErrorVarianceEstimates:
-    """Split of residual variance into unit-level and graph-propagated parts."""
+    """Split of residual variance into unit-level and graph-propagated parts.
+
+    A negative estimate of either variance is clipped to zero; `clipped`
+    says that either one was. `sigma2_gamma_raw` keeps the diversion-side
+    estimate before clipping.
+    """
 
     sigma2_eps: float
     sigma2_gamma: float
@@ -243,106 +239,86 @@ def estimate_sigmas(
     y: np.ndarray,
     phi: np.ndarray,
     graph: BipartiteGraph,
-    *,
-    ddof_correction: bool = True,
 ) -> ErrorVarianceEstimates:
     """Method-of-moments split of residual variance.
 
-    Regresses y on the design, then projects the residuals onto the span
-    of the graph's columns. W.T @ W is block diagonal over the graph's
-    connected components, so the projection eigendecomposes one Gram
-    block of the sparse weights per component (a connected graph is one
-    block in the original column order); W's rank counts, in each block,
-    the eigenvalues above `GRAM_RANK_TOL` * m * the block's largest. A
-    component wider than `MAX_GRAM_COLUMNS` diversion units raises
-    `DataError` before its block is allocated. The remaining scatter
-    identifies the unit-level variance and the explained mass, rescaled
-    by the graph's total squared weight, identifies the variance of the
-    diversion-side noise. A negative diversion-side estimate is clipped
-    to zero and flagged.
+    Regresses y on the design phi (n x k) and splits the residuals
+    u = M (W gamma + eps), M the projection off the design's columns,
+    with two quadratic forms whose expectations are linear in the two
+    variances, with exact trace coefficients:
 
-    With `ddof_correction` (default), both divisors account for degrees of
-    freedom absorbed by the graph regression and by the design fit; the
-    plain /n moment versions are available with `ddof_correction=False`.
+        E[u.u]        = sigma2_eps (n - k) + sigma2_gamma t
+        E[|W.T u|^2]  = sigma2_eps t       + sigma2_gamma |W.T M W|_F^2
+
+    where t = |W|_F^2 - |C|_F^2, C = Q.T W for an orthonormal basis Q of
+    the design, and |W.T M W|_F^2 = |W.T W|_F^2 - 2 |W C.T|_F^2 + |C C.T|_F^2.
+    Solving that 2 x 2 system is unbiased for both variances. It uses the
+    sparse W.T W and k x m arrays, never a dense n x m W.
+
+    A negative estimate is clipped to zero and flagged. A graph with no
+    edges, a design with no residual degrees of freedom (n <= k), or a
+    system that cannot tell the two noises apart (for example W = I with
+    n = m) raises `DataError`.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     if phi.ndim != 2 or phi.shape[0] != y.size:
         raise ValueError("design must be a matrix aligned with y")
-    fit = ols(phi, y)
-    return _split_residual_variance(fit.residuals, graph, fit.rank, ddof_correction)
+    return _split_residual_variance(ols(phi, y), graph)
 
 
-def _split_residual_variance(
-    residuals: np.ndarray,
-    graph: BipartiteGraph,
-    design_rank: int,
-    ddof_correction: bool,
-) -> ErrorVarianceEstimates:
-    u = np.ascontiguousarray(residuals, dtype=np.float64)
-    n = u.size
+def _moment_system(fit: LinearFit, graph: BipartiteGraph):
+    """The split's trace coefficients, its two moments, and the size of the
+    products its determinant is a difference of.
+
+    Returns (a, b, scale): a[0] = (n - k, t) and a[1] = (t, |W.T M W|_F^2)
+    are the coefficients of (sigma2_eps, sigma2_gamma) in the expected
+    moments b = (u.u, |W.T u|^2).
+    """
+    u = fit.residuals
+    n, k = fit.q.shape
+    w = graph.to_csr()
+    wt_q = w.T @ fit.q  # C.T, (m, k)
+    ww = graph.sum_squared_weights()
+    t = ww - float(np.sum(wt_q * wt_q))
+    gram = (w.T @ w).data
+    gg = float(gram @ gram)
+    w_ct = w @ wt_q  # (n, k)
+    c_ct = wt_q.T @ wt_q  # (k, k)
+    wmw = gg - 2.0 * float(np.sum(w_ct * w_ct)) + float(np.sum(c_ct * c_ct))
+    wt_u = w.T @ u
+    a = np.array([[float(n - k), t], [t, wmw]])
+    b = np.array([float(u @ u), float(wt_u @ wt_u)])
+    return a, b, (n - k) * gg + ww * ww
+
+
+def _split_residual_variance(fit: LinearFit, graph: BipartiteGraph) -> ErrorVarianceEstimates:
+    n, k = fit.q.shape
     if n != graph.n_outcome:
         raise ValueError("residuals must align with the graph's outcome units")
-    # No row touches two components, so the m x m Gram W.T @ W is block
-    # diagonal over them: order the columns by component and project u onto
-    # col(W) one block at a time, never through the n x m W.
-    _, _, col_labels = connected_components(graph)
-    order, bounds = group_by_label(col_labels)
-    widest = int(np.diff(bounds).max(initial=0))
-    if widest > MAX_GRAM_COLUMNS:
-        raise DataError(
-            f"a graph component has {widest} diversion units; splitting the residual "
-            f"variance would take {2 * 8 * widest**2} bytes for its Gram block and "
-            f"eigenvectors (cap {MAX_GRAM_COLUMNS} columns), so it needs a graph that "
-            "breaks into smaller components"
-        )
-    # a connected graph is one block in its own column order: no reordering
-    several = bounds.size > 2
-    w = graph.to_csr()[:, order] if several else graph.to_csr()
-    gram = w.T @ w
-    blocks = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lam, vecs = np.linalg.eigh((gram[a:b, a:b] if several else gram).toarray())
-        # each block's eigenvalues carry its own rounding floor, not the
-        # largest block's
-        keep = lam > GRAM_RANK_TOL * order.size * lam[-1]
-        if keep.any():
-            blocks.append((a, b, vecs[:, keep], lam[keep]))
-    w_rank = sum(lam_k.size for *_, lam_k in blocks)
-    # The Gram squares W's condition number, so one solve leaves an error of
-    # about eps * cond(W)^2 in the projection; a second pass on the residual
-    # (corrected semi-normal equations) removes it, which matters when W has
-    # nearly dependent columns.
-    coef = np.zeros(order.size)
-    eps_hat = u
-    for _ in range(2):
-        rhs = w.T @ eps_hat
-        for a, b, v_k, lam_k in blocks:
-            coef[a:b] += v_k @ ((v_k.T @ rhs[a:b]) / lam_k)
-        eps_hat = u - w @ coef
-    rss = float(eps_hat @ eps_hat)
-    if ddof_correction:
-        dof = n - int(w_rank) - int(design_rank)
-        if dof <= 0:
-            raise DataError("no residual degrees of freedom left for variance estimation")
-        sigma2_eps = rss / dof
-        # The graph regression's own fit to pure noise inflates the explained
-        # mass by sigma2_eps * rank(W); subtract it before rescaling.
-        explained = float(u @ u) - rss
-        numer = explained - sigma2_eps * float(w_rank)
-    else:
-        sigma2_eps = rss / n
-        numer = float(u @ u) - n * sigma2_eps
-    denom = graph.sum_squared_weights()
-    if denom <= 0:
+    if graph.sum_squared_weights() <= 0:
         raise DataError("graph has no edges; diversion-side variance is unidentified")
-    raw = numer / denom
-    clipped = raw < 0
+    if n <= k:
+        raise DataError(
+            f"the design fit leaves no residual degrees of freedom ({n} units, {k} "
+            "columns), so the residual variance cannot be split"
+        )
+    a, b, scale = _moment_system(fit, graph)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if det <= SPLIT_TOL * scale:
+        raise DataError(
+            "the residual moments cannot tell unit-level from diversion-side noise: "
+            f"the moment system's determinant {det:.3g} is zero up to rounding "
+            f"against {scale:.3g} (W W.T acts on the residuals as a multiple of the "
+            "identity, as when W = I)"
+        )
+    eps = (a[1, 1] * b[0] - a[0, 1] * b[1]) / det
+    gamma = (a[0, 0] * b[1] - a[1, 0] * b[0]) / det
     return ErrorVarianceEstimates(
-        sigma2_eps=float(sigma2_eps),
-        sigma2_gamma=float(max(raw, 0.0)),
-        clipped=bool(clipped),
-        sigma2_gamma_raw=float(raw),
+        sigma2_eps=float(max(eps, 0.0)),
+        sigma2_gamma=float(max(gamma, 0.0)),
+        clipped=bool(eps < 0 or gamma < 0),
+        sigma2_gamma_raw=float(gamma),
     )
 
 
@@ -383,19 +359,19 @@ def parametric_bootstrap(
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     interval: str = "percentile",
-    ddof_correction: bool = True,
     rng=None,
 ) -> ParametricBootstrapResult:
     """Model-based bootstrap for a linear fit under graph-propagated noise.
 
-    Fits target ~ phi, splits the residual variance with `estimate_sigmas`,
-    then repeatedly rebuilds synthetic targets
-    phi @ coef + W @ gamma_b + eps_b and refits them all through the
-    fit's QR factorisation. The targets fill one (n, B) array, with the
-    noise drawn in blocks of `NOISE_BLOCK` values. The interval is formed
-    from quantiles of the replicate contrasts (default contrast: last
-    column minus first, the endpoint difference). A rank-deficient design
-    raises `RankDeficiencyError`, as in `ols`.
+    Fits target ~ phi, splits the residual variance as `estimate_sigmas`
+    does (a negative variance is clipped to zero), then repeatedly rebuilds
+    synthetic targets phi @ coef + W @ gamma_b + eps_b and refits them all
+    through the fit's QR factorisation. The targets fill one (n, B) array,
+    with the noise drawn in blocks of `NOISE_BLOCK` values. The interval is
+    formed from quantiles of the replicate contrasts (default contrast:
+    last column minus first, the endpoint difference). A rank-deficient
+    design raises `RankDeficiencyError`, as in `ols`; a variance split the
+    graph cannot identify raises `DataError`.
     """
     rng = as_generator(rng)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
@@ -413,7 +389,7 @@ def parametric_bootstrap(
 
     fit = ols(phi, target)
     graph = data.row_graph()
-    sigmas = _split_residual_variance(fit.residuals, graph, fit.rank, ddof_correction)
+    sigmas = _split_residual_variance(fit, graph)
     estimate = float(contrast @ fit.coef)
 
     gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(graph.m_diversion, n_replicates))

@@ -53,13 +53,9 @@ class LinearFit:
     coef_cov: np.ndarray
     sigma2: float
     labels: tuple[str, ...]
-    rank: int
     q: np.ndarray
     r: np.ndarray
     piv: np.ndarray
-
-    def predict(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.coef
 
     def solve(self, rhs) -> np.ndarray:
         """Coefficients of new responses on the design: (n,) gives (k,), (n, B) gives (k, B)."""
@@ -127,7 +123,6 @@ def ols(x, y, *, labels=None) -> LinearFit:
         coef_cov=(cov + cov.T) / 2.0,
         sigma2=sigma2,
         labels=labels,
-        rank=rank,
         q=q,
         r=r,
         piv=piv,

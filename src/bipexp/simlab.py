@@ -263,16 +263,8 @@ def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEsti
     )
 
 
-def _linear_design(data, est, method: str):
-    if est.design is None:
-        raise ConfigError(
-            f"estimator {est.name!r} has no linear design; the {method} does not apply"
-        )
-    return est.design(data)
-
-
 def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    phi, target, contrast = _linear_design(data, est, "parametric bootstrap")
+    phi, target, contrast = est.design(data)
     out = parametric_bootstrap(
         data, phi, target, contrast=contrast, n_replicates=b, level=level, rng=rng
     )
@@ -280,7 +272,7 @@ def _interval_parametric(data, est, b, level, rng, block_labels=None) -> Interva
 
 
 def _interval_ols_asymptotic(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    phi, target, contrast = _linear_design(data, est, "asymptotic interval")
+    phi, target, contrast = est.design(data)
     return ols_asymptotic_interval(ols(phi, target), contrast, level=level)
 
 
@@ -290,6 +282,30 @@ INTERVAL_METHODS = {
     "parametric-bootstrap": _interval_parametric,
     "ols-asymptotic": _interval_ols_asymptotic,
 }
+
+# interval methods that fit the estimator's linear design
+LINEAR_DESIGN_METHODS = ("parametric-bootstrap", "ols-asymptotic")
+
+
+def check_intervals(estimators: list[StudyEstimator], intervals: dict[str, tuple]) -> None:
+    """Reject an interval map before any computation.
+
+    Every key must name one of `estimators`, every method must be in
+    `INTERVAL_METHODS`, and the methods in `LINEAR_DESIGN_METHODS` need an
+    estimator with a linear design.
+    """
+    by_name = {e.name: e for e in estimators}
+    for name, methods in intervals.items():
+        if name not in by_name:
+            raise ConfigError(f"interval map names unknown estimator {name!r}")
+        for m in methods:
+            if m not in INTERVAL_METHODS:
+                known = ", ".join(sorted(INTERVAL_METHODS))
+                raise ConfigError(f"unknown interval method {m!r} (known: {known})")
+            if m in LINEAR_DESIGN_METHODS and by_name[name].design is None:
+                raise ConfigError(
+                    f"estimator {name!r} has no linear design; the {m} interval does not apply"
+                )
 
 
 # -- study runner ----------------------------------------------------------------
@@ -472,14 +488,7 @@ def run_study(
         raise ConfigError("n_sims must be positive")
     ests = resolve_estimators(estimators)
     intervals = dict(intervals or {})
-    known_names = {e.name for e in ests}
-    for name, methods in intervals.items():
-        if name not in known_names:
-            raise ConfigError(f"interval map names unknown estimator {name!r}")
-        for m in methods:
-            if m not in INTERVAL_METHODS:
-                known = ", ".join(sorted(INTERVAL_METHODS))
-                raise ConfigError(f"unknown interval method {m!r} (known: {known})")
+    check_intervals(ests, intervals)
 
     if isinstance(dgp.graph, GraphSpec) and not dgp.redraw_graph:
         graph0 = synth_graph(dgp.graph, substream(master_seed, _GRAPH_STREAM))

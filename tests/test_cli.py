@@ -409,6 +409,31 @@ def test_bad_level_or_replicates_exit_2_before_computing(tmp_path, capsys, comma
     assert not (out / out_name).exists()
 
 
+@pytest.mark.parametrize("method", ["parametric-bootstrap", "ols-asymptotic"])
+def test_interval_without_linear_design_exits_2_before_computing(tmp_path, capsys, monkeypatch, method):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the intervals were checked")
+
+    monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
+    cfg_path = tmp_path / "sim.yaml"
+    write_yaml(cfg_path, {
+        "graph": {"kind": "uniform-degree", "n_outcome": 40, "m_diversion": 12,
+                  "deg_min": 1, "deg_max": 3},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "study": {"n_sims": 2, "b_replicates": 50},
+        "estimators": ["gps-krr"],
+        "intervals": {"gps-krr": [method]},
+    })
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "replicates" not in err  # the progress callback never ran
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert f"estimator 'gps-krr' has no linear design; the {method} interval" in record["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_replicate_floor_applies_only_to_bootstrap_intervals(tmp_path):
     cfg_path = fixture_config(
         tmp_path,

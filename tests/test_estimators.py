@@ -37,7 +37,6 @@ from bipexp.estimators import (
     ht_weighted_regression,
     naive_mean,
     naive_ols,
-    smooth_curve_linear,
     stratified_estimate,
 )
 from bipexp.gps import Bucketing, GpsTable, exact_gps_table
@@ -379,13 +378,6 @@ def test_ate_requires_endpoints(two_type_data):
     curve = dose_response(worked_example_cells(), two_type_data.gps, np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="not on the grid"):
         ate(curve)
-
-
-def test_smooth_curve_linear_is_idempotent_on_lines(two_type_data):
-    curve = dose_response(worked_example_cells(), two_type_data.gps, np.array([0.0, 0.5, 1.0]))
-    smooth = smooth_curve_linear(curve)
-    np.testing.assert_allclose(smooth.mu_hat, curve.mu_hat, atol=1e-12)
-    assert smooth.estimator == "cell-means+linear"
 
 
 # -- stratification -----------------------------------------------------------

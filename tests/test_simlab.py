@@ -222,11 +222,14 @@ def test_run_study_validation():
         run_study(small_dgp(), ["naive-ols"], {"ht": ("naive-bootstrap",)}, n_sims=2)
     with pytest.raises(ConfigError, match="unknown interval method"):
         run_study(small_dgp(), ["naive-ols"], {"naive-ols": ("jackknife",)}, n_sims=2)
-    with pytest.raises(ConfigError, match="no linear design"):
-        run_study(
-            small_dgp(), ["gps-cell"], {"gps-cell": ("parametric-bootstrap",)},
-            n_sims=1, b_replicates=50,
-        )
+    for name, method in (("gps-cell", "parametric-bootstrap"), ("gps-krr", "ols-asymptotic")):
+        calls = []
+        with pytest.raises(ConfigError, match="no linear design"):
+            run_study(
+                small_dgp(), [name], {name: (method,)},
+                n_sims=1, b_replicates=50, progress=lambda *a: calls.append(a),
+            )
+        assert calls == []  # raised before the first replicate
 
 
 def test_run_study_counts_point_failures():
