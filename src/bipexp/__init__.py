@@ -47,7 +47,6 @@ from .estimators import (
     stratified_estimate,
 )
 from .gps import (
-    Bucketing,
     GpsTable,
     exact_gps_table,
     mc_gps,
@@ -100,7 +99,6 @@ __all__ = [
     "AssignmentDesign",
     "BipartiteGraph",
     "BipexpError",
-    "Bucketing",
     "CellMeanSurface",
     "ConfigError",
     "DataError",

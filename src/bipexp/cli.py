@@ -38,7 +38,7 @@ from .estimators import (
     beta_poly_fit,
     dose_response,
 )
-from .gps import Bucketing, exact_gps_table, mc_gps
+from .gps import exact_gps_table, mc_gps
 from .graph import (
     GraphSpec,
     IdMap,
@@ -199,22 +199,30 @@ def build_design(cfg: dict, id_map: IdMap | None) -> AssignmentDesign:
     raise ConfigError(f"unknown design kind {kind!r}")
 
 
-def build_gps(cfg: dict, graph, design, seed: int):
+def _parse_gps(cfg: dict) -> tuple[str, dict]:
+    """The `gps` section as (mode, `mc_gps` settings), checked before any computation."""
     sec = _section(cfg, "gps", required=False)
-    _check_keys(sec, ("mode", "n_draws", "bins", "tol"), "gps")
+    _check_keys(sec, ("mode", "n_draws", "bins"), "gps")
     mode = _get(sec, "mode", str, "gps", default="auto")
+    if mode not in ("auto", "exact", "monte-carlo"):
+        raise ConfigError(f"unknown gps mode {mode!r}")
+    settings = {}
+    for key, name, default in (("bins", "n_bins", 20), ("n_draws", "n_draws", 100_000)):
+        if key in sec and mode != "monte-carlo":
+            raise ConfigError(f"gps.{key} is read only in monte-carlo mode, not {mode}")
+        settings[name] = _get(sec, key, int, "gps", default=default)
+        if settings[name] < 1:
+            raise ConfigError(f"gps.{key} must be a positive int, got {settings[name]}")
+    return mode, settings
+
+
+def build_gps(gps: tuple[str, dict], graph, design, seed: int):
+    mode, settings = gps
     if mode == "exact":
         return exact_gps_table(graph, design)
     if mode == "monte-carlo":
-        bins = _get(sec, "bins", int, "gps", default=20)
-        n_draws = _get(sec, "n_draws", int, "gps", default=100_000)
-        return mc_gps(
-            graph, design, Bucketing.equal_width(n_bins=bins),
-            n_draws=n_draws, rng=substream(seed, 11),
-        )
-    if mode == "auto":
-        return default_gps_table(graph, design, rng=substream(seed, 11))
-    raise ConfigError(f"unknown gps mode {mode!r}")
+        return mc_gps(graph, design, **settings, rng=substream(seed, 11))
+    return default_gps_table(graph, design, rng=substream(seed, 11))
 
 
 def _parse_estimators(cfg: dict) -> list[str]:
@@ -341,9 +349,10 @@ def cmd_gps(cfg: dict, args) -> int:
     _check_keys(cfg, _TOP_KEYS_COMMON + ("graph", "design", "gps"), "config")
     seed = _resolve_seed(cfg, args)
     out_dir = _resolve_out(cfg, args)
+    gps = _parse_gps(cfg)
     graph, id_map, _ = build_graph(cfg, seed)
     design = build_design(cfg, id_map)
-    table = build_gps(cfg, graph, design, seed)
+    table = build_gps(gps, graph, design, seed)
     gps_path = out_dir / "gps.csv"
     table.write_csv(gps_path, id_map=id_map)
     _write_provenance(out_dir, "gps", args.raw_config, seed, ["gps.csv"])
@@ -354,7 +363,7 @@ def cmd_gps(cfg: dict, args) -> int:
 _DATA_KEYS = ("fixture", "n_single", "n_double", "outcomes", "assignment", "exposures")
 
 
-def _build_estimate_inputs(cfg: dict, seed: int):
+def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
     """Returns (dataset, id_map). Fixture configs synthesize everything."""
     sec = _section(cfg, "data")
     _check_keys(sec, _DATA_KEYS, "data")
@@ -371,7 +380,7 @@ def _build_estimate_inputs(cfg: dict, seed: int):
         z = draw_assignment(design, graph.m_diversion, rng)
         exposure = linear_exposure(graph, z)
         y = example.outcomes(exposure)
-        gps_table = build_gps(cfg, graph, design, seed)
+        gps_table = build_gps(gps, graph, design, seed)
         id_map = IdMap.identity(graph.n_outcome, graph.m_diversion)
         return Dataset.build(graph, gps_table, y, exposure), id_map
 
@@ -391,7 +400,7 @@ def _build_estimate_inputs(cfg: dict, seed: int):
         if not np.all((z == 0) | (z == 1)):
             raise DataError(f"{z_path}: assignment values must be 0 or 1")
         exposure = linear_exposure(graph, z.astype(np.uint8))
-    gps_table = build_gps(cfg, graph, design, seed)
+    gps_table = build_gps(gps, graph, design, seed)
     return Dataset.build(graph, gps_table, y, exposure), id_map
 
 
@@ -421,7 +430,8 @@ def cmd_estimate(cfg: dict, args) -> int:
     if grid is not None:
         grid = _unit_levels(grid, "grid", ascending=True)
 
-    data, _ = _build_estimate_inputs(cfg, seed)
+    gps = _parse_gps(cfg)
+    data, _ = _build_estimate_inputs(cfg, gps, seed)
     rows: list[dict] = []
     rng = substream(seed, 13)
 
@@ -478,6 +488,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     b, level = _replicates_and_level(
         sec, "study", default_b=200, bootstrap=_asks_bootstrap(intervals)
     )
+    gps = _parse_gps(cfg)
     graph, id_map, spec = build_graph(cfg, seed)
     design = build_design(cfg, id_map)
     redraw = _get(sec, "redraw_graph", bool, "study", default=False)
@@ -490,7 +501,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         redraw_graph=redraw,
         label=_get(sec, "label", str, "study", default=""),
     )
-    gps_table = None if redraw else build_gps(cfg, graph, design, seed)
+    gps_table = None if redraw else build_gps(gps, graph, design, seed)
 
     def progress(done: int, total: int) -> None:
         if done == total or done % max(1, total // 10) == 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MissingCellError
-from .gps import ATOM_TOL, Bucketing, GpsTable
+from .gps import ATOM_TOL, GpsTable
 from .graph import BipartiteGraph, _as_readonly
 from .numerics import KernelFit, LinearFit, krr_fit, krr_predict, ols
 
@@ -340,32 +340,17 @@ def _poly_features(e: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(e), e, e * e, r, r * r, e * r])
 
 
-def beta_cell_means(
-    data: Dataset,
-    exposure_bucketing: Bucketing | None = None,
-    score_bucketing: Bucketing | None = None,
-) -> CellMeanSurface:
+def beta_cell_means(data: Dataset) -> CellMeanSurface:
     """Average Y within each (exposure, observed score) cell.
 
-    Default bucketing is exact atoms on both axes; equal-width bin
-    bucketing coarsens either axis for binned (Monte Carlo) score tables.
+    Cells are the distinct exposures and the distinct observed scores,
+    each axis merging values within `ATOM_TOL`.
     """
-    e_b = exposure_bucketing or Bucketing.atoms()
-    r_b = score_bucketing or Bucketing.atoms()
     scores = data.observed_scores()
-
-    def levels_and_assign(values, bucketing):
-        if bucketing.mode == "atoms":
-            levels = _merge_levels(values, bucketing.tol)
-            assign = _locate_level(levels, values, bucketing.tol)
-            return levels, assign
-        edges = bucketing.edges
-        idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        return centers, idx
-
-    e_levels, e_idx = levels_and_assign(data.exposure, e_b)
-    r_levels, r_idx = levels_and_assign(scores, r_b)
+    e_levels = _merge_levels(data.exposure, ATOM_TOL)
+    r_levels = _merge_levels(scores, ATOM_TOL)
+    e_idx = _locate_level(e_levels, data.exposure, ATOM_TOL)
+    r_idx = _locate_level(r_levels, scores, ATOM_TOL)
     values = np.full((e_levels.size, r_levels.size), np.nan)
     counts = np.zeros((e_levels.size, r_levels.size))
     flat = e_idx * r_levels.size + r_idx
@@ -374,8 +359,7 @@ def beta_cell_means(
     filled = ns > 0
     values.flat[filled] = sums[filled] / ns[filled]
     counts.flat[:] = ns
-    tol = e_b.tol if e_b.mode == "atoms" else ATOM_TOL
-    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts, tol=tol)
+    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts)
 
 
 def beta_poly_fit(data: Dataset) -> PolynomialSurface:

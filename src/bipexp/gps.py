@@ -10,10 +10,11 @@ estimators; scores evaluated at a common query level across all units
 Two constructions are provided. `exact_gps_table` convolves every distinct
 neighborhood at once and yields exact atoms, for every shipped design
 (Bernoulli, heterogeneous Bernoulli and completely randomized) up to a
-degree cap. `mc_gps` estimates the table for any design and degree by
-simulating assignments and bucketing the resulting exposures, either on
-the same atom grid or on equal-width bins. Both return a `GpsTable`,
-which stores every distinct distribution in one set of flat arrays.
+degree cap; exposure levels within `ATOM_TOL` are the same atom.
+`mc_gps` estimates the table for any design and degree by simulating
+assignments and counting the exposures in equal-width bins on [0, 1].
+Both return a `GpsTable`, which stores every distinct distribution in one
+set of flat arrays.
 """
 
 from __future__ import annotations
@@ -50,40 +51,6 @@ EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
 
 
-@dataclass(frozen=True)
-class Bucketing:
-    """How exposure values are grouped: exact atoms or equal-width bins."""
-
-    mode: str  # "atoms" | "bins"
-    tol: float = ATOM_TOL
-    edges: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("atoms", "bins"):
-            raise ValidationError(f"unknown bucketing mode {self.mode!r}")
-        if self.tol <= 0:
-            raise ValidationError("atom tolerance must be positive")
-        if self.mode == "bins":
-            if self.edges is None or len(self.edges) < 2:
-                raise ValidationError("bin bucketing needs at least two edges")
-            edges = _as_readonly(self.edges, np.float64)
-            if np.any(np.diff(edges) <= 0):
-                raise ValidationError("bin edges must be strictly increasing")
-            object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def atoms(cls, tol: float = ATOM_TOL) -> "Bucketing":
-        return cls(mode="atoms", tol=tol)
-
-    @classmethod
-    def equal_width(cls, n_bins: int = 20, lo: float = 0.0, hi: float = 1.0) -> "Bucketing":
-        if n_bins < 1:
-            raise ValidationError("need at least one bin")
-        if not hi > lo:
-            raise ValidationError("need hi > lo")
-        return cls(mode="bins", edges=np.linspace(lo, hi, n_bins + 1))
-
-
 def _segment_searchsorted(values: np.ndarray, start: np.ndarray, stop: np.ndarray, q: np.ndarray):
     """Left insertion point of each q[k] in the ascending slice values[start[k]:stop[k]].
 
@@ -107,11 +74,13 @@ class GpsTable:
     """Per-unit exposure distributions in flat arrays, with batched score lookups.
 
     Distribution d is `support[offsets[d]:offsets[d + 1]]` (atom values,
-    or bin centers in bins mode, ascending) with the matching slice of
-    `probs`. `unit_dist` maps each unit to its distribution; units sharing
-    an identical (weights, probabilities) row share one. The arrays are
-    validated once, here; `take` shares them. Query levels must lie inside
-    [lo, hi], the reachable exposure range. Support, probabilities and the
+    or bin centers when `edges` is set, ascending) with the matching slice
+    of `probs`. `unit_dist` maps each unit to its distribution; units
+    sharing an identical (weights, probabilities) row share one. `edges`
+    holds the bin edges of a Monte Carlo table, and is None for exact
+    atoms, which match a level within `ATOM_TOL`. The arrays are validated
+    once, here; `take` shares them. Query levels must lie inside [lo, hi],
+    the reachable exposure range. Support, probabilities, edges and the
     range must be finite, with lo <= hi.
     """
 
@@ -119,10 +88,13 @@ class GpsTable:
     support: np.ndarray
     probs: np.ndarray
     unit_dist: np.ndarray
-    mode: str  # "exact" | "monte-carlo"
-    bucketing: Bucketing
     lo: float
     hi: float
+    edges: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return EXACT if self.edges is None else MONTE_CARLO
 
     def __post_init__(self):
         offsets = _as_readonly(self.offsets, np.int64)
@@ -142,8 +114,14 @@ class GpsTable:
         sizes = np.diff(offsets)
         if np.any(sizes <= 0):
             raise ValidationError("every distribution needs a nonempty support")
-        if self.bucketing.mode == "bins" and np.any(sizes != self.bucketing.edges.size - 1):
-            raise ValidationError("a binned distribution needs one entry per bin")
+        if self.edges is not None:
+            edges = _as_readonly(self.edges, np.float64)
+            increasing = edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)
+            if not (increasing and np.isfinite(edges).all()):
+                raise ValidationError("bin edges must be two or more finite, increasing values")
+            if np.any(sizes != edges.size - 1):
+                raise ValidationError("a binned distribution needs one entry per bin")
+            object.__setattr__(self, "edges", edges)
         steps = np.diff(support)
         steps[offsets[1:-1] - 1] = np.inf  # the next distribution may start lower
         if np.any(steps <= 0):
@@ -182,25 +160,24 @@ class GpsTable:
         return self.support[lo:hi], self.probs[lo:hi]
 
     def _check_range(self, e: np.ndarray) -> None:
-        tol = self.bucketing.tol
         e = np.asarray(e, dtype=np.float64)
-        if np.any(e < self.lo - tol) or np.any(e > self.hi + tol):
-            bad = e[(e < self.lo - tol) | (e > self.hi + tol)]
+        lo, hi = self.lo - ATOM_TOL, self.hi + ATOM_TOL
+        if np.any(e < lo) or np.any(e > hi):
+            bad = e[(e < lo) | (e > hi)]
             raise DataError(
-                f"exposure level {bad.flat[0]!r} outside the bucketing range "
+                f"exposure level {bad.flat[0]!r} outside the table's range "
                 f"[{self.lo}, {self.hi}]"
             )
 
     def _mass(self, dist: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Mass distribution dist[k] puts on level e[k] (0 where nothing matches)."""
-        tol = self.bucketing.tol
-        if self.bucketing.mode == "bins":
-            edges = self.bucketing.edges
+        if self.edges is not None:
+            edges = self.edges
             top = len(edges) - 2
             idx = np.searchsorted(edges, e, side="right") - 1
-            # the top edge closes the last bin; tol absorbs float spill past either end
-            idx = np.where((e >= edges[-1]) & (e <= edges[-1] + tol), top, idx)
-            idx = np.where((e < edges[0]) & (e >= edges[0] - tol), 0, idx)
+            # the top edge closes the last bin; ATOM_TOL absorbs float spill past either end
+            idx = np.where((e >= edges[-1]) & (e <= edges[-1] + ATOM_TOL), top, idx)
+            idx = np.where((e < edges[0]) & (e >= edges[0] - ATOM_TOL), 0, idx)
             inside = (idx >= 0) & (idx <= top)
             return np.where(inside, self.probs[self.offsets[dist] + np.clip(idx, 0, top)], 0.0)
         start, stop = self.offsets[dist], self.offsets[dist + 1]
@@ -208,7 +185,7 @@ class GpsTable:
         out = np.zeros(e.shape)
         for shift in (0, -1):  # candidate atoms on both sides of the insertion point
             idx = np.clip(pos + shift, start, stop - 1)
-            hit = np.abs(self.support[idx] - e) <= tol
+            hit = np.abs(self.support[idx] - e) <= ATOM_TOL
             out = np.where(hit & (out == 0), self.probs[idx], out)
         return out
 
@@ -281,8 +258,8 @@ class GpsTable:
             if len(ids) != self.n_units:
                 raise ValueError(f"id map has {len(ids)} outcome ids for {self.n_units} units")
         edges = None
-        if self.bucketing.mode == "bins":
-            edges = np.array(_float_fields(self.bucketing.edges), dtype=object)
+        if self.edges is not None:
+            edges = np.array(_float_fields(self.edges), dtype=object)
 
         def block_columns(lo, hi):
             dist = self.unit_dist[lo:hi]
@@ -430,8 +407,6 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
         support=support,
         probs=probs,
         unit_dist=unit_dist,
-        mode=EXACT,
-        bucketing=Bucketing.atoms(),
         lo=0.0,
         hi=graph.max_row_sum,
     )
@@ -440,78 +415,55 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
 def mc_gps(
     graph: BipartiteGraph,
     design: AssignmentDesign,
-    bucketing: Bucketing,
+    n_bins: int = 20,
     n_draws: int = 10_000,
     rng=None,
 ) -> GpsTable:
-    """Monte Carlo table: simulate assignments, bucket the exposures.
+    """Monte Carlo table: simulate assignments, count exposures in bins.
 
-    Works for any design. Deterministic for a fixed rng seed. With atom
-    bucketing, exposures are quantized to the atom tolerance; with bins,
-    the bucketing must cover the graph's reachable exposure range. Every
-    unit gets its own distribution.
+    Works for any design. Each of `n_draws` assignments is drawn from
+    `rng`, in batches of `MC_CHUNK`, and every unit's exposure is counted
+    in `n_bins` equal-width bins on [0, 1]; the top edge closes the last
+    bin. Deterministic for a fixed rng seed. Every unit gets its own
+    distribution.
+
+    Raises
+    ------
+    ValueError
+        `n_bins` below 1 or `n_draws` not positive.
+    ValidationError
+        A row sums past 1, so the bins do not cover its reachable exposures.
     """
+    if n_bins < 1:
+        raise ValueError("n_bins must be at least 1")
     if n_draws <= 0:
         raise ValueError("n_draws must be positive")
     rng = as_generator(rng)
     n = graph.n_outcome
-    hi_reachable = graph.max_row_sum
-    if bucketing.mode == "bins":
-        edges = bucketing.edges
-        if edges[0] > 0.0 or edges[-1] < hi_reachable - ATOM_TOL:
-            raise ValidationError(
-                f"bin edges [{edges[0]}, {edges[-1]}] do not cover the reachable "
-                f"exposure range [0, {hi_reachable}]"
-            )
-        counts = np.zeros((n, len(edges) - 1), dtype=np.int64)
-    else:
-        # key = unit << 42 | quantized exposure, so sorted keys group by unit
-        shift = np.int64(1) << np.int64(42)
-        quantum = bucketing.tol
-        atom_keys = np.empty(0, dtype=np.int64)
-        atom_counts = np.empty(0)
-
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    if graph.max_row_sum > 1.0 + ATOM_TOL:
+        raise ValidationError(f"bins on [0, 1] do not cover the reachable exposure range "
+                              f"[0, {graph.max_row_sum}]")
+    counts = np.zeros((n, n_bins), dtype=np.int64)
     csr = graph.to_csr()
     done = 0
     while done < n_draws:
         take = min(MC_CHUNK, n_draws - done)
         z = draw_assignments(design, graph.m_diversion, take, rng)
-        exposures = csr @ z.astype(np.float64)  # (n_outcome, take)
-        if bucketing.mode == "bins":
-            # coverage was validated above, so clipping only absorbs float spill;
-            # one (n_outcome, batch) index array is updated in place
-            idx = np.searchsorted(edges, exposures, side="right")
-            del exposures
-            idx -= 1
-            np.clip(idx, 0, len(edges) - 2, out=idx)
-            idx += np.arange(n)[:, None] * (len(edges) - 1)
-            counts += np.bincount(idx.ravel(), minlength=counts.size).reshape(counts.shape)
-        else:
-            q = np.rint(exposures / quantum).astype(np.int64)
-            keys, cts = np.unique((np.arange(n, dtype=np.int64)[:, None] * shift + q).ravel(),
-                                  return_counts=True)
-            atom_keys, inverse = np.unique(np.concatenate([atom_keys, keys]), return_inverse=True)
-            atom_counts = np.bincount(inverse, weights=np.concatenate([atom_counts, cts]))
+        # coverage was validated above, so clipping only absorbs float spill;
+        # one (n_outcome, batch) index array is updated in place
+        idx = np.searchsorted(edges, csr @ z.astype(np.float64), side="right")
+        idx -= 1
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        idx += np.arange(n)[:, None] * n_bins
+        counts += np.bincount(idx.ravel(), minlength=counts.size).reshape(counts.shape)
         done += take
-
-    if bucketing.mode == "bins":
-        n_bins = len(edges) - 1
-        offsets = np.arange(n + 1, dtype=np.int64) * n_bins
-        support = np.tile((edges[:-1] + edges[1:]) / 2.0, n)
-        probs = (counts / float(n_draws)).ravel()
-        lo, hi = float(edges[0]), float(edges[-1])
-    else:
-        offsets = np.searchsorted(atom_keys >> 42, np.arange(n + 1))
-        support = (atom_keys & (shift - 1)) * quantum
-        probs = atom_counts / n_draws
-        lo, hi = 0.0, hi_reachable
     return GpsTable(
-        offsets=offsets,
-        support=support,
-        probs=probs,
+        offsets=np.arange(n + 1, dtype=np.int64) * n_bins,
+        support=np.tile((edges[:-1] + edges[1:]) / 2.0, n),
+        probs=(counts / float(n_draws)).ravel(),
         unit_dist=np.arange(n, dtype=np.int64),
-        mode=MONTE_CARLO,
-        bucketing=bucketing,
-        lo=lo,
-        hi=hi,
+        lo=0.0,
+        hi=1.0,
+        edges=edges,
     )

@@ -150,13 +150,6 @@ class BipartiteGraph:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def row_weights(self, i: int) -> list[tuple[int, float]]:
-        """Ordered (diversion_index, weight) pairs of outcome unit i."""
-        if not 0 <= i < self.n_outcome:
-            raise IndexError(f"outcome unit {i} out of range [0, {self.n_outcome})")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return list(zip(self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist()))
-
     # -- transforms --------------------------------------------------------
 
     def take(self, rows) -> "BipartiteGraph":
@@ -187,6 +180,16 @@ class BipartiteGraph:
 
     def sum_squared_weights(self) -> float:
         return float(np.dot(self.weights, self.weights))
+
+    def gram_sum_squares(self) -> float:
+        """|W.T W|_F^2; the graph is immutable, so it is formed once and kept."""
+        cached = self.__dict__.get("_gram_sum_squares")
+        if cached is None:
+            w = self.to_csr()
+            gram = (w.T @ w).data
+            cached = float(gram @ gram)
+            object.__setattr__(self, "_gram_sum_squares", cached)
+        return cached
 
 
 def _segment_gather(indptr, rows, lengths):

@@ -83,20 +83,14 @@ def _quantile_interval(
     replicates: np.ndarray,
     level: float,
     method: str,
-    interval: str,
 ) -> IntervalEstimate:
+    """Percentile interval: the replicates' (1 - level) / 2 tail quantiles."""
     alpha = 1.0 - level
     lo, hi = np.quantile(replicates, [alpha / 2, 1 - alpha / 2])
-    if interval == "percentile":
-        lower, upper = float(lo), float(hi)
-    elif interval == "basic":
-        lower, upper = 2 * estimate - float(hi), 2 * estimate - float(lo)
-    else:
-        raise ValueError(f"unknown interval type {interval!r}")
     return IntervalEstimate(
         estimate=estimate,
-        lower=lower,
-        upper=upper,
+        lower=float(lo),
+        upper=float(hi),
         level=level,
         method=method,
         n_replicates=int(replicates.size),
@@ -130,7 +124,6 @@ def naive_bootstrap(
     *,
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
-    interval: str = "percentile",
     rng=None,
 ) -> IntervalEstimate:
     """IID resample of outcome units; valid only without cross-unit noise."""
@@ -142,7 +135,7 @@ def naive_bootstrap(
         return r.integers(0, n, size=n)
 
     reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "naive")
-    return _quantile_interval(estimate, reps, level, "naive-bootstrap", interval)
+    return _quantile_interval(estimate, reps, level, "naive-bootstrap")
 
 
 def block_bootstrap(
@@ -152,7 +145,6 @@ def block_bootstrap(
     labels: np.ndarray | None = None,
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
-    interval: str = "percentile",
     rng=None,
 ) -> IntervalEstimate:
     """Resample whole graph components to respect within-component dependence.
@@ -194,7 +186,7 @@ def block_bootstrap(
         return np.concatenate(chosen)[:n]
 
     reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "block")
-    return _quantile_interval(estimate, reps, level, "block-bootstrap", interval)
+    return _quantile_interval(estimate, reps, level, "block-bootstrap")
 
 
 def ols_asymptotic_interval(
@@ -281,8 +273,7 @@ def _moment_system(fit: LinearFit, graph: BipartiteGraph):
     wt_q = w.T @ fit.q  # C.T, (m, k)
     ww = graph.sum_squared_weights()
     t = ww - float(np.sum(wt_q * wt_q))
-    gram = (w.T @ w).data
-    gg = float(gram @ gram)
+    gg = graph.gram_sum_squares()
     w_ct = w @ wt_q  # (n, k)
     c_ct = wt_q.T @ wt_q  # (k, k)
     wmw = gg - 2.0 * float(np.sum(w_ct * w_ct)) + float(np.sum(c_ct * c_ct))
@@ -358,7 +349,6 @@ def parametric_bootstrap(
     contrast: np.ndarray | None = None,
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
-    interval: str = "percentile",
     rng=None,
 ) -> ParametricBootstrapResult:
     """Model-based bootstrap for a linear fit under graph-propagated noise.
@@ -406,7 +396,7 @@ def parametric_bootstrap(
         block += rng.normal(0.0, scale, size=block.shape)
     coef_reps = fit.solve(targets)  # (k, B), on the same factorisation
     reps = contrast @ coef_reps
-    iv = _quantile_interval(estimate, reps, level, "parametric-bootstrap", interval)
+    iv = _quantile_interval(estimate, reps, level, "parametric-bootstrap")
     return ParametricBootstrapResult(
         estimate=estimate,
         interval=iv,

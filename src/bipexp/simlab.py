@@ -31,7 +31,7 @@ from .estimators import (
     naive_ols,
     stratified_estimate,
 )
-from .gps import MAX_EXACT_DEGREE, Bucketing, GpsTable, exact_gps_table, mc_gps
+from .gps import MAX_EXACT_DEGREE, GpsTable, exact_gps_table, mc_gps
 from .graph import (
     BipartiteGraph,
     GraphSpec,
@@ -415,7 +415,7 @@ def default_gps_table(
     """
     if int(graph.degrees.max(initial=0)) <= MAX_EXACT_DEGREE:
         return exact_gps_table(graph, design)
-    return mc_gps(graph, design, Bucketing.equal_width(), n_draws=mc_draws, rng=rng)
+    return mc_gps(graph, design, n_draws=mc_draws, rng=rng)
 
 
 def _simulate_one(ctx: dict, t: int):

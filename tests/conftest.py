@@ -13,6 +13,12 @@ from bipexp.design import AssignmentDesign
 from bipexp.graph import BipartiteGraph
 
 
+def row_edges(graph: BipartiteGraph, i: int) -> list[tuple[int, float]]:
+    """Ordered (diversion index, weight) pairs of outcome unit i, from the CSR arrays."""
+    lo, hi = graph.indptr[i], graph.indptr[i + 1]
+    return list(zip(graph.indices[lo:hi].tolist(), graph.weights[lo:hi].tolist()))
+
+
 @pytest.fixture
 def bernoulli_half() -> AssignmentDesign:
     return AssignmentDesign.bernoulli(0.5)

@@ -30,7 +30,7 @@ from scipy import stats
 
 from bipexp.design import AssignmentDesign, draw_assignment, draw_assignments, linear_exposure, linear_exposure_many
 from bipexp.estimators import Dataset, ate, beta_cell_means, dose_response, ht_estimate, naive_mean, naive_ols
-from bipexp.gps import Bucketing, exact_gps_table, mc_gps
+from bipexp.gps import exact_gps_table, mc_gps
 from bipexp.graph import GraphSpec, load_edge_list, synth_graph, write_edge_list
 from bipexp.inference import correlated_error_variance, estimate_sigmas
 from bipexp.seeding import substream
@@ -229,11 +229,20 @@ def test_criterion_7_gps_properties():
     bounds = zip(table.offsets[:-1], table.offsets[1:])
     sum_err = max(abs(table.probs[lo:hi].sum() - 1.0) for lo, hi in bounds)
 
-    mc = mc_gps(graph, BERN, Bucketing.atoms(), n_draws=100_000, rng=substream(SEED, 50))
-    mc_err = 0.0
+    # Monte Carlo bin masses against the exact atom mass summed per bin.
+    # 11 is prime, so no inner edge k/11 equals an atom j/d with d <= 10,
+    # and bins of width 1/11 are narrower than the 1/d atom spacing: each
+    # bin holds at most one atom of a unit, so this checks every atom's
+    # mass, as an atom-keyed table would, and every empty bin's zero.
+    n_bins = 11
+    mc = mc_gps(graph, BERN, n_bins=n_bins, n_draws=100_000, rng=substream(SEED, 50))
+    mc_err, atoms_per_bin = 0.0, 0
     for i in range(graph.n_outcome):
-        for point, prob in zip(*table.distribution(i)):
-            mc_err = max(mc_err, abs(mc.at(i, float(point)) - float(prob)))
+        support, probs = table.distribution(i)
+        bins = np.minimum(np.searchsorted(mc.edges, support, side="right") - 1, n_bins - 1)
+        atoms_per_bin = max(atoms_per_bin, int(np.bincount(bins).max()))
+        want = np.bincount(bins, weights=probs, minlength=n_bins)
+        mc_err = max(mc_err, float(np.abs(mc.distribution(i)[1] - want).max()))
 
     # balancing: within groups sharing r(1, W_i), the frequency of full
     # exposure over many assignments must match the score. The band uses
@@ -253,7 +262,8 @@ def test_criterion_7_gps_properties():
         balance_ok = balance_ok and abs(freq - r) <= band
     report(7, "gps-properties", t0, 120.0, [
         below(sum_err, 1e-12, "max |sum probs - 1|"),
-        below(mc_err, 0.01, "max |mc - exact| atom mass"),
+        below(mc_err, 0.01, "max |mc - exact| bin mass"),
+        (f"most atoms of a unit in one bin {atoms_per_bin} == 1", atoms_per_bin == 1),
         (f"balancing slack {worst:+.4f} <= 0 at 3-sigma band", balance_ok),
     ])
 

@@ -182,7 +182,8 @@ def test_gps_completely_randomized_is_exact(tmp_path):
     # exactly one of its two half-weight neighbors
     outputs = {}
     for mode in ("exact", "auto", "monte-carlo"):
-        cfg_path = external_graph_config(tmp_path, {"mode": mode, "n_draws": 2000})
+        section = {"mode": mode, "n_draws": 2000} if mode == "monte-carlo" else {"mode": mode}
+        cfg_path = external_graph_config(tmp_path, section)
         cfg = yaml.safe_load(cfg_path.read_text())
         cfg["design"] = {"kind": "completely-randomized", "k": 1}
         write_yaml(cfg_path, cfg)
@@ -204,6 +205,47 @@ def test_gps_unknown_mode_exits_2(tmp_path, capsys):
     cfg_path = external_graph_config(tmp_path, {"mode": "guess"})
     assert main(["gps", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "unknown gps mode" in stderr_record(capsys)["message"]
+
+
+BAD_GPS_SECTIONS = [
+    ({"mode": "monte-carlo", "n_draws": 0}, "gps.n_draws must be a positive int, got 0"),
+    ({"mode": "monte-carlo", "bins": 0}, "gps.bins must be a positive int, got 0"),
+    ({"mode": "monte-carlo", "bins": 2.5}, "gps.bins must be int"),
+    ({"mode": "exact", "bins": 10}, "gps.bins is read only in monte-carlo mode, not exact"),
+    ({"n_draws": 500}, "gps.n_draws is read only in monte-carlo mode, not auto"),
+    ({"mode": "monte-carlo", "tol": 1e-9}, "unknown keys in gps: tol"),
+]
+
+
+@pytest.mark.parametrize("command", ["gps", "estimate", "simulate"])
+@pytest.mark.parametrize("section, message", BAD_GPS_SECTIONS)
+def test_bad_gps_section_exits_2_before_the_graph_is_built(
+    tmp_path, capsys, monkeypatch, command, section, message
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the gps section was checked")
+
+    monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
+    cfg = {
+        "graph": {"kind": "uniform-degree", "n_outcome": 40, "m_diversion": 12,
+                  "deg_min": 1, "deg_max": 3},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "gps": section,
+    }
+    if command == "estimate":
+        cfg["data"] = {"outcomes": str(tmp_path / "y.csv"), "assignment": str(tmp_path / "z.csv")}
+    if command == "simulate":
+        cfg["study"] = {"n_sims": 2}
+    cfg_path = tmp_path / "cfg.yaml"
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert message in record["message"]
+    assert not (out / "gps.csv").exists()
 
 
 def test_gps_exact_above_degree_cap_exits_3(tmp_path, capsys):

@@ -39,9 +39,10 @@ from bipexp.estimators import (
     naive_ols,
     stratified_estimate,
 )
-from bipexp.gps import Bucketing, GpsTable, exact_gps_table
+from bipexp.gps import GpsTable, exact_gps_table
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
+from conftest import row_edges
 
 Z_FROZEN = np.array([0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
 
@@ -206,8 +207,7 @@ def test_ht_weighted_regression_positivity_failure():
     graph = BipartiteGraph.from_rows([[(0, 1.0)]], m_diversion=1)
     table = GpsTable(
         offsets=np.array([0, 1]), support=np.array([1.0]), probs=np.array([1.0]),
-        unit_dist=np.zeros(1, dtype=np.int64), mode="monte-carlo",
-        bucketing=Bucketing.atoms(), lo=0.0, hi=1.0,
+        unit_dist=np.zeros(1, dtype=np.int64), lo=0.0, hi=1.0,
     )
     data = Dataset(y=np.array([3.0]), exposure=np.array([0.0]), graph=graph, gps=table)
     with pytest.raises(DataError, match="positivity"):
@@ -250,16 +250,6 @@ def test_cell_means_trivial_cases():
     surface = beta_cell_means(pair)
     assert surface.evaluate(1.0, np.array([0.5]))[0] == pytest.approx(1.0)
     np.testing.assert_array_equal(surface.counts, [[2.0]])
-
-
-def test_cell_means_binned_exposure(two_type_data):
-    surface = beta_cell_means(two_type_data, exposure_bucketing=Bucketing.equal_width(2, 0.0, 1.0))
-    np.testing.assert_array_equal(surface.e_levels, [0.25, 0.75])
-    # lower bin: exposures {0}; upper bin: {0.5, 1}
-    assert surface.evaluate(0.25, np.array([0.5]))[0] == pytest.approx(0.0)
-    assert surface.evaluate(0.25, np.array([0.25]))[0] == pytest.approx(0.0)
-    assert surface.evaluate(0.75, np.array([0.5]))[0] == pytest.approx(0.25)
-    assert surface.evaluate(0.75, np.array([0.25]))[0] == pytest.approx(1.0)
 
 
 def test_poly_fit_recovers_exact_quadratic():
@@ -448,7 +438,7 @@ def test_dataset_take_tracks_sources(two_type_data):
     rows = sub.row_graph()
     assert rows.n_outcome == 3
     np.testing.assert_array_equal(rows.degrees, sub.degrees)
-    assert rows.row_weights(1) == two_type_data.graph.row_weights(1)
+    assert row_edges(rows, 1) == row_edges(two_type_data.graph, 1)
 
 
 def test_take_returns_frozen_arrays_of_its_own(two_type_data):
@@ -467,11 +457,13 @@ def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_hal
     DoseResponseCurve(grid=grid, mu_hat=mu)
     flat = [np.array([0, 1]), np.array([1.0]), np.array([1.0]), np.array([0])]
     GpsTable(offsets=flat[0], support=flat[1], probs=flat[2], unit_dist=flat[3],
-             mode="exact", bucketing=Bucketing.atoms(), lo=0.0, hi=1.0)
+             lo=0.0, hi=1.0)
     edges, p_vec = np.linspace(0.0, 1.0, 3), np.full(12, 0.5)
-    Bucketing(mode="bins", edges=edges)
+    binned = [np.array([0, 2]), np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.array([0])]
+    GpsTable(offsets=binned[0], support=binned[1], probs=binned[2], unit_dist=binned[3],
+             lo=0.0, hi=1.0, edges=edges)
     AssignmentDesign.bernoulli_heterogeneous(p_vec)
-    for arr in (y, e, grid, mu, *flat, edges, p_vec):
+    for arr in (y, e, grid, mu, *flat, *binned, edges, p_vec):
         assert arr.flags.writeable
     y[0] = 1.0
     assert data.y[0] == 0.0 and not data.y.flags.writeable

@@ -31,13 +31,13 @@ from bipexp.gps import (
     EXACT,
     MAX_EXACT_DEGREE,
     MONTE_CARLO,
-    Bucketing,
     GpsTable,
     exact_gps_table,
     mc_gps,
 )
 from bipexp.graph import BipartiteGraph, GraphSpec, IdMap, synth_graph
 from bipexp.seeding import substream
+from conftest import row_edges
 
 
 def enumerate_exposures(weights, p_nbrs):
@@ -67,7 +67,7 @@ def one_row_distribution(weights, p):
     return exact_gps_table(one_row_graph(weights), AssignmentDesign.bernoulli(p)).distribution(0)
 
 
-def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0, lo=0.0):
+def flat_table(supports, probs, edges=None, unit_dist=None, hi=1.0, lo=0.0):
     """Table holding the given per-distribution arrays, one unit per distribution by default."""
     sizes = [len(s) for s in supports]
     return GpsTable(
@@ -75,10 +75,9 @@ def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0, lo=0.0):
         support=np.concatenate(supports),
         probs=np.concatenate(probs),
         unit_dist=np.arange(len(supports)) if unit_dist is None else unit_dist,
-        mode=MONTE_CARLO,
-        bucketing=bucketing or Bucketing.atoms(),
         lo=lo,
         hi=hi,
+        edges=edges,
     )
 
 
@@ -88,7 +87,7 @@ def flat_table(supports, probs, bucketing=None, unit_dist=None, hi=1.0, lo=0.0):
 def test_exact_matches_enumeration_on_small_graph(small_graph):
     design = AssignmentDesign.bernoulli(0.3)
     for i in range(small_graph.n_outcome):
-        w = [wt for _, wt in small_graph.row_weights(i)]
+        w = [wt for _, wt in row_edges(small_graph, i)]
         support, probs = enumerate_exposures(w, [0.3] * len(w))
         got_support, got_probs = exact_gps_table(small_graph, design).distribution(i)
         np.testing.assert_allclose(got_support, support, atol=1e-12)
@@ -99,8 +98,8 @@ def test_exact_matches_enumeration_heterogeneous(small_graph):
     p_vec = np.array([0.2, 0.5, 0.7, 0.9])
     design = AssignmentDesign.bernoulli_heterogeneous(p_vec)
     for i in range(small_graph.n_outcome):
-        idx = [j for j, _ in small_graph.row_weights(i)]
-        w = [wt for _, wt in small_graph.row_weights(i)]
+        idx = [j for j, _ in row_edges(small_graph, i)]
+        w = [wt for _, wt in row_edges(small_graph, i)]
         support, probs = enumerate_exposures(w, p_vec[idx])
         got_support, got_probs = exact_gps_table(small_graph, design).distribution(i)
         np.testing.assert_allclose(got_support, support, atol=1e-12)
@@ -428,27 +427,13 @@ def test_write_csv_roundtrip(tmp_path, two_type_graph, bernoulli_half):
 # -- Monte Carlo construction ------------------------------------------------
 
 
-def test_mc_matches_exact_on_atoms(small_graph, bernoulli_half):
-    n_draws = 20_000
-    exact = exact_gps_table(small_graph, bernoulli_half)
-    mc = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), n_draws, substream(7, 2))
-    assert mc.mode == MONTE_CARLO
-    for i in range(small_graph.n_outcome):
-        support, probs = exact.distribution(i)
-        # every simulated atom sits on a true atom, and masses agree to 4 sigma
-        got = mc.observed_scores(support, units=np.full(support.size, i))
-        assert abs(mc.distribution(i)[1].sum() - 1.0) <= 1e-9
-        band = 4.0 * np.sqrt(probs * (1 - probs) / n_draws)
-        assert np.all(np.abs(got - probs) <= band + 1e-12)
-        assert abs(got.sum() - 1.0) <= 1e-9
-
-
 def test_mc_bins_aggregate_exact_mass(small_graph, bernoulli_half):
     n_draws = 20_000
-    bucketing = Bucketing.equal_width(4, 0.0, 1.0)
-    mc = mc_gps(small_graph, bernoulli_half, bucketing, n_draws, substream(11, 2))
+    mc = mc_gps(small_graph, bernoulli_half, n_bins=4, n_draws=n_draws, rng=substream(11, 2))
+    assert mc.mode == MONTE_CARLO
     exact = exact_gps_table(small_graph, bernoulli_half)
-    edges = bucketing.edges
+    edges = mc.edges
+    np.testing.assert_array_equal(edges, np.linspace(0.0, 1.0, 5))
     for i in range(small_graph.n_outcome):
         support, probs = exact.distribution(i)
         idx = np.clip(np.searchsorted(edges, support, side="right") - 1, 0, 3)
@@ -458,14 +443,16 @@ def test_mc_bins_aggregate_exact_mass(small_graph, bernoulli_half):
         assert np.all(np.abs(got - want) <= band + 1e-12)
 
 
-def test_mc_bins_must_cover_reachable_range(small_graph, bernoulli_half):
+def test_mc_bins_must_cover_reachable_range(bernoulli_half):
+    # a row summing to 1.5 reaches exposures past the top edge of [0, 1]
+    graph = BipartiteGraph.from_rows([[(0, 0.5)], [(0, 0.75), (1, 0.75)]], m_diversion=2)
     with pytest.raises(ValidationError, match="cover"):
-        mc_gps(small_graph, bernoulli_half, Bucketing.equal_width(4, 0.0, 0.8), 100)
+        mc_gps(graph, bernoulli_half, n_draws=100)
 
 
 def test_mc_deterministic_for_fixed_seed(small_graph, bernoulli_half):
-    a = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(3, 2))
-    b = mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(3, 2))
+    a = mc_gps(small_graph, bernoulli_half, n_bins=7, n_draws=500, rng=substream(3, 2))
+    b = mc_gps(small_graph, bernoulli_half, n_bins=7, n_draws=500, rng=substream(3, 2))
     np.testing.assert_array_equal(a.offsets, b.offsets)
     np.testing.assert_array_equal(a.support, b.support)
     np.testing.assert_array_equal(a.probs, b.probs)
@@ -473,14 +460,15 @@ def test_mc_deterministic_for_fixed_seed(small_graph, bernoulli_half):
 
 def test_mc_rejects_nonpositive_draws(small_graph, bernoulli_half):
     with pytest.raises(ValueError, match="positive"):
-        mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 0)
+        mc_gps(small_graph, bernoulli_half, n_draws=0)
 
 
 def test_mc_handles_completely_randomized(two_type_graph):
     # the simulator handles this design too
     design = AssignmentDesign.completely_randomized(6)
-    table = mc_gps(two_type_graph, design, Bucketing.atoms(), 4000, substream(5, 2))
-    # single-neighbor units: P(E = 1) = 6/12 exactly under 6-of-12 sampling
+    table = mc_gps(two_type_graph, design, n_bins=4, n_draws=4000, rng=substream(5, 2))
+    # single-neighbor units: P(E = 1) = 6/12 exactly under 6-of-12 sampling,
+    # and the top bin [0.75, 1] holds only that exposure
     r1 = table.imputed_scores(1.0)[:4]
     assert np.all(np.abs(r1 - 0.5) <= 4.0 * np.sqrt(0.25 / 4000))
 
@@ -516,17 +504,21 @@ def test_units_grouped_by_score_balance():
 # -- building blocks ---------------------------------------------------------
 
 
-def test_bucketing_validation():
-    with pytest.raises(ValidationError, match="mode"):
-        Bucketing(mode="histogram")
-    with pytest.raises(ValidationError, match="tolerance"):
-        Bucketing.atoms(tol=0.0)
-    with pytest.raises(ValidationError, match="edges"):
-        Bucketing(mode="bins")
-    with pytest.raises(ValidationError, match="increasing"):
-        Bucketing(mode="bins", edges=np.array([0.0, 0.5, 0.5]))
-    with pytest.raises(ValidationError, match="bin"):
-        Bucketing.equal_width(0)
+def test_bucketing_validation(small_graph, bernoulli_half):
+    half = np.array([0.5, 0.5])
+    centers = [np.array([0.25, 0.75])]
+    with pytest.raises(ValidationError, match="two or more finite, increasing"):
+        flat_table([np.array([0.5])], [np.array([1.0])], edges=np.array([0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="two or more finite, increasing"):
+            flat_table(centers, [half], edges=np.array([0.0, 0.5, bad]))
+    for edges in ([0.0, 0.5, 0.5], [1.0, 0.5, 0.0], [[0.0, 0.5, 1.0]]):
+        with pytest.raises(ValidationError, match="increasing"):
+            flat_table(centers, [half], edges=np.array(edges))
+    with pytest.raises(ValidationError, match="one entry per bin"):
+        flat_table(centers, [half], edges=np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="n_bins"):
+        mc_gps(small_graph, bernoulli_half, n_bins=0, n_draws=10)
 
 
 def test_distribution_validation():
@@ -543,7 +535,7 @@ def test_distribution_validation():
     with pytest.raises(ValidationError, match="nonempty"):
         flat_table([np.array([0.0, 1.0]), np.array([])], [half, np.array([])])
     with pytest.raises(ValidationError, match="one entry per bin"):
-        flat_table([np.array([0.25, 0.75])], [half], bucketing=Bucketing.equal_width(4))
+        flat_table([np.array([0.25, 0.75])], [half], edges=np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValidationError, match="unit_dist"):
         flat_table([np.array([0.0, 1.0])], [half], unit_dist=np.array([0, 1]))
     # support restarts lower at a distribution boundary: accepted
@@ -579,7 +571,7 @@ def test_nan_atom_no_longer_builds_a_nan_mean():
     with pytest.raises(ValidationError, match="finite"):
         GpsTable(
             offsets=[0, 2], support=[0.0, np.nan], probs=[0.5, 0.5], unit_dist=[0],
-            mode=EXACT, bucketing=Bucketing.atoms(), lo=0.0, hi=1.0,
+            lo=0.0, hi=1.0,
         )
 
 
@@ -591,13 +583,11 @@ def test_every_table_builder_passes_validation_and_take_skips_it(small_graph, be
         real(self)
         checked.append(self)
 
-    bins = Bucketing.equal_width(4, 0.0, 1.0)
     with mock.patch.object(GpsTable, "__post_init__", spy):
         tables = [
             exact_gps_table(small_graph, bernoulli_half),
             exact_gps_table(small_graph, AssignmentDesign.completely_randomized(2)),
-            mc_gps(small_graph, bernoulli_half, bins, 500, substream(41, 2)),
-            mc_gps(small_graph, bernoulli_half, Bucketing.atoms(), 500, substream(42, 2)),
+            mc_gps(small_graph, bernoulli_half, n_bins=4, n_draws=500, rng=substream(41, 2)),
         ]
         assert [id(t) for t in checked] == [id(t) for t in tables]
         subs = [table.take(np.array([2, 0, 2])) for table in tables]
@@ -608,8 +598,8 @@ def test_every_table_builder_passes_validation_and_take_skips_it(small_graph, be
 
 
 def test_bins_top_edge_closed():
-    bucketing = Bucketing.equal_width(2, 0.0, 1.0)
-    table = flat_table([np.array([0.25, 0.75])], [np.array([0.3, 0.7])], bucketing, hi=1.5)
+    table = flat_table([np.array([0.25, 0.75])], [np.array([0.3, 0.7])],
+                       np.linspace(0.0, 1.0, 3), hi=1.5)
     assert table.at(0, 1.0) == pytest.approx(0.7)
     assert table.at(0, 0.5) == pytest.approx(0.7)  # right-open lower bin
     assert table.at(0, 0.0) == pytest.approx(0.3)
@@ -626,16 +616,16 @@ def test_atom_tolerance_is_two_sided():
 # -- flat lookups against a per-distribution reference -------------------------
 
 
-def reference_mass(support, probs, bucketing, e):
+def reference_mass(support, probs, edges, e):
     """Plain per-distribution lookup: the mass one distribution puts on level e.
 
-    Atoms: the atom at the left insertion point wins when it lies within tol
-    and carries mass, else the atom before it when that lies within tol.
-    Bins: right-open bins, the top edge closes the last bin, and tol absorbs
-    spill past either end.
+    Atoms (no edges): the atom at the left insertion point wins when it lies
+    within tol and carries mass, else the atom before it when that lies
+    within tol. Bins: right-open bins, the top edge closes the last bin, and
+    tol absorbs spill past either end.
     """
-    tol = bucketing.tol
-    if bucketing.mode == "atoms":
+    tol = ATOM_TOL
+    if edges is None:
         pos = bisect.bisect_left(list(support), e)
         out = 0.0
         for k in (pos, pos - 1):
@@ -643,7 +633,7 @@ def reference_mass(support, probs, bucketing, e):
             if abs(support[k] - e) <= tol and out == 0:
                 out = probs[k]
         return out
-    edges = list(bucketing.edges)
+    edges = list(edges)
     if edges[-1] <= e <= edges[-1] + tol:
         return probs[-1]
     if edges[0] - tol <= e < edges[0]:
@@ -662,18 +652,18 @@ def flat_tables(draw):
     """A random atom or bin table with a few distributions and units."""
     n_dists = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        bucketing = Bucketing.atoms()
+        edges = None
         supports = []
         for _ in range(n_dists):
             atoms = sorted(draw(st.sets(grid_points, min_size=1, max_size=6)))
             # twins closer than 2 * tol let two atoms match one query, which
             # pins down which side of the insertion point is checked first
-            twins = [a + draw(st.sampled_from([0.5, 1.0, 1.5])) * bucketing.tol
+            twins = [a + draw(st.sampled_from([0.5, 1.0, 1.5])) * ATOM_TOL
                      for a in atoms[:-1] if draw(st.booleans())]
             supports.append(np.array(sorted(atoms + twins)))
     else:
-        bucketing = Bucketing.equal_width(draw(st.integers(1, 5)), 0.0, 1.0)
-        centers = (bucketing.edges[:-1] + bucketing.edges[1:]) / 2.0
+        edges = np.linspace(0.0, 1.0, draw(st.integers(1, 5)) + 1)
+        centers = (edges[:-1] + edges[1:]) / 2.0
         supports = [centers] * n_dists
     probs = []
     for s in supports:
@@ -682,26 +672,26 @@ def flat_tables(draw):
         raw[draw(st.integers(0, s.size - 1))] += 1.0
         probs.append(raw / raw.sum())
     unit_dist = np.array(draw(st.lists(st.integers(0, n_dists - 1), min_size=1, max_size=8)))
-    return flat_table(supports, probs, bucketing, unit_dist), supports, probs
+    return flat_table(supports, probs, edges, unit_dist), supports, probs
 
 
 @settings(deadline=None, max_examples=100)
 @given(data=flat_tables())
 def test_flat_lookups_match_reference(data):
     table, supports, probs = data
-    tol = table.bucketing.tol
+    tol = ATOM_TOL
     between = [(s[1:] + s[:-1]) / 2.0 for s in supports]
     off_support = np.array([1.0, 27.0, 77.0, 127.0]) / 128.0
     anchors = np.concatenate(supports + between + [off_support])
-    if table.bucketing.mode == "bins":
-        anchors = np.concatenate([anchors, table.bucketing.edges])
+    if table.edges is not None:
+        anchors = np.concatenate([anchors, table.edges])
     shifts = np.array([0.0, 0.5, -0.5, 3.0, -3.0]) * tol
     queries = np.unique((anchors[:, None] + shifts).ravel())
     queries = queries[(queries >= table.lo - tol) & (queries <= table.hi + tol)]
 
     def want(i, e):
         d = table.unit_dist[i]
-        return reference_mass(supports[d], probs[d], table.bucketing, float(e))
+        return reference_mass(supports[d], probs[d], table.edges, float(e))
 
     units = np.arange(table.n_units)
     for e in queries:
@@ -729,8 +719,8 @@ def reference_write_csv(table, id_map=None) -> str:
     ids = id_map.outcome_ids if id_map is not None else [str(i) for i in range(table.n_units)]
     offsets = table.offsets.tolist()
     edges = None
-    if table.bucketing.mode == "bins":
-        edges = [repr(v) for v in table.bucketing.edges.tolist()]
+    if table.edges is not None:
+        edges = [repr(v) for v in table.edges.tolist()]
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["outcome_id", "exposure_lo", "exposure_hi", "probability"])
@@ -759,14 +749,13 @@ CSV_IDS = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "u", "é"
 
 @st.composite
 def mc_tables(draw):
-    """A Monte Carlo table, binned or on atoms, of a small random graph."""
+    """A Monte Carlo table of a small random graph."""
     spec = GraphSpec(kind="uniform-degree", n_outcome=draw(st.integers(1, 12)), m_diversion=6,
                      deg_min=1, deg_max=draw(st.integers(1, 4)))
     graph = synth_graph(spec, rng=draw(st.integers(0, 2**16)))
     design = draw(st.sampled_from([AssignmentDesign.bernoulli(0.3),
                                    AssignmentDesign.completely_randomized(2)]))
-    bucketing = draw(st.sampled_from([Bucketing.atoms(), Bucketing.equal_width(7)]))
-    return mc_gps(graph, design, bucketing, n_draws=draw(st.integers(1, 300)),
+    return mc_gps(graph, design, n_bins=draw(st.integers(1, 7)), n_draws=draw(st.integers(1, 300)),
                   rng=draw(st.integers(0, 2**16)))
 
 
@@ -801,8 +790,6 @@ def wide_table(n_units: int) -> GpsTable:
         support=np.tile(np.arange(5) / 4.0, n_units),
         probs=rng.dirichlet(np.ones(5), size=n_units).ravel(),
         unit_dist=np.arange(n_units),
-        mode=EXACT,
-        bucketing=Bucketing.atoms(),
         lo=0.0,
         hi=1.0,
     )

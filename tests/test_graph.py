@@ -20,6 +20,7 @@ from bipexp.graph import (
     write_edge_list,
 )
 from bipexp.seeding import substream
+from conftest import row_edges
 
 
 def test_from_rows_matches_dense(small_graph):
@@ -70,9 +71,7 @@ def test_take_reorders_rows(small_graph):
 
 
 def test_row_weights_roundtrip(small_graph):
-    assert small_graph.row_weights(3) == [(0, 0.2), (2, 0.3), (3, 0.5)]
-    with pytest.raises(IndexError):
-        small_graph.row_weights(4)
+    assert row_edges(small_graph, 3) == [(0, 0.2), (2, 0.3), (3, 0.5)]
 
 
 # -- edge-list io ------------------------------------------------------------
@@ -330,7 +329,7 @@ def test_uniform_degree_synthesis_properties():
     assert g.row_normalized
     # equal weights within a row
     for i in range(g.n_outcome):
-        w = [wt for _, wt in g.row_weights(i)]
+        w = [wt for _, wt in row_edges(g, i)]
         np.testing.assert_allclose(w, 1.0 / len(w))
 
 
@@ -352,7 +351,7 @@ def test_blocks_zero_cross_share_is_disconnected():
     d_blocks = contiguous_blocks(20, 5)
     o_blocks = contiguous_blocks(60, 5)
     for i in range(60):
-        for j, _ in g.row_weights(i):
+        for j, _ in row_edges(g, i):
             assert d_blocks[j] == o_blocks[i]
 
 
@@ -367,7 +366,7 @@ def test_blocks_cross_share_rewires_roughly_that_fraction():
     cross = sum(
         d_blocks[j] != o_blocks[i]
         for i in range(200)
-        for j, _ in g.row_weights(i)
+        for j, _ in row_edges(g, i)
     )
     assert 0.2 <= cross / g.nnz <= 0.4
 
@@ -514,7 +513,7 @@ def bfs_components(graph: BipartiteGraph) -> np.ndarray:
     n, m = graph.n_outcome, graph.m_diversion
     nbrs = [[] for _ in range(n + m)]
     for i in range(n):
-        for j, _ in graph.row_weights(i):
+        for j, _ in row_edges(graph, i):
             nbrs[i].append(n + j)
             nbrs[n + j].append(i)
     labels = np.full(n + m, -1)

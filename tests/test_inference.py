@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 
 from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, linear_exposure_many
 from bipexp.errors import DataError, NumericalError, RankDeficiencyError
@@ -77,18 +77,14 @@ def test_interval_estimate_invariants():
         IntervalEstimate(estimate=0.0, lower=1.0, upper=0.0, level=0.5, method="x")
 
 
-def test_quantile_interval_percentile_and_basic():
+def test_quantile_interval_percentile():
     reps = np.arange(101.0) ** 2  # asymmetric replicate cloud
     est = 100.0
-    pct = _quantile_interval(est, reps, 0.9, "m", "percentile")
+    pct = _quantile_interval(est, reps, 0.9, "m")
     lo, hi = np.quantile(reps, [0.05, 0.95])
     assert (pct.lower, pct.upper) == (pytest.approx(lo), pytest.approx(hi))
-    basic = _quantile_interval(est, reps, 0.9, "m", "basic")
-    assert basic.lower == pytest.approx(2 * est - hi)
-    assert basic.upper == pytest.approx(2 * est - lo)
+    assert pct.estimate == est and pct.method == "m"
     assert pct.n_replicates == 101
-    with pytest.raises(ValueError, match="interval type"):
-        _quantile_interval(est, reps, 0.9, "m", "studentized")
 
 
 # -- resampling bootstraps -----------------------------------------------------
@@ -110,14 +106,6 @@ def test_naive_bootstrap_deterministic():
     a = naive_bootstrap(data, mean_outcome, rng=substream(5, 4))
     b = naive_bootstrap(data, mean_outcome, rng=substream(5, 4))
     assert (a.lower, a.upper) == (b.lower, b.upper)
-
-
-def test_naive_bootstrap_basic_mirrors_percentile():
-    data = singles_dataset(80, seed=6)
-    pct = naive_bootstrap(data, mean_outcome, rng=substream(7, 4), interval="percentile")
-    basic = naive_bootstrap(data, mean_outcome, rng=substream(7, 4), interval="basic")
-    assert basic.lower == pytest.approx(2 * pct.estimate - pct.upper)
-    assert basic.upper == pytest.approx(2 * pct.estimate - pct.lower)
 
 
 def test_bootstrap_replicate_floor():
@@ -243,7 +231,7 @@ def test_block_bootstrap_replicates_match_the_old_blocks(custom):
         return np.concatenate(chosen)[:n]
 
     reps = inference._run_replicates(data, mean_outcome, sampler, 200, substream(9, 4), "block")
-    assert iv == _quantile_interval(iv.estimate, reps, 0.95, "block-bootstrap", "percentile")
+    assert iv == _quantile_interval(iv.estimate, reps, 0.95, "block-bootstrap")
 
 
 # -- asymptotic interval -------------------------------------------------------
@@ -559,6 +547,39 @@ def test_variance_split_and_parametric_bootstrap_never_densify(monkeypatch):
     assert res.sigmas == est
 
 
+def test_gram_sum_squares_is_kept_on_the_graph(monkeypatch):
+    data, phi, y = parametric_inputs(34)
+    graph = data.graph
+    real = sparse.csc_matrix.__matmul__
+
+    def refuse_sparse_product(self, other):
+        if sparse.issparse(other):
+            raise AssertionError("the sparse Gram W.T W was formed")
+        return real(self, other)
+
+    # the split forms W.T W once per graph, then reads the kept value
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse.csc_matrix, "__matmul__", refuse_sparse_product)
+        with pytest.raises(AssertionError, match="Gram"):
+            estimate_sigmas(y, phi, graph)
+    first = estimate_sigmas(y, phi, graph)
+    monkeypatch.setattr(sparse.csc_matrix, "__matmul__", refuse_sparse_product)
+    assert estimate_sigmas(y, phi, graph) == first
+
+    dense = graph.to_dense()
+    want = np.sum((dense.T @ dense) ** 2)
+    assert graph.gram_sum_squares() == pytest.approx(want, rel=1e-12)
+    # a subset is another graph with its own Gram
+    rows = np.arange(0, graph.n_outcome, 3)
+    monkeypatch.undo()
+    sub = graph.take(rows)
+    sub_dense = dense[rows]
+    sub_want = np.sum((sub_dense.T @ sub_dense) ** 2)
+    assert sub.gram_sum_squares() == pytest.approx(sub_want, rel=1e-12)
+    assert sub_want != pytest.approx(want, rel=1e-3)
+    assert graph.gram_sum_squares() == pytest.approx(want, rel=1e-12)
+
+
 def test_correlated_error_variance_matches_empirical_covariance():
     graph, design = correlated_population(21)
     n, m = graph.n_outcome, graph.m_diversion
@@ -667,7 +688,7 @@ def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
         targets = (phi @ res.coef)[:, None] + data.row_graph().to_csr() @ gamma + eps
         coef_reps = ols(phi, y).solve(targets)
         reps = contrast @ coef_reps
-        iv = _quantile_interval(res.estimate, reps, 0.95, "parametric-bootstrap", "percentile")
+        iv = _quantile_interval(res.estimate, reps, 0.95, "parametric-bootstrap")
         assert res.coef_replicates.tobytes() == coef_reps.tobytes()
         assert res.replicates.tobytes() == reps.tobytes()
         assert (res.interval.lower, res.interval.upper) == (iv.lower, iv.upper)
