@@ -40,6 +40,7 @@ from .estimators import (
 )
 from .gps import exact_gps_table, mc_gps
 from .graph import (
+    BipartiteGraph,
     GraphSpec,
     IdMap,
     _read_id_column,
@@ -146,41 +147,61 @@ def _unit_levels(value, where: str, *, ascending: bool) -> list[float]:
 
 # -- section builders ---------------------------------------------------------
 
-_GRAPH_KEYS = (
-    "kind", "path", "normalize", "n_outcome", "m_diversion",
-    "deg_min", "deg_max", "n_blocks", "cross_share",
-)
+_SYNTH_KEYS = ("kind", "n_outcome", "m_diversion", "deg_min", "deg_max")
+# the keys each graph kind reads
+_GRAPH_KEYS = {
+    "external-file": ("kind", "path", "normalize"),
+    "uniform-degree": _SYNTH_KEYS,
+    "blocks": _SYNTH_KEYS + ("n_blocks", "cross_share"),
+}
 
 
-def _graph_spec(**fields) -> GraphSpec:
-    """A GraphSpec from config values; an invalid recipe is a config error."""
+def _parse_graph(cfg: dict, *, sweep_share: float | None = None):
+    """The `graph` section, checked before any graph is loaded or synthesized.
+
+    Kind `external-file` (the default) reads `path` and `normalize` and
+    gives (path, normalize). A synthetic kind reads its recipe keys and
+    gives a `GraphSpec`. A sweep passes `sweep_share`: its graph is a
+    recipe (kind `blocks` by default, 10 blocks) whose cross share is
+    `sweep_share`, not a key. A key the kind does not read is a config error.
+    """
+    sweep = sweep_share is not None
+    sec = _section(cfg, "graph")
+    _check_keys(sec, set().union(*_GRAPH_KEYS.values()), "graph")
+    kind = _get(sec, "kind", str, "graph", default="blocks" if sweep else "external-file")
+    if kind not in _GRAPH_KEYS:
+        raise ConfigError(f"graph: unknown graph kind {kind!r}")
+    if kind == "external-file" and sweep:
+        raise ConfigError("sweep needs a synthetic graph recipe, not an external file")
+    read = set(_GRAPH_KEYS[kind]) - ({"cross_share"} if sweep else set())
+    unread = sorted(set(sec) - read)
+    if unread:
+        where = " in a sweep, whose cut_shares set the cross share" if sweep else ""
+        raise ConfigError(f"graph keys not read for kind {kind}{where}: {', '.join(unread)}")
+    if kind == "external-file":
+        return (_get(sec, "path", str, "graph", required=True),
+                _get(sec, "normalize", bool, "graph", default=False))
     try:
-        return GraphSpec(**fields)
+        return GraphSpec(
+            kind=kind,
+            n_outcome=_get(sec, "n_outcome", int, "graph", required=True),
+            m_diversion=_get(sec, "m_diversion", int, "graph", required=True),
+            deg_min=_get(sec, "deg_min", int, "graph", default=1),
+            deg_max=_get(sec, "deg_max", int, "graph", default=1),
+            n_blocks=_get(sec, "n_blocks", int, "graph", default=10 if sweep else 1),
+            cross_share=sweep_share if sweep else _get(sec, "cross_share", float, "graph", default=0.0),
+        )
     except ValidationError as exc:
         raise ConfigError(f"graph: {exc}") from exc
 
 
-def build_graph(cfg: dict, seed: int):
-    """Load or synthesize the graph; returns (graph, id_map, spec_or_none)."""
-    sec = _section(cfg, "graph")
-    _check_keys(sec, _GRAPH_KEYS, "graph")
-    kind = _get(sec, "kind", str, "graph", default="external-file")
-    if kind == "external-file" or "path" in sec:
-        path = _get(sec, "path", str, "graph", required=True)
-        graph, id_map = load_edge_list(path, normalize=_get(sec, "normalize", bool, "graph", default=False))
-        return graph, id_map, None
-    spec = _graph_spec(
-        kind=kind,
-        n_outcome=_get(sec, "n_outcome", int, "graph", required=True),
-        m_diversion=_get(sec, "m_diversion", int, "graph", required=True),
-        deg_min=_get(sec, "deg_min", int, "graph", default=1),
-        deg_max=_get(sec, "deg_max", int, "graph", default=1),
-        n_blocks=_get(sec, "n_blocks", int, "graph", default=1),
-        cross_share=_get(sec, "cross_share", float, "graph", default=0.0),
-        normalize=_get(sec, "normalize", bool, "graph", default=True),
-    )
-    graph = synth_graph(spec, substream(seed, 10))
-    return graph, IdMap.identity(graph.n_outcome, graph.m_diversion), spec
+def build_graph(source, seed: int) -> tuple[BipartiteGraph, IdMap]:
+    """Synthesize a `GraphSpec` or load a (path, normalize) edge list."""
+    if isinstance(source, GraphSpec):
+        graph = synth_graph(source, substream(seed, 10))
+        return graph, IdMap.identity(graph.n_outcome, graph.m_diversion)
+    path, normalize = source
+    return load_edge_list(path, normalize=normalize)
 
 
 def build_design(cfg: dict, id_map: IdMap | None) -> AssignmentDesign:
@@ -298,11 +319,11 @@ def _write_provenance(out_dir: Path, command: str, raw: bytes, seed: int, output
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = cfg.get("seed", 0)
+    """The --seed flag, else the config's `seed` key; either must be a nonnegative int."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+        where = "--seed" if args.seed is not None else "seed"
+        raise ConfigError(f"{where} must be a nonnegative integer, got {seed!r}")
     return seed
 
 
@@ -323,10 +344,11 @@ _TOP_KEYS_COMMON = ("seed", "out")
 def cmd_graph_gen(cfg: dict, args) -> int:
     _check_keys(cfg, _TOP_KEYS_COMMON + ("graph",), "config")
     seed = _resolve_seed(cfg, args)
-    out_dir = _resolve_out(cfg, args)
-    graph, id_map, spec = build_graph(cfg, seed)
-    if spec is None:
+    source = _parse_graph(cfg)
+    if not isinstance(source, GraphSpec):
         raise ConfigError("graph-gen needs a synthetic graph spec, not an external file")
+    out_dir = _resolve_out(cfg, args)
+    graph, id_map = build_graph(source, seed)
     graph_path = out_dir / "graph.csv"
     write_edge_list(graph, graph_path, id_map=id_map)
     degrees = graph.degrees
@@ -350,7 +372,7 @@ def cmd_gps(cfg: dict, args) -> int:
     seed = _resolve_seed(cfg, args)
     out_dir = _resolve_out(cfg, args)
     gps = _parse_gps(cfg)
-    graph, id_map, _ = build_graph(cfg, seed)
+    graph, id_map = build_graph(_parse_graph(cfg), seed)
     design = build_design(cfg, id_map)
     table = build_gps(gps, graph, design, seed)
     gps_path = out_dir / "gps.csv"
@@ -384,7 +406,7 @@ def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
         id_map = IdMap.identity(graph.n_outcome, graph.m_diversion)
         return Dataset.build(graph, gps_table, y, exposure), id_map
 
-    graph, id_map, _ = build_graph(cfg, seed)
+    graph, id_map = build_graph(_parse_graph(cfg), seed)
     design = build_design(cfg, id_map)
     outcomes_path = _get(sec, "outcomes", str, "data", required=True)
     y = _read_id_column(outcomes_path, "outcome_id", "y", id_map.outcome_ids)
@@ -489,11 +511,17 @@ def cmd_simulate(cfg: dict, args) -> int:
         sec, "study", default_b=200, bootstrap=_asks_bootstrap(intervals)
     )
     gps = _parse_gps(cfg)
-    graph, id_map, spec = build_graph(cfg, seed)
-    design = build_design(cfg, id_map)
+    source = _parse_graph(cfg)
     redraw = _get(sec, "redraw_graph", bool, "study", default=False)
+    if redraw and "gps" in cfg:
+        raise ConfigError(
+            "a gps section does not apply with study.redraw_graph: "
+            "each redrawn graph gets the auto table"
+        )
+    graph, id_map = build_graph(source, seed)
+    design = build_design(cfg, id_map)
     dgp = DgpSpec(
-        graph=spec if (redraw and spec is not None) else graph,
+        graph=source if redraw else graph,
         design=design,
         effect=_get(sec, "effect", str, "study", default="homogeneous"),
         sigma2_eps=_get(sec, "sigma2_eps", float, "study", default=0.0),
@@ -547,19 +575,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     shares = _unit_levels(
         sec.get("cut_shares", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), "sweep.cut_shares", ascending=False
     )
-    gsec = _section(cfg, "graph")
-    _check_keys(gsec, _GRAPH_KEYS, "graph")
     # the largest share validates the recipe; the sweep sets each share itself
-    spec = _graph_spec(
-        kind=_get(gsec, "kind", str, "graph", default="blocks"),
-        n_outcome=_get(gsec, "n_outcome", int, "graph", required=True),
-        m_diversion=_get(gsec, "m_diversion", int, "graph", required=True),
-        deg_min=_get(gsec, "deg_min", int, "graph", default=1),
-        deg_max=_get(gsec, "deg_max", int, "graph", default=1),
-        n_blocks=_get(gsec, "n_blocks", int, "graph", default=10),
-        cross_share=max(shares),
-        normalize=_get(gsec, "normalize", bool, "graph", default=True),
-    )
+    spec = _parse_graph(cfg, sweep_share=max(shares))
     design = build_design(cfg, None)
     rows = edges_cut_sweep(
         spec,

@@ -25,6 +25,14 @@ from .numerics import KernelFit, LinearFit, krr_fit, krr_predict, ols
 # Scores below this floor are lifted to it before dividing (with a warning).
 TRIM_FLOOR = 1e-6
 
+# `beta_krr_fit`'s kernel: bandwidth multipliers of the median heuristic
+# along (exposure, score), and the ridge.
+KRR_BANDWIDTH_SCALE = (12.0, 2.0)
+KRR_RIDGE = 0.1
+
+# `stratified_estimate` cuts units into this many variance quantile strata.
+N_STRATA = 10
+
 
 class PropensityTrimWarning(UserWarning):
     """A contributing unit's score was floored before inverse weighting."""
@@ -123,9 +131,9 @@ class Dataset:
 # -- naive estimators -------------------------------------------------------
 
 
-def naive_mean(data: Dataset, e: float, *, tol: float = ATOM_TOL) -> float:
-    """Mean outcome among units whose exposure equals e (within tol)."""
-    mask = np.abs(data.exposure - e) <= tol
+def naive_mean(data: Dataset, e: float) -> float:
+    """Mean outcome among units whose exposure equals e (within `ATOM_TOL`)."""
+    mask = np.abs(data.exposure - e) <= ATOM_TOL
     if not np.any(mask):
         raise DataError(f"no observations at exposure level e={e!r}")
     return float(data.y[mask].mean())
@@ -142,32 +150,27 @@ def naive_ols(data: Dataset) -> float:
 # -- inverse-propensity weighting -------------------------------------------
 
 
-def ht_estimate(
-    data: Dataset,
-    e: float,
-    *,
-    tol: float = ATOM_TOL,
-    trim_floor: float = TRIM_FLOOR,
-) -> float:
+def ht_estimate(data: Dataset, e: float) -> float:
     """Inverse-propensity estimate of the mean outcome at level e.
 
-    Averages Y_i * 1[E_i = e] / score_i(E_i) over all units. Contributing
-    units with scores below `trim_floor` are floored and flagged with a
-    `PropensityTrimWarning`, never divided by as-is.
+    Averages Y_i * 1[E_i = e] / score_i(E_i) over all units, matching
+    exposures within `ATOM_TOL`. Contributing units with scores below
+    `TRIM_FLOOR` are floored and flagged with a `PropensityTrimWarning`,
+    never divided by as-is.
     """
-    mask = np.abs(data.exposure - e) <= tol
+    mask = np.abs(data.exposure - e) <= ATOM_TOL
     if not np.any(mask):
         return 0.0
     scores = data.gps.observed_scores(data.exposure[mask], units=np.flatnonzero(mask))
-    floored = scores < trim_floor
+    floored = scores < TRIM_FLOOR
     if np.any(floored):
         warnings.warn(
-            f"floored {int(floored.sum())} propensity scores below {trim_floor} "
+            f"floored {int(floored.sum())} propensity scores below {TRIM_FLOOR} "
             f"at level e={e!r}",
             PropensityTrimWarning,
             stacklevel=2,
         )
-        scores = np.maximum(scores, trim_floor)
+        scores = np.maximum(scores, TRIM_FLOOR)
     return float(np.sum(data.y[mask] / scores) / data.n_units)
 
 
@@ -189,17 +192,13 @@ class HtWeightedRegression:
     target: np.ndarray
 
 
-def ht_weighted_regression(
-    data: Dataset,
-    grid,
-    *,
-    tol: float = ATOM_TOL,
-    trim_floor: float = TRIM_FLOOR,
-) -> HtWeightedRegression:
+def ht_weighted_regression(data: Dataset, grid) -> HtWeightedRegression:
     """Joint inverse-propensity fit across the exposure levels in `grid`.
 
-    Requires every grid level to have at least one observation and a
-    positive imputed score for every unit at every grid level.
+    Requires every grid level to have at least one observation (within
+    `ATOM_TOL`) and a positive imputed score for every unit observed
+    there. Observed scores below `TRIM_FLOOR` are floored with a
+    `PropensityTrimWarning`.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -207,16 +206,16 @@ def ht_weighted_regression(
     n = data.n_units
     phi = np.zeros((n, grid.size))
     observed = data.observed_scores()
-    floored = observed < trim_floor
+    floored = observed < TRIM_FLOOR
     if np.any(floored):
         warnings.warn(
-            f"floored {int(floored.sum())} observed propensity scores below {trim_floor}",
+            f"floored {int(floored.sum())} observed propensity scores below {TRIM_FLOOR}",
             PropensityTrimWarning,
             stacklevel=2,
         )
-        observed = np.maximum(observed, trim_floor)
+        observed = np.maximum(observed, TRIM_FLOOR)
     for r, e in enumerate(grid):
-        mask = np.abs(data.exposure - e) <= tol
+        mask = np.abs(data.exposure - e) <= ATOM_TOL
         if not np.any(mask):
             raise DataError(f"no observations at grid level e={e!r}")
         imputed = data.gps.imputed_scores(e)[mask]
@@ -260,38 +259,38 @@ def _locate_level(levels: np.ndarray, value, tol: float) -> np.ndarray:
 class CellMeanSurface:
     """Cell-mean response surface over (exposure, score) cells.
 
-    Evaluation returns NaN as the explicit missing marker for empty cells
-    and for coordinates that fall outside the table's levels.
+    Coordinates match a level within `ATOM_TOL`. Evaluation returns NaN
+    as the explicit missing marker for empty cells and for coordinates
+    that fall outside the table's levels.
     """
 
     e_levels: np.ndarray
     r_levels: np.ndarray
     values: np.ndarray  # (n_e, n_r), NaN where empty
     counts: np.ndarray
-    tol: float = ATOM_TOL
 
     kind = "cell-means"
 
     @classmethod
-    def from_cells(cls, cells: dict[tuple[float, float], float], *, tol: float = ATOM_TOL):
+    def from_cells(cls, cells: dict[tuple[float, float], float]):
         """Build directly from {(e, r): value} (counts set to 1)."""
-        e_levels = _merge_levels(np.array([k[0] for k in cells]), tol)
-        r_levels = _merge_levels(np.array([k[1] for k in cells]), tol)
+        e_levels = _merge_levels(np.array([k[0] for k in cells]), ATOM_TOL)
+        r_levels = _merge_levels(np.array([k[1] for k in cells]), ATOM_TOL)
         values = np.full((e_levels.size, r_levels.size), np.nan)
         counts = np.zeros_like(values)
         for (e, r), v in cells.items():
-            ei = _locate_level(e_levels, e, tol)[0]
-            ri = _locate_level(r_levels, r, tol)[0]
+            ei = _locate_level(e_levels, e, ATOM_TOL)[0]
+            ri = _locate_level(r_levels, r, ATOM_TOL)[0]
             values[ei, ri] = v
             counts[ei, ri] = 1
-        return cls(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts, tol=tol)
+        return cls(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts)
 
     def evaluate(self, e: float, r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        ei = _locate_level(self.e_levels, e, self.tol)[0]
+        ei = _locate_level(self.e_levels, e, ATOM_TOL)[0]
         if ei < 0:
             return np.full(r.shape, np.nan)
-        ri = _locate_level(self.r_levels, r, self.tol)
+        ri = _locate_level(self.r_levels, r, ATOM_TOL)
         out = np.full(r.shape, np.nan)
         ok = ri >= 0
         out[ok] = self.values[ei, ri[ok]]
@@ -373,23 +372,18 @@ def beta_poly_fit(data: Dataset) -> PolynomialSurface:
     return PolynomialSurface(coef=ols(x, data.y, labels=POLY_LABELS).coef)
 
 
-def beta_krr_fit(
-    data: Dataset,
-    *,
-    bandwidth=None,
-    bandwidth_scale=(12.0, 2.0),
-    ridge: float = 1e-1,
-) -> KernelSurface:
+def beta_krr_fit(data: Dataset) -> KernelSurface:
     """Kernel ridge regression of Y on (exposure, observed score).
 
     Fits an ordinary least squares trend in exposure first and applies
     the kernel to its residuals, a standard parametric-mean variant.
     Dose-response queries sit at the exposure extremes where data is
     thin; anchoring them to the global trend instead of the grand mean
-    removes most of the endpoint noise. For the same reason the default
-    bandwidth stretches the median heuristic along the exposure axis,
-    while the score axis keeps the plain heuristic so units with unusual
-    scores are not smoothed into the crowd.
+    removes most of the endpoint noise. For the same reason the bandwidth
+    (`KRR_BANDWIDTH_SCALE` times the median heuristic) stretches far
+    along the exposure axis, while the score axis stays close to the
+    plain heuristic so units with unusual scores are not smoothed into
+    the crowd. The ridge is `KRR_RIDGE`.
     """
     scores = data.observed_scores()
     x = np.column_stack([data.exposure, scores])
@@ -399,7 +393,7 @@ def beta_krr_fit(
     else:
         mean_coef = np.array([float(data.y.mean()), 0.0])  # degenerate: no exposure variation
     resid = data.y - (mean_coef[0] + mean_coef[1] * data.exposure)
-    fit = krr_fit(x, resid, bandwidth=bandwidth, bandwidth_scale=bandwidth_scale, ridge=ridge)
+    fit = krr_fit(x, resid, bandwidth_scale=KRR_BANDWIDTH_SCALE, ridge=KRR_RIDGE)
     return KernelSurface(fit=fit, mean_coef=mean_coef)
 
 
@@ -426,8 +420,9 @@ class DoseResponseCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "mu_hat", mu)
 
-    def level(self, e: float, *, tol: float = ATOM_TOL) -> float:
-        idx = _locate_level(self.grid, e, tol)[0]
+    def level(self, e: float) -> float:
+        """The estimate at grid level e (matched within `ATOM_TOL`)."""
+        idx = _locate_level(self.grid, e, ATOM_TOL)[0]
         if idx < 0:
             raise ValueError(f"level e={e!r} is not on the grid")
         return float(self.mu_hat[idx])
@@ -471,48 +466,32 @@ def dose_response(surface, gps: GpsTable, grid=DEFAULT_GRID) -> DoseResponseCurv
     return DoseResponseCurve(grid=grid, mu_hat=mu, estimator=getattr(surface, "kind", ""))
 
 
-def ate(curve: DoseResponseCurve, *, tol: float = ATOM_TOL) -> float:
+def ate(curve: DoseResponseCurve) -> float:
     """Difference of the curve between full exposure and none."""
-    return curve.level(1.0, tol=tol) - curve.level(0.0, tol=tol)
+    return curve.level(1.0) - curve.level(0.0)
 
 
 # -- stratification -----------------------------------------------------------
 
 
-def stratified_estimate(
-    data: Dataset,
-    e: float,
-    *,
-    moment: str = "variance",
-    n_strata: int = 10,
-    labels: np.ndarray | None = None,
-    tol: float = ATOM_TOL,
-) -> float:
+def stratified_estimate(data: Dataset, e: float) -> float:
     """Population-weighted stratum means of Y at level e.
 
-    Strata come from a moment of each unit's exposure distribution
-    (default: variance, cut at deciles). When the moment statistic takes
-    at most `n_strata` distinct values, units are grouped exactly on those
-    values instead, so coarse populations (e.g. two unit types) split
-    cleanly. Every nonempty stratum must contain at least one observation
-    at level e.
+    Strata are the deciles of each unit's exposure-distribution variance
+    (`N_STRATA` quantile bins). When the variance takes at most `N_STRATA`
+    distinct values, units are grouped exactly on those values instead, so
+    coarse populations (e.g. two unit types) split cleanly. Every nonempty
+    stratum must contain at least one observation at level e (within
+    `ATOM_TOL`).
     """
-    if labels is None:
-        if moment == "variance":
-            stat = data.gps.dist_variance()
-        elif moment == "mean":
-            stat = data.gps.dist_mean()
-        else:
-            raise ValueError(f"unknown moment {moment!r}")
-        distinct = _merge_levels(stat, 1e-12)
-        if distinct.size <= n_strata:
-            labels = _locate_level(distinct, stat, 1e-12)
-        else:
-            qs = np.quantile(stat, np.linspace(0, 1, n_strata + 1))
-            edges = np.unique(qs)
-            labels = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0, edges.size - 2)
-    labels = np.asarray(labels)
-    at_level = np.abs(data.exposure - e) <= tol
+    stat = data.gps.dist_variance()
+    distinct = _merge_levels(stat, 1e-12)
+    if distinct.size <= N_STRATA:
+        labels = _locate_level(distinct, stat, 1e-12)
+    else:
+        edges = np.unique(np.quantile(stat, np.linspace(0, 1, N_STRATA + 1)))
+        labels = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0, edges.size - 2)
+    at_level = np.abs(data.exposure - e) <= ATOM_TOL
     total = 0.0
     for s in np.unique(labels):
         members = labels == s

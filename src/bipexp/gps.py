@@ -212,18 +212,12 @@ class GpsTable:
         self._check_range(exposures)
         return self._mass(ids, exposures)
 
-    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+    def dist_variance(self) -> np.ndarray:
+        """Per-unit variance of the exposure distribution."""
         starts = self.offsets[:-1]
         mean = np.add.reduceat(self.support * self.probs, starts)
         dev = self.support - np.repeat(mean, np.diff(self.offsets))
-        return mean, np.add.reduceat(dev * dev * self.probs, starts)
-
-    def dist_variance(self) -> np.ndarray:
-        """Per-unit variance of the exposure distribution."""
-        return self._moments()[1][self.unit_dist]
-
-    def dist_mean(self) -> np.ndarray:
-        return self._moments()[0][self.unit_dist]
+        return np.add.reduceat(dev * dev * self.probs, starts)[self.unit_dist]
 
     def take(self, units) -> "GpsTable":
         """Row subset sharing the distribution arrays; only unit_dist is new."""

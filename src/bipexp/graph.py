@@ -223,15 +223,6 @@ class IdMap:
     def diversion_index(self) -> dict[str, int]:
         return {s: j for j, s in enumerate(self.diversion_ids)}
 
-    def write_csv(self, outcome_dest, diversion_dest) -> None:
-        """Emit the two-column id tables (external id, dense index)."""
-        for dest, header, ids in (
-            (outcome_dest, "outcome_id", self.outcome_ids),
-            (diversion_dest, "diversion_id", self.diversion_ids),
-        ):
-            _write_csv_blocks(dest, (header, "index"), len(ids), lambda lo, hi, ids=ids: (
-                _id_fields(ids, lo, hi), _id_fields(None, lo, hi)))
-
 
 def _open_read(source):
     if isinstance(source, (str, os.PathLike)):
@@ -285,7 +276,7 @@ def _open_write(dest):
     return _NonClosing(dest)
 
 
-# Units (table or graph rows, or ids) per block of CSV rows formatted and
+# Units (table or graph rows) per block of CSV rows formatted and
 # written together: one block's text at a time keeps the writers' memory
 # flat in the file size.
 _WRITE_BLOCK = 4096
@@ -304,7 +295,7 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _id_fields(ids, lo: int, hi: int, repeats=1) -> list[str]:
+def _id_fields(ids, lo: int, hi: int, repeats) -> list[str]:
     """Quoted ids[lo:hi], or the indices lo..hi-1 when ids is None.
 
     Each field is repeated `repeats` times: one count for all, or one per id.
@@ -475,7 +466,7 @@ def write_edge_list(graph: BipartiteGraph, dest, id_map: IdMap | None = None) ->
                 f"id map has {len(outcome_ids)} outcome and {len(diversion_ids)} diversion "
                 f"ids for a {graph.n_outcome}x{graph.m_diversion} graph"
             )
-    diversion = np.array(_id_fields(diversion_ids, 0, graph.m_diversion), dtype=object)
+    diversion = np.array(_id_fields(diversion_ids, 0, graph.m_diversion, 1), dtype=object)
 
     def block_columns(lo, hi):
         first, last = graph.indptr[lo], graph.indptr[hi]
@@ -491,7 +482,7 @@ def write_edge_list(graph: BipartiteGraph, dest, id_map: IdMap | None = None) ->
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Recipe for obtaining a graph.
+    """Recipe for synthesizing a graph; `synth_graph` realizes it.
 
     kind "uniform-degree": each outcome unit draws its degree uniformly
     from {deg_min..deg_max}, picks that many distinct diversion neighbors
@@ -502,7 +493,7 @@ class GraphSpec:
     `cross_share` fraction of edges is rewired to a diversion unit outside
     the block. cross_share = 0 leaves n_blocks disjoint components.
 
-    kind "external-file": load (and row-normalize) an edge-list file.
+    Graphs from edge-list files come from `load_edge_list` instead.
     """
 
     kind: str
@@ -512,17 +503,10 @@ class GraphSpec:
     deg_max: int = 1
     n_blocks: int = 1
     cross_share: float = 0.0
-    path: str | None = None
-    seed: int | None = None
-    normalize: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("uniform-degree", "blocks", "external-file"):
+        if self.kind not in ("uniform-degree", "blocks"):
             raise ValidationError(f"unknown graph kind {self.kind!r}")
-        if self.kind == "external-file":
-            if not self.path:
-                raise ValidationError("external-file graph spec needs a path")
-            return
         if self.n_outcome <= 0 or self.m_diversion <= 0:
             raise ValidationError("graph spec needs positive unit counts")
         if not (1 <= self.deg_min <= self.deg_max):
@@ -544,15 +528,12 @@ def contiguous_blocks(n: int, k: int) -> np.ndarray:
     return (np.arange(n, dtype=np.int64) * k) // n
 
 
-def synth_graph(spec: GraphSpec, rng=None) -> BipartiteGraph:
-    """Realize a synthetic graph spec. Deterministic for a fixed seed.
+def synth_graph(spec: GraphSpec, rng) -> BipartiteGraph:
+    """Realize a graph spec, drawing from `rng` (a Generator or an int seed).
 
-    The generator is ``rng`` when given, else one seeded from spec.seed.
+    Deterministic for a fixed seed.
     """
-    if spec.kind == "external-file":
-        graph, _ = load_edge_list(spec.path, normalize=spec.normalize)
-        return graph
-    rng = as_generator(rng if rng is not None else spec.seed)
+    rng = as_generator(rng)
     if spec.kind == "uniform-degree":
         # one block holding every unit, so there is nothing to rewire
         spec = replace(spec, n_blocks=1, cross_share=0.0)

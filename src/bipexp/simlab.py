@@ -52,7 +52,6 @@ from .seeding import substream
 
 HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
-CUSTOM = "custom"
 
 # substream tags: keep these distinct so study-level draws never collide
 # with per-replicate draws under any (master_seed, n_sims)
@@ -69,9 +68,8 @@ class DgpSpec:
     """Data-generating process for one study.
 
     The effect form sets each unit's exposure slope: `homogeneous` gives
-    every unit the population mean degree (one shared linear effect),
-    `heterogeneous` gives each unit its own degree, and `custom` takes an
-    explicit per-unit slope vector. Outcomes are
+    every unit the population mean degree (one shared linear effect), and
+    `heterogeneous` gives each unit its own degree. Outcomes are
     Y_i = slope_i * E_i + (W @ gamma)_i + eps_i with gamma and eps i.i.d.
     centered normals of variance sigma2_gamma and sigma2_eps.
     """
@@ -81,17 +79,14 @@ class DgpSpec:
     effect: str = HOMOGENEOUS
     sigma2_eps: float = 0.0
     sigma2_gamma: float = 0.0
-    unit_slopes: np.ndarray | None = None
     redraw_graph: bool = False
     label: str = ""
 
     def __post_init__(self):
-        if self.effect not in (HOMOGENEOUS, HETEROGENEOUS, CUSTOM):
+        if self.effect not in (HOMOGENEOUS, HETEROGENEOUS):
             raise ConfigError(f"unknown effect form {self.effect!r}")
         if self.sigma2_eps < 0 or self.sigma2_gamma < 0:
             raise ConfigError("noise variances must be nonnegative")
-        if self.effect == CUSTOM and self.unit_slopes is None:
-            raise ConfigError("custom effect form needs unit_slopes")
         if self.redraw_graph and not isinstance(self.graph, GraphSpec):
             raise ConfigError("redraw_graph requires a graph recipe, not a fixed graph")
 
@@ -100,12 +95,7 @@ def effect_slopes(dgp: DgpSpec, graph: BipartiteGraph) -> np.ndarray:
     degrees = graph.degrees.astype(np.float64)
     if dgp.effect == HOMOGENEOUS:
         return np.full(graph.n_outcome, degrees.mean())
-    if dgp.effect == HETEROGENEOUS:
-        return degrees
-    slopes = np.asarray(dgp.unit_slopes, dtype=np.float64)
-    if slopes.shape != (graph.n_outcome,):
-        raise ConfigError("unit_slopes must have one entry per outcome unit")
-    return slopes
+    return degrees
 
 
 def true_ate(dgp: DgpSpec, graph: BipartiteGraph) -> float:

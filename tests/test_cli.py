@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from bipexp import __version__
-from bipexp.cli import PRESETS, _COMMANDS, load_config, main
+from bipexp.cli import PRESETS, _COMMANDS, _parse_graph, load_config, main
+from bipexp.graph import GraphSpec
 
 EDGES_CSV = (
     "outcome_id,diversion_id,weight\n"
@@ -106,12 +107,73 @@ def test_one_block_cross_share_exits_2(tmp_path, capsys):
 
     sweep_path = tmp_path / "sweep.yaml"
     write_yaml(sweep_path, {
-        "graph": {**graph, "cross_share": 0.0, "n_blocks": 1},  # the sweep sets the share
+        # no cross_share key: the sweep sets the share from cut_shares
+        "graph": {**{k: v for k, v in graph.items() if k != "cross_share"}, "n_blocks": 1},
         "design": {"kind": "bernoulli", "p": 0.5},
         "sweep": {"cut_shares": [0.0, 0.25], "n_sims": 2, "b_replicates": 50},
     })
     assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "s")]) == 2
     assert "n_blocks" in stderr_record(capsys)["message"]
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg_path = graph_gen_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["graph-gen", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "--seed must be a nonnegative integer, got -1" in record["message"]
+    assert not out.exists()
+
+
+RECIPE = {"kind": "uniform-degree", "n_outcome": 40, "m_diversion": 12, "deg_min": 1, "deg_max": 3}
+SWEEP_RECIPE = {"kind": "blocks", "n_outcome": 40, "m_diversion": 20, "deg_min": 1, "deg_max": 2,
+                "n_blocks": 5}
+BAD_GRAPH_SECTIONS = [
+    ("gps", {**RECIPE, "path": "edges.csv"}, "graph keys not read for kind uniform-degree: path"),
+    ("graph-gen", {**RECIPE, "normalize": False},
+     "graph keys not read for kind uniform-degree: normalize"),
+    ("simulate", {**RECIPE, "n_blocks": 4}, "graph keys not read for kind uniform-degree: n_blocks"),
+    ("gps", {"path": "edges.csv", "n_outcome": 4, "deg_max": 2},
+     "graph keys not read for kind external-file: deg_max, n_outcome"),
+    ("sweep", {**SWEEP_RECIPE, "path": "edges.csv"}, "not read for kind blocks in a sweep"),
+    ("sweep", {**SWEEP_RECIPE, "normalize": True}, "in a sweep, whose cut_shares set the cross "
+     "share: normalize"),
+    ("sweep", {**SWEEP_RECIPE, "cross_share": 0.2}, "in a sweep, whose cut_shares set the cross "
+     "share: cross_share"),
+    ("sweep", {"kind": "external-file", "path": "edges.csv"},
+     "sweep needs a synthetic graph recipe, not an external file"),
+]
+
+
+@pytest.mark.parametrize("command, section, message", BAD_GRAPH_SECTIONS)
+def test_graph_keys_a_kind_does_not_read_exit_2_before_any_graph(
+    tmp_path, capsys, monkeypatch, command, section, message
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was loaded or synthesized before the section was checked")
+
+    for target in ("bipexp.cli.synth_graph", "bipexp.cli.load_edge_list",
+                   "bipexp.simlab.synth_graph"):
+        monkeypatch.setattr(target, no_graph)
+    (tmp_path / "edges.csv").write_text(EDGES_CSV)
+    monkeypatch.chdir(tmp_path)
+    cfg = {"graph": section, "design": {"kind": "bernoulli", "p": 0.5}}
+    if command == "graph-gen":
+        del cfg["design"]
+    if command == "sweep":
+        cfg["sweep"] = {"cut_shares": [0.0, 0.25], "n_sims": 2, "b_replicates": 50}
+    if command == "simulate":
+        cfg["study"] = {"n_sims": 2}
+    write_yaml(tmp_path / "cfg.yaml", cfg)
+    assert main([command, "--config", "cfg.yaml", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert message in record["message"]
 
 
 def test_graph_gen_rejects_external_graph(tmp_path, capsys):
@@ -537,6 +599,29 @@ def test_sweep_command(tmp_path):
     assert {r["interval_method"] for r in rows} == {"naive-bootstrap", "block-bootstrap"}
 
 
+def test_gps_section_under_redraw_exits_2_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    # without redraw this config exits 3 on the exact table's degree cap;
+    # with redraw every replicate used to get an auto (Monte Carlo) table
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the gps section was checked")
+
+    monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
+    cfg_path = tmp_path / "sim.yaml"
+    write_yaml(cfg_path, {
+        "graph": {"kind": "uniform-degree", "n_outcome": 30, "m_diversion": 30,
+                  "deg_min": 22, "deg_max": 25},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "gps": {"mode": "exact"},
+        "study": {"n_sims": 2, "redraw_graph": True},
+    })
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert "a gps section does not apply with study.redraw_graph" in record["message"]
+    assert not (out / "study.csv").exists()
+
+
 def test_sweep_bad_cut_share_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.yaml"
     write_yaml(cfg_path, {
@@ -605,13 +690,24 @@ def test_bad_design_kind_exits_2(tmp_path, capsys):
 # -- presets ----------------------------------------------------------------------
 
 
-def test_presets_load_and_declare_commands():
+def test_presets_load_and_declare_commands(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("parsing a graph section synthesized or loaded a graph")
+
+    for target in ("bipexp.cli.synth_graph", "bipexp.cli.load_edge_list"):
+        monkeypatch.setattr(target, no_graph)
     for name in PRESETS:
         cfg, raw = load_config(name)
         assert isinstance(cfg, dict)
         assert cfg["command"] in _COMMANDS
         assert isinstance(cfg["seed"], int)
         assert hashlib.sha256(raw).hexdigest()  # raw bytes round out provenance
+        if "graph" in cfg:
+            share = max(cfg["sweep"]["cut_shares"]) if cfg["command"] == "sweep" else None
+            spec = _parse_graph(cfg, sweep_share=share)
+            assert isinstance(spec, GraphSpec)
+            assert spec.kind == cfg["graph"]["kind"]
+            assert spec.n_outcome == cfg["graph"]["n_outcome"]
 
 
 def test_simple_example_preset_runs(tmp_path):

@@ -15,6 +15,7 @@ The inverse-propensity unbiasedness check enumerates every assignment of a
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bipexp.estimators import (
     CellMeanSurface,
     Dataset,
     DoseResponseCurve,
+    TRIM_FLOOR,
     PropensityTrimWarning,
     ate,
     beta_cell_means,
@@ -58,7 +60,7 @@ def two_type_data(two_type_graph, bernoulli_half) -> Dataset:
 def degree_graph_dataset(seed: int, *, n=40, m=12, deg=(1, 5)):
     """One realized draw on a synthetic graph, outcomes filled by the caller."""
     graph = synth_graph(
-        GraphSpec(kind="uniform-degree", n_outcome=n, m_diversion=m, deg_min=deg[0], deg_max=deg[1], seed=seed)
+        GraphSpec(kind="uniform-degree", n_outcome=n, m_diversion=m, deg_min=deg[0], deg_max=deg[1]), seed
     )
     design = AssignmentDesign.bernoulli(0.5)
     table = exact_gps_table(graph, design)
@@ -151,10 +153,9 @@ def test_ht_expectation_over_all_assignments(small_graph):
     assert total[1.0] == pytest.approx((a + b).mean(), abs=1e-12)
 
 
-def trim_dataset():
-    # one unit with 20 fair-coin neighbors: the full-exposure score is
-    # 2^-20, just under the default floor
-    m = 20
+def trim_dataset(m=20):
+    # one unit with m fair-coin neighbors: the full-exposure score is 2^-m,
+    # just under TRIM_FLOOR for m = 20 and just above it for m = 19
     graph = BipartiteGraph.from_rows([[(j, 1.0 / m) for j in range(m)]], m_diversion=m)
     table = exact_gps_table(graph, AssignmentDesign.bernoulli(0.5))
     return Dataset(y=np.array([1.0]), exposure=np.array([1.0]), graph=graph, gps=table)
@@ -165,8 +166,11 @@ def test_ht_trims_tiny_scores_with_warning():
     with pytest.warns(PropensityTrimWarning):
         got = ht_estimate(data, 1.0)
     assert got == pytest.approx(1e6)
-    # a lower floor leaves the exact score alone
-    assert ht_estimate(data, 1.0, trim_floor=1e-8) == pytest.approx(2.0**20)
+    # a score at or above the floor is divided by as-is, with no warning
+    assert 2.0**-19 >= TRIM_FLOOR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ht_estimate(trim_dataset(19), 1.0) == 2.0**19
 
 
 def test_ht_weighted_regression_matches_ratio_formula(two_type_data):
@@ -301,7 +305,7 @@ def test_krr_constant_outcomes_give_constant_surface():
 
 def test_krr_ate_less_biased_than_naive_under_heterogeneity():
     graph = synth_graph(
-        GraphSpec(kind="uniform-degree", n_outcome=400, m_diversion=50, deg_min=1, deg_max=10, seed=5)
+        GraphSpec(kind="uniform-degree", n_outcome=400, m_diversion=50, deg_min=1, deg_max=10), 5
     )
     design = AssignmentDesign.bernoulli(0.5)
     table = exact_gps_table(graph, design)
@@ -380,26 +384,36 @@ def test_stratified_two_type(two_type_data):
 
 
 def test_stratified_single_stratum_is_naive_mean(two_type_data):
-    labels = np.zeros(8, dtype=np.int64)
-    got = stratified_estimate(two_type_data, 1.0, labels=labels)
-    assert got == pytest.approx(naive_mean(two_type_data, 1.0), abs=1e-15)
+    doubles = two_type_data.take(np.arange(4, 8))  # one exposure variance, 1/8
+    got = stratified_estimate(doubles, 1.0)
+    assert got == pytest.approx(naive_mean(doubles, 1.0), abs=1e-15)
 
 
-def test_stratified_by_mean_collapses_under_balanced_design(two_type_data):
-    # every row is normalized and every coin is fair, so all units share
-    # mean exposure 1/2 and the mean moment yields one stratum
-    got = stratified_estimate(two_type_data, 1.0, moment="mean")
-    assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
+def test_stratified_cuts_variance_deciles_past_ten_values():
+    graph = synth_graph(GraphSpec("uniform-degree", 60, 20, 1, 16), 3)
+    table = exact_gps_table(graph, AssignmentDesign.bernoulli(0.5))
+    var = table.dist_variance()
+    assert np.unique(np.round(var, 12)).size > 10
+    # reference strata, unit by unit: [edges[k], edges[k + 1]) over the
+    # distinct decile edges, the last stratum closed
+    edges = np.unique(np.quantile(var, np.linspace(0, 1, 11)))
+    last = edges.size - 2
+    labels = np.array([next(k for k in range(last + 1) if v < edges[k + 1] or k == last)
+                       for v in var])
+    strata = [np.flatnonzero(labels == s) for s in np.unique(labels)]
+    assert 2 < len(strata) <= 10
+    exposure = np.zeros(60)
+    exposure[::3] = 1.0
+    exposure[[members[0] for members in strata]] = 1.0  # every stratum observed at 1
+    y = np.random.default_rng(4).normal(size=60)
+    data = Dataset(y=y, exposure=exposure, graph=graph, gps=table)
+    want = sum(members.size / 60 * y[members][exposure[members] == 1.0].mean() for members in strata)
+    assert stratified_estimate(data, 1.0) == pytest.approx(want, abs=1e-12)
 
 
 def test_stratified_empty_stratum_cell(two_type_data):
     with pytest.raises(DataError, match="no observation"):
         stratified_estimate(two_type_data, 0.5)  # singles never sit at 1/2
-
-
-def test_stratified_unknown_moment(two_type_data):
-    with pytest.raises(ValueError, match="moment"):
-        stratified_estimate(two_type_data, 1.0, moment="skewness")
 
 
 # -- dataset mechanics --------------------------------------------------------

@@ -400,12 +400,11 @@ def test_take_shares_distribution_objects(two_type_graph, bernoulli_half):
     assert sub.at(1, 1.0) == table.at(1, 1.0)
 
 
-def test_dist_mean_variance_binomial():
+def test_dist_variance_binomial():
     m, p = 5, 0.3
     graph = one_row_graph([1.0 / m] * m)
     table = exact_gps_table(graph, AssignmentDesign.bernoulli(p))
     # exposure is Binomial(m, p) / m
-    np.testing.assert_allclose(table.dist_mean(), [p], atol=1e-12)
     np.testing.assert_allclose(table.dist_variance(), [p * (1 - p) / m], atol=1e-12)
 
 
@@ -567,7 +566,7 @@ def test_distribution_rejects_a_reversed_range():
 
 
 def test_nan_atom_no_longer_builds_a_nan_mean():
-    # this table used to build, and dist_mean() returned nan
+    # this table used to build, with a nan mean and variance
     with pytest.raises(ValidationError, match="finite"):
         GpsTable(
             offsets=[0, 2], support=[0.0, np.nan], probs=[0.5, 0.5], unit_dist=[0],
@@ -702,12 +701,11 @@ def test_flat_lookups_match_reference(data):
     expected = [want(i, e) for i, e in zip(pick, queries)]
     assert table.observed_scores(queries, units=pick).tolist() == expected
 
-    # moments: the old per-distribution dot products, up to rounding
+    # variance: the old per-distribution dot products, up to rounding
     mean = np.array([np.dot(supports[d], probs[d]) for d in table.unit_dist])
     var = np.array([
         np.dot((supports[d] - m) ** 2, probs[d]) for d, m in zip(table.unit_dist, mean)
     ])
-    np.testing.assert_allclose(table.dist_mean(), mean, rtol=0, atol=1e-15)
     np.testing.assert_allclose(table.dist_variance(), var, rtol=0, atol=1e-15)
 
 

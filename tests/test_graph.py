@@ -135,19 +135,6 @@ def reference_write_edge_list(graph, id_map=None) -> str:
     return buf.getvalue()
 
 
-def reference_write_id_tables(id_map) -> tuple[str, str]:
-    """Per-id writer of the two id tables: one `csv.writer` row per id."""
-    out = []
-    for header, ids in (("outcome_id", id_map.outcome_ids), ("diversion_id", id_map.diversion_ids)):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow([header, "index"])
-        for idx, ext in enumerate(ids):
-            writer.writerow([ext, idx])
-        out.append(buf.getvalue())
-    return out[0], out[1]
-
-
 # every character csv.writer quotes for, padding, non-ASCII and NUL; empty ids too
 CSV_IDS = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "u", "é", "ß", "中", "\x00"]),
                   max_size=4)
@@ -183,11 +170,6 @@ def test_writers_match_per_row_writers(case, block):
         buf = io.StringIO(newline="")
         write_edge_list(graph, buf, id_map=id_map)
         assert buf.getvalue() == reference_write_edge_list(graph, id_map)
-        if id_map is not None:
-            outcome_buf, diversion_buf = io.StringIO(newline=""), io.StringIO(newline="")
-            id_map.write_csv(outcome_buf, diversion_buf)
-            got = outcome_buf.getvalue(), diversion_buf.getvalue()
-            assert got == reference_write_id_tables(id_map)
 
 
 def test_write_edge_list_rejects_an_id_map_of_another_shape(tmp_path, small_graph):
@@ -334,8 +316,8 @@ def test_uniform_degree_synthesis_properties():
 
 
 def test_synthesis_deterministic_for_seed():
-    spec = GraphSpec(kind="uniform-degree", n_outcome=30, m_diversion=8, deg_min=1, deg_max=4, seed=11)
-    a, b = synth_graph(spec), synth_graph(spec)
+    spec = GraphSpec(kind="uniform-degree", n_outcome=30, m_diversion=8, deg_min=1, deg_max=4)
+    a, b = synth_graph(spec, 11), synth_graph(spec, 11)
     np.testing.assert_array_equal(a.indices, b.indices)
 
 
@@ -436,10 +418,10 @@ def test_graph_spec_validation():
         GraphSpec(kind="uniform-degree", n_outcome=0, m_diversion=5)
     with pytest.raises(ValidationError):
         GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=5, deg_min=3, deg_max=2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown graph kind 'external-file'"):
         GraphSpec(kind="external-file")
     with pytest.raises(ValidationError, match="exceeds number of diversion units 2"):
-        synth_graph(GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=2, deg_min=3, deg_max=3))
+        synth_graph(GraphSpec(kind="uniform-degree", n_outcome=5, m_diversion=2, deg_min=3, deg_max=3), 0)
 
 
 def test_one_block_spec_rejects_cross_share():

@@ -282,7 +282,7 @@ def test_import_does_not_load_scipy_stats():
 
 def correlated_population(seed: int, *, n=300, m=40):
     graph = synth_graph(
-        GraphSpec(kind="uniform-degree", n_outcome=n, m_diversion=m, deg_min=1, deg_max=6, seed=seed)
+        GraphSpec(kind="uniform-degree", n_outcome=n, m_diversion=m, deg_min=1, deg_max=6), seed
     )
     design = AssignmentDesign.bernoulli(0.5)
     return graph, design

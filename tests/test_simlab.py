@@ -35,7 +35,7 @@ from bipexp.simlab import (
 )
 
 SMALL_GRAPH_SPEC = GraphSpec(
-    kind="uniform-degree", n_outcome=80, m_diversion=20, deg_min=1, deg_max=4, seed=0
+    kind="uniform-degree", n_outcome=80, m_diversion=20, deg_min=1, deg_max=4
 )
 
 
@@ -55,35 +55,29 @@ def small_dgp(**kwargs) -> DgpSpec:
 
 
 def test_dgp_spec_validation():
-    g = synth_graph(SMALL_GRAPH_SPEC)
+    g = synth_graph(SMALL_GRAPH_SPEC, 0)
     with pytest.raises(ConfigError, match="effect"):
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), effect="quadratic")
     with pytest.raises(ConfigError, match="nonnegative"):
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), sigma2_eps=-1.0)
-    with pytest.raises(ConfigError, match="unit_slopes"):
+    with pytest.raises(ConfigError, match="unknown effect form 'custom'"):
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), effect="custom")
     with pytest.raises(ConfigError, match="recipe"):
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), redraw_graph=True)
 
 
 def test_effect_slopes_forms():
-    graph = synth_graph(SMALL_GRAPH_SPEC)
+    graph = synth_graph(SMALL_GRAPH_SPEC, 0)
     degrees = graph.degrees.astype(np.float64)
     hom = small_dgp()
     np.testing.assert_allclose(effect_slopes(hom, graph), degrees.mean())
     het = small_dgp(effect="heterogeneous")
     np.testing.assert_array_equal(effect_slopes(het, graph), degrees)
-    slopes = np.linspace(0.0, 1.0, graph.n_outcome)
-    custom = small_dgp(effect="custom", unit_slopes=slopes)
-    np.testing.assert_array_equal(effect_slopes(custom, graph), slopes)
     assert true_ate(het, graph) == pytest.approx(degrees.mean())
-    short = small_dgp(effect="custom", unit_slopes=np.ones(3))
-    with pytest.raises(ConfigError, match="one entry per outcome unit"):
-        effect_slopes(short, graph)
 
 
 def test_generate_outcomes_noise_free_and_stream_order():
-    graph = synth_graph(SMALL_GRAPH_SPEC)
+    graph = synth_graph(SMALL_GRAPH_SPEC, 0)
     design = AssignmentDesign.bernoulli(0.5)
     z = draw_assignment(design, graph.m_diversion, substream(1, 5))
     e = linear_exposure(graph, z)
@@ -279,7 +273,7 @@ def test_run_study_accepts_prebuilt_gps_table():
 
 
 def test_default_gps_table_switches_modes():
-    graph = synth_graph(SMALL_GRAPH_SPEC)
+    graph = synth_graph(SMALL_GRAPH_SPEC, 0)
     exact = default_gps_table(graph, AssignmentDesign.bernoulli(0.5))
     assert exact.mode == "exact"
     cr_design = AssignmentDesign.completely_randomized(5)
@@ -317,7 +311,7 @@ def test_simple_example_structure():
 def test_edges_cut_sweep_rows():
     base = GraphSpec(
         kind="blocks", n_outcome=60, m_diversion=30, deg_min=1, deg_max=3,
-        n_blocks=6, cross_share=0.0, seed=0,
+        n_blocks=6, cross_share=0.0,
     )
     rows = edges_cut_sweep(
         base, [0.0, 0.3], design=AssignmentDesign.bernoulli(0.5),
