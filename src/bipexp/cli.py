@@ -382,20 +382,40 @@ def cmd_gps(cfg: dict, args) -> int:
     return 0
 
 
-_DATA_KEYS = ("fixture", "n_single", "n_double", "outcomes", "assignment", "exposures")
+# the keys each data mode reads
+_DATA_KEYS = {
+    "fixture": ("fixture", "n_single", "n_double"),
+    "files": ("outcomes", "assignment", "exposures"),
+}
 
 
 def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
-    """Returns (dataset, id_map). Fixture configs synthesize everything."""
+    """Returns (dataset, id_map) from a fixture or from data files.
+
+    A fixture builds its own graph and takes an optional `bernoulli`
+    design (p = 0.5 without one); files come with the config's graph and
+    design. A key or section the mode does not read is a config error.
+    """
     sec = _section(cfg, "data")
-    _check_keys(sec, _DATA_KEYS, "data")
-    fixture = _get(sec, "fixture", str, "data")
-    if fixture is not None:
+    _check_keys(sec, set().union(*_DATA_KEYS.values()), "data")
+    mode = "fixture" if "fixture" in sec else "files"
+    unread = sorted(set(sec) - set(_DATA_KEYS[mode]))
+    if unread:
+        with_fixture = "with" if mode == "fixture" else "without"
+        raise ConfigError(f"data keys not read {with_fixture} a fixture: {', '.join(unread)}")
+    if mode == "fixture":
+        fixture = _get(sec, "fixture", str, "data")
         if fixture != "simple-example":
             raise ConfigError(f"unknown fixture {fixture!r}")
+        if "graph" in cfg:
+            raise ConfigError("the simple-example fixture builds its own graph; drop `graph`")
+        design = build_design(cfg, None) if "design" in cfg else AssignmentDesign.bernoulli(0.5)
+        if design.kind != "bernoulli":
+            raise ConfigError(f"the fixture needs a bernoulli design, not {design.kind}")
         example = simple_example(
             n_single=_get(sec, "n_single", int, "data", default=200),
             n_double=_get(sec, "n_double", int, "data", default=200),
+            p=design.p,
         )
         graph, design = example.graph, example.design
         rng = substream(seed, 12)
@@ -487,7 +507,7 @@ def cmd_estimate(cfg: dict, args) -> int:
 
 
 _STUDY_KEYS = (
-    "label", "effect", "sigma2_eps", "sigma2_gamma", "redraw_graph",
+    "label", "effect", "sigma2_eps", "sigma2_gamma",
     "n_sims", "b_replicates", "level",
 )
 
@@ -511,25 +531,16 @@ def cmd_simulate(cfg: dict, args) -> int:
         sec, "study", default_b=200, bootstrap=_asks_bootstrap(intervals)
     )
     gps = _parse_gps(cfg)
-    source = _parse_graph(cfg)
-    redraw = _get(sec, "redraw_graph", bool, "study", default=False)
-    if redraw and "gps" in cfg:
-        raise ConfigError(
-            "a gps section does not apply with study.redraw_graph: "
-            "each redrawn graph gets the auto table"
-        )
-    graph, id_map = build_graph(source, seed)
+    graph, id_map = build_graph(_parse_graph(cfg), seed)
     design = build_design(cfg, id_map)
     dgp = DgpSpec(
-        graph=source if redraw else graph,
+        graph=graph,
         design=design,
         effect=_get(sec, "effect", str, "study", default="homogeneous"),
         sigma2_eps=_get(sec, "sigma2_eps", float, "study", default=0.0),
         sigma2_gamma=_get(sec, "sigma2_gamma", float, "study", default=0.0),
-        redraw_graph=redraw,
         label=_get(sec, "label", str, "study", default=""),
     )
-    gps_table = None if redraw else build_gps(gps, graph, design, seed)
 
     def progress(done: int, total: int) -> None:
         if done == total or done % max(1, total // 10) == 0:
@@ -542,7 +553,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         level=level,
         master_seed=seed,
         workers=args.workers,
-        gps=gps_table,
+        gps=build_gps(gps, graph, design, seed),
         progress=progress,
     )
     csv_path = out_dir / "study.csv"

@@ -427,12 +427,6 @@ class DoseResponseCurve:
             raise ValueError(f"level e={e!r} is not on the grid")
         return float(self.mu_hat[idx])
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"estimator": self.estimator, "level": float(e), "estimate": float(m)}
-            for e, m in zip(self.grid, self.mu_hat)
-        ]
-
 
 DEFAULT_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 

@@ -90,16 +90,9 @@ class BipartiteGraph:
             if self.weights.min() < 0:
                 raise ValidationError("edge weights must be nonnegative")
             # ascending within row also rules out duplicate edges
-            row_starts = self.indptr[:-1]
-            diffs = np.diff(self.indices)
-            boundary = np.zeros(self.indices.size - 1, dtype=bool) if self.indices.size > 1 else None
-            if self.indices.size > 1:
-                boundary[row_starts[(row_starts > 0) & (row_starts < self.indices.size)] - 1] = True
-                bad = (diffs <= 0) & ~boundary
-                if np.any(bad):
-                    raise ValidationError(
-                        "row indices must be strictly ascending (duplicate edge?)"
-                    )
+            owner = np.repeat(np.arange(self.n_outcome), np.diff(self.indptr))
+            if np.any((np.diff(self.indices) <= 0) & (np.diff(owner) == 0)):
+                raise ValidationError("row indices must be strictly ascending (duplicate edge?)")
         sums = self.row_sums
         degrees = np.diff(self.indptr)
         normalized = bool(

@@ -67,16 +67,6 @@ class IntervalEstimate:
     def covers(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "lower": self.lower,
-            "upper": self.upper,
-            "level": self.level,
-            "method": self.method,
-            "n_replicates": self.n_replicates,
-        }
-
 
 def _quantile_interval(
     estimate: float,

@@ -2,14 +2,17 @@
 
 A `DgpSpec` fixes the graph (or a recipe for one), the assignment design,
 the exposure-effect form, and the two noise variances. `run_study` replays
-the whole pipeline n_sims times with per-replicate random substreams and
-aggregates per (estimator, interval-method) bias, RMSE, and coverage of
-the true ATE. `edges_cut_sweep` runs the clustered-vs-iid resampling
-comparison across graphs with increasing cross-component wiring.
+the whole pipeline n_sims times on that one graph, with per-replicate
+random substreams, and aggregates per (estimator, interval-method) bias,
+RMSE, and coverage of the true ATE. `edges_cut_sweep` runs the
+clustered-vs-iid resampling comparison across graphs with increasing
+cross-component wiring.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -71,7 +74,8 @@ class DgpSpec:
     every unit the population mean degree (one shared linear effect), and
     `heterogeneous` gives each unit its own degree. Outcomes are
     Y_i = slope_i * E_i + (W @ gamma)_i + eps_i with gamma and eps i.i.d.
-    centered normals of variance sigma2_gamma and sigma2_eps.
+    centered normals of variance sigma2_gamma and sigma2_eps. A
+    `GraphSpec` is realized once per study, from its master seed.
     """
 
     graph: BipartiteGraph | GraphSpec
@@ -79,7 +83,6 @@ class DgpSpec:
     effect: str = HOMOGENEOUS
     sigma2_eps: float = 0.0
     sigma2_gamma: float = 0.0
-    redraw_graph: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -87,8 +90,6 @@ class DgpSpec:
             raise ConfigError(f"unknown effect form {self.effect!r}")
         if self.sigma2_eps < 0 or self.sigma2_gamma < 0:
             raise ConfigError("noise variances must be nonnegative")
-        if self.redraw_graph and not isinstance(self.graph, GraphSpec):
-            raise ConfigError("redraw_graph requires a graph recipe, not a fixed graph")
 
 
 def effect_slopes(dgp: DgpSpec, graph: BipartiteGraph) -> np.ndarray:
@@ -316,7 +317,7 @@ class SimStudyResult:
     covered: dict[tuple[str, str], np.ndarray]
     point_failures: dict[str, int] = field(default_factory=dict)
     interval_failures: dict[tuple[str, str], int] = field(default_factory=dict)
-    seed_scheme: str = SEED_SCHEME
+    seed_scheme = SEED_SCHEME
 
     def bias(self, estimator: str) -> float:
         return float(np.nanmean(self.estimates[estimator] - self.truth))
@@ -324,9 +325,6 @@ class SimStudyResult:
     def rmse(self, estimator: str) -> float:
         dev = self.estimates[estimator] - self.truth
         return float(np.sqrt(np.nanmean(dev * dev)))
-
-    def estimate_std(self, estimator: str) -> float:
-        return float(np.nanstd(self.estimates[estimator]))
 
     def coverage(self, estimator: str, method: str) -> float:
         return float(np.nanmean(self.covered[(estimator, method)]))
@@ -409,20 +407,14 @@ def default_gps_table(
 
 
 def _simulate_one(ctx: dict, t: int):
-    """One replicate: draw, estimate, cover. Pure given (ctx, t)."""
+    """One replicate on the study's graph: draw, estimate, cover. Pure given (ctx, t)."""
     dgp: DgpSpec = ctx["dgp"]
+    graph, truth = dgp.graph, ctx["truth"]
     rng = substream(ctx["master_seed"], _SIM_STREAM, t)
-    if dgp.redraw_graph:
-        graph = synth_graph(dgp.graph, rng)
-        gps = default_gps_table(graph, dgp.design, rng=rng)
-    else:
-        graph = ctx["graph"]
-        gps = ctx["gps"]
     z = draw_assignment(dgp.design, graph.m_diversion, rng)
     exposure = linear_exposure(graph, z)
     y = generate_outcomes(dgp, graph, exposure, rng)
-    data = Dataset.build(graph, gps, y, exposure)
-    truth = true_ate(dgp, graph)
+    data = Dataset.build(graph, ctx["gps"], y, exposure)
 
     estimates: dict[str, float] = {}
     point_fail: dict[str, int] = {}
@@ -450,7 +442,7 @@ def _simulate_one(ctx: dict, t: int):
             except (DataError, NumericalError):
                 covered[(est.name, method)] = np.nan
                 iv_fail[(est.name, method)] = 1
-    return truth, estimates, covered, point_fail, iv_fail
+    return estimates, covered, point_fail, iv_fail
 
 
 def run_study(
@@ -469,10 +461,12 @@ def run_study(
 ) -> SimStudyResult:
     """Replay assignment -> exposure -> outcomes -> estimates n_sims times.
 
-    Each replicate draws from its own substream of the master seed, so
-    results are bit-identical for any worker count. Estimator or interval
-    failures inside a replicate are recorded (NaN + census), not fatal.
-    A KeyboardInterrupt truncates the study to the completed prefix.
+    All replicates share one graph, one propensity table (without `gps`,
+    `default_gps_table`'s) and so one true ATE. Each replicate draws from
+    its own substream of the master seed, so results are bit-identical
+    for any worker count. Estimator or interval failures inside a
+    replicate are recorded (NaN + census), not fatal. A KeyboardInterrupt
+    truncates the study to the completed prefix.
     """
     if n_sims <= 0:
         raise ConfigError("n_sims must be positive")
@@ -480,17 +474,16 @@ def run_study(
     intervals = dict(intervals or {})
     check_intervals(ests, intervals)
 
-    if isinstance(dgp.graph, GraphSpec) and not dgp.redraw_graph:
-        graph0 = synth_graph(dgp.graph, substream(master_seed, _GRAPH_STREAM))
-        dgp = replace(dgp, graph=graph0)
-    graph = None if dgp.redraw_graph else dgp.graph
-    if not dgp.redraw_graph and gps is None:
-        gps = default_gps_table(graph, dgp.design, rng=substream(master_seed, _GPS_STREAM))
+    if isinstance(dgp.graph, GraphSpec):
+        dgp = replace(dgp, graph=synth_graph(dgp.graph, substream(master_seed, _GRAPH_STREAM)))
+    if gps is None:
+        gps = default_gps_table(dgp.graph, dgp.design, rng=substream(master_seed, _GPS_STREAM))
+    truth = true_ate(dgp, dgp.graph)
 
     ctx = {
         "dgp": dgp,
-        "graph": graph,
         "gps": gps,
+        "truth": truth,
         "estimators": ests,
         "intervals": intervals,
         "b_replicates": b_replicates,
@@ -499,52 +492,37 @@ def run_study(
         "block_labels": block_labels,
     }
 
-    results: list = [None] * n_sims
-    done = 0
+    results: list = []
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for t, out in enumerate(pool.map(_sim_worker, [(ctx, t) for t in range(n_sims)])):
-                    results[t] = out
-                    done = t + 1
-                    if progress is not None:
-                        progress(done, n_sims)
-        else:
-            for t in range(n_sims):
-                results[t] = _simulate_one(ctx, t)
-                done = t + 1
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            replicates = map if pool is None else pool.map
+            for out in replicates(_sim_worker, [(ctx, t) for t in range(n_sims)]):
+                results.append(out)
                 if progress is not None:
-                    progress(done, n_sims)
+                    progress(len(results), n_sims)
     except KeyboardInterrupt:
         pass
-    if done == 0:
+    if not results:
         raise DataError("study interrupted before any replicate completed")
 
-    truth = np.array([results[t][0] for t in range(done)])
-    estimates = {
-        e.name: np.array([results[t][1][e.name] for t in range(done)]) for e in ests
+    estimates = {e.name: np.array([r[0][e.name] for r in results]) for e in ests}
+    covered = {
+        (e.name, m): np.array([r[1].get((e.name, m), np.nan) for r in results])
+        for e in ests
+        for m in intervals.get(e.name, ())
     }
-    covered = {}
-    for e in ests:
-        for m in intervals.get(e.name, ()):
-            covered[(e.name, m)] = np.array(
-                [results[t][2].get((e.name, m), np.nan) for t in range(done)]
-            )
-    point_failures: dict[str, int] = {}
-    interval_failures: dict[tuple[str, str], int] = {}
-    for t in range(done):
-        for k, v in results[t][3].items():
-            point_failures[k] = point_failures.get(k, 0) + v
-        for k, v in results[t][4].items():
-            interval_failures[k] = interval_failures.get(k, 0) + v
+    point_failures, interval_failures = Counter(), Counter()
+    for r in results:
+        point_failures.update(r[2])
+        interval_failures.update(r[3])
     return SimStudyResult(
         label=dgp.label,
-        n_sims=done,
+        n_sims=len(results),
         n_requested=n_sims,
         b_replicates=b_replicates,
         level=level,
         master_seed=master_seed,
-        truth=truth,
+        truth=np.full(len(results), truth),
         estimates=estimates,
         covered=covered,
         point_failures=point_failures,
@@ -636,7 +614,7 @@ class SimpleExample:
     graph: BipartiteGraph
     design: AssignmentDesign
     double_mask: np.ndarray
-    true_ate: float = 0.5
+    true_ate = 0.5
 
     def outcomes(self, exposure) -> np.ndarray:
         return np.where(self.double_mask, np.asarray(exposure, dtype=np.float64), 0.0)

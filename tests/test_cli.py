@@ -395,6 +395,47 @@ def test_estimate_json_format(tmp_path):
     assert rows[0]["quantity"] == "ate"
 
 
+def test_estimate_fixture_reads_the_design_probability(tmp_path):
+    # at p = 0.9 no double is unexposed, so no cell-mean estimator here
+    settings = {"estimators": ["naive-ols", "ht"], "grid": None}
+    estimates = {}
+    for p in (0.5, 0.9):
+        cfg_path = fixture_config(tmp_path, design={"kind": "bernoulli", "p": p}, **settings)
+        out = tmp_path / f"p{p}"
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        estimates[p] = (out / "estimates.csv").read_bytes()
+    assert estimates[0.5] != estimates[0.9]
+    # no design section keeps the fixture's own p = 0.5
+    cfg_path = fixture_config(tmp_path, **settings)
+    out = tmp_path / "default"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "estimates.csv").read_bytes() == estimates[0.5]
+
+
+@pytest.mark.parametrize(
+    "extra, data, message",
+    [
+        ({"graph": {"kind": "nonsense"}}, {}, "builds its own graph"),
+        ({"design": {"kind": "completely-randomized", "k": 10}}, {},
+         "needs a bernoulli design, not completely-randomized"),
+        ({}, {"outcomes": "y.csv"}, "data keys not read with a fixture: outcomes"),
+        ({}, {"assignment": "z.csv"}, "data keys not read with a fixture: assignment"),
+        ({}, {"exposures": "e.csv"}, "data keys not read with a fixture: exposures"),
+    ],
+)
+def test_estimate_fixture_rejects_what_it_does_not_read(tmp_path, capsys, extra, data, message):
+    cfg_path = fixture_config(tmp_path, **extra)
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["data"].update(data)
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert message in record["message"]
+    assert not (out / "estimates.csv").exists()
+
+
 def file_inputs_config(tmp_path, outcomes_rows, z_rows=("x,1", "y,0")):
     edges = tmp_path / "edges.csv"
     edges.write_text(EDGES_CSV)
@@ -445,6 +486,19 @@ def test_estimate_rejects_exposures_plus_assignment(tmp_path, capsys):
     rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not both" in stderr_record(capsys)["message"]
+
+
+@pytest.mark.parametrize("key", ["n_single", "n_double"])
+def test_estimate_files_reject_fixture_keys(tmp_path, capsys, key):
+    cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "a,2.0", "b,5.0", "c,4.0"))
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["data"][key] = 60
+    write_yaml(cfg_path, cfg)
+    rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert record["message"] == f"data keys not read without a fixture: {key}"
 
 
 def test_estimate_unknown_estimator_exits_2(tmp_path, capsys):
@@ -599,26 +653,23 @@ def test_sweep_command(tmp_path):
     assert {r["interval_method"] for r in rows} == {"naive-bootstrap", "block-bootstrap"}
 
 
-def test_gps_section_under_redraw_exits_2_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
-    # without redraw this config exits 3 on the exact table's degree cap;
-    # with redraw every replicate used to get an auto (Monte Carlo) table
+def test_redraw_graph_is_an_unknown_study_key(tmp_path, capsys, monkeypatch):
     def no_graph(*args, **kwargs):
-        raise AssertionError("the graph was built before the gps section was checked")
+        raise AssertionError("the graph was built before the study section was checked")
 
     monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
     cfg_path = tmp_path / "sim.yaml"
     write_yaml(cfg_path, {
         "graph": {"kind": "uniform-degree", "n_outcome": 30, "m_diversion": 30,
-                  "deg_min": 22, "deg_max": 25},
+                  "deg_min": 1, "deg_max": 3},
         "design": {"kind": "bernoulli", "p": 0.5},
-        "gps": {"mode": "exact"},
         "study": {"n_sims": 2, "redraw_graph": True},
     })
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     record = stderr_record(capsys)
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
-    assert "a gps section does not apply with study.redraw_graph" in record["message"]
+    assert record["message"] == "unknown keys in study: redraw_graph"
     assert not (out / "study.csv").exists()
 
 

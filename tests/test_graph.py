@@ -49,6 +49,25 @@ def test_duplicate_edge_rejected():
         BipartiteGraph.from_rows([[(0, 0.5), (0, 0.5)]], m_diversion=1)
 
 
+def csr_graph(indptr, indices, m_diversion=6) -> BipartiteGraph:
+    # the raw constructor: from_rows sorts each row, so it never sees a descent
+    return BipartiteGraph(
+        n_outcome=len(indptr) - 1, m_diversion=m_diversion,
+        indptr=np.array(indptr), indices=np.array(indices), weights=np.ones(len(indices)),
+    )
+
+
+def test_raw_rows_must_ascend_within_a_row_only():
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        csr_graph([0, 2], [3, 1])
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        csr_graph([0, 1, 3], [0, 2, 2])
+    # a descent across a row boundary is fine, also after empty rows
+    assert csr_graph([0, 1, 2], [5, 2]).nnz == 2
+    assert csr_graph([0, 0, 0, 1, 3], [5, 2, 4]).degrees.tolist() == [0, 0, 1, 2]
+    assert csr_graph([0, 0, 0], []).nnz == 0
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValidationError):
         BipartiteGraph.from_rows([[(0, -0.1)]], m_diversion=1)

@@ -70,7 +70,7 @@ def test_interval_estimate_invariants():
     iv = IntervalEstimate(estimate=1.0, lower=0.5, upper=2.0, level=0.9, method="test")
     assert iv.width == pytest.approx(1.5)
     assert iv.covers(0.5) and iv.covers(2.0) and not iv.covers(2.1)
-    assert iv.as_dict()["method"] == "test"
+    assert iv.method == "test"
     with pytest.raises(ValueError, match="level"):
         IntervalEstimate(estimate=0.0, lower=0.0, upper=1.0, level=1.5, method="x")
     with pytest.raises(ValueError, match="order"):

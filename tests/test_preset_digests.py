@@ -1,0 +1,31 @@
+"""tools/preset_digests.py prints stable digests of a preset's output files."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "preset_digests", ROOT / "tools" / "preset_digests.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_simple_example_digests_are_stable(capsys):
+    tool = load_tool()
+    runs = []
+    for _ in range(2):
+        assert tool.main(["--presets", "simple-example"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    lines = runs[0]
+    assert [line.split("  ")[1] for line in lines] == [
+        "simple-example/estimates.csv",
+        "simple-example/provenance.json",
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    assert runs[1] == lines

@@ -1,0 +1,65 @@
+"""SHA-256 digests of every output file the shipped presets write.
+
+Runs each preset through `bipexp.cli.main` into a temporary directory
+(`simulate` and `sweep` with `--workers 2`) and prints one line per
+output file, provenance included, in `sha256sum` format:
+
+    <sha256>  <preset>/<file>
+
+The five presets write 13 files. The package is imported from the `src/`
+directory of the checkout this script lives in, so two checkouts can be
+compared by running each one's copy and diffing the output:
+
+    python3 tools/preset_digests.py [--presets simple-example ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bipexp.cli import PRESETS, load_config, main as cli_main  # noqa: E402
+
+# commands whose replicates can run in a process pool
+_POOLED = ("simulate", "sweep")
+
+
+def preset_digests(preset: str, out_dir: Path) -> list[str]:
+    """Run one preset into out_dir and return its `sha256  preset/file` lines."""
+    command = load_config(preset)[0]["command"]
+    argv = [command, "--config", preset, "--out", str(out_dir)]
+    if command in _POOLED:
+        argv += ["--workers", "2"]
+    log = io.StringIO()
+    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"{preset}: exit {code}\n{log.getvalue()}")
+    return [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {preset}/{path.name}"
+        for path in sorted(out_dir.iterdir())
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--presets", nargs="+", choices=PRESETS, default=list(PRESETS))
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in args.presets:
+            out_dir = Path(tmp) / preset
+            out_dir.mkdir()
+            for line in preset_digests(preset, out_dir):
+                print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
