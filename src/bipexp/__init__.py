@@ -77,7 +77,6 @@ from .numerics import (
     LinearFit,
     krr_fit,
     krr_predict,
-    median_pairwise_distance,
     ols,
 )
 from .seeding import as_generator, substream
@@ -149,7 +148,6 @@ __all__ = [
     "load_edge_list",
     "load_probability_file",
     "mc_gps",
-    "median_pairwise_distance",
     "naive_bootstrap",
     "naive_mean",
     "naive_ols",

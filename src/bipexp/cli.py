@@ -56,6 +56,7 @@ from .simlab import (
     ESTIMATOR_REGISTRY,
     INTERVAL_METHODS,
     DgpSpec,
+    _check_workers,
     check_intervals,
     default_gps_table,
     edges_cut_sweep,
@@ -393,8 +394,9 @@ def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
     """Returns (dataset, id_map) from a fixture or from data files.
 
     A fixture builds its own graph and takes an optional `bernoulli`
-    design (p = 0.5 without one); files come with the config's graph and
-    design. A key or section the mode does not read is a config error.
+    design (p = 0.5 without one), whose kind is checked before the design
+    is built; files come with the config's graph and design. A key or
+    section the mode does not read is a config error.
     """
     sec = _section(cfg, "data")
     _check_keys(sec, set().union(*_DATA_KEYS.values()), "data")
@@ -409,9 +411,11 @@ def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
             raise ConfigError(f"unknown fixture {fixture!r}")
         if "graph" in cfg:
             raise ConfigError("the simple-example fixture builds its own graph; drop `graph`")
+        kind = _get(_section(cfg, "design", required=False), "kind", str, "design",
+                    default="bernoulli")
+        if kind != "bernoulli":
+            raise ConfigError(f"the simple-example fixture needs a bernoulli design, not {kind}")
         design = build_design(cfg, None) if "design" in cfg else AssignmentDesign.bernoulli(0.5)
-        if design.kind != "bernoulli":
-            raise ConfigError(f"the fixture needs a bernoulli design, not {design.kind}")
         example = simple_example(
             n_single=_get(sec, "n_single", int, "data", default=200),
             n_double=_get(sec, "n_double", int, "data", default=200),
@@ -518,6 +522,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         _TOP_KEYS_COMMON + ("graph", "design", "gps", "study", "estimators", "intervals"),
         "config",
     )
+    _check_workers(args.workers)
     seed = _resolve_seed(cfg, args)
     out_dir = _resolve_out(cfg, args)
     sec = _section(cfg, "study")
@@ -617,6 +622,9 @@ _COMMANDS = {
     "sweep": cmd_sweep,
 }
 
+# the commands whose replicates can run in a process pool
+_POOLED = ("simulate", "sweep")
+
 
 def _emit_error(exc: Exception, code: int) -> None:
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
@@ -635,8 +643,10 @@ def main(argv=None) -> int:
                        help="config file path or preset name")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name in _POOLED:
+            p.add_argument("--workers", type=int, default=1)
+        if name == "estimate":
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
         cfg, raw = load_config(args.config)

@@ -25,11 +25,6 @@ from .numerics import KernelFit, LinearFit, krr_fit, krr_predict, ols
 # Scores below this floor are lifted to it before dividing (with a warning).
 TRIM_FLOOR = 1e-6
 
-# `beta_krr_fit`'s kernel: bandwidth multipliers of the median heuristic
-# along (exposure, score), and the ridge.
-KRR_BANDWIDTH_SCALE = (12.0, 2.0)
-KRR_RIDGE = 0.1
-
 # `stratified_estimate` cuts units into this many variance quantile strata.
 N_STRATA = 10
 
@@ -269,8 +264,6 @@ class CellMeanSurface:
     values: np.ndarray  # (n_e, n_r), NaN where empty
     counts: np.ndarray
 
-    kind = "cell-means"
-
     @classmethod
     def from_cells(cls, cells: dict[tuple[float, float], float]):
         """Build directly from {(e, r): value} (counts set to 1)."""
@@ -303,8 +296,6 @@ class PolynomialSurface:
 
     coef: np.ndarray  # matches _poly_features ordering
 
-    kind = "polynomial"
-
     def evaluate(self, e: float, r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         e_col = np.full(r.shape, float(e))
@@ -322,8 +313,6 @@ class KernelSurface:
 
     fit: KernelFit
     mean_coef: np.ndarray  # (2,) intercept and exposure slope
-
-    kind = "kernel-ridge"
 
     def evaluate(self, e: float, r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
@@ -379,11 +368,11 @@ def beta_krr_fit(data: Dataset) -> KernelSurface:
     the kernel to its residuals, a standard parametric-mean variant.
     Dose-response queries sit at the exposure extremes where data is
     thin; anchoring them to the global trend instead of the grand mean
-    removes most of the endpoint noise. For the same reason the bandwidth
-    (`KRR_BANDWIDTH_SCALE` times the median heuristic) stretches far
-    along the exposure axis, while the score axis stays close to the
-    plain heuristic so units with unusual scores are not smoothed into
-    the crowd. The ridge is `KRR_RIDGE`.
+    removes most of the endpoint noise. For the same reason the kernel's
+    bandwidth (`numerics.KRR_BANDWIDTH_SCALE` times the median heuristic)
+    stretches far along the exposure axis, while the score axis stays
+    close to the plain heuristic so units with unusual scores are not
+    smoothed into the crowd.
     """
     scores = data.observed_scores()
     x = np.column_stack([data.exposure, scores])
@@ -393,7 +382,7 @@ def beta_krr_fit(data: Dataset) -> KernelSurface:
     else:
         mean_coef = np.array([float(data.y.mean()), 0.0])  # degenerate: no exposure variation
     resid = data.y - (mean_coef[0] + mean_coef[1] * data.exposure)
-    fit = krr_fit(x, resid, bandwidth_scale=KRR_BANDWIDTH_SCALE, ridge=KRR_RIDGE)
+    fit = krr_fit(x, resid)
     return KernelSurface(fit=fit, mean_coef=mean_coef)
 
 
@@ -406,7 +395,6 @@ class DoseResponseCurve:
 
     grid: np.ndarray
     mu_hat: np.ndarray
-    estimator: str = ""
 
     def __post_init__(self):
         grid = _as_readonly(self.grid, np.float64)
@@ -457,7 +445,7 @@ def dose_response(surface, gps: GpsTable, grid=DEFAULT_GRID) -> DoseResponseCurv
             f"surface has no value at required (exposure, score) cells: {shown}{more}",
             holes=holes,
         )
-    return DoseResponseCurve(grid=grid, mu_hat=mu, estimator=getattr(surface, "kind", ""))
+    return DoseResponseCurve(grid=grid, mu_hat=mu)
 
 
 def ate(curve: DoseResponseCurve) -> float:

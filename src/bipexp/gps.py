@@ -79,16 +79,15 @@ class GpsTable:
     sharing an identical (weights, probabilities) row share one. `edges`
     holds the bin edges of a Monte Carlo table, and is None for exact
     atoms, which match a level within `ATOM_TOL`. The arrays are validated
-    once, here; `take` shares them. Query levels must lie inside [lo, hi],
-    the reachable exposure range. Support, probabilities, edges and the
-    range must be finite, with lo <= hi.
+    once, here; `take` shares them. Query levels must lie inside [0, hi],
+    the reachable exposure range (exposures are nonnegative). Support,
+    probabilities, edges and `hi` must be finite, with hi >= 0.
     """
 
     offsets: np.ndarray
     support: np.ndarray
     probs: np.ndarray
     unit_dist: np.ndarray
-    lo: float
     hi: float
     edges: np.ndarray | None = None
 
@@ -105,10 +104,8 @@ class GpsTable:
             raise ValidationError("support and probs must be matching vectors")
         if not (np.isfinite(support).all() and np.isfinite(probs).all()):
             raise ValidationError("support and probs must be finite")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo <= self.hi):
-            raise ValidationError(
-                f"exposure range [{self.lo}, {self.hi}] must be finite with lo <= hi"
-            )
+        if not (np.isfinite(self.hi) and self.hi >= 0):
+            raise ValidationError(f"exposure range [0.0, {self.hi}] must be finite with hi >= 0")
         if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != support.size:
             raise ValidationError("offsets must run from 0 to the number of atoms")
         sizes = np.diff(offsets)
@@ -161,12 +158,11 @@ class GpsTable:
 
     def _check_range(self, e: np.ndarray) -> None:
         e = np.asarray(e, dtype=np.float64)
-        lo, hi = self.lo - ATOM_TOL, self.hi + ATOM_TOL
+        lo, hi = -ATOM_TOL, self.hi + ATOM_TOL
         if np.any(e < lo) or np.any(e > hi):
             bad = e[(e < lo) | (e > hi)]
             raise DataError(
-                f"exposure level {bad.flat[0]!r} outside the table's range "
-                f"[{self.lo}, {self.hi}]"
+                f"exposure level {bad.flat[0]!r} outside the table's range [0.0, {self.hi}]"
             )
 
     def _mass(self, dist: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -401,7 +397,6 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
         support=support,
         probs=probs,
         unit_dist=unit_dist,
-        lo=0.0,
         hi=graph.max_row_sum,
     )
 
@@ -457,7 +452,6 @@ def mc_gps(
         support=np.tile((edges[:-1] + edges[1:]) / 2.0, n),
         probs=(counts / float(n_draws)).ravel(),
         unit_dist=np.arange(n, dtype=np.int64),
-        lo=0.0,
         hi=1.0,
         edges=edges,
     )

@@ -56,9 +56,6 @@ class BipartiteGraph:
         Diversion-unit index of each edge, ascending within a row.
     weights : ndarray, shape (nnz,)
         Nonnegative, finite edge weights.
-    row_normalized : bool
-        True when every nonempty row sums to 1 within 1e-9. Set
-        automatically by the constructors.
     """
 
     n_outcome: int
@@ -66,7 +63,6 @@ class BipartiteGraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    row_normalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "indptr", _as_readonly(self.indptr, np.int64))
@@ -93,12 +89,6 @@ class BipartiteGraph:
             owner = np.repeat(np.arange(self.n_outcome), np.diff(self.indptr))
             if np.any((np.diff(self.indices) <= 0) & (np.diff(owner) == 0)):
                 raise ValidationError("row indices must be strictly ascending (duplicate edge?)")
-        sums = self.row_sums
-        degrees = np.diff(self.indptr)
-        normalized = bool(
-            np.all(np.abs(sums[degrees > 0] - 1.0) <= NORMALIZED_TOL)
-        ) if np.any(degrees > 0) else True
-        object.__setattr__(self, "row_normalized", normalized)
 
     # -- constructors ------------------------------------------------------
 
@@ -133,6 +123,12 @@ class BipartiteGraph:
     def row_sums(self) -> np.ndarray:
         cs = np.concatenate([[0.0], np.cumsum(self.weights)])
         return cs[self.indptr[1:]] - cs[self.indptr[:-1]]
+
+    @property
+    def row_normalized(self) -> bool:
+        """True when every nonempty row sums to 1 within `NORMALIZED_TOL`."""
+        nonempty = self.degrees > 0
+        return bool(np.all(np.abs(self.row_sums[nonempty] - 1.0) <= NORMALIZED_TOL))
 
     @property
     def max_row_sum(self) -> float:

@@ -188,7 +188,7 @@ def ols_asymptotic_interval(
     """Normal-theory interval for a linear contrast of regression coefficients."""
     contrast = np.asarray(contrast, dtype=np.float64)
     est = float(contrast @ fit.coef)
-    se = float(np.sqrt(contrast @ fit.coef_cov @ contrast))
+    se = float(np.sqrt(contrast @ fit.coef_cov() @ contrast))
     z = float(ndtri(0.5 + level / 2))
     return IntervalEstimate(
         estimate=est,
@@ -335,8 +335,8 @@ def parametric_bootstrap(
     data: Dataset,
     phi: np.ndarray,
     target: np.ndarray,
+    contrast: np.ndarray,
     *,
-    contrast: np.ndarray | None = None,
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
@@ -347,11 +347,11 @@ def parametric_bootstrap(
     does (a negative variance is clipped to zero), then repeatedly rebuilds
     synthetic targets phi @ coef + W @ gamma_b + eps_b and refits them all
     through the fit's QR factorisation. The targets fill one (n, B) array,
-    with the noise drawn in blocks of `NOISE_BLOCK` values. The interval is
-    formed from quantiles of the replicate contrasts (default contrast:
-    last column minus first, the endpoint difference). A rank-deficient
-    design raises `RankDeficiencyError`, as in `ols`; a variance split the
-    graph cannot identify raises `DataError`.
+    with the noise drawn in blocks of `NOISE_BLOCK` values. The estimate
+    is contrast @ coef (one contrast entry per column of phi), and the
+    interval is formed from quantiles of the replicate contrasts. A
+    rank-deficient design raises `RankDeficiencyError`, as in `ols`; a
+    variance split the graph cannot identify raises `DataError`.
     """
     rng = as_generator(rng)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
@@ -359,13 +359,11 @@ def parametric_bootstrap(
     n, k = phi.shape
     if target.shape != (n,):
         raise ValueError("target must align with the design's rows")
+    contrast = np.asarray(contrast, dtype=np.float64)
+    if contrast.shape != (k,):
+        raise ValueError(f"contrast must have one entry per design column ({k})")
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
-    if contrast is None:
-        contrast = np.zeros(k)
-        contrast[0] = -1.0
-        contrast[-1] = 1.0
-    contrast = np.asarray(contrast, dtype=np.float64)
 
     fit = ols(phi, target)
     graph = data.row_graph()

@@ -2,7 +2,7 @@
 
 Both routines are deliberately strict about failure: rank deficiency names
 the offending columns instead of silently pseudo-inverting, and a singular
-kernel system says to raise the ridge instead of returning garbage.
+kernel system raises instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from .errors import NumericalError, RankDeficiencyError
 # R-diagonal entries below RANK_TOL * the largest count as zero.
 RANK_TOL = 1e-10
 
-DEFAULT_RIDGE = 1e-3
+# The kernel ridge fit of the (exposure, score) surface: bandwidth
+# multipliers of the median heuristic along each input, and the ridge.
+KRR_BANDWIDTH_SCALE = (12.0, 2.0)
+KRR_RIDGE = 0.1
 
 # Cap on the number of points entering the median-distance heuristic.
 _BANDWIDTH_SAMPLE = 1500
@@ -41,18 +44,15 @@ def _xtx_inv(r, piv) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearFit:
-    """OLS result: coefficients, residuals, and homoskedastic covariance.
+    """OLS result: coefficients and residuals.
 
     Keeps the pivoted QR factorisation x[:, piv] = q @ r it was solved
-    through, so further responses on the same design are solved without
-    factoring again.
+    through, so further responses on the same design are solved, and the
+    coefficient covariance is formed, without factoring again.
     """
 
     coef: np.ndarray
     residuals: np.ndarray
-    coef_cov: np.ndarray
-    sigma2: float
-    labels: tuple[str, ...]
     q: np.ndarray
     r: np.ndarray
     piv: np.ndarray
@@ -64,6 +64,17 @@ class LinearFit:
     def xtx_inv(self) -> np.ndarray:
         """(x.T @ x)^-1 from the factorisation, in the design's column order."""
         return _xtx_inv(self.r, self.piv)
+
+    def coef_cov(self) -> np.ndarray:
+        """Homoskedastic coefficient covariance: u.u / (n - k) times (x.T @ x)^-1.
+
+        Symmetrised; zero for a saturated fit (n = k).
+        """
+        n, k = self.q.shape
+        u = self.residuals
+        sigma2 = float(u @ u / (n - k)) if n > k else 0.0
+        cov = sigma2 * _xtx_inv(self.r, self.piv)
+        return (cov + cov.T) / 2.0
 
 
 def ols(x, y, *, labels=None) -> LinearFit:
@@ -113,20 +124,7 @@ def ols(x, y, *, labels=None) -> LinearFit:
         )
 
     coef = _qr_solve(q, r, piv, y)
-    residuals = y - x @ coef
-    dof = n - k
-    sigma2 = float(residuals @ residuals / dof) if dof > 0 else 0.0
-    cov = sigma2 * _xtx_inv(r, piv)
-    return LinearFit(
-        coef=coef,
-        residuals=residuals,
-        coef_cov=(cov + cov.T) / 2.0,
-        sigma2=sigma2,
-        labels=labels,
-        q=q,
-        r=r,
-        piv=piv,
-    )
+    return LinearFit(coef=coef, residuals=y - x @ coef, q=q, r=r, piv=piv)
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,9 @@ class KernelFit:
     against the collapsed system.
     """
 
-    points: np.ndarray  # (g, d) distinct standardized inputs
+    points: np.ndarray  # (g, 2) distinct standardized inputs
     dual: np.ndarray  # (g,)
-    bandwidth: np.ndarray  # (d,) per-feature length scales
-    ridge: float
+    bandwidth: np.ndarray  # (2,) per-feature length scales
     center: np.ndarray
     scale: np.ndarray
     target_center: float
@@ -156,7 +153,7 @@ def _standardize_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, scale
 
 
-def median_pairwise_distance(points: np.ndarray) -> float:
+def _median_pairwise_distance(points: np.ndarray) -> float:
     """Median euclidean distance between distinct point pairs (0 if degenerate)."""
     if points.shape[0] > _BANDWIDTH_SAMPLE:
         stride = int(np.ceil(points.shape[0] / _BANDWIDTH_SAMPLE))
@@ -166,52 +163,36 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     return float(np.median(pdist(points)))
 
 
-def krr_fit(
-    x,
-    y,
-    *,
-    bandwidth=None,
-    bandwidth_scale=1.0,
-    ridge: float = DEFAULT_RIDGE,
-) -> KernelFit:
-    """Fit kernel ridge regression with a Gaussian kernel.
+def krr_fit(x, y) -> KernelFit:
+    """Fit kernel ridge regression with a Gaussian kernel on two inputs.
 
     Targets are centered before solving and the mean is added back at
     prediction time, so the ridge penalty shrinks toward the sample mean
-    rather than toward zero.
+    rather than toward zero. The kernel's length scale along each input
+    is `KRR_BANDWIDTH_SCALE` times the median pairwise distance among the
+    distinct standardized inputs (1 when that is 0), and the ridge is
+    `KRR_RIDGE`.
 
     Parameters
     ----------
-    x : ndarray (n, d)
+    x : ndarray (n, 2)
         Inputs; standardized internally to unit variance per feature.
     y : ndarray (n,)
-    bandwidth : float or (d,) array, optional
-        Kernel length scale on the standardized inputs; a vector gives
-        each feature its own scale. Defaults to the median pairwise
-        distance among the distinct standardized inputs, times
-        ``bandwidth_scale``.
-    bandwidth_scale : float or (d,) array
-        Multiplier applied to the median heuristic. Ignored when an
-        explicit bandwidth is given.
-    ridge : float
-        Regularization strength (must be positive).
 
     Raises
     ------
     NumericalError
-        The regularized kernel system could not be factorized; a larger
-        ridge is the usual fix.
+        The regularized kernel system could not be factorized.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("x must be (n, d) and y (n,)")
+    d = len(KRR_BANDWIDTH_SCALE)
+    if x.ndim != 2 or x.shape[1] != d or y.shape != (x.shape[0],):
+        raise ValueError(f"x must be (n, {d}) and y (n,)")
     if x.shape[0] == 0:
         raise ValueError("need at least one observation")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs and targets must be finite")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
 
     center, scale = _standardize_params(x)
     xs = (x - center) / scale
@@ -220,37 +201,24 @@ def krr_fit(
     counts = np.bincount(inverse).astype(np.float64)
     ybar = np.bincount(inverse, weights=y) / counts
 
-    d = x.shape[1]
-    if bandwidth is None:
-        scale_vec = np.broadcast_to(np.asarray(bandwidth_scale, dtype=np.float64), (d,))
-        if np.any(scale_vec <= 0):
-            raise ValueError("bandwidth_scale must be positive")
-        base = median_pairwise_distance(points)
-        bandwidth = scale_vec * (base if base > 0 else 1.0)
-    else:
-        bandwidth = np.broadcast_to(np.asarray(bandwidth, dtype=np.float64), (d,))
-    if np.any(bandwidth <= 0):
-        raise ValueError("bandwidth must be positive")
-    bandwidth = np.ascontiguousarray(bandwidth)
+    base = _median_pairwise_distance(points)
+    bandwidth = np.asarray(KRR_BANDWIDTH_SCALE) * (base if base > 0 else 1.0)
     bandwidth.setflags(write=False)
 
     target_center = float(y.mean())
     scaled = points / bandwidth
     gram = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
     # collapsed normal equations: (K + ridge * diag(1/counts)) alpha = ybar - y0
-    system = gram + ridge * np.diag(1.0 / counts)
+    system = gram + KRR_RIDGE * np.diag(1.0 / counts)
     try:
         cho = sla.cho_factor(system)
         dual = sla.cho_solve(cho, ybar - target_center)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"kernel system is numerically singular ({exc}); increase ridge"
-        ) from exc
+        raise NumericalError(f"kernel system is numerically singular ({exc})") from exc
     return KernelFit(
         points=points,
         dual=dual,
         bandwidth=bandwidth,
-        ridge=float(ridge),
         center=center,
         scale=scale,
         target_center=target_center,

@@ -125,26 +125,19 @@ ENDPOINT_GRID = (0.0, 1.0)
 class StudyEstimator:
     """Named ATE estimator: a point function plus an optional linear design.
 
-    `point` maps a Dataset to an ATE estimate. `design`, when present,
-    maps a Dataset to (phi, target, contrast), the linear fit that the
-    parametric bootstrap and asymptotic intervals require and centre on,
+    `point` maps a Dataset to an ATE estimate; the resampling bootstraps
+    apply it to each resample as well. `design`, when present, maps a
+    Dataset to (phi, target, contrast), the linear fit that the parametric
+    bootstrap and asymptotic intervals require and centre on,
     contrast @ ols(phi, target).coef. For `naive-ols`, `correct-spec` and
     `gps-poly` that equals the point estimate; `ht`'s design is the ratio
     (Hajek) form, whose level coefficients divide the inverse-weighted
-    outcome sum by the inverse-weight sum rather than by n. `bound`,
-    when present, maps the full study Dataset to the statistic handed to
-    resampling bootstraps, letting the estimator freeze population
-    quantities (resampling should perturb the data, not the estimand).
+    outcome sum by the inverse-weight sum rather than by n.
     """
 
     name: str
     point: object
     design: object | None = None
-    bound: object | None = None
-
-    def statistic(self, full_data: Dataset):
-        """Bootstrap statistic for resamples of full_data."""
-        return self.bound(full_data) if self.bound is not None else self.point
 
 
 def _point_naive_mean(data: Dataset) -> float:
@@ -156,29 +149,26 @@ def _design_naive_ols(data: Dataset):
     return phi, data.y, np.array([0.0, 1.0])
 
 
+def _mean_degree(data: Dataset) -> float:
+    # the estimand multiplies the slope by the mean degree of the graph's
+    # outcome units that have a neighbour (the units `Dataset.build` keeps),
+    # a population quantity: every resample shares the graph, so bootstrap
+    # resamples add no mean-degree noise the estimator never faces
+    degrees = data.graph.degrees
+    return float(degrees[degrees > 0].mean())
+
+
 def _design_correct_spec(data: Dataset):
     # true surface under the heterogeneous DGP: per-unit slope = degree
     s = data.degrees.astype(np.float64)
     phi = np.column_stack([np.ones(data.n_units), s * data.exposure])
-    return phi, data.y, np.array([0.0, s.mean()])
-
-
-def _bound_correct_spec(full_data: Dataset):
-    # the estimand multiplies the slope by the study graph's mean degree,
-    # a fixed population quantity; freezing it keeps bootstrap resamples
-    # from adding mean-degree noise the estimator never faces
-    m_bar = float(full_data.degrees.mean())
-
-    def statistic(data: Dataset) -> float:
-        phi, y, _ = _design_correct_spec(data)
-        fit = ols(phi, y, labels=("const", "degree_x_exposure"))
-        return m_bar * float(fit.coef[1])
-
-    return statistic
+    return phi, data.y, np.array([0.0, _mean_degree(data)])
 
 
 def _point_correct_spec(data: Dataset) -> float:
-    return _bound_correct_spec(data)(data)
+    phi, y, _ = _design_correct_spec(data)
+    fit = ols(phi, y, labels=("const", "degree_x_exposure"))
+    return _mean_degree(data) * float(fit.coef[1])
 
 
 def _point_ht(data: Dataset) -> float:
@@ -217,9 +207,7 @@ def _point_stratified(data: Dataset) -> float:
 ESTIMATOR_REGISTRY: dict[str, StudyEstimator] = {
     "naive-mean": StudyEstimator("naive-mean", _point_naive_mean),
     "naive-ols": StudyEstimator("naive-ols", naive_ols, _design_naive_ols),
-    "correct-spec": StudyEstimator(
-        "correct-spec", _point_correct_spec, _design_correct_spec, _bound_correct_spec
-    ),
+    "correct-spec": StudyEstimator("correct-spec", _point_correct_spec, _design_correct_spec),
     "ht": StudyEstimator("ht", _point_ht, _design_ht),
     "gps-cell": StudyEstimator("gps-cell", _point_gps_cell),
     "gps-poly": StudyEstimator("gps-poly", _point_gps_poly, _design_gps_poly),
@@ -245,20 +233,18 @@ def resolve_estimators(estimators) -> list[StudyEstimator]:
 
 
 def _interval_naive(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return naive_bootstrap(data, est.statistic(data), n_replicates=b, level=level, rng=rng)
+    return naive_bootstrap(data, est.point, n_replicates=b, level=level, rng=rng)
 
 
 def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
     return block_bootstrap(
-        data, est.statistic(data), labels=block_labels, n_replicates=b, level=level, rng=rng
+        data, est.point, labels=block_labels, n_replicates=b, level=level, rng=rng
     )
 
 
 def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
     phi, target, contrast = est.design(data)
-    out = parametric_bootstrap(
-        data, phi, target, contrast=contrast, n_replicates=b, level=level, rng=rng
-    )
+    out = parametric_bootstrap(data, phi, target, contrast, n_replicates=b, level=level, rng=rng)
     return out.interval
 
 
@@ -406,6 +392,11 @@ def default_gps_table(
     return mc_gps(graph, design, n_draws=mc_draws, rng=rng)
 
 
+def _check_workers(workers) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+
+
 def _simulate_one(ctx: dict, t: int):
     """One replicate on the study's graph: draw, estimate, cover. Pure given (ctx, t)."""
     dgp: DgpSpec = ctx["dgp"]
@@ -466,10 +457,12 @@ def run_study(
     its own substream of the master seed, so results are bit-identical
     for any worker count. Estimator or interval failures inside a
     replicate are recorded (NaN + census), not fatal. A KeyboardInterrupt
-    truncates the study to the completed prefix.
+    truncates the study to the completed prefix. `workers` below 1 raises
+    `ConfigError`.
     """
     if n_sims <= 0:
         raise ConfigError("n_sims must be positive")
+    _check_workers(workers)
     ests = resolve_estimators(estimators)
     intervals = dict(intervals or {})
     check_intervals(ests, intervals)
@@ -557,10 +550,12 @@ def edges_cut_sweep(
     that share, runs a homogeneous-effect study with graph-propagated
     noise, and reports coverage for both resampling schemes. Blocks for
     the clustered scheme are the generator's block partition: resampling
-    acts as if cross-block edges were cut, which is the point.
+    acts as if cross-block edges were cut, which is the point. `workers`
+    below 1 raises `ConfigError` before any graph is drawn.
     """
     if base_spec.kind != "blocks":
         raise ConfigError("edges_cut_sweep needs a block graph recipe")
+    _check_workers(workers)
     rows: list[dict] = []
     labels = contiguous_blocks(base_spec.n_outcome, base_spec.n_blocks)
     for k, share in enumerate(cut_shares):

@@ -418,6 +418,9 @@ def test_estimate_fixture_reads_the_design_probability(tmp_path):
         ({"graph": {"kind": "nonsense"}}, {}, "builds its own graph"),
         ({"design": {"kind": "completely-randomized", "k": 10}}, {},
          "needs a bernoulli design, not completely-randomized"),
+        # the fixture refuses the kind before the design's probability file is read
+        ({"design": {"kind": "bernoulli-heterogeneous", "p_file": "p.csv"}}, {},
+         "the simple-example fixture needs a bernoulli design, not bernoulli-heterogeneous"),
         ({}, {"outcomes": "y.csv"}, "data keys not read with a fixture: outcomes"),
         ({}, {"assignment": "z.csv"}, "data keys not read with a fixture: assignment"),
         ({}, {"exposures": "e.csv"}, "data keys not read with a fixture: exposures"),
@@ -687,6 +690,54 @@ def test_sweep_bad_cut_share_exits_2(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert "sweep.cut_shares must be a nonempty list of numbers in [0, 1]" in record["message"]
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_workers_below_one_exit_2_before_any_graph(
+    tmp_path, capsys, monkeypatch, command, workers
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before --workers was checked")
+
+    monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
+    monkeypatch.setattr("bipexp.simlab.synth_graph", no_graph)
+    cfg = {
+        "graph": {"kind": "blocks", "n_outcome": 40, "m_diversion": 20,
+                  "deg_min": 1, "deg_max": 2, "n_blocks": 5},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        command if command == "sweep" else "study": {"n_sims": 2},
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--workers", str(workers)]
+    assert main(argv) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert record["message"] == f"workers must be at least 1, got {workers}"
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("graph-gen", ["--workers", "2"]),
+        ("graph-gen", ["--format", "json"]),
+        ("gps", ["--workers", "7"]),
+        ("gps", ["--format", "json"]),
+        ("estimate", ["--workers", "2"]),
+        ("simulate", ["--format", "json"]),
+        ("sweep", ["--format", "csv"]),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "simple-example", "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- config plumbing -------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_ht_weighted_regression_positivity_failure():
     graph = BipartiteGraph.from_rows([[(0, 1.0)]], m_diversion=1)
     table = GpsTable(
         offsets=np.array([0, 1]), support=np.array([1.0]), probs=np.array([1.0]),
-        unit_dist=np.zeros(1, dtype=np.int64), lo=0.0, hi=1.0,
+        unit_dist=np.zeros(1, dtype=np.int64), hi=1.0,
     )
     data = Dataset(y=np.array([3.0]), exposure=np.array([0.0]), graph=graph, gps=table)
     with pytest.raises(DataError, match="positivity"):
@@ -344,7 +344,6 @@ def test_dose_response_exact_worked_example(two_type_data):
     curve = dose_response(worked_example_cells(), two_type_data.gps, np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(curve.mu_hat, [0.0, 0.25, 0.5], atol=1e-12)
     assert ate(curve) == pytest.approx(0.5, abs=1e-12)
-    assert curve.estimator == "cell-means"
     assert curve.level(0.5) == pytest.approx(0.25)
 
 
@@ -470,12 +469,11 @@ def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_hal
     grid, mu = np.array([0.0, 1.0]), np.array([0.5, 1.5])
     DoseResponseCurve(grid=grid, mu_hat=mu)
     flat = [np.array([0, 1]), np.array([1.0]), np.array([1.0]), np.array([0])]
-    GpsTable(offsets=flat[0], support=flat[1], probs=flat[2], unit_dist=flat[3],
-             lo=0.0, hi=1.0)
+    GpsTable(offsets=flat[0], support=flat[1], probs=flat[2], unit_dist=flat[3], hi=1.0)
     edges, p_vec = np.linspace(0.0, 1.0, 3), np.full(12, 0.5)
     binned = [np.array([0, 2]), np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.array([0])]
     GpsTable(offsets=binned[0], support=binned[1], probs=binned[2], unit_dist=binned[3],
-             lo=0.0, hi=1.0, edges=edges)
+             hi=1.0, edges=edges)
     AssignmentDesign.bernoulli_heterogeneous(p_vec)
     for arr in (y, e, grid, mu, *flat, *binned, edges, p_vec):
         assert arr.flags.writeable

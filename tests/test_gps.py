@@ -67,7 +67,7 @@ def one_row_distribution(weights, p):
     return exact_gps_table(one_row_graph(weights), AssignmentDesign.bernoulli(p)).distribution(0)
 
 
-def flat_table(supports, probs, edges=None, unit_dist=None, hi=1.0, lo=0.0):
+def flat_table(supports, probs, edges=None, unit_dist=None, hi=1.0):
     """Table holding the given per-distribution arrays, one unit per distribution by default."""
     sizes = [len(s) for s in supports]
     return GpsTable(
@@ -75,7 +75,6 @@ def flat_table(supports, probs, edges=None, unit_dist=None, hi=1.0, lo=0.0):
         support=np.concatenate(supports),
         probs=np.concatenate(probs),
         unit_dist=np.arange(len(supports)) if unit_dist is None else unit_dist,
-        lo=lo,
         hi=hi,
         edges=edges,
     )
@@ -552,25 +551,25 @@ def test_distribution_rejects_non_finite_values(bad):
     with pytest.raises(ValidationError, match="support and probs must be finite"):
         flat_table([np.array([0.0, 1.0])], [np.array([0.5, bad])])
     with pytest.raises(ValidationError, match="exposure range"):
-        flat_table([np.array([0.0, 1.0])], [half], lo=bad)
-    with pytest.raises(ValidationError, match="exposure range"):
         flat_table([np.array([0.0, 1.0])], [half], hi=bad)
 
 
 def test_distribution_rejects_a_reversed_range():
-    with pytest.raises(ValidationError, match="lo <= hi"):
-        flat_table([np.array([0.5])], [np.array([1.0])], lo=0.6, hi=0.4)
+    # the range starts at 0, since exposures are nonnegative
+    with pytest.raises(ValidationError, match="hi >= 0"):
+        flat_table([np.array([0.0])], [np.array([1.0])], hi=-0.4)
     # a single reachable level, as for a graph without edges, is a range
-    table = flat_table([np.array([0.5])], [np.array([1.0])], lo=0.5, hi=0.5)
-    assert table.at(0, 0.5) == 1.0
+    table = flat_table([np.array([0.0])], [np.array([1.0])], hi=0.0)
+    assert table.at(0, 0.0) == 1.0
+    with pytest.raises(DataError, match=r"outside the table's range \[0.0, 0.0\]"):
+        table.at(0, -0.5)
 
 
 def test_nan_atom_no_longer_builds_a_nan_mean():
     # this table used to build, with a nan mean and variance
     with pytest.raises(ValidationError, match="finite"):
         GpsTable(
-            offsets=[0, 2], support=[0.0, np.nan], probs=[0.5, 0.5], unit_dist=[0],
-            lo=0.0, hi=1.0,
+            offsets=[0, 2], support=[0.0, np.nan], probs=[0.5, 0.5], unit_dist=[0], hi=1.0,
         )
 
 
@@ -686,7 +685,7 @@ def test_flat_lookups_match_reference(data):
         anchors = np.concatenate([anchors, table.edges])
     shifts = np.array([0.0, 0.5, -0.5, 3.0, -3.0]) * tol
     queries = np.unique((anchors[:, None] + shifts).ravel())
-    queries = queries[(queries >= table.lo - tol) & (queries <= table.hi + tol)]
+    queries = queries[(queries >= -tol) & (queries <= table.hi + tol)]
 
     def want(i, e):
         d = table.unit_dist[i]
@@ -788,7 +787,6 @@ def wide_table(n_units: int) -> GpsTable:
         support=np.tile(np.arange(5) / 4.0, n_units),
         probs=rng.dirichlet(np.ones(5), size=n_units).ravel(),
         unit_dist=np.arange(n_units),
-        lo=0.0,
         hi=1.0,
     )
 

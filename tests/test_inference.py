@@ -243,7 +243,7 @@ def test_ols_asymptotic_interval_matches_normal_theory():
     y = x @ np.array([1.0, 2.0]) + rng.normal(size=120)
     fit = ols(x, y)
     iv = ols_asymptotic_interval(fit, [0, 1], level=0.95)
-    se = np.sqrt(fit.coef_cov[1, 1])
+    se = np.sqrt(fit.coef_cov()[1, 1])
     z = stats.norm.ppf(0.975)
     assert iv.estimate == pytest.approx(fit.coef[1])
     assert iv.lower == pytest.approx(fit.coef[1] - z * se)
@@ -254,7 +254,7 @@ def test_ols_asymptotic_interval_matches_normal_theory():
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-6, 1 - 1e-9])
 def test_ols_asymptotic_z_is_the_normal_quantile_bit_for_bit(level):
     # with estimate 0 and standard error 1 the upper end is z itself
-    unit = types.SimpleNamespace(coef=np.array([0.0]), coef_cov=np.array([[1.0]]))
+    unit = types.SimpleNamespace(coef=np.array([0.0]), coef_cov=lambda: np.array([[1.0]]))
     iv = ols_asymptotic_interval(unit, [1.0], level=level)
     assert iv.upper == float(stats.norm.ppf(0.5 + level / 2))
     assert iv.lower == -iv.upper
@@ -543,7 +543,7 @@ def test_variance_split_and_parametric_bootstrap_never_densify(monkeypatch):
     monkeypatch.setattr(BipartiteGraph, "to_dense", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
     est = estimate_sigmas(y, phi, data.graph)
-    res = parametric_bootstrap(data, phi, y, n_replicates=60, rng=substream(33, 4))
+    res = parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=60, rng=substream(33, 4))
     assert res.sigmas == est
 
 
@@ -609,7 +609,9 @@ def test_near_collinear_design_is_rank_deficient_everywhere():
     calls = (
         lambda: estimate_sigmas(y, near, data.graph),
         lambda: correlated_error_variance(near, data.graph, 0.5, 0.5),
-        lambda: parametric_bootstrap(data, near, y, n_replicates=60, rng=substream(31, 4)),
+        lambda: parametric_bootstrap(
+            data, near, y, [0.0, 1.0, 0.0], n_replicates=60, rng=substream(31, 4)
+        ),
     )
     for call in calls:
         with pytest.raises(RankDeficiencyError, match="collinear columns") as err:
@@ -645,7 +647,9 @@ def test_parametric_bootstrap_matches_per_replicate_refit():
     data, phi, y = parametric_inputs(24)
     # the rank rule is relative, so a tiny but well-conditioned design refits too
     for scale in (1.0, 1e-12):
-        res = parametric_bootstrap(data, scale * phi, y, n_replicates=60, rng=substream(25, 4))
+        res = parametric_bootstrap(
+            data, scale * phi, y, [-1.0, 1.0], n_replicates=60, rng=substream(25, 4)
+        )
 
         # replay the identical noise stream and refit each replicate directly
         rng = substream(25, 4)
@@ -679,7 +683,9 @@ def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
     contrast = np.array([-1.0, 1.0])
     for seed in (24, 26):
         data, phi, y = parametric_inputs(seed)
-        res = parametric_bootstrap(data, phi, y, n_replicates=60, rng=substream(seed + 1, 4))
+        res = parametric_bootstrap(
+            data, phi, y, contrast, n_replicates=60, rng=substream(seed + 1, 4)
+        )
 
         rng = substream(seed + 1, 4)
         n, m = phi.shape[0], data.graph.m_diversion
@@ -699,10 +705,10 @@ def test_parametric_bootstrap_holds_one_target_array():
     # one-expression build held about three (n, B) arrays at once
     n, b = 2000, 200
     data, phi, y = parametric_inputs(31, n=n, m=100)
-    parametric_bootstrap(data, phi, y, n_replicates=b, rng=substream(32, 4))
+    parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=b, rng=substream(32, 4))
     tracemalloc.start()
     try:
-        parametric_bootstrap(data, phi, y, n_replicates=b, rng=substream(32, 4))
+        parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=b, rng=substream(32, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -711,9 +717,11 @@ def test_parametric_bootstrap_holds_one_target_array():
 
 def test_parametric_bootstrap_contrast_and_estimate():
     data, phi, y = parametric_inputs(26)
-    res = parametric_bootstrap(data, phi, y, n_replicates=80, rng=substream(27, 4))
+    res = parametric_bootstrap(
+        data, phi, y, np.array([-1.0, 1.0]), n_replicates=80, rng=substream(27, 4)
+    )
     coef, *_ = np.linalg.lstsq(phi, y, rcond=None)
-    assert res.estimate == pytest.approx(coef[1] - coef[0], abs=1e-10)  # default: last minus first
+    assert res.estimate == pytest.approx(coef[1] - coef[0], abs=1e-10)
     picked = parametric_bootstrap(
         data, phi, y, contrast=np.array([0.0, 1.0]), n_replicates=80, rng=substream(27, 4)
     )
@@ -722,16 +730,21 @@ def test_parametric_bootstrap_contrast_and_estimate():
 
 def test_parametric_bootstrap_validation():
     data, phi, y = parametric_inputs(28)
+    contrast = [-1.0, 1.0]
     with pytest.raises(ValueError, match="align"):
-        parametric_bootstrap(data, phi, y[:-1])
+        parametric_bootstrap(data, phi, y[:-1], contrast)
     with pytest.raises(ValueError, match="at least 50"):
-        parametric_bootstrap(data, phi, y, n_replicates=10)
+        parametric_bootstrap(data, phi, y, contrast, n_replicates=10)
+    with pytest.raises(ValueError, match="one entry per design column"):
+        parametric_bootstrap(data, phi, y, [1.0])
+    with pytest.raises(TypeError, match="contrast"):
+        parametric_bootstrap(data, phi, y)
     bad = np.column_stack([phi[:, 0], phi[:, 0]])
     with pytest.raises(NumericalError, match="rank deficient"):
-        parametric_bootstrap(data, bad, y)
+        parametric_bootstrap(data, bad, y, contrast)
     # the replicate count is checked before the fit
     with pytest.raises(ValueError, match="at least 50"):
-        parametric_bootstrap(data, bad, y, n_replicates=10)
+        parametric_bootstrap(data, bad, y, contrast, n_replicates=10)
 
 
 def test_parametric_bootstrap_interval_covers_truth_here():

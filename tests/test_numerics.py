@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.spatial.distance import cdist
 
+from bipexp import numerics
 from bipexp.errors import NumericalError, RankDeficiencyError
 from bipexp.numerics import (
+    KRR_BANDWIDTH_SCALE,
+    KRR_RIDGE,
     KernelFit,
+    _median_pairwise_distance,
     krr_fit,
     krr_predict,
-    median_pairwise_distance,
     ols,
 )
 
@@ -36,7 +39,7 @@ def test_ols_recovers_exact_coefficients():
     fit = ols(x, x @ beta)
     np.testing.assert_allclose(fit.coef, beta, atol=1e-10)
     np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-10)
-    assert fit.sigma2 == pytest.approx(0.0, abs=1e-18)
+    np.testing.assert_allclose(fit.coef_cov(), 0.0, atol=1e-18)
 
 
 def test_ols_matches_normal_equations():
@@ -49,9 +52,10 @@ def test_ols_matches_normal_equations():
     np.testing.assert_allclose(fit.coef, coef_ref, atol=1e-10)
     resid = y - x @ coef_ref
     sigma2_ref = resid @ resid / (n - k)
-    assert fit.sigma2 == pytest.approx(sigma2_ref, rel=1e-10)
     cov_ref = sigma2_ref * np.linalg.inv(x.T @ x)
-    np.testing.assert_allclose(fit.coef_cov, cov_ref, atol=1e-10)
+    cov = fit.coef_cov()
+    np.testing.assert_allclose(cov, cov_ref, atol=1e-10)
+    np.testing.assert_array_equal(cov, cov.T)
 
 
 def test_ols_residuals_orthogonal_to_design():
@@ -62,10 +66,10 @@ def test_ols_residuals_orthogonal_to_design():
     np.testing.assert_allclose(x.T @ fit.residuals, 0.0, atol=1e-9)
 
 
-def test_ols_saturated_fit_has_zero_sigma2():
+def test_ols_saturated_fit_has_zero_covariance():
     x = np.array([[1.0, 0.0], [1.0, 1.0]])
     fit = ols(x, np.array([2.0, 5.0]))
-    assert fit.sigma2 == 0.0
+    assert np.all(fit.coef_cov() == 0.0)
     np.testing.assert_allclose(fit.coef, [2.0, 3.0], atol=1e-12)
 
 
@@ -99,8 +103,10 @@ def test_design_matrix_validation():
         ols(np.ones((3, 2)), np.ones(3), labels=("only_one",))
     with pytest.raises(ValueError, match="2-d"):
         ols(np.ones(3), np.ones(3), labels=("a",))
-    fit = ols(np.column_stack([np.ones(4), np.arange(4.0)]), np.arange(4.0))
-    assert fit.labels == ("x0", "x1")
+    # without labels the collinear columns are named by position
+    with pytest.raises(RankDeficiencyError, match="collinear columns: x1") as err:
+        ols(np.column_stack([np.ones(4), np.ones(4)]), np.arange(4.0))
+    assert err.value.columns == ("x1",)
 
 
 def test_linear_fit_predict_and_solve():
@@ -155,10 +161,10 @@ def test_krr_collapse_matches_uncollapsed_solve():
     base = rng.normal(size=(12, 2))
     x = np.vstack([base, base[:5], base[:2]])  # heavy duplication
     y = np.sin(x[:, 0]) + 0.3 * x[:, 1] + rng.normal(scale=0.1, size=len(x))
-    fit = krr_fit(x, y, ridge=0.05)
+    fit = krr_fit(x, y)
     assert len(fit.points) == 12
     grid = rng.normal(size=(7, 2))
-    want = uncollapsed_krr_oracle(x, y, fit.bandwidth, 0.05, grid)
+    want = uncollapsed_krr_oracle(x, y, fit.bandwidth, KRR_RIDGE, grid)
     np.testing.assert_allclose(krr_predict(fit, grid), want, atol=1e-8)
 
 
@@ -171,89 +177,74 @@ def test_krr_constant_targets_predict_exactly():
     np.testing.assert_allclose(krr_predict(fit, grid), 3.25, atol=1e-12)
 
 
-def test_krr_interpolates_at_tiny_ridge():
-    x = np.linspace(0.0, 1.0, 15)[:, None]
-    y = np.sin(2.0 * np.pi * x[:, 0])
-    fit = krr_fit(x, y, bandwidth=0.5, ridge=1e-10)
-    np.testing.assert_allclose(krr_predict(fit, x), y, atol=1e-5)
-
-
 def test_krr_shrinks_to_mean_far_from_data():
     rng = rng_for(7)
-    x = rng.normal(size=(25, 1))
+    x = rng.normal(size=(25, 2))
     y = 2.0 + rng.normal(size=25)
-    fit = krr_fit(x, y, bandwidth=1.0, ridge=0.1)
-    far = np.array([[60.0]])
+    fit = krr_fit(x, y)
+    far = np.array([[1e4, 1e4]])
     assert krr_predict(fit, far)[0] == pytest.approx(y.mean(), abs=1e-8)
 
 
-def test_krr_vector_bandwidth_is_anisotropic():
-    rng = rng_for(8)
-    x = rng.normal(size=(30, 2))
-    y = x[:, 0] + x[:, 1] + rng.normal(scale=0.1, size=30)
-    narrow = krr_fit(x, y, bandwidth=np.array([0.5, 0.5]), ridge=0.01)
-    wide_first = krr_fit(x, y, bandwidth=np.array([50.0, 0.5]), ridge=0.01)
-    assert narrow.bandwidth.shape == (2,)
-    grid = rng.normal(size=(6, 2))
-    assert not np.allclose(krr_predict(narrow, grid), krr_predict(wide_first, grid), atol=1e-3)
-
-
-def test_krr_bandwidth_scale_multiplies_median_heuristic():
+def test_krr_bandwidth_is_scaled_median_heuristic():
     rng = rng_for(9)
     x = rng.normal(size=(20, 2))
     y = rng.normal(size=20)
-    base = krr_fit(x, y)
-    scaled = krr_fit(x, y, bandwidth_scale=(3.0, 0.5))
-    np.testing.assert_allclose(scaled.bandwidth, base.bandwidth * np.array([3.0, 0.5]), rtol=1e-12)
+    fit = krr_fit(x, y)
+    base = _median_pairwise_distance(fit.points)
+    np.testing.assert_array_equal(fit.bandwidth, np.asarray(KRR_BANDWIDTH_SCALE) * base)
+    assert fit.bandwidth.shape == (2,)
+    # one input point: no pairwise distance, so the heuristic falls back to 1
+    single = krr_fit(np.ones((3, 2)), np.arange(3.0))
+    np.testing.assert_array_equal(single.bandwidth, KRR_BANDWIDTH_SCALE)
 
 
 def test_krr_input_validation():
-    x = np.ones((4, 1))
+    x = np.ones((4, 2))
     y = np.ones(4)
-    with pytest.raises(ValueError, match="positive"):
-        krr_fit(x, y, ridge=0.0)
-    with pytest.raises(ValueError, match="bandwidth must be positive"):
-        krr_fit(x, y, bandwidth=-1.0)
-    with pytest.raises(ValueError, match="bandwidth_scale"):
-        krr_fit(x, y, bandwidth_scale=0.0)
     with pytest.raises(ValueError, match="finite"):
-        krr_fit(np.array([[np.nan]]), np.ones(1))
-    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        krr_fit(np.array([[np.nan, 0.0]]), np.ones(1))
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
         krr_fit(np.ones(4), y)
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        krr_fit(np.ones((4, 1)), y)
     with pytest.raises(ValueError, match="at least one"):
-        krr_fit(np.empty((0, 1)), np.empty(0))
-    fit = krr_fit(np.ones((3, 2)) * np.arange(3)[:, None], np.arange(3.0))
+        krr_fit(np.empty((0, 2)), np.empty(0))
+    fit = krr_fit(x * np.arange(4)[:, None], np.arange(4.0))
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
         krr_predict(fit, np.ones((2, 3)))
 
 
-def test_krr_singular_system_raises_numerical_error():
-    # a huge bandwidth makes the gram matrix all ones; a ridge at float
-    # precision cannot rescue it
-    x = np.arange(3.0)[:, None]
-    with pytest.raises(NumericalError, match="ridge"):
-        krr_fit(x, np.array([0.0, 1.0, 0.0]), bandwidth=1e9, ridge=1e-16)
+def test_krr_singular_system_raises_numerical_error(monkeypatch):
+    # at KRR_RIDGE the system is positive definite for any finite inputs,
+    # so a failing factorisation is simulated
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(numerics.sla, "cho_factor", fail)
+    with pytest.raises(NumericalError, match="numerically singular"):
+        krr_fit(rng_for(12).normal(size=(5, 2)), np.arange(5.0))
 
 
 def test_kernel_fit_is_plain_record():
-    fit = krr_fit(np.arange(4.0)[:, None], np.arange(4.0))
+    x = np.column_stack([np.arange(4.0), np.arange(4.0) ** 2])
+    fit = krr_fit(x, np.arange(4.0))
     assert isinstance(fit, KernelFit)
-    assert fit.points.shape == (4, 1)
+    assert fit.points.shape == (4, 2)
     assert fit.dual.shape == (4,)
-    assert fit.ridge == pytest.approx(1e-3)
 
 
 # -- helpers ------------------------------------------------------------------
 
 
 def test_median_pairwise_distance_small_cases():
-    assert median_pairwise_distance(np.array([[0.0], [3.0]])) == pytest.approx(3.0)
-    assert median_pairwise_distance(np.array([[1.0]])) == 0.0
-    assert median_pairwise_distance(np.empty((0, 2))) == 0.0
+    assert _median_pairwise_distance(np.array([[0.0], [3.0]])) == pytest.approx(3.0)
+    assert _median_pairwise_distance(np.array([[1.0]])) == 0.0
+    assert _median_pairwise_distance(np.empty((0, 2))) == 0.0
 
 
 def test_median_pairwise_distance_subsamples_large_inputs():
     rng = rng_for(10)
     points = rng.normal(size=(4000, 2))
-    d = median_pairwise_distance(points)
+    d = _median_pairwise_distance(points)
     assert 0.5 < d < 3.0  # about sqrt(2) * 1.18 for a standard normal cloud

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from bipexp import simlab
 from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
 from bipexp.errors import ConfigError, DataError
 from bipexp.estimators import Dataset, ht_estimate
@@ -134,6 +135,39 @@ def test_linear_designs_reproduce_point_estimates_except_ht():
         weight_sum = np.sum(1.0 / data.gps.imputed_scores(e)[at_e])
         assert coef[r] * weight_sum / data.n_units == pytest.approx(ht_estimate(data, e), rel=1e-12)
     assert abs(contrast @ coef - est.point(data)) > 0.1
+
+
+def test_correct_spec_point_scales_by_the_full_data_mean_degree():
+    # every fifth outcome unit is isolated, so `Dataset.build` drops it; the
+    # slope is scaled by the mean degree of the units kept, on the full data
+    # and on a resample alike, since every resample shares the graph
+    base = synth_graph(SMALL_GRAPH_SPEC, 0)
+    rows = []
+    for i in range(base.n_outcome):
+        if i % 5 == 0:
+            rows.append([])
+        lo, hi = base.indptr[i], base.indptr[i + 1]
+        rows.append(list(zip(base.indices[lo:hi].tolist(), base.weights[lo:hi].tolist())))
+    graph = BipartiteGraph.from_rows(rows, m_diversion=base.m_diversion)
+    design = AssignmentDesign.bernoulli(0.5)
+    rng = substream(43, 1)
+    exposure = linear_exposure(graph, draw_assignment(design, graph.m_diversion, rng))
+    dgp = DgpSpec(graph=graph, design=design, effect="heterogeneous", sigma2_eps=0.5)
+    y = generate_outcomes(dgp, graph, exposure, rng)
+    with pytest.warns(UserWarning, match="excluded 16 isolated"):
+        full = Dataset.build(graph, exact_gps_table(graph, design), y, exposure)
+    m_bar = float(full.degrees.mean())
+    point = ESTIMATOR_REGISTRY["correct-spec"].point
+
+    def frozen(data):
+        s = data.degrees.astype(np.float64)
+        phi = np.column_stack([np.ones(data.n_units), s * data.exposure])
+        return m_bar * float(ols(phi, data.y).coef[1])
+
+    resample = full.take(substream(43, 2).integers(0, full.n_units, full.n_units))
+    assert resample.degrees.mean() != m_bar
+    for data in (full, resample):
+        assert point(data) == frozen(data)
 
 
 def test_run_study_bias_rmse_identity_and_truth():
@@ -314,6 +348,21 @@ def test_edges_cut_sweep_rows():
     for r in rows:
         assert 0.0 <= r["coverage"] <= 1.0
         assert r["n_sims"] == 4
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_refused_before_any_graph(monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(simlab, "synth_graph", refuse)
+    with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+        run_study(small_dgp(), ["naive-ols"], n_sims=2, workers=workers)
+    blocks = GraphSpec(kind="blocks", n_outcome=60, m_diversion=30, n_blocks=6)
+    with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+        edges_cut_sweep(
+            blocks, [0.0], design=AssignmentDesign.bernoulli(0.5), n_sims=2, workers=workers
+        )
 
 
 def test_edges_cut_sweep_requires_block_recipe():
