@@ -205,10 +205,24 @@ def build_graph(source, seed: int) -> tuple[BipartiteGraph, IdMap]:
     return load_edge_list(path, normalize=normalize)
 
 
+# the keys each design kind reads
+_DESIGN_KEYS = {
+    "bernoulli": ("kind", "p"),
+    "bernoulli-heterogeneous": ("kind", "p_file"),
+    "completely-randomized": ("kind", "k"),
+}
+
+
 def build_design(cfg: dict, id_map: IdMap | None) -> AssignmentDesign:
+    """The `design` section's design; a key its kind does not read is a config error."""
     sec = _section(cfg, "design")
-    _check_keys(sec, ("kind", "p", "p_file", "k"), "design")
+    _check_keys(sec, set().union(*_DESIGN_KEYS.values()), "design")
     kind = _get(sec, "kind", str, "design", default="bernoulli")
+    if kind not in _DESIGN_KEYS:
+        raise ConfigError(f"unknown design kind {kind!r}")
+    unread = sorted(set(sec) - set(_DESIGN_KEYS[kind]))
+    if unread:
+        raise ConfigError(f"design keys not read for kind {kind}: {', '.join(unread)}")
     if kind == "bernoulli":
         return AssignmentDesign.bernoulli(_get(sec, "p", float, "design", default=0.5))
     if kind == "bernoulli-heterogeneous":
@@ -216,9 +230,7 @@ def build_design(cfg: dict, id_map: IdMap | None) -> AssignmentDesign:
         if id_map is None:
             raise ConfigError("bernoulli-heterogeneous requires a graph with ids")
         return AssignmentDesign.bernoulli_heterogeneous(load_probability_file(path, id_map))
-    if kind == "completely-randomized":
-        return AssignmentDesign.completely_randomized(_get(sec, "k", int, "design", required=True))
-    raise ConfigError(f"unknown design kind {kind!r}")
+    return AssignmentDesign.completely_randomized(_get(sec, "k", int, "design", required=True))
 
 
 def _parse_gps(cfg: dict) -> tuple[str, dict]:

@@ -40,6 +40,8 @@ class Dataset:
     Row k is outcome unit `source_indices[k]` of `graph`, the experiment's
     graph, which every resample shares; `source_indices` defaults to all
     graph rows in order. `gps` rows are aligned with the dataset's rows.
+    Observed scores are looked up in `gps` once, on the first call to
+    `observed_scores`, and `take` gathers them with the rows it keeps.
     """
 
     y: np.ndarray
@@ -108,19 +110,26 @@ class Dataset:
 
         The gathers are fresh arrays aligned by construction, so they are
         frozen in place instead of going through the copying constructor.
+        Scores already looked up are gathered too.
         """
         indices = np.asarray(indices, dtype=np.int64)
         sub = copy.copy(self)
         object.__setattr__(sub, "gps", self.gps.take(indices))
-        for name in ("y", "exposure", "source_indices"):
-            rows = getattr(self, name)[indices]
-            rows.setflags(write=False)
-            object.__setattr__(sub, name, rows)
+        for name in ("y", "exposure", "source_indices", "_scores"):
+            if name in self.__dict__:
+                rows = self.__dict__[name][indices]
+                rows.setflags(write=False)
+                object.__setattr__(sub, name, rows)
         return sub
 
     def observed_scores(self) -> np.ndarray:
-        # gps rows are taken alongside y, so no index mapping here
-        return self.gps.observed_scores(self.exposure)
+        """Score of each row at its own exposure; looked up once, read-only, not a field."""
+        if "_scores" not in self.__dict__:
+            # gps rows are taken alongside y, so no index mapping here
+            scores = self.gps.observed_scores(self.exposure)
+            scores.setflags(write=False)
+            object.__setattr__(self, "_scores", scores)
+        return self._scores
 
 
 # -- naive estimators -------------------------------------------------------
@@ -156,7 +165,7 @@ def ht_estimate(data: Dataset, e: float) -> float:
     mask = np.abs(data.exposure - e) <= ATOM_TOL
     if not np.any(mask):
         return 0.0
-    scores = data.gps.observed_scores(data.exposure[mask], units=np.flatnonzero(mask))
+    scores = data.observed_scores()[mask]
     floored = scores < TRIM_FLOOR
     if np.any(floored):
         warnings.warn(

@@ -185,14 +185,6 @@ class GpsTable:
             out = np.where(hit & (out == 0), self.probs[idx], out)
         return out
 
-    def at(self, i: int, e: float) -> float:
-        """Score of unit i at level e (0 when e carries no mass)."""
-        if not 0 <= i < self.n_units:
-            raise IndexError(f"unit {i} out of range [0, {self.n_units})")
-        e = np.asarray([e], dtype=np.float64)
-        self._check_range(e)
-        return float(self._mass(self.unit_dist[[i]], e)[0])
-
     def imputed_scores(self, e: float) -> np.ndarray:
         """Score of every unit at the common query level e."""
         self._check_range(np.asarray([e]))

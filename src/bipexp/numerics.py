@@ -135,7 +135,8 @@ class KernelFit:
     collapsed into one weighted point (the ridge objective depends on the
     data only through per-point counts and mean targets, so predictions
     are identical to the uncollapsed fit), and the dual weights are solved
-    against the collapsed system.
+    against the collapsed system. `points` holds the distinct rows in
+    lexicographic order, found by one sort of the rows as complex numbers.
     """
 
     points: np.ndarray  # (g, 2) distinct standardized inputs
@@ -161,6 +162,14 @@ def _median_pairwise_distance(points: np.ndarray) -> float:
     if points.shape[0] < 2:
         return 0.0
     return float(np.median(pdist(points)))
+
+
+def _unique_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(xs, axis=0, return_inverse=True)` for C-contiguous (n, 2) float64 rows."""
+    # each row views as one complex number, and numpy orders complex values by
+    # real then imaginary part: the same lexicographic order as the row compare
+    u, inverse = np.unique(xs.view(np.complex128).ravel(), return_inverse=True)
+    return np.column_stack([u.real, u.imag]), inverse
 
 
 def krr_fit(x, y) -> KernelFit:
@@ -197,7 +206,7 @@ def krr_fit(x, y) -> KernelFit:
     center, scale = _standardize_params(x)
     xs = (x - center) / scale
 
-    points, inverse = np.unique(xs, axis=0, return_inverse=True)
+    points, inverse = _unique_rows(xs)
     counts = np.bincount(inverse).astype(np.float64)
     ybar = np.bincount(inverse, weights=y) / counts
 

@@ -310,6 +310,29 @@ def test_bad_gps_section_exits_2_before_the_graph_is_built(
     assert not (out / "gps.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        ({"kind": "completely-randomized", "k": 3, "p": 0.9},
+         "design keys not read for kind completely-randomized: p"),
+        ({"kind": "bernoulli", "p": 0.5, "k": 1}, "design keys not read for kind bernoulli: k"),
+        ({"kind": "bernoulli-heterogeneous", "p_file": "nowhere.csv", "p": 0.5},
+         "design keys not read for kind bernoulli-heterogeneous: p"),
+    ],
+)
+def test_gps_design_keys_a_kind_does_not_read_exit_2(tmp_path, capsys, design, message):
+    cfg_path = external_graph_config(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["design"] = design
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main(["gps", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert message in record["message"]
+    assert not (out / "gps.csv").exists()
+
+
 def test_gps_exact_above_degree_cap_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     write_yaml(cfg_path, {
@@ -421,6 +444,8 @@ def test_estimate_fixture_reads_the_design_probability(tmp_path):
         # the fixture refuses the kind before the design's probability file is read
         ({"design": {"kind": "bernoulli-heterogeneous", "p_file": "p.csv"}}, {},
          "the simple-example fixture needs a bernoulli design, not bernoulli-heterogeneous"),
+        ({"design": {"kind": "bernoulli", "p": 0.5, "k": 3, "p_file": "nowhere.csv"}}, {},
+         "design keys not read for kind bernoulli: k, p_file"),
         ({}, {"outcomes": "y.csv"}, "data keys not read with a fixture: outcomes"),
         ({}, {"assignment": "z.csv"}, "data keys not read with a fixture: assignment"),
         ({}, {"exposures": "e.csv"}, "data keys not read with a fixture: exposures"),

@@ -41,7 +41,7 @@ from bipexp.estimators import (
     naive_ols,
     stratified_estimate,
 )
-from bipexp.gps import GpsTable, exact_gps_table
+from bipexp.gps import GpsTable, exact_gps_table, mc_gps
 from bipexp.graph import BipartiteGraph, GraphSpec, synth_graph
 from bipexp.seeding import substream
 from conftest import row_edges
@@ -460,6 +460,45 @@ def test_take_returns_frozen_arrays_of_its_own(two_type_data):
         child, parent = getattr(sub, name), getattr(two_type_data, name)
         assert not child.flags.writeable
         assert not np.shares_memory(child, parent)
+
+
+@pytest.mark.parametrize("kind", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("looked_up_first", [False, True])
+def test_observed_scores_are_looked_up_once_and_gathered_by_take(kind, looked_up_first):
+    graph, table, e = degree_graph_dataset(61)
+    if kind == "monte-carlo":
+        table = mc_gps(graph, AssignmentDesign.bernoulli(0.5), n_bins=5, n_draws=400,
+                       rng=substream(61, 2))
+    data = Dataset(y=np.zeros(graph.n_outcome), exposure=e, graph=graph, gps=table)
+    shown = repr(data)
+    if looked_up_first:
+        full = data.observed_scores()
+        assert not full.flags.writeable
+        assert data.observed_scores() is full
+        np.testing.assert_array_equal(full, table.observed_scores(e))
+        # the kept scores are not a field: construction, equality and repr are unchanged
+        assert repr(data) == shown
+    idx = substream(61, 3).integers(0, graph.n_outcome, size=graph.n_outcome)
+    sub = data.take(idx)
+    got = sub.observed_scores()
+    assert not got.flags.writeable
+    assert got.tobytes() == table.observed_scores(e[idx], units=idx).tobytes()
+    pick = np.array([3, 0, 3, 17])
+    again = sub.take(pick)
+    assert again.observed_scores().tobytes() == table.observed_scores(
+        e[idx[pick]], units=idx[pick]).tobytes()
+    np.testing.assert_array_equal(again.source_indices, idx[pick])
+
+
+def test_failed_score_lookup_is_not_kept(two_type_graph, bernoulli_half):
+    table = exact_gps_table(two_type_graph, bernoulli_half)
+    e = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.5, 1.5])  # the last lies past the range
+    data = Dataset(y=np.zeros(8), exposure=e, graph=two_type_graph, gps=table)
+    for _ in range(2):
+        with pytest.raises(DataError, match="outside"):
+            data.observed_scores()
+    with pytest.raises(DataError, match="outside"):
+        data.take([7, 0]).observed_scores()
 
 
 def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_half):

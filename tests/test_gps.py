@@ -80,6 +80,17 @@ def flat_table(supports, probs, edges=None, unit_dist=None, hi=1.0):
     )
 
 
+def score(table, i, e):
+    """Unit i's score at level e."""
+    return float(table.observed_scores(np.array([e]), units=np.array([i]))[0])
+
+
+def scan_score(table, i, e):
+    """Reference for atom tables: a plain scan of unit i's distribution for an atom at e."""
+    support, probs = table.distribution(i)
+    return next((float(p) for s, p in zip(support, probs) if abs(s - e) <= ATOM_TOL), 0.0)
+
+
 # -- exact construction vs oracles ------------------------------------------
 
 
@@ -243,8 +254,8 @@ def test_completely_randomized_full_exposure_closed_form():
     table = exact_gps_table(graph, AssignmentDesign.completely_randomized(50))
     unit = int(np.flatnonzero(graph.degrees == 10)[0])
     want = math.comb(90, 40) / math.comb(100, 50)
-    assert table.at(unit, 1.0) == pytest.approx(want, rel=1e-12)
-    assert table.at(unit, 1.0) == pytest.approx(5.934e-4, rel=1e-4)
+    assert score(table, unit, 1.0) == pytest.approx(want, rel=1e-12)
+    assert score(table, unit, 1.0) == pytest.approx(5.934e-4, rel=1e-4)
     assert table.n_dists == 10  # one per degree: equal weights 1 / degree
 
 
@@ -355,7 +366,7 @@ def test_imputed_scores_match_per_unit(small_graph):
     for e in (0.0, 0.25, 0.5, 1.0):
         np.testing.assert_allclose(
             table.imputed_scores(e),
-            [table.at(i, e) for i in range(table.n_units)],
+            [scan_score(table, i, e) for i in range(table.n_units)],
             atol=1e-15,
         )
 
@@ -364,7 +375,7 @@ def test_observed_scores_alignment(small_graph, bernoulli_half):
     table = exact_gps_table(small_graph, bernoulli_half)
     exposures = np.array([1.0, 0.5, 0.25, 0.2])
     got = table.observed_scores(exposures)
-    want = [table.at(i, e) for i, e in enumerate(exposures)]
+    want = [scan_score(table, i, e) for i, e in enumerate(exposures)]
     np.testing.assert_allclose(got, want, atol=1e-15)
     sub = table.observed_scores(exposures[[2, 0]], units=np.array([2, 0]))
     np.testing.assert_allclose(sub, [want[2], want[0]], atol=1e-15)
@@ -381,11 +392,11 @@ def test_mass_off_support_is_zero(small_graph, bernoulli_half):
 def test_query_outside_range_raises(small_graph, bernoulli_half):
     table = exact_gps_table(small_graph, bernoulli_half)
     with pytest.raises(DataError, match="outside"):
-        table.at(0, 1.5)
+        score(table, 0, 1.5)
     with pytest.raises(DataError, match="outside"):
         table.imputed_scores(-0.2)
     with pytest.raises(IndexError):
-        table.at(9, 0.5)
+        score(table, 9, 0.5)
 
 
 def test_take_shares_distribution_objects(two_type_graph, bernoulli_half):
@@ -395,8 +406,8 @@ def test_take_shares_distribution_objects(two_type_graph, bernoulli_half):
     assert sub.support is table.support
     assert sub.probs is table.probs
     np.testing.assert_array_equal(sub.unit_dist, table.unit_dist[[6, 1]])
-    assert sub.at(0, 0.5) == table.at(6, 0.5)
-    assert sub.at(1, 1.0) == table.at(1, 1.0)
+    assert score(sub, 0, 0.5) == score(table, 6, 0.5)
+    assert score(sub, 1, 1.0) == score(table, 1, 1.0)
 
 
 def test_dist_variance_binomial():
@@ -538,7 +549,7 @@ def test_distribution_validation():
         flat_table([np.array([0.0, 1.0])], [half], unit_dist=np.array([0, 1]))
     # support restarts lower at a distribution boundary: accepted
     table = flat_table([np.array([0.5, 1.0]), np.array([0.0, 0.25])], [half, half])
-    assert table.at(1, 0.0) == 0.5
+    assert score(table, 1, 0.0) == 0.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -560,9 +571,9 @@ def test_distribution_rejects_a_reversed_range():
         flat_table([np.array([0.0])], [np.array([1.0])], hi=-0.4)
     # a single reachable level, as for a graph without edges, is a range
     table = flat_table([np.array([0.0])], [np.array([1.0])], hi=0.0)
-    assert table.at(0, 0.0) == 1.0
+    assert score(table, 0, 0.0) == 1.0
     with pytest.raises(DataError, match=r"outside the table's range \[0.0, 0.0\]"):
-        table.at(0, -0.5)
+        score(table, 0, -0.5)
 
 
 def test_nan_atom_no_longer_builds_a_nan_mean():
@@ -598,17 +609,17 @@ def test_every_table_builder_passes_validation_and_take_skips_it(small_graph, be
 def test_bins_top_edge_closed():
     table = flat_table([np.array([0.25, 0.75])], [np.array([0.3, 0.7])],
                        np.linspace(0.0, 1.0, 3), hi=1.5)
-    assert table.at(0, 1.0) == pytest.approx(0.7)
-    assert table.at(0, 0.5) == pytest.approx(0.7)  # right-open lower bin
-    assert table.at(0, 0.0) == pytest.approx(0.3)
-    assert table.at(0, 1.2) == 0.0
+    assert score(table, 0, 1.0) == pytest.approx(0.7)
+    assert score(table, 0, 0.5) == pytest.approx(0.7)  # right-open lower bin
+    assert score(table, 0, 0.0) == pytest.approx(0.3)
+    assert score(table, 0, 1.2) == 0.0
 
 
 def test_atom_tolerance_is_two_sided():
     table = flat_table([np.array([0.0, 0.5, 1.0])], [np.array([0.25, 0.5, 0.25])])
-    assert table.at(0, 0.5 + 0.5 * ATOM_TOL) == pytest.approx(0.5)
-    assert table.at(0, 0.5 - 0.5 * ATOM_TOL) == pytest.approx(0.5)
-    assert table.at(0, 0.5 + 3 * ATOM_TOL) == 0.0
+    assert score(table, 0, 0.5 + 0.5 * ATOM_TOL) == pytest.approx(0.5)
+    assert score(table, 0, 0.5 - 0.5 * ATOM_TOL) == pytest.approx(0.5)
+    assert score(table, 0, 0.5 + 3 * ATOM_TOL) == 0.0
 
 
 # -- flat lookups against a per-distribution reference -------------------------
@@ -695,7 +706,7 @@ def test_flat_lookups_match_reference(data):
     for e in queries:
         expected = [want(i, e) for i in units]
         assert table.imputed_scores(e).tolist() == expected
-        assert [table.at(i, e) for i in units] == expected
+        assert table.observed_scores(np.full(units.size, e), units=units).tolist() == expected
     pick = np.resize(units, queries.size)
     expected = [want(i, e) for i, e in zip(pick, queries)]
     assert table.observed_scores(queries, units=pick).tolist() == expected

@@ -2,12 +2,15 @@
 
 The KRR collapse claim (duplicate rows pooled into weighted points leave
 predictions unchanged) is verified against an explicitly uncollapsed
-solve of the same regularized system.
+solve of the same regularized system, and the 1-d duplicate search
+against `np.unique` over whole rows, bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.spatial.distance import cdist
@@ -232,6 +235,58 @@ def test_kernel_fit_is_plain_record():
     assert isinstance(fit, KernelFit)
     assert fit.points.shape == (4, 2)
     assert fit.dual.shape == (4,)
+
+
+def structured_unique_rows(xs):
+    """The collapse `krr_fit` used before: `np.unique` over whole rows."""
+    return np.unique(xs, axis=0, return_inverse=True)
+
+
+# near-ties one ulp apart, both zeros, and a tiny and a large magnitude
+_TIE_VALUES = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+               np.nextafter(0.0, 1.0), -2.5, 1e-300, 7.0e3]
+
+
+@st.composite
+def collapse_inputs(draw):
+    """(n, 2) rows over a pool of tied values, with exact duplicates and maybe a constant column."""
+    n = draw(st.integers(1, 30))
+    values = st.one_of(st.sampled_from(_TIE_VALUES), st.floats(-1e3, 1e3, allow_nan=False))
+    first = draw(st.lists(values, min_size=n, max_size=n))
+    second = [draw(values)] * n if draw(st.booleans()) else draw(
+        st.lists(values, min_size=n, max_size=n))
+    rows = np.column_stack([first, second])
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return np.ascontiguousarray(np.vstack([rows, rows[repeats]]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(x=collapse_inputs(), seed=st.integers(0, 2**16))
+@example(x=np.array([[0.5, -1.0]]), seed=0)  # n = 1
+@example(x=np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 1.0]]), seed=1)
+@example(x=np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0], [1.0, np.nextafter(2.0, 0.0)],
+                     [1.0, 2.0], [np.nextafter(1.0, 0.0), 2.0]]), seed=2)
+@example(x=np.array([[3.0, 4.0], [1.0, 4.0], [3.0, 4.0], [2.0, 4.0]]), seed=3)  # constant column
+def test_unique_rows_matches_the_structured_collapse(x, seed):
+    points, inverse = numerics._unique_rows(x)
+    old_points, old_inverse, old_counts = np.unique(
+        x, axis=0, return_inverse=True, return_counts=True)
+    assert points.shape == old_points.shape and np.all(points == old_points)
+    assert inverse.dtype == old_inverse.dtype and inverse.tobytes() == old_inverse.tobytes()
+    counts = np.bincount(inverse)
+    assert counts.dtype == old_counts.dtype and counts.tobytes() == old_counts.tobytes()
+
+    # the fit, and its predictions, are the ones the old collapse gave bit for bit
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=len(x))
+    grid = np.vstack([x[: min(len(x), 5)], rng.normal(size=(4, 2))])
+    fit = krr_fit(x, y)
+    with mock.patch.object(numerics, "_unique_rows", structured_unique_rows):
+        old_fit = krr_fit(x, y)
+    assert np.all(fit.points == old_fit.points)
+    assert fit.dual.tobytes() == old_fit.dual.tobytes()
+    assert fit.bandwidth.tobytes() == old_fit.bandwidth.tobytes()
+    assert krr_predict(fit, grid).tobytes() == krr_predict(old_fit, grid).tobytes()
 
 
 # -- helpers ------------------------------------------------------------------
