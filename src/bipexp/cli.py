@@ -1,8 +1,9 @@
 """Batch command line: graph generation, propensity tables, estimation, studies.
 
 Commands read a single YAML config (a file path or the name of a shipped
-preset), validated strictly before any computation: unknown keys are
-rejected so typos fail loudly. Every command is deterministic given
+preset), validated strictly before any computation: each section is read
+through one schema and checked before any graph is built, and unknown
+keys are rejected so typos fail loudly. Every command is deterministic given
 (config, input files, seed) and writes a provenance sidecar with the
 config hash, seed, and package version next to its outputs.
 
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .estimators import (
     Dataset,
-    ate,
     beta_cell_means,
     beta_krr_fit,
     beta_poly_fit,
@@ -50,7 +50,7 @@ from .graph import (
     synth_graph,
     write_edge_list,
 )
-from .inference import MIN_BOOTSTRAP, IntervalEstimate
+from .inference import IntervalEstimate
 from .seeding import substream
 from .simlab import (
     ESTIMATOR_REGISTRY,
@@ -100,12 +100,6 @@ def load_config(ref: str) -> tuple[dict, bytes]:
     return cfg, raw
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
 def _section(cfg: dict, name: str, *, required: bool = True) -> dict:
     sec = cfg.get(name)
     if sec is None:
@@ -117,19 +111,53 @@ def _section(cfg: dict, name: str, *, required: bool = True) -> dict:
     return sec
 
 
-def _get(section: dict, key: str, kind, where: str, default=None, required: bool = False):
+_REQUIRED = object()  # the default of a key the section must give
+
+
+def _value(section: dict, key: str, type_: type, where: str, default=_REQUIRED):
     if key not in section:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"{where} is missing {key!r}")
         return default
     value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if type_ is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    wrong_type = kind is not None and not isinstance(value, kind)
-    bool_as_number = isinstance(value, bool) and kind is not bool
-    if wrong_type or bool_as_number:
-        raise ConfigError(f"{where}.{key} must be {getattr(kind, '__name__', kind)}")
+    if not isinstance(value, type_) or (isinstance(value, bool) and type_ is not bool):
+        raise ConfigError(f"{where}.{key} must be {type_.__name__}")
     return value
+
+
+def _read(cfg: dict, name: str, schemas: dict, kind=None, *, kind_key: str = "kind",
+          required: bool = True, note: str = "") -> dict:
+    """The section `name` as {key: value}, typed and with defaults filled in.
+
+    A schema maps each key to (type, default), with `_REQUIRED` as the
+    default of a key the section must give. A section without kinds
+    passes its schema. A section with kinds passes {kind: schema} and
+    its default `kind`, which the section's `kind_key` overrides, or, for
+    `data`, a function of the section that gives its mode; the values
+    hold the kind under `kind_key`. A key no kind reads, an unknown kind
+    and a key only other kinds read are config errors; `note` follows
+    the kind in the last message.
+    """
+    sec = _section(cfg, name, required=required)
+    kinds = {None: schemas} if kind is None else schemas
+    keyed = isinstance(kind, str)
+    unknown = sorted(set(sec) - set().union(*kinds.values()) - ({kind_key} if keyed else set()))
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {', '.join(unknown)}")
+    if keyed:
+        kind = _value(sec, kind_key, str, name, kind)
+    elif kind is not None:
+        kind = kind(sec)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {name} {kind_key} {kind!r}")
+    unread = sorted(set(sec) - set(kinds[kind]) - {kind_key})
+    if unread:
+        raise ConfigError(f"{name} keys not read for {kind_key} {kind}{note}: {', '.join(unread)}")
+    values = {key: _value(sec, key, type_, name, default)
+              for key, (type_, default) in kinds[kind].items()}
+    return values if kind is None else {kind_key: kind, **values}
 
 
 def _unit_levels(value, where: str, *, ascending: bool) -> list[float]:
@@ -146,14 +174,18 @@ def _unit_levels(value, where: str, *, ascending: bool) -> list[float]:
     return [float(v) for v in value]
 
 
-# -- section builders ---------------------------------------------------------
+# -- section schemas and builders ------------------------------------------------
 
-_SYNTH_KEYS = ("kind", "n_outcome", "m_diversion", "deg_min", "deg_max")
-# the keys each graph kind reads
-_GRAPH_KEYS = {
-    "external-file": ("kind", "path", "normalize"),
-    "uniform-degree": _SYNTH_KEYS,
-    "blocks": _SYNTH_KEYS + ("n_blocks", "cross_share"),
+_SYNTH = {
+    "n_outcome": (int, _REQUIRED),
+    "m_diversion": (int, _REQUIRED),
+    "deg_min": (int, 1),
+    "deg_max": (int, 1),
+}
+_GRAPH = {
+    "external-file": {"path": (str, _REQUIRED), "normalize": (bool, False)},
+    "uniform-degree": _SYNTH,
+    "blocks": {**_SYNTH, "n_blocks": (int, 1), "cross_share": (float, 0.0)},
 }
 
 
@@ -167,31 +199,19 @@ def _parse_graph(cfg: dict, *, sweep_share: float | None = None):
     `sweep_share`, not a key. A key the kind does not read is a config error.
     """
     sweep = sweep_share is not None
-    sec = _section(cfg, "graph")
-    _check_keys(sec, set().union(*_GRAPH_KEYS.values()), "graph")
-    kind = _get(sec, "kind", str, "graph", default="blocks" if sweep else "external-file")
-    if kind not in _GRAPH_KEYS:
-        raise ConfigError(f"graph: unknown graph kind {kind!r}")
-    if kind == "external-file" and sweep:
-        raise ConfigError("sweep needs a synthetic graph recipe, not an external file")
-    read = set(_GRAPH_KEYS[kind]) - ({"cross_share"} if sweep else set())
-    unread = sorted(set(sec) - read)
-    if unread:
-        where = " in a sweep, whose cut_shares set the cross share" if sweep else ""
-        raise ConfigError(f"graph keys not read for kind {kind}{where}: {', '.join(unread)}")
+    note = " in a sweep, whose cut_shares set the cross share" if sweep else ""
+    values = _read(cfg, "graph", _GRAPH, "blocks" if sweep else "external-file", note=note)
+    kind = values["kind"]
+    if sweep:
+        if kind == "external-file":
+            raise ConfigError("sweep needs a synthetic graph recipe, not an external file")
+        if "cross_share" in cfg["graph"]:
+            raise ConfigError(f"graph keys not read for kind {kind}{note}: cross_share")
+        values.update(n_blocks=cfg["graph"].get("n_blocks", 10), cross_share=sweep_share)
     if kind == "external-file":
-        return (_get(sec, "path", str, "graph", required=True),
-                _get(sec, "normalize", bool, "graph", default=False))
+        return values["path"], values["normalize"]
     try:
-        return GraphSpec(
-            kind=kind,
-            n_outcome=_get(sec, "n_outcome", int, "graph", required=True),
-            m_diversion=_get(sec, "m_diversion", int, "graph", required=True),
-            deg_min=_get(sec, "deg_min", int, "graph", default=1),
-            deg_max=_get(sec, "deg_max", int, "graph", default=1),
-            n_blocks=_get(sec, "n_blocks", int, "graph", default=10 if sweep else 1),
-            cross_share=sweep_share if sweep else _get(sec, "cross_share", float, "graph", default=0.0),
-        )
+        return GraphSpec(**values)
     except ValidationError as exc:
         raise ConfigError(f"graph: {exc}") from exc
 
@@ -205,130 +225,78 @@ def build_graph(source, seed: int) -> tuple[BipartiteGraph, IdMap]:
     return load_edge_list(path, normalize=normalize)
 
 
-# the keys each design kind reads
-_DESIGN_KEYS = {
-    "bernoulli": ("kind", "p"),
-    "bernoulli-heterogeneous": ("kind", "p_file"),
-    "completely-randomized": ("kind", "k"),
+_DESIGN = {
+    "bernoulli": {"p": (float, 0.5)},
+    "bernoulli-heterogeneous": {"p_file": (str, _REQUIRED)},
+    "completely-randomized": {"k": (int, _REQUIRED)},
 }
 
 
-def build_design(cfg: dict, id_map: IdMap | None) -> AssignmentDesign:
-    """The `design` section's design; a key its kind does not read is a config error."""
-    sec = _section(cfg, "design")
-    _check_keys(sec, set().union(*_DESIGN_KEYS.values()), "design")
-    kind = _get(sec, "kind", str, "design", default="bernoulli")
-    if kind not in _DESIGN_KEYS:
-        raise ConfigError(f"unknown design kind {kind!r}")
-    unread = sorted(set(sec) - set(_DESIGN_KEYS[kind]))
-    if unread:
-        raise ConfigError(f"design keys not read for kind {kind}: {', '.join(unread)}")
-    if kind == "bernoulli":
-        return AssignmentDesign.bernoulli(_get(sec, "p", float, "design", default=0.5))
+def _parse_design(cfg: dict, *, required: bool = True) -> AssignmentDesign | str:
+    """The `design` section, checked before any graph is loaded or synthesized.
+
+    Gives the design, or the `p_file` path of a `bernoulli-heterogeneous`
+    design, whose probabilities need the graph's ids. A value the design
+    constructors refuse is a config error.
+    """
+    values = _read(cfg, "design", _DESIGN, "bernoulli", required=required)
+    kind = values.pop("kind")
     if kind == "bernoulli-heterogeneous":
-        path = _get(sec, "p_file", str, "design", required=True)
-        if id_map is None:
-            raise ConfigError("bernoulli-heterogeneous requires a graph with ids")
-        return AssignmentDesign.bernoulli_heterogeneous(load_probability_file(path, id_map))
-    return AssignmentDesign.completely_randomized(_get(sec, "k", int, "design", required=True))
+        return values["p_file"]
+    try:
+        if kind == "bernoulli":
+            return AssignmentDesign.bernoulli(**values)
+        return AssignmentDesign.completely_randomized(**values)
+    except ValidationError as exc:
+        raise ConfigError(f"design: {exc}") from exc
 
 
-def _parse_gps(cfg: dict) -> tuple[str, dict]:
-    """The `gps` section as (mode, `mc_gps` settings), checked before any computation."""
-    sec = _section(cfg, "gps", required=False)
-    _check_keys(sec, ("mode", "n_draws", "bins"), "gps")
-    mode = _get(sec, "mode", str, "gps", default="auto")
-    if mode not in ("auto", "exact", "monte-carlo"):
-        raise ConfigError(f"unknown gps mode {mode!r}")
-    settings = {}
-    for key, name, default in (("bins", "n_bins", 20), ("n_draws", "n_draws", 100_000)):
-        if key in sec and mode != "monte-carlo":
-            raise ConfigError(f"gps.{key} is read only in monte-carlo mode, not {mode}")
-        settings[name] = _get(sec, key, int, "gps", default=default)
-        if settings[name] < 1:
-            raise ConfigError(f"gps.{key} must be a positive int, got {settings[name]}")
-    return mode, settings
+def build_design(parsed: AssignmentDesign | str, id_map: IdMap | None) -> AssignmentDesign:
+    """The parsed design; a `p_file` path is loaded against the graph's ids."""
+    if isinstance(parsed, AssignmentDesign):
+        return parsed
+    if id_map is None:
+        raise ConfigError("bernoulli-heterogeneous requires a graph with ids")
+    return AssignmentDesign.bernoulli_heterogeneous(load_probability_file(parsed, id_map))
 
 
-def build_gps(gps: tuple[str, dict], graph, design, seed: int):
-    mode, settings = gps
-    if mode == "exact":
+_GPS = {
+    "auto": {},
+    "exact": {},
+    "monte-carlo": {"bins": (int, 20), "n_draws": (int, 100_000)},
+}
+
+
+def _parse_gps(cfg: dict) -> dict:
+    """The `gps` section as its mode and `mc_gps` settings, checked before any computation."""
+    gps = _read(cfg, "gps", _GPS, "auto", kind_key="mode", required=False)
+    for key in ("bins", "n_draws"):
+        if gps.get(key, 1) < 1:
+            raise ConfigError(f"gps.{key} must be a positive int, got {gps[key]}")
+    return gps
+
+
+def build_gps(gps: dict, graph, design, seed: int):
+    if gps["mode"] == "exact":
         return exact_gps_table(graph, design)
-    if mode == "monte-carlo":
-        return mc_gps(graph, design, **settings, rng=substream(seed, 11))
+    if gps["mode"] == "monte-carlo":
+        return mc_gps(graph, design, n_bins=gps["bins"], n_draws=gps["n_draws"],
+                      rng=substream(seed, 11))
     return default_gps_table(graph, design, rng=substream(seed, 11))
 
 
-def _parse_estimators(cfg: dict) -> list[str]:
+def _parse_estimators(cfg: dict, b_replicates: int, level: float) -> tuple[list[str], dict]:
+    """The `estimators` list and the `intervals` map, checked with the interval settings."""
     names = cfg.get("estimators", ["naive-ols"])
     if not isinstance(names, list) or not names:
         raise ConfigError("estimators must be a nonempty list")
-    resolve_estimators(names)
-    return names
-
-
-def _parse_intervals(cfg: dict, names: list[str]) -> dict[str, tuple]:
-    sec = _section(cfg, "intervals", required=False)
-    out: dict[str, tuple] = {}
-    for key, methods in sec.items():
+    intervals: dict[str, tuple] = {}
+    for key, methods in _section(cfg, "intervals", required=False).items():
         if not isinstance(methods, list):
             raise ConfigError("intervals values must be lists of method names")
-        out[key] = tuple(methods)
-    check_intervals(resolve_estimators(names), out)
-    return out
-
-
-_BOOTSTRAP_METHODS = ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap")
-
-
-def _asks_bootstrap(intervals: dict[str, tuple]) -> bool:
-    return any(m in _BOOTSTRAP_METHODS for methods in intervals.values() for m in methods)
-
-
-def _replicates_and_level(
-    section: dict, where: str, *, default_b: int, bootstrap: bool
-) -> tuple[int, float]:
-    """`b_replicates` and `level`, checked before any computation.
-
-    The level must lie in (0, 1); the replicate count must reach
-    `MIN_BOOTSTRAP` when a bootstrap interval will run.
-    """
-    b = _get(section, "b_replicates", int, where, default=default_b)
-    level = _get(section, "level", float, where, default=0.95)
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"{where}.level must be in (0, 1), got {level}")
-    if bootstrap and b < MIN_BOOTSTRAP:
-        raise ConfigError(
-            f"{where}.b_replicates must be at least {MIN_BOOTSTRAP} "
-            f"for bootstrap intervals, got {b}"
-        )
-    return b, level
-
-
-# -- output plumbing -------------------------------------------------------------
-
-
-def _write_table(rows: list[dict], out_dir: Path, stem: str, fmt: str) -> Path:
-    path = out_dir / f"{stem}.{fmt}"
-    if fmt == "json":
-        _write_json(rows, path)
-    else:
-        _write_csv_rows(rows, path)
-    return path
-
-
-def _write_provenance(out_dir: Path, command: str, raw: bytes, seed: int, outputs: list[str], notes=None) -> None:
-    record = {
-        "command": command,
-        "config_sha256": hashlib.sha256(raw).hexdigest(),
-        "seed": seed,
-        "package": "bipexp",
-        "version": __version__,
-        "outputs": outputs,
-    }
-    if notes:
-        record["notes"] = notes
-    _write_json(record, out_dir / "provenance.json")
+        intervals[key] = tuple(methods)
+    check_intervals(resolve_estimators(names), intervals, b_replicates, level)
+    return names, intervals
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -340,27 +308,16 @@ def _resolve_seed(cfg: dict, args) -> int:
     return seed
 
 
-def _resolve_out(cfg: dict, args) -> Path:
-    out = args.out or cfg.get("out", ".")
-    if not isinstance(out, str):
-        raise ConfigError("out must be a directory path")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # -- commands ---------------------------------------------------------------------
+#
+# Each command checks every section it reads before it builds anything,
+# writes its outputs into `out_dir` and returns (output names, notes).
 
-_TOP_KEYS_COMMON = ("seed", "out")
 
-
-def cmd_graph_gen(cfg: dict, args) -> int:
-    _check_keys(cfg, _TOP_KEYS_COMMON + ("graph",), "config")
-    seed = _resolve_seed(cfg, args)
+def cmd_graph_gen(cfg: dict, args, seed: int, out_dir: Path):
     source = _parse_graph(cfg)
     if not isinstance(source, GraphSpec):
         raise ConfigError("graph-gen needs a synthetic graph spec, not an external file")
-    out_dir = _resolve_out(cfg, args)
     graph, id_map = build_graph(source, seed)
     graph_path = out_dir / "graph.csv"
     write_edge_list(graph, graph_path, id_map=id_map)
@@ -374,92 +331,72 @@ def cmd_graph_gen(cfg: dict, args) -> int:
         "row_normalized": bool(graph.row_normalized),
     }
     _write_json(summary, out_dir / "graph_summary.json")
-    _write_provenance(out_dir, "graph-gen", args.raw_config, seed,
-                      ["graph.csv", "graph_summary.json"])
     print(f"graph-gen: wrote {graph_path} ({graph.n_outcome}x{graph.m_diversion}, {graph.nnz} edges)")
-    return 0
+    return ["graph.csv", "graph_summary.json"], None
 
 
-def cmd_gps(cfg: dict, args) -> int:
-    _check_keys(cfg, _TOP_KEYS_COMMON + ("graph", "design", "gps"), "config")
-    seed = _resolve_seed(cfg, args)
-    out_dir = _resolve_out(cfg, args)
-    gps = _parse_gps(cfg)
-    graph, id_map = build_graph(_parse_graph(cfg), seed)
-    design = build_design(cfg, id_map)
+def cmd_gps(cfg: dict, args, seed: int, out_dir: Path):
+    gps, source, parsed_design = _parse_gps(cfg), _parse_graph(cfg), _parse_design(cfg)
+    graph, id_map = build_graph(source, seed)
+    design = build_design(parsed_design, id_map)
     table = build_gps(gps, graph, design, seed)
     gps_path = out_dir / "gps.csv"
     table.write_csv(gps_path, id_map=id_map)
-    _write_provenance(out_dir, "gps", args.raw_config, seed, ["gps.csv"])
     print(f"gps: wrote {gps_path} ({table.n_units} units, mode {table.mode})")
-    return 0
+    return ["gps.csv"], None
 
 
-# the keys each data mode reads
-_DATA_KEYS = {
-    "fixture": ("fixture", "n_single", "n_double"),
-    "files": ("outcomes", "assignment", "exposures"),
+_DATA = {
+    "fixture": {"fixture": (str, _REQUIRED), "n_single": (int, 200), "n_double": (int, 200)},
+    "files": {"outcomes": (str, _REQUIRED), "assignment": (str, None), "exposures": (str, None)},
 }
 
 
-def _build_estimate_inputs(cfg: dict, gps: tuple[str, dict], seed: int):
-    """Returns (dataset, id_map) from a fixture or from data files.
+def _data_mode(sec: dict) -> str:
+    return "fixture" if "fixture" in sec else "files"
+
+
+def _build_estimate_inputs(cfg: dict, gps: dict, seed: int) -> Dataset:
+    """The dataset of a fixture or of data files, with every section checked first.
 
     A fixture builds its own graph and takes an optional `bernoulli`
-    design (p = 0.5 without one), whose kind is checked before the design
-    is built; files come with the config's graph and design. A key or
-    section the mode does not read is a config error.
+    design (p = 0.5 without one); files come with the config's graph and
+    design. A key or section the mode does not read is a config error.
     """
-    sec = _section(cfg, "data")
-    _check_keys(sec, set().union(*_DATA_KEYS.values()), "data")
-    mode = "fixture" if "fixture" in sec else "files"
-    unread = sorted(set(sec) - set(_DATA_KEYS[mode]))
-    if unread:
-        with_fixture = "with" if mode == "fixture" else "without"
-        raise ConfigError(f"data keys not read {with_fixture} a fixture: {', '.join(unread)}")
-    if mode == "fixture":
-        fixture = _get(sec, "fixture", str, "data")
-        if fixture != "simple-example":
-            raise ConfigError(f"unknown fixture {fixture!r}")
+    data = _read(cfg, "data", _DATA, _data_mode, kind_key="mode")
+    if data["mode"] == "fixture":
+        if data["fixture"] != "simple-example":
+            raise ConfigError(f"unknown fixture {data['fixture']!r}")
         if "graph" in cfg:
             raise ConfigError("the simple-example fixture builds its own graph; drop `graph`")
-        kind = _get(_section(cfg, "design", required=False), "kind", str, "design",
-                    default="bernoulli")
-        if kind != "bernoulli":
+        design = _parse_design(cfg, required=False)
+        if not isinstance(design, AssignmentDesign) or design.kind != "bernoulli":
+            kind = getattr(design, "kind", "bernoulli-heterogeneous")
             raise ConfigError(f"the simple-example fixture needs a bernoulli design, not {kind}")
-        design = build_design(cfg, None) if "design" in cfg else AssignmentDesign.bernoulli(0.5)
-        example = simple_example(
-            n_single=_get(sec, "n_single", int, "data", default=200),
-            n_double=_get(sec, "n_double", int, "data", default=200),
-            p=design.p,
-        )
+        example = simple_example(n_single=data["n_single"], n_double=data["n_double"], p=design.p)
         graph, design = example.graph, example.design
-        rng = substream(seed, 12)
-        z = draw_assignment(design, graph.m_diversion, rng)
+        z = draw_assignment(design, graph.m_diversion, substream(seed, 12))
         exposure = linear_exposure(graph, z)
         y = example.outcomes(exposure)
-        gps_table = build_gps(gps, graph, design, seed)
-        id_map = IdMap.identity(graph.n_outcome, graph.m_diversion)
-        return Dataset.build(graph, gps_table, y, exposure), id_map
+        return Dataset.build(graph, build_gps(gps, graph, design, seed), y, exposure)
 
-    graph, id_map = build_graph(_parse_graph(cfg), seed)
-    design = build_design(cfg, id_map)
-    outcomes_path = _get(sec, "outcomes", str, "data", required=True)
-    y = _read_id_column(outcomes_path, "outcome_id", "y", id_map.outcome_ids)
-    if "exposures" in sec and "assignment" in sec:
+    if data["assignment"] is not None and data["exposures"] is not None:
         raise ConfigError("give either data.assignment or data.exposures, not both")
-    if "exposures" in sec:
-        exposure = _read_id_column(
-            _get(sec, "exposures", str, "data"), "outcome_id", "exposure", id_map.outcome_ids
-        )
+    if data["assignment"] is None and data["exposures"] is None:
+        raise ConfigError("data is missing 'assignment'")
+    source, parsed_design = _parse_graph(cfg), _parse_design(cfg)
+    graph, id_map = build_graph(source, seed)
+    design = build_design(parsed_design, id_map)
+    y = _read_id_column(data["outcomes"], "outcome_id", "y", id_map.outcome_ids)
+    if data["exposures"] is not None:
+        exposure = _read_id_column(data["exposures"], "outcome_id", "exposure", id_map.outcome_ids)
     else:
-        z_path = _get(sec, "assignment", str, "data", required=True)
+        z_path = data["assignment"]
         z = _read_id_column(z_path, "diversion_id", "z", id_map.diversion_ids)
         if not np.all((z == 0) | (z == 1)):
             raise DataError(f"{z_path}: assignment values must be 0 or 1")
         exposure = linear_exposure(graph, z.astype(np.uint8))
-    gps_table = build_gps(gps, graph, design, seed)
-    return Dataset.build(graph, gps_table, y, exposure), id_map
+    return Dataset.build(graph, build_gps(gps, graph, design, seed), y, exposure)
 
 
 _SURFACE_FITTERS = {
@@ -469,39 +406,24 @@ _SURFACE_FITTERS = {
 }
 
 
-def cmd_estimate(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        _TOP_KEYS_COMMON
-        + ("graph", "design", "gps", "data", "estimators", "intervals",
-           "b_replicates", "level", "grid"),
-        "config",
-    )
-    seed = _resolve_seed(cfg, args)
-    out_dir = _resolve_out(cfg, args)
-    names = _parse_estimators(cfg)
-    intervals = _parse_intervals(cfg, names)
-    b, level = _replicates_and_level(
-        cfg, "config", default_b=1000, bootstrap=_asks_bootstrap(intervals)
-    )
+def cmd_estimate(cfg: dict, args, seed: int, out_dir: Path):
+    b = _value(cfg, "b_replicates", int, "config", 1000)
+    level = _value(cfg, "level", float, "config", 0.95)
+    names, intervals = _parse_estimators(cfg, b, level)
     grid = cfg.get("grid")
     if grid is not None:
         grid = _unit_levels(grid, "grid", ascending=True)
 
-    gps = _parse_gps(cfg)
-    data, _ = _build_estimate_inputs(cfg, gps, seed)
+    data = _build_estimate_inputs(cfg, _parse_gps(cfg), seed)
     rows: list[dict] = []
     rng = substream(seed, 13)
-
-    def empty_interval():
-        return {"interval_method": "", "lower": "", "upper": "",
-                "interval_level": "", "b_replicates": ""}
-
+    no_interval = {"interval_method": "", "lower": "", "upper": "",
+                   "interval_level": "", "b_replicates": ""}
     for name in names:
         est = ESTIMATOR_REGISTRY[name]
         point = float(est.point(data))
         rows.append({"estimator": name, "quantity": "ate", "level": "",
-                     "estimate": point, **empty_interval()})
+                     "estimate": point, **no_interval})
         for method in intervals.get(name, ()):
             iv: IntervalEstimate = INTERVAL_METHODS[method](data, est, b, level, rng)
             rows.append({
@@ -515,49 +437,35 @@ def cmd_estimate(cfg: dict, args) -> int:
             curve = dose_response(surface, data.gps, np.asarray(grid, dtype=np.float64))
             for e, mu in zip(curve.grid, curve.mu_hat):
                 rows.append({"estimator": name, "quantity": "mu", "level": float(e),
-                             "estimate": float(mu), **empty_interval()})
-    table_path = _write_table(rows, out_dir, "estimates", args.format)
-    _write_provenance(out_dir, "estimate", args.raw_config, seed, [table_path.name])
+                             "estimate": float(mu), **no_interval})
+    table_path = out_dir / f"estimates.{args.format}"
+    (_write_json if args.format == "json" else _write_csv_rows)(rows, table_path)
     print(f"estimate: wrote {table_path} ({len(rows)} rows)")
-    return 0
+    return [table_path.name], None
 
 
-_STUDY_KEYS = (
-    "label", "effect", "sigma2_eps", "sigma2_gamma",
-    "n_sims", "b_replicates", "level",
-)
+_STUDY = {
+    "label": (str, ""),
+    "effect": (str, "homogeneous"),
+    "sigma2_eps": (float, 0.0),
+    "sigma2_gamma": (float, 0.0),
+    "n_sims": (int, 100),
+    "b_replicates": (int, 200),
+    "level": (float, 0.95),
+}
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        _TOP_KEYS_COMMON + ("graph", "design", "gps", "study", "estimators", "intervals"),
-        "config",
-    )
+def cmd_simulate(cfg: dict, args, seed: int, out_dir: Path):
     _check_workers(args.workers)
-    seed = _resolve_seed(cfg, args)
-    out_dir = _resolve_out(cfg, args)
-    sec = _section(cfg, "study")
-    _check_keys(sec, _STUDY_KEYS, "study")
-    n_sims = _get(sec, "n_sims", int, "study", default=100)
+    study = _read(cfg, "study", _STUDY)
+    n_sims, b, level = study.pop("n_sims"), study.pop("b_replicates"), study.pop("level")
     if n_sims <= 0:
         raise ConfigError("study.n_sims must be positive")
-    names = _parse_estimators(cfg)
-    intervals = _parse_intervals(cfg, names)
-    b, level = _replicates_and_level(
-        sec, "study", default_b=200, bootstrap=_asks_bootstrap(intervals)
-    )
-    gps = _parse_gps(cfg)
-    graph, id_map = build_graph(_parse_graph(cfg), seed)
-    design = build_design(cfg, id_map)
-    dgp = DgpSpec(
-        graph=graph,
-        design=design,
-        effect=_get(sec, "effect", str, "study", default="homogeneous"),
-        sigma2_eps=_get(sec, "sigma2_eps", float, "study", default=0.0),
-        sigma2_gamma=_get(sec, "sigma2_gamma", float, "study", default=0.0),
-        label=_get(sec, "label", str, "study", default=""),
-    )
+    names, intervals = _parse_estimators(cfg, b, level)
+    gps, source, parsed_design = _parse_gps(cfg), _parse_graph(cfg), _parse_design(cfg)
+    graph, id_map = build_graph(source, seed)
+    design = build_design(parsed_design, id_map)
+    dgp = DgpSpec(graph, design, **study)
 
     def progress(done: int, total: int) -> None:
         if done == total or done % max(1, total // 10) == 0:
@@ -580,58 +488,45 @@ def cmd_simulate(cfg: dict, args) -> int:
     notes = None
     if result.n_sims < result.n_requested:
         notes = f"interrupted: {result.n_sims}/{result.n_requested} replicates completed"
-    _write_provenance(out_dir, "simulate", args.raw_config, seed,
-                      ["study.csv", "study.json"], notes=notes)
     print(f"simulate: wrote {csv_path} and {json_path} ({result.n_sims} replicates)")
-    return 0
+    return ["study.csv", "study.json"], notes
 
 
-_SWEEP_KEYS = (
-    "cut_shares", "sigma2_eps", "sigma2_gamma", "estimator",
-    "n_sims", "b_replicates", "level",
-)
+_SWEEP = {
+    "cut_shares": (list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+    "sigma2_eps": (float, 0.5),
+    "sigma2_gamma": (float, 0.5),
+    "estimator": (str, "naive-ols"),
+    "n_sims": (int, 100),
+    "b_replicates": (int, 200),
+    "level": (float, 0.95),
+}
 
 
-def cmd_sweep(cfg: dict, args) -> int:
-    _check_keys(cfg, _TOP_KEYS_COMMON + ("graph", "design", "sweep"), "config")
-    seed = _resolve_seed(cfg, args)
-    out_dir = _resolve_out(cfg, args)
-    sec = _section(cfg, "sweep")
-    _check_keys(sec, _SWEEP_KEYS, "sweep")
-    # every sweep runs the naive and block bootstraps
-    b, level = _replicates_and_level(sec, "sweep", default_b=200, bootstrap=True)
-    shares = _unit_levels(
-        sec.get("cut_shares", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), "sweep.cut_shares", ascending=False
-    )
+def cmd_sweep(cfg: dict, args, seed: int, out_dir: Path):
+    sweep = _read(cfg, "sweep", _SWEEP)
+    shares = _unit_levels(sweep.pop("cut_shares"), "sweep.cut_shares", ascending=False)
     # the largest share validates the recipe; the sweep sets each share itself
     spec = _parse_graph(cfg, sweep_share=max(shares))
-    design = build_design(cfg, None)
+    design = build_design(_parse_design(cfg), None)
+    # edges_cut_sweep checks the interval settings before it draws a graph
     rows = edges_cut_sweep(
-        spec,
-        shares,
-        design=design,
-        sigma2_eps=_get(sec, "sigma2_eps", float, "sweep", default=0.5),
-        sigma2_gamma=_get(sec, "sigma2_gamma", float, "sweep", default=0.5),
-        estimator=_get(sec, "estimator", str, "sweep", default="naive-ols"),
-        n_sims=_get(sec, "n_sims", int, "sweep", default=100),
-        b_replicates=b,
-        level=level,
-        master_seed=seed,
-        workers=args.workers,
+        spec, shares, design=design, master_seed=seed, workers=args.workers, **sweep
     )
     sweep_path = out_dir / "sweep.csv"
     _write_csv_rows(rows, sweep_path)
-    _write_provenance(out_dir, "sweep", args.raw_config, seed, ["sweep.csv"])
     print(f"sweep: wrote {sweep_path} ({len(rows)} rows)")
-    return 0
+    return ["sweep.csv"], None
 
 
+# each command and the top-level keys it reads besides `seed` and `out`
 _COMMANDS = {
-    "graph-gen": cmd_graph_gen,
-    "gps": cmd_gps,
-    "estimate": cmd_estimate,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
+    "graph-gen": (cmd_graph_gen, ("graph",)),
+    "gps": (cmd_gps, ("graph", "design", "gps")),
+    "estimate": (cmd_estimate, ("graph", "design", "gps", "data", "estimators", "intervals",
+                                "b_replicates", "level", "grid")),
+    "simulate": (cmd_simulate, ("graph", "design", "gps", "study", "estimators", "intervals")),
+    "sweep": (cmd_sweep, ("graph", "design", "sweep")),
 }
 
 # the commands whose replicates can run in a process pool
@@ -662,13 +557,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, raw = load_config(args.config)
-        args.raw_config = raw
         declared = cfg.pop("command", None)
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares command {declared!r} but {args.command!r} was invoked"
             )
-        return _COMMANDS[args.command](cfg, args)
+        command, sections = _COMMANDS[args.command]
+        unknown = sorted(set(cfg) - {"seed", "out", *sections})
+        if unknown:
+            raise ConfigError(f"unknown keys in config: {', '.join(unknown)}")
+        seed = _resolve_seed(cfg, args)
+        out_dir = Path(args.out or _value(cfg, "out", str, "config", "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs, notes = command(cfg, args, seed, out_dir)
+        provenance = {
+            "command": args.command,
+            "config_sha256": hashlib.sha256(raw).hexdigest(),
+            "seed": seed,
+            "package": "bipexp",
+            "version": __version__,
+            "outputs": outputs,
+        }
+        if notes:
+            provenance["notes"] = notes
+        _write_json(provenance, out_dir / "provenance.json")
+        return 0
     except BipexpError as exc:
         for klass, code in _EXIT_CODES:
             if isinstance(exc, klass):

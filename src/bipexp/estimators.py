@@ -273,20 +273,6 @@ class CellMeanSurface:
     values: np.ndarray  # (n_e, n_r), NaN where empty
     counts: np.ndarray
 
-    @classmethod
-    def from_cells(cls, cells: dict[tuple[float, float], float]):
-        """Build directly from {(e, r): value} (counts set to 1)."""
-        e_levels = _merge_levels(np.array([k[0] for k in cells]), ATOM_TOL)
-        r_levels = _merge_levels(np.array([k[1] for k in cells]), ATOM_TOL)
-        values = np.full((e_levels.size, r_levels.size), np.nan)
-        counts = np.zeros_like(values)
-        for (e, r), v in cells.items():
-            ei = _locate_level(e_levels, e, ATOM_TOL)[0]
-            ri = _locate_level(r_levels, r, ATOM_TOL)[0]
-            values[ei, ri] = v
-            counts[ei, ri] = 1
-        return cls(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts)
-
     def evaluate(self, e: float, r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         ei = _locate_level(self.e_levels, e, ATOM_TOL)[0]

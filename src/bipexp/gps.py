@@ -192,9 +192,20 @@ class GpsTable:
         return per_dist[self.unit_dist]
 
     def observed_scores(self, exposures: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
-        """Score of each unit at its own realized exposure."""
+        """Score of each unit at its own realized exposure.
+
+        `units` selects the rows the exposures belong to; a unit outside
+        [0, n_units) raises `IndexError`, as in `distribution`.
+        """
         exposures = np.asarray(exposures, dtype=np.float64)
-        ids = self.unit_dist if units is None else self.unit_dist[np.asarray(units)]
+        if units is None:
+            ids = self.unit_dist
+        else:
+            units = np.asarray(units)
+            bad = units[(units < 0) | (units >= self.n_units)]
+            if bad.size:
+                raise IndexError(f"unit {bad.flat[0]} out of range [0, {self.n_units})")
+            ids = self.unit_dist[units]
         if exposures.shape != ids.shape:
             raise ValueError("exposures must align with the selected units")
         self._check_range(exposures)

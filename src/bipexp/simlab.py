@@ -1,6 +1,6 @@
 """Simulation studies: bias, RMSE, and interval coverage by construction.
 
-A `DgpSpec` fixes the graph (or a recipe for one), the assignment design,
+A `DgpSpec` fixes the realized graph, the assignment design,
 the exposure-effect form, and the two noise variances. `run_study` replays
 the whole pipeline n_sims times on that one graph, with per-replicate
 random substreams, and aggregates per (estimator, interval-method) bias,
@@ -44,6 +44,7 @@ from .graph import (
     synth_graph,
 )
 from .inference import (
+    MIN_BOOTSTRAP,
     IntervalEstimate,
     block_bootstrap,
     naive_bootstrap,
@@ -57,8 +58,8 @@ HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
 
 # substream tags: keep these distinct so study-level draws never collide
-# with per-replicate draws under any (master_seed, n_sims)
-_GRAPH_STREAM = 0
+# with per-replicate draws under any (master_seed, n_sims); tag 0 drew the
+# graph of a recipe study and is not reused
 _SIM_STREAM = 1
 _GPS_STREAM = 2
 _SWEEP_STREAM = 3
@@ -74,11 +75,11 @@ class DgpSpec:
     every unit the population mean degree (one shared linear effect), and
     `heterogeneous` gives each unit its own degree. Outcomes are
     Y_i = slope_i * E_i + (W @ gamma)_i + eps_i with gamma and eps i.i.d.
-    centered normals of variance sigma2_gamma and sigma2_eps. A
-    `GraphSpec` is realized once per study, from its master seed.
+    centered normals of variance sigma2_gamma and sigma2_eps. The graph
+    is a realized `BipartiteGraph`; `synth_graph` realizes a `GraphSpec`.
     """
 
-    graph: BipartiteGraph | GraphSpec
+    graph: BipartiteGraph
     design: AssignmentDesign
     effect: str = HOMOGENEOUS
     sigma2_eps: float = 0.0
@@ -86,6 +87,11 @@ class DgpSpec:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.graph, BipartiteGraph):
+            raise ConfigError(
+                f"DgpSpec.graph must be a BipartiteGraph, not {type(self.graph).__name__}; "
+                "realize a GraphSpec with synth_graph first"
+            )
         if self.effect not in (HOMOGENEOUS, HETEROGENEOUS):
             raise ConfigError(f"unknown effect form {self.effect!r}")
         if self.sigma2_eps < 0 or self.sigma2_gamma < 0:
@@ -262,15 +268,22 @@ INTERVAL_METHODS = {
 
 # interval methods that fit the estimator's linear design
 LINEAR_DESIGN_METHODS = ("parametric-bootstrap", "ols-asymptotic")
+# interval methods that resample, and so need `MIN_BOOTSTRAP` replicates
+BOOTSTRAP_METHODS = ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap")
 
 
-def check_intervals(estimators: list[StudyEstimator], intervals: dict[str, tuple]) -> None:
-    """Reject an interval map before any computation.
+def check_intervals(
+    estimators: list[StudyEstimator], intervals: dict[str, tuple], b_replicates: int, level: float
+) -> None:
+    """Reject interval settings before any computation.
 
-    Every key must name one of `estimators`, every method must be in
-    `INTERVAL_METHODS`, and the methods in `LINEAR_DESIGN_METHODS` need an
-    estimator with a linear design.
+    The level must lie in (0, 1). Every key must name one of `estimators`,
+    every method must be in `INTERVAL_METHODS`, the methods in
+    `LINEAR_DESIGN_METHODS` need an estimator with a linear design, and
+    those in `BOOTSTRAP_METHODS` need at least `MIN_BOOTSTRAP` replicates.
     """
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be in (0, 1), got {level}")
     by_name = {e.name: e for e in estimators}
     for name, methods in intervals.items():
         if name not in by_name:
@@ -282,6 +295,11 @@ def check_intervals(estimators: list[StudyEstimator], intervals: dict[str, tuple
             if m in LINEAR_DESIGN_METHODS and by_name[name].design is None:
                 raise ConfigError(
                     f"estimator {name!r} has no linear design; the {m} interval does not apply"
+                )
+            if m in BOOTSTRAP_METHODS and b_replicates < MIN_BOOTSTRAP:
+                raise ConfigError(
+                    f"b_replicates must be at least {MIN_BOOTSTRAP} "
+                    f"for bootstrap intervals, got {b_replicates}"
                 )
 
 
@@ -457,18 +475,19 @@ def run_study(
     its own substream of the master seed, so results are bit-identical
     for any worker count. Estimator or interval failures inside a
     replicate are recorded (NaN + census), not fatal. A KeyboardInterrupt
-    truncates the study to the completed prefix. `workers` below 1 raises
-    `ConfigError`.
+    truncates the study to the completed prefix. Before any table is
+    built or replicate run, `ConfigError` is raised for `n_sims` or
+    `workers` below 1, an unknown estimator or interval method, a level
+    outside (0, 1), and fewer than `MIN_BOOTSTRAP` replicates for a
+    method in `BOOTSTRAP_METHODS` (see `check_intervals`).
     """
     if n_sims <= 0:
         raise ConfigError("n_sims must be positive")
     _check_workers(workers)
     ests = resolve_estimators(estimators)
     intervals = dict(intervals or {})
-    check_intervals(ests, intervals)
+    check_intervals(ests, intervals, b_replicates, level)
 
-    if isinstance(dgp.graph, GraphSpec):
-        dgp = replace(dgp, graph=synth_graph(dgp.graph, substream(master_seed, _GRAPH_STREAM)))
     if gps is None:
         gps = default_gps_table(dgp.graph, dgp.design, rng=substream(master_seed, _GPS_STREAM))
     truth = true_ate(dgp, dgp.graph)
@@ -550,12 +569,16 @@ def edges_cut_sweep(
     that share, runs a homogeneous-effect study with graph-propagated
     noise, and reports coverage for both resampling schemes. Blocks for
     the clustered scheme are the generator's block partition: resampling
-    acts as if cross-block edges were cut, which is the point. `workers`
-    below 1 raises `ConfigError` before any graph is drawn.
+    acts as if cross-block edges were cut, which is the point. Before any
+    graph is drawn, `ConfigError` is raised for a recipe that is not
+    `blocks`, `workers` below 1, an unknown estimator, a level outside
+    (0, 1), and fewer than `MIN_BOOTSTRAP` replicates.
     """
     if base_spec.kind != "blocks":
         raise ConfigError("edges_cut_sweep needs a block graph recipe")
     _check_workers(workers)
+    methods = ("naive-bootstrap", "block-bootstrap")
+    check_intervals(resolve_estimators([estimator]), {estimator: methods}, b_replicates, level)
     rows: list[dict] = []
     labels = contiguous_blocks(base_spec.n_outcome, base_spec.n_blocks)
     for k, share in enumerate(cut_shares):
@@ -572,7 +595,7 @@ def edges_cut_sweep(
         res = run_study(
             dgp,
             [estimator],
-            {estimator: ("naive-bootstrap", "block-bootstrap")},
+            {estimator: methods},
             n_sims=n_sims,
             b_replicates=b_replicates,
             level=level,
@@ -580,7 +603,7 @@ def edges_cut_sweep(
             workers=workers,
             block_labels=labels,
         )
-        for method in ("naive-bootstrap", "block-bootstrap"):
+        for method in methods:
             rows.append(
                 {
                     "cut_share": float(share),

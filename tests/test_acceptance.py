@@ -104,8 +104,8 @@ def ols_slope_noise_floor(w, p: float, sigma2: float) -> float:
 def test_criterion_2_homogeneous_table():
     t0 = time.monotonic()
     n_sims = 100
-    # tag 0 is the substream run_study draws a recipe graph from, so the
-    # prebuilt graph leaves every estimate unchanged
+    # tag 0 is the substream run_study drew a recipe graph from, so the
+    # table criteria (2-4) keep the graph they were calibrated on
     graph = synth_graph(TABLE_GRAPH, substream(SEED, 0))
     dgp = DgpSpec(
         graph=graph, design=BERN, effect="homogeneous",
@@ -137,8 +137,8 @@ def test_criterion_2_homogeneous_table():
 def test_criterion_3_heterogeneous_table():
     t0 = time.monotonic()
     dgp = DgpSpec(
-        graph=TABLE_GRAPH, design=BERN, effect="heterogeneous",
-        sigma2_eps=0.5, sigma2_gamma=0.0, label="table-het",
+        graph=synth_graph(TABLE_GRAPH, substream(SEED, 0)), design=BERN,
+        effect="heterogeneous", sigma2_eps=0.5, sigma2_gamma=0.0, label="table-het",
     )
     res = run_study(
         dgp, ["naive-ols", "correct-spec", "gps-krr"],
@@ -158,8 +158,8 @@ def test_criterion_3_heterogeneous_table():
 def test_criterion_4_correlated_errors():
     t0 = time.monotonic()
     dgp = DgpSpec(
-        graph=TABLE_GRAPH, design=BERN, effect="homogeneous",
-        sigma2_eps=0.5, sigma2_gamma=0.5, label="correlated",
+        graph=synth_graph(TABLE_GRAPH, substream(SEED, 0)), design=BERN,
+        effect="homogeneous", sigma2_eps=0.5, sigma2_gamma=0.5, label="correlated",
     )
     res = run_study(
         dgp, ["naive-ols"],

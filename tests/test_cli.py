@@ -273,8 +273,8 @@ BAD_GPS_SECTIONS = [
     ({"mode": "monte-carlo", "n_draws": 0}, "gps.n_draws must be a positive int, got 0"),
     ({"mode": "monte-carlo", "bins": 0}, "gps.bins must be a positive int, got 0"),
     ({"mode": "monte-carlo", "bins": 2.5}, "gps.bins must be int"),
-    ({"mode": "exact", "bins": 10}, "gps.bins is read only in monte-carlo mode, not exact"),
-    ({"n_draws": 500}, "gps.n_draws is read only in monte-carlo mode, not auto"),
+    ({"mode": "exact", "bins": 10}, "gps keys not read for mode exact: bins"),
+    ({"n_draws": 500}, "gps keys not read for mode auto: n_draws"),
     ({"mode": "monte-carlo", "tol": 1e-9}, "unknown keys in gps: tol"),
 ]
 
@@ -331,6 +331,73 @@ def test_gps_design_keys_a_kind_does_not_read_exit_2(tmp_path, capsys, design, m
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
     assert message in record["message"]
     assert not (out / "gps.csv").exists()
+
+
+def design_first_config(tmp_path, command, design, graph):
+    cfg = {"graph": graph, "design": design}
+    if command == "estimate":
+        cfg["data"] = {"outcomes": str(tmp_path / "y.csv"), "assignment": str(tmp_path / "z.csv")}
+    if command == "simulate":
+        cfg["study"] = {"n_sims": 2}
+    if command == "sweep":
+        cfg["sweep"] = {"cut_shares": [0.0, 0.25], "n_sims": 2, "b_replicates": 50}
+    path = tmp_path / "cfg.yaml"
+    write_yaml(path, cfg)
+    return path
+
+
+@pytest.mark.parametrize("command", ["gps", "simulate", "estimate"])
+def test_design_is_checked_before_a_missing_graph_file(tmp_path, capsys, monkeypatch, command):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was loaded before the design section was checked")
+
+    monkeypatch.setattr("bipexp.cli.build_graph", no_graph)
+    design = {"kind": "completely-randomized", "k": 3, "p": 0.9}
+    graph = {"path": str(tmp_path / "missing.csv")}
+    cfg_path = design_first_config(tmp_path, command, design, graph)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert record["message"] == "design keys not read for kind completely-randomized: p"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gps", "simulate", "estimate", "sweep"])
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        ({"kind": "bernoulli", "p": 1.5}, "design: bernoulli probability must lie in (0, 1), got 1.5"),
+        ({"kind": "completely-randomized", "k": 0}, "design: k must be a positive integer, got 0"),
+    ],
+    ids=["p-1.5", "k-0"],
+)
+def test_design_values_the_constructors_refuse_exit_2_before_any_graph(
+    tmp_path, capsys, monkeypatch, command, design, message
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the design was checked")
+
+    for target in ("bipexp.cli.build_graph", "bipexp.simlab.synth_graph"):
+        monkeypatch.setattr(target, no_graph)
+    graph = dict(SWEEP_RECIPE) if command == "sweep" else dict(RECIPE)
+    cfg_path = design_first_config(tmp_path, command, design, graph)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    assert record["message"] == message
+    assert not any(out.iterdir())
+
+
+def test_completely_randomized_k_above_m_still_needs_the_graph(tmp_path, capsys):
+    cfg_path = design_first_config(
+        tmp_path, "gps", {"kind": "completely-randomized", "k": 13}, dict(RECIPE)
+    )
+    assert main(["gps", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    record = stderr_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert "k=13 exceeds number of diversion units 12" in record["message"]
 
 
 def test_gps_exact_above_degree_cap_exits_3(tmp_path, capsys):
@@ -446,9 +513,9 @@ def test_estimate_fixture_reads_the_design_probability(tmp_path):
          "the simple-example fixture needs a bernoulli design, not bernoulli-heterogeneous"),
         ({"design": {"kind": "bernoulli", "p": 0.5, "k": 3, "p_file": "nowhere.csv"}}, {},
          "design keys not read for kind bernoulli: k, p_file"),
-        ({}, {"outcomes": "y.csv"}, "data keys not read with a fixture: outcomes"),
-        ({}, {"assignment": "z.csv"}, "data keys not read with a fixture: assignment"),
-        ({}, {"exposures": "e.csv"}, "data keys not read with a fixture: exposures"),
+        ({}, {"outcomes": "y.csv"}, "data keys not read for mode fixture: outcomes"),
+        ({}, {"assignment": "z.csv"}, "data keys not read for mode fixture: assignment"),
+        ({}, {"exposures": "e.csv"}, "data keys not read for mode fixture: exposures"),
     ],
 )
 def test_estimate_fixture_rejects_what_it_does_not_read(tmp_path, capsys, extra, data, message):
@@ -526,7 +593,7 @@ def test_estimate_files_reject_fixture_keys(tmp_path, capsys, key):
     assert rc == 2
     record = stderr_record(capsys)
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
-    assert record["message"] == f"data keys not read without a fixture: {key}"
+    assert record["message"] == f"data keys not read for mode files: {key}"
 
 
 def test_estimate_unknown_estimator_exits_2(tmp_path, capsys):

@@ -328,15 +328,17 @@ def worked_example_cells() -> CellMeanSurface:
     # cells of the two-type population, including the score-0 cells the
     # single-neighbor units occupy at the half-exposure query (those units
     # put no mass at e=1/2; their outcome is 0 everywhere)
-    return CellMeanSurface.from_cells(
-        {
-            (0.0, 0.5): 0.0,
-            (1.0, 0.5): 0.0,
-            (0.0, 0.25): 0.0,
-            (0.5, 0.5): 0.5,
-            (1.0, 0.25): 1.0,
-            (0.5, 0.0): 0.0,
-        }
+    # rows e = 0, 1/2, 1; columns r = 0, 1/4, 1/2; NaN marks an empty cell
+    values = np.array([
+        [np.nan, 0.0, 0.0],
+        [0.0, np.nan, 0.5],
+        [np.nan, 1.0, 0.0],
+    ])
+    return CellMeanSurface(
+        e_levels=np.array([0.0, 0.5, 1.0]),
+        r_levels=np.array([0.0, 0.25, 0.5]),
+        values=values,
+        counts=np.where(np.isnan(values), 0.0, 1.0),
     )
 
 
@@ -361,8 +363,13 @@ def test_dose_response_reports_missing_cells(two_type_data):
 
 
 def test_dose_response_constant_surface(two_type_data):
-    cells = {(e, r): 3.0 for e in (0.0, 1.0) for r in (0.25, 0.5)}
-    curve = dose_response(CellMeanSurface.from_cells(cells), two_type_data.gps, np.array([0.0, 1.0]))
+    surface = CellMeanSurface(
+        e_levels=np.array([0.0, 1.0]),
+        r_levels=np.array([0.25, 0.5]),
+        values=np.full((2, 2), 3.0),
+        counts=np.ones((2, 2)),
+    )
+    curve = dose_response(surface, two_type_data.gps, np.array([0.0, 1.0]))
     np.testing.assert_allclose(curve.mu_hat, 3.0, atol=1e-12)
     assert ate(curve) == 0.0
 

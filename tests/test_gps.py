@@ -383,6 +383,18 @@ def test_observed_scores_alignment(small_graph, bernoulli_half):
         table.observed_scores(exposures[:2])
 
 
+def test_observed_scores_refuses_units_out_of_range():
+    # unit 0 sits at 0; unit 1 is at 0 w.p. 1/4 and at 1 w.p. 3/4
+    table = GpsTable(offsets=[0, 1, 3], support=[0.0, 0.0, 1.0], probs=[1.0, 0.25, 0.75],
+                     unit_dist=[0, 1], hi=1.0)
+    assert table.observed_scores(np.array([1.0]), units=np.array([1])).tolist() == [0.75]
+    for unit in (-1, 2):
+        with pytest.raises(IndexError, match=f"unit {unit} out of range"):
+            table.observed_scores(np.array([1.0]), units=np.array([unit]))
+        with pytest.raises(IndexError):
+            table.observed_scores(np.array([0.0, 1.0]), units=np.array([0, unit]))
+
+
 def test_mass_off_support_is_zero(small_graph, bernoulli_half):
     table = exact_gps_table(small_graph, bernoulli_half)
     # 0.37 is reachable by no assignment pattern of any row

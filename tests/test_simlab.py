@@ -38,11 +38,12 @@ from bipexp.simlab import (
 SMALL_GRAPH_SPEC = GraphSpec(
     kind="uniform-degree", n_outcome=80, m_diversion=20, deg_min=1, deg_max=4
 )
+SMALL_GRAPH = synth_graph(SMALL_GRAPH_SPEC, substream(0, 0))
 
 
 def small_dgp(**kwargs) -> DgpSpec:
     base = dict(
-        graph=SMALL_GRAPH_SPEC,
+        graph=SMALL_GRAPH,
         design=AssignmentDesign.bernoulli(0.5),
         effect="homogeneous",
         sigma2_eps=0.25,
@@ -63,6 +64,8 @@ def test_dgp_spec_validation():
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), sigma2_eps=-1.0)
     with pytest.raises(ConfigError, match="unknown effect form 'custom'"):
         DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), effect="custom")
+    with pytest.raises(ConfigError, match="not GraphSpec; realize a GraphSpec with synth_graph"):
+        DgpSpec(graph=SMALL_GRAPH_SPEC, design=AssignmentDesign.bernoulli(0.5))
 
 
 def test_effect_slopes_forms():
@@ -171,9 +174,9 @@ def test_correct_spec_point_scales_by_the_full_data_mean_degree():
 
 
 def test_run_study_bias_rmse_identity_and_truth():
-    res = run_study(small_dgp(), ["naive-ols"], n_sims=12, master_seed=4)
-    graph = synth_graph(SMALL_GRAPH_SPEC, substream(4, 0))
-    want_truth = true_ate(small_dgp(), graph)
+    dgp = small_dgp()
+    res = run_study(dgp, ["naive-ols"], n_sims=12, master_seed=4)
+    want_truth = true_ate(dgp, SMALL_GRAPH)
     np.testing.assert_allclose(res.truth, want_truth, atol=1e-12)
     est = "naive-ols"
     # with a constant truth, rmse^2 = bias^2 + std^2 exactly
@@ -257,6 +260,39 @@ def test_run_study_validation():
                 n_sims=1, b_replicates=50, progress=lambda *a: calls.append(a),
             )
         assert calls == []  # raised before the first replicate
+
+
+@pytest.mark.parametrize(
+    "b_replicates, level, message",
+    [
+        (10, 0.95, "b_replicates must be at least 50 for bootstrap intervals, got 10"),
+        (200, 1.5, r"level must be in \(0, 1\), got 1.5"),
+    ],
+)
+def test_interval_settings_are_refused_before_any_graph_or_table(
+    monkeypatch, b_replicates, level, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph or a table was built")
+
+    monkeypatch.setattr(simlab, "synth_graph", refuse)
+    monkeypatch.setattr(simlab, "default_gps_table", refuse)
+    with pytest.raises(ConfigError, match=message):
+        run_study(small_dgp(), ["naive-ols"], {"naive-ols": ("naive-bootstrap",)}, n_sims=2,
+                  b_replicates=b_replicates, level=level)
+    blocks = GraphSpec(kind="blocks", n_outcome=60, m_diversion=30, n_blocks=6)
+    with pytest.raises(ConfigError, match=message):
+        edges_cut_sweep(blocks, [0.0], design=AssignmentDesign.bernoulli(0.5), n_sims=2,
+                        b_replicates=b_replicates, level=level)
+
+
+def test_replicate_floor_applies_only_to_resampling_methods():
+    ests = resolve_estimators(["naive-ols"])
+    simlab.check_intervals(ests, {"naive-ols": ("ols-asymptotic",)}, 10, 0.95)
+    for method in ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap"):
+        with pytest.raises(ConfigError, match="at least 50 for bootstrap intervals, got 49"):
+            simlab.check_intervals(ests, {"naive-ols": (method,)}, 49, 0.95)
+        simlab.check_intervals(ests, {"naive-ols": (method,)}, 50, 0.95)
 
 
 def test_run_study_counts_point_failures():

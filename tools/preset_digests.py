@@ -25,10 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bipexp.cli import PRESETS, load_config, main as cli_main  # noqa: E402
-
-# commands whose replicates can run in a process pool
-_POOLED = ("simulate", "sweep")
+from bipexp.cli import _POOLED, PRESETS, load_config, main as cli_main  # noqa: E402
 
 
 def preset_digests(preset: str, out_dir: Path) -> list[str]:
