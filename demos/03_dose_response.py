@@ -15,7 +15,7 @@ Run:  python3 demos/03_dose_response.py
 
 import numpy as np
 
-from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
+from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure
 from bipexp.errors import DataError
 from bipexp.estimators import (
     Dataset,
@@ -39,7 +39,7 @@ print(f"true effect (mean neighborhood size): {truth:.3f}")
 
 # one experiment
 rng = substream(20260819, 65)
-z = draw_assignment(design, graph.m_diversion, rng)
+z = draw_assignments(design, graph.m_diversion, 1, rng)[:, 0]
 e = linear_exposure(graph, z)
 y = generate_outcomes(dgp, graph, e, rng)
 table = default_gps_table(graph, design)

@@ -15,7 +15,7 @@ Run:  python3 demos/04_bootstrap_coverage.py
 
 import numpy as np
 
-from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
+from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure
 from bipexp.estimators import Dataset
 from bipexp.graph import GraphSpec, synth_graph
 from bipexp.inference import estimate_sigmas, naive_bootstrap, parametric_bootstrap
@@ -31,7 +31,7 @@ dgp = DgpSpec(
 
 # one dataset: recover the two variance components, then size intervals
 rng = substream(20260819, 67)
-z = draw_assignment(design, graph.m_diversion, rng)
+z = draw_assignments(design, graph.m_diversion, 1, rng)[:, 0]
 e = linear_exposure(graph, z)
 y = generate_outcomes(dgp, graph, e, rng)
 table = default_gps_table(graph, design)

@@ -12,7 +12,6 @@ confidence intervals, and a simulation lab for bias/RMSE/coverage studies.
 
 from .design import (
     AssignmentDesign,
-    draw_assignment,
     draw_assignments,
     linear_exposure,
     linear_exposure_many,
@@ -133,7 +132,6 @@ __all__ = [
     "contiguous_blocks",
     "correlated_error_variance",
     "dose_response",
-    "draw_assignment",
     "draw_assignments",
     "edges_cut_sweep",
     "estimate_sigmas",

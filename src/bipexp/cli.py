@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .design import AssignmentDesign, draw_assignment, linear_exposure, load_probability_file
+from .design import AssignmentDesign, draw_assignments, linear_exposure, load_probability_file
 from .errors import (
     BipexpError,
     ConfigError,
@@ -38,7 +38,7 @@ from .estimators import (
     beta_poly_fit,
     dose_response,
 )
-from .gps import exact_gps_table, mc_gps
+from .gps import MC_BINS, MC_DRAWS, default_gps_table, exact_gps_table, mc_gps
 from .graph import (
     BipartiteGraph,
     GraphSpec,
@@ -56,9 +56,9 @@ from .simlab import (
     ESTIMATOR_REGISTRY,
     INTERVAL_METHODS,
     DgpSpec,
+    _check_study,
     _check_workers,
     check_intervals,
-    default_gps_table,
     edges_cut_sweep,
     resolve_estimators,
     run_study,
@@ -263,7 +263,7 @@ def build_design(parsed: AssignmentDesign | str, id_map: IdMap | None) -> Assign
 _GPS = {
     "auto": {},
     "exact": {},
-    "monte-carlo": {"bins": (int, 20), "n_draws": (int, 100_000)},
+    "monte-carlo": {"bins": (int, MC_BINS), "n_draws": (int, MC_DRAWS)},
 }
 
 
@@ -375,7 +375,7 @@ def _build_estimate_inputs(cfg: dict, gps: dict, seed: int) -> Dataset:
             raise ConfigError(f"the simple-example fixture needs a bernoulli design, not {kind}")
         example = simple_example(n_single=data["n_single"], n_double=data["n_double"], p=design.p)
         graph, design = example.graph, example.design
-        z = draw_assignment(design, graph.m_diversion, substream(seed, 12))
+        z = draw_assignments(design, graph.m_diversion, 1, substream(seed, 12))[:, 0]
         exposure = linear_exposure(graph, z)
         y = example.outcomes(exposure)
         return Dataset.build(graph, build_gps(gps, graph, design, seed), y, exposure)
@@ -459,8 +459,7 @@ def cmd_simulate(cfg: dict, args, seed: int, out_dir: Path):
     _check_workers(args.workers)
     study = _read(cfg, "study", _STUDY)
     n_sims, b, level = study.pop("n_sims"), study.pop("b_replicates"), study.pop("level")
-    if n_sims <= 0:
-        raise ConfigError("study.n_sims must be positive")
+    _check_study(study["effect"], study["sigma2_eps"], study["sigma2_gamma"], n_sims)
     names, intervals = _parse_estimators(cfg, b, level)
     gps, source, parsed_design = _parse_gps(cfg), _parse_graph(cfg), _parse_design(cfg)
     graph, id_map = build_graph(source, seed)

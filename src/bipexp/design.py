@@ -63,7 +63,10 @@ class AssignmentDesign:
         return cls(kind=COMPLETELY_RANDOMIZED, k=int(k))
 
     def probabilities(self, m: int) -> np.ndarray:
-        """Marginal treatment probability of each of m diversion units."""
+        """Marginal treatment probability of each of m diversion units.
+
+        A completely randomized k above m raises `ValidationError`.
+        """
         if self.kind == BERNOULLI:
             return np.full(m, self.p)
         if self.kind == BERNOULLI_HETEROGENEOUS:
@@ -72,12 +75,11 @@ class AssignmentDesign:
                     f"design carries {self.p_vec.size} probabilities but graph has {m} diversion units"
                 )
             return np.asarray(self.p_vec)
-        return np.full(m, self.k / m)
-
-
-def draw_assignment(design: AssignmentDesign, m: int, rng=None) -> np.ndarray:
-    """Draw one 0/1 assignment vector of length m."""
-    return draw_assignments(design, m, 1, rng)[:, 0]
+        if self.kind == COMPLETELY_RANDOMIZED:
+            if self.k > m:
+                raise ValidationError(f"k={self.k} exceeds number of diversion units {m}")
+            return np.full(m, self.k / m)
+        raise ValidationError(f"unknown design kind {self.kind!r}")
 
 
 def draw_assignments(design: AssignmentDesign, m: int, n_draws: int, rng=None) -> np.ndarray:
@@ -87,20 +89,14 @@ def draw_assignments(design: AssignmentDesign, m: int, n_draws: int, rng=None) -
     if n_draws <= 0:
         raise ValueError("n_draws must be positive")
     rng = as_generator(rng)
-    if design.kind == BERNOULLI:
-        return (rng.random((m, n_draws)) < design.p).astype(np.uint8)
-    if design.kind == BERNOULLI_HETEROGENEOUS:
-        p = design.probabilities(m)
-        return (rng.random((m, n_draws)) < p[:, None]).astype(np.uint8)
+    p = design.probabilities(m)
     if design.kind == COMPLETELY_RANDOMIZED:
-        if design.k > m:
-            raise ValidationError(f"k={design.k} exceeds number of diversion units {m}")
         # one shuffle per row, drawn as rng.permutation(m) would draw it
         perms = rng.permuted(np.tile(np.arange(m), (n_draws, 1)), axis=1)
         out = np.zeros((m, n_draws), dtype=np.uint8)
         out[perms[:, : design.k], np.arange(n_draws)[:, None]] = 1
         return out
-    raise ValidationError(f"unknown design kind {design.kind!r}")
+    return (rng.random((m, n_draws)) < p[:, None]).astype(np.uint8)
 
 
 def linear_exposure(graph: BipartiteGraph, z: np.ndarray) -> np.ndarray:
@@ -110,9 +106,7 @@ def linear_exposure(graph: BipartiteGraph, z: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"assignment has shape {z.shape}, expected ({graph.m_diversion},)"
         )
-    contrib = graph.weights * z[graph.indices].astype(np.float64)
-    cs = np.concatenate([[0.0], np.cumsum(contrib)])
-    return cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
+    return graph._sum_rows(graph.weights * z[graph.indices].astype(np.float64))
 
 
 def linear_exposure_many(graph: BipartiteGraph, z_matrix: np.ndarray) -> np.ndarray:

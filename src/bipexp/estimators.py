@@ -154,6 +154,22 @@ def naive_ols(data: Dataset) -> float:
 # -- inverse-propensity weighting -------------------------------------------
 
 
+def _trim_scores(scores: np.ndarray, where: str) -> np.ndarray:
+    """Scores floored at `TRIM_FLOOR`, with one `PropensityTrimWarning` when any is.
+
+    The warning points at the caller of the estimator that called this.
+    """
+    floored = scores < TRIM_FLOOR
+    if not np.any(floored):
+        return scores
+    warnings.warn(
+        f"floored {int(floored.sum())} observed propensity scores below {TRIM_FLOOR}{where}",
+        PropensityTrimWarning,
+        stacklevel=3,
+    )
+    return np.maximum(scores, TRIM_FLOOR)
+
+
 def ht_estimate(data: Dataset, e: float) -> float:
     """Inverse-propensity estimate of the mean outcome at level e.
 
@@ -165,16 +181,7 @@ def ht_estimate(data: Dataset, e: float) -> float:
     mask = np.abs(data.exposure - e) <= ATOM_TOL
     if not np.any(mask):
         return 0.0
-    scores = data.observed_scores()[mask]
-    floored = scores < TRIM_FLOOR
-    if np.any(floored):
-        warnings.warn(
-            f"floored {int(floored.sum())} propensity scores below {TRIM_FLOOR} "
-            f"at level e={e!r}",
-            PropensityTrimWarning,
-            stacklevel=2,
-        )
-        scores = np.maximum(scores, TRIM_FLOOR)
+    scores = _trim_scores(data.observed_scores()[mask], f" at level e={e!r}")
     return float(np.sum(data.y[mask] / scores) / data.n_units)
 
 
@@ -209,15 +216,7 @@ def ht_weighted_regression(data: Dataset, grid) -> HtWeightedRegression:
         raise ValueError("grid must be a nonempty 1-d vector")
     n = data.n_units
     phi = np.zeros((n, grid.size))
-    observed = data.observed_scores()
-    floored = observed < TRIM_FLOOR
-    if np.any(floored):
-        warnings.warn(
-            f"floored {int(floored.sum())} observed propensity scores below {TRIM_FLOOR}",
-            PropensityTrimWarning,
-            stacklevel=2,
-        )
-        observed = np.maximum(observed, TRIM_FLOOR)
+    observed = _trim_scores(data.observed_scores(), "")
     for r, e in enumerate(grid):
         mask = np.abs(data.exposure - e) <= ATOM_TOL
         if not np.any(mask):
@@ -411,10 +410,7 @@ class DoseResponseCurve:
         return float(self.mu_hat[idx])
 
 
-DEFAULT_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
-
-
-def dose_response(surface, gps: GpsTable, grid=DEFAULT_GRID) -> DoseResponseCurve:
+def dose_response(surface, gps: GpsTable, grid) -> DoseResponseCurve:
     """Average the surface over imputed scores at each grid level.
 
     For each level e, evaluates the surface at (e, score_i(e)) for every

@@ -14,7 +14,8 @@ degree cap; exposure levels within `ATOM_TOL` are the same atom.
 `mc_gps` estimates the table for any design and degree by simulating
 assignments and counting the exposures in equal-width bins on [0, 1].
 Both return a `GpsTable`, which stores every distinct distribution in one
-set of flat arrays.
+set of flat arrays. `default_gps_table` picks between them: exact where the
+degree cap allows, Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ MAX_EXACT_DEGREE = 20
 # Assignments `mc_gps` draws per batch; the batches set the order of the
 # rng stream, so changing this changes the table.
 MC_CHUNK = 512
+
+# Bins and draws of a Monte Carlo table unless the caller sets them.
+MC_BINS = 20
+MC_DRAWS = 100_000
 
 EXACT = "exact"
 MONTE_CARLO = "monte-carlo"
@@ -319,9 +324,7 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
     """
     cr = design.kind == COMPLETELY_RANDOMIZED
     m = graph.m_diversion
-    if cr and design.k > m:
-        raise ValidationError(f"k={design.k} exceeds number of diversion units {m}")
-    p_all = design.probabilities(m)  # fails fast on a length mismatch
+    p_all = design.probabilities(m)  # fails fast on a length mismatch or k > M
     degrees = graph.degrees
     too_big = np.flatnonzero(degrees > MAX_EXACT_DEGREE)
     if too_big.size:
@@ -407,8 +410,8 @@ def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable
 def mc_gps(
     graph: BipartiteGraph,
     design: AssignmentDesign,
-    n_bins: int = 20,
-    n_draws: int = 10_000,
+    n_bins: int = MC_BINS,
+    n_draws: int = MC_DRAWS,
     rng=None,
 ) -> GpsTable:
     """Monte Carlo table: simulate assignments, count exposures in bins.
@@ -458,3 +461,20 @@ def mc_gps(
         hi=1.0,
         edges=edges,
     )
+
+
+def default_gps_table(
+    graph: BipartiteGraph,
+    design: AssignmentDesign,
+    *,
+    rng=None,
+    mc_draws: int = MC_DRAWS,
+) -> GpsTable:
+    """Exact propensity table when every degree is within `MAX_EXACT_DEGREE`.
+
+    That holds for any design kind. Heavier graphs get `mc_gps` with
+    `mc_draws` draws into `MC_BINS` equal-width bins, drawn from `rng`.
+    """
+    if int(graph.degrees.max(initial=0)) <= MAX_EXACT_DEGREE:
+        return exact_gps_table(graph, design)
+    return mc_gps(graph, design, n_draws=mc_draws, rng=rng)

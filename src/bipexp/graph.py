@@ -119,10 +119,14 @@ class BipartiteGraph:
         """Number of diversion neighbors per outcome unit."""
         return np.diff(self.indptr)
 
+    def _sum_rows(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per-row sums of an edge-aligned vector, as differences of one running sum."""
+        cs = np.concatenate([[0.0], np.cumsum(per_edge)])
+        return cs[self.indptr[1:]] - cs[self.indptr[:-1]]
+
     @property
     def row_sums(self) -> np.ndarray:
-        cs = np.concatenate([[0.0], np.cumsum(self.weights)])
-        return cs[self.indptr[1:]] - cs[self.indptr[:-1]]
+        return self._sum_rows(self.weights)
 
     @property
     def row_normalized(self) -> bool:

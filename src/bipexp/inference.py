@@ -326,9 +326,7 @@ class ParametricBootstrapResult:
     estimate: float
     interval: IntervalEstimate
     sigmas: ErrorVarianceEstimates
-    replicates: np.ndarray
     coef: np.ndarray
-    coef_replicates: np.ndarray
 
 
 def parametric_bootstrap(
@@ -383,13 +381,5 @@ def parametric_bootstrap(
         block = targets[lo:lo + rows]
         block += rng.normal(0.0, scale, size=block.shape)
     coef_reps = fit.solve(targets)  # (k, B), on the same factorisation
-    reps = contrast @ coef_reps
-    iv = _quantile_interval(estimate, reps, level, "parametric-bootstrap")
-    return ParametricBootstrapResult(
-        estimate=estimate,
-        interval=iv,
-        sigmas=sigmas,
-        replicates=np.asarray(reps),
-        coef=fit.coef,
-        coef_replicates=np.asarray(coef_reps),
-    )
+    iv = _quantile_interval(estimate, contrast @ coef_reps, level, "parametric-bootstrap")
+    return ParametricBootstrapResult(estimate=estimate, interval=iv, sigmas=sigmas, coef=fit.coef)

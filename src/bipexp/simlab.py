@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import AssignmentDesign, draw_assignment, linear_exposure
+from .design import AssignmentDesign, draw_assignments, linear_exposure
 from .errors import ConfigError, DataError, NumericalError
 from .estimators import (
     Dataset,
@@ -34,7 +34,7 @@ from .estimators import (
     naive_ols,
     stratified_estimate,
 )
-from .gps import MAX_EXACT_DEGREE, GpsTable, exact_gps_table, mc_gps
+from .gps import GpsTable, default_gps_table
 from .graph import (
     BipartiteGraph,
     GraphSpec,
@@ -92,10 +92,17 @@ class DgpSpec:
                 f"DgpSpec.graph must be a BipartiteGraph, not {type(self.graph).__name__}; "
                 "realize a GraphSpec with synth_graph first"
             )
-        if self.effect not in (HOMOGENEOUS, HETEROGENEOUS):
-            raise ConfigError(f"unknown effect form {self.effect!r}")
-        if self.sigma2_eps < 0 or self.sigma2_gamma < 0:
-            raise ConfigError("noise variances must be nonnegative")
+        _check_study(self.effect, self.sigma2_eps, self.sigma2_gamma)
+
+
+def _check_study(effect: str, sigma2_eps: float, sigma2_gamma: float, n_sims: int = 1) -> None:
+    """Reject a replicate count, effect form or noise variance before any graph is built."""
+    if n_sims <= 0:
+        raise ConfigError("n_sims must be positive")
+    if effect not in (HOMOGENEOUS, HETEROGENEOUS):
+        raise ConfigError(f"unknown effect form {effect!r}")
+    if sigma2_eps < 0 or sigma2_gamma < 0:
+        raise ConfigError("noise variances must be nonnegative")
 
 
 def effect_slopes(dgp: DgpSpec, graph: BipartiteGraph) -> np.ndarray:
@@ -393,23 +400,6 @@ class SimStudyResult:
         _write_json(self.as_dict(), dest)
 
 
-def default_gps_table(
-    graph: BipartiteGraph,
-    design: AssignmentDesign,
-    *,
-    rng=None,
-    mc_draws: int = 100_000,
-) -> GpsTable:
-    """Exact propensity table when every degree is within `MAX_EXACT_DEGREE`.
-
-    That holds for any design kind. Heavier graphs get `mc_gps` with
-    `mc_draws` draws into 20 equal-width bins, drawn from `rng`.
-    """
-    if int(graph.degrees.max(initial=0)) <= MAX_EXACT_DEGREE:
-        return exact_gps_table(graph, design)
-    return mc_gps(graph, design, n_draws=mc_draws, rng=rng)
-
-
 def _check_workers(workers) -> None:
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -420,7 +410,7 @@ def _simulate_one(ctx: dict, t: int):
     dgp: DgpSpec = ctx["dgp"]
     graph, truth = dgp.graph, ctx["truth"]
     rng = substream(ctx["master_seed"], _SIM_STREAM, t)
-    z = draw_assignment(dgp.design, graph.m_diversion, rng)
+    z = draw_assignments(dgp.design, graph.m_diversion, 1, rng)[:, 0]
     exposure = linear_exposure(graph, z)
     y = generate_outcomes(dgp, graph, exposure, rng)
     data = Dataset.build(graph, ctx["gps"], y, exposure)
@@ -481,8 +471,7 @@ def run_study(
     outside (0, 1), and fewer than `MIN_BOOTSTRAP` replicates for a
     method in `BOOTSTRAP_METHODS` (see `check_intervals`).
     """
-    if n_sims <= 0:
-        raise ConfigError("n_sims must be positive")
+    _check_study(dgp.effect, dgp.sigma2_eps, dgp.sigma2_gamma, n_sims)
     _check_workers(workers)
     ests = resolve_estimators(estimators)
     intervals = dict(intervals or {})
@@ -571,11 +560,13 @@ def edges_cut_sweep(
     the clustered scheme are the generator's block partition: resampling
     acts as if cross-block edges were cut, which is the point. Before any
     graph is drawn, `ConfigError` is raised for a recipe that is not
-    `blocks`, `workers` below 1, an unknown estimator, a level outside
-    (0, 1), and fewer than `MIN_BOOTSTRAP` replicates.
+    `blocks`, `n_sims` or `workers` below 1, a negative noise variance, an
+    unknown estimator, a level outside (0, 1), and fewer than
+    `MIN_BOOTSTRAP` replicates.
     """
     if base_spec.kind != "blocks":
         raise ConfigError("edges_cut_sweep needs a block graph recipe")
+    _check_study(HOMOGENEOUS, sigma2_eps, sigma2_gamma, n_sims)
     _check_workers(workers)
     methods = ("naive-bootstrap", "block-bootstrap")
     check_intervals(resolve_estimators([estimator]), {estimator: methods}, b_replicates, level)

@@ -28,7 +28,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from bipexp.design import AssignmentDesign, draw_assignment, draw_assignments, linear_exposure, linear_exposure_many
+from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, linear_exposure_many
 from bipexp.estimators import Dataset, ate, beta_cell_means, dose_response, ht_estimate, naive_mean, naive_ols
 from bipexp.gps import exact_gps_table, mc_gps
 from bipexp.graph import GraphSpec, load_edge_list, synth_graph, write_edge_list
@@ -181,7 +181,7 @@ def test_criterion_5_variance_formula():
         substream(SEED, 45),
     )
     rng = substream(SEED, 46)
-    e = linear_exposure(graph, draw_assignment(BERN, graph.m_diversion, rng))
+    e = linear_exposure(graph, draw_assignments(BERN, graph.m_diversion, 1, rng)[:, 0])
     phi = np.column_stack([np.ones(graph.n_outcome), e])
     beta = np.array([1.0, 2.0])
     n, reps = graph.n_outcome, 2000
@@ -206,7 +206,7 @@ def test_criterion_6_sigma_recovery():
     gamma_hat = np.zeros(100)
     for t in range(100):
         rng = substream(SEED, 48, t)
-        e = linear_exposure(graph, draw_assignment(BERN, graph.m_diversion, rng))
+        e = linear_exposure(graph, draw_assignments(BERN, graph.m_diversion, 1, rng)[:, 0])
         phi = np.column_stack([np.ones(graph.n_outcome), e])
         gamma = rng.normal(0.0, np.sqrt(0.5), size=graph.m_diversion)
         eps = rng.normal(0.0, np.sqrt(0.5), size=graph.n_outcome)

@@ -11,7 +11,7 @@ import json
 import pytest
 import yaml
 
-from bipexp import __version__
+from bipexp import __version__, cli, simlab
 from bipexp.cli import PRESETS, _COMMANDS, _parse_graph, load_config, main
 from bipexp.graph import GraphSpec
 
@@ -659,6 +659,37 @@ def test_bad_level_or_replicates_exit_2_before_computing(tmp_path, capsys, comma
     record = stderr_record(capsys)
     assert record["error"] == "ConfigError"
     assert message in record["message"]
+    assert not (out / out_name).exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings, message",
+    [
+        ("simulate", {"effect": "quadratic"}, "unknown effect form 'quadratic'"),
+        ("simulate", {"sigma2_eps": -1}, "noise variances must be nonnegative"),
+        ("simulate", {"n_sims": 0}, "n_sims must be positive"),
+        ("sweep", {"sigma2_gamma": -1}, "noise variances must be nonnegative"),
+        ("sweep", {"n_sims": 0}, "n_sims must be positive"),
+    ],
+    ids=["simulate-effect", "simulate-sigma2-eps", "simulate-n-sims",
+         "sweep-sigma2-gamma", "sweep-n-sims"],
+)
+def test_bad_study_values_exit_2_before_any_graph(tmp_path, capsys, monkeypatch, command,
+                                                   settings, message):
+    built = []
+    for module, name in ((cli, "build_graph"), (simlab, "synth_graph")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    cfg_path, out_name = interval_settings_config(tmp_path, command, settings)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert built == []
     assert not (out / out_name).exists()
 
 

@@ -6,14 +6,14 @@ import pytest
 
 from bipexp.design import (
     AssignmentDesign,
-    draw_assignment,
     draw_assignments,
     linear_exposure,
     linear_exposure_many,
     load_probability_file,
 )
 from bipexp.errors import ParseError, ValidationError
-from bipexp.graph import IdMap
+from bipexp.gps import exact_gps_table
+from bipexp.graph import BipartiteGraph, GraphSpec, IdMap, synth_graph
 from bipexp.seeding import substream
 
 
@@ -49,7 +49,23 @@ def test_completely_randomized_counts():
 
 def test_completely_randomized_k_exceeding_m():
     with pytest.raises(ValidationError):
-        draw_assignment(AssignmentDesign.completely_randomized(5), 3)
+        draw_assignments(AssignmentDesign.completely_randomized(5), 3, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda design, graph: design.probabilities(graph.m_diversion),
+        lambda design, graph: draw_assignments(design, graph.m_diversion, 4, substream(0)),
+        lambda design, graph: exact_gps_table(graph, design),
+    ],
+    ids=["probabilities", "draw_assignments", "exact_gps_table"],
+)
+def test_completely_randomized_k_above_m_refused_alike(call):
+    graph = BipartiteGraph.from_rows([[(0, 1.0)], [(1, 0.5), (2, 0.5)]], m_diversion=3)
+    design = AssignmentDesign.completely_randomized(4)
+    with pytest.raises(ValidationError, match=re.escape("k=4 exceeds number of diversion units 3")):
+        call(design, graph)
 
 
 def per_draw_cr(m: int, n_draws: int, k: int, rng) -> np.ndarray:
@@ -98,6 +114,19 @@ def test_linear_exposure_matches_dense(small_graph):
     np.testing.assert_allclose(
         linear_exposure(small_graph, z), small_graph.to_dense() @ z
     )
+
+
+def test_full_exposure_equals_row_sums_bit_for_bit():
+    # GpsTable.hi is the largest row sum; it must be the exposure of the
+    # all-treated assignment exactly, also for rows of unequal weights
+    spec = GraphSpec(kind="uniform-degree", n_outcome=300, m_diversion=40, deg_min=1, deg_max=12)
+    shape = synth_graph(spec, substream(41, 0))
+    weights = substream(41, 1).uniform(0.01, 1.0, shape.nnz)
+    graph = BipartiteGraph(n_outcome=shape.n_outcome, m_diversion=shape.m_diversion,
+                           indptr=shape.indptr, indices=shape.indices, weights=weights)
+    assert np.unique(graph.weights).size == graph.nnz
+    full = linear_exposure(graph, np.ones(graph.m_diversion, dtype=np.uint8))
+    assert full.tobytes() == graph.row_sums.tobytes()
 
 
 def test_linear_exposure_bounds(small_graph):

@@ -227,6 +227,20 @@ def test_ht_weighted_regression_floors_observed_scores():
     assert res.estimates[0] == pytest.approx(1000.0 / 1024.0)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [lambda data: ht_estimate(data, 1.0), lambda data: ht_weighted_regression(data, [1.0])],
+    ids=["ht_estimate", "ht_weighted_regression"],
+)
+def test_trim_warning_is_one_and_points_at_the_caller(estimate):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate(trim_dataset())
+    assert [w.category for w in caught] == [PropensityTrimWarning]
+    assert "floored 1 observed propensity scores below 1e-06" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
 # -- surfaces ------------------------------------------------------------------
 
 

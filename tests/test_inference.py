@@ -42,7 +42,7 @@ from bipexp.inference import (
     ols_asymptotic_interval,
     parametric_bootstrap,
 )
-from bipexp.numerics import ols
+from bipexp.numerics import LinearFit, ols
 from bipexp.seeding import substream
 from bipexp.simlab import DgpSpec, run_study
 
@@ -643,13 +643,30 @@ def parametric_inputs(seed: int, *, n=200, m=30):
     return data, phi, y
 
 
-def test_parametric_bootstrap_matches_per_replicate_refit():
+def capture_solves(monkeypatch) -> list:
+    """Record the coefficients of every `LinearFit.solve` call, the replicate refits among them."""
+    solved = []
+    solve = LinearFit.solve
+
+    def recording(self, rhs):
+        out = solve(self, rhs)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(LinearFit, "solve", recording)
+    return solved
+
+
+def test_parametric_bootstrap_matches_per_replicate_refit(monkeypatch):
     data, phi, y = parametric_inputs(24)
+    solved = capture_solves(monkeypatch)
     # the rank rule is relative, so a tiny but well-conditioned design refits too
     for scale in (1.0, 1e-12):
         res = parametric_bootstrap(
             data, scale * phi, y, [-1.0, 1.0], n_replicates=60, rng=substream(25, 4)
         )
+        coef_reps = solved.pop()
+        reps = np.array([-1.0, 1.0]) @ coef_reps
 
         # replay the identical noise stream and refit each replicate directly
         rng = substream(25, 4)
@@ -661,14 +678,14 @@ def test_parametric_bootstrap_matches_per_replicate_refit():
         targets = (scale * phi @ res.coef)[:, None] + w @ gamma + eps
         for b in range(60):
             coef_b, *_ = np.linalg.lstsq(scale * phi, targets[:, b], rcond=None)
-            np.testing.assert_allclose(scale * res.coef_replicates[:, b], scale * coef_b, atol=1e-9)
+            np.testing.assert_allclose(scale * coef_reps[:, b], scale * coef_b, atol=1e-9)
         np.testing.assert_allclose(
-            scale * res.replicates,
-            scale * (res.coef_replicates[1] - res.coef_replicates[0]),
+            scale * reps,
+            scale * (coef_reps[1] - coef_reps[0]),
             atol=1e-12,
         )
 
-    lo, hi = np.quantile(res.replicates, [0.025, 0.975])
+    lo, hi = np.quantile(reps, [0.025, 0.975])
     assert res.interval.lower == pytest.approx(lo)
     assert res.interval.upper == pytest.approx(hi)
     assert res.interval.method == "parametric-bootstrap"
@@ -680,12 +697,15 @@ def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
     # build must give the same bits, however the noise blocks fall
     if block is not None:
         monkeypatch.setattr(inference, "NOISE_BLOCK", block)
+    solved = capture_solves(monkeypatch)
     contrast = np.array([-1.0, 1.0])
     for seed in (24, 26):
         data, phi, y = parametric_inputs(seed)
+        solved.clear()
         res = parametric_bootstrap(
             data, phi, y, contrast, n_replicates=60, rng=substream(seed + 1, 4)
         )
+        (got_coef_reps,) = solved  # all replicates refit in one solve
 
         rng = substream(seed + 1, 4)
         n, m = phi.shape[0], data.graph.m_diversion
@@ -695,8 +715,8 @@ def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
         coef_reps = ols(phi, y).solve(targets)
         reps = contrast @ coef_reps
         iv = _quantile_interval(res.estimate, reps, 0.95, "parametric-bootstrap")
-        assert res.coef_replicates.tobytes() == coef_reps.tobytes()
-        assert res.replicates.tobytes() == reps.tobytes()
+        assert got_coef_reps.tobytes() == coef_reps.tobytes()
+        assert (contrast @ got_coef_reps).tobytes() == reps.tobytes()
         assert (res.interval.lower, res.interval.upper) == (iv.lower, iv.upper)
 
 

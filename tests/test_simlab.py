@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bipexp import simlab
-from bipexp.design import AssignmentDesign, draw_assignment, linear_exposure
+from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure
 from bipexp.errors import ConfigError, DataError
 from bipexp.estimators import Dataset, ht_estimate
 from bipexp.gps import ATOM_TOL, exact_gps_table
@@ -81,7 +81,7 @@ def test_effect_slopes_forms():
 def test_generate_outcomes_noise_free_and_stream_order():
     graph = synth_graph(SMALL_GRAPH_SPEC, 0)
     design = AssignmentDesign.bernoulli(0.5)
-    z = draw_assignment(design, graph.m_diversion, substream(1, 5))
+    z = draw_assignments(design, graph.m_diversion, 1, substream(1, 5))[:, 0]
     e = linear_exposure(graph, z)
 
     clean = small_dgp(sigma2_eps=0.0)
@@ -119,7 +119,7 @@ def test_linear_designs_reproduce_point_estimates_except_ht():
     graph = synth_graph(spec, substream(41, 0))
     design = AssignmentDesign.bernoulli(0.5)
     rng = substream(41, 1)
-    exposure = linear_exposure(graph, draw_assignment(design, graph.m_diversion, rng))
+    exposure = linear_exposure(graph, draw_assignments(design, graph.m_diversion, 1, rng)[:, 0])
     dgp = DgpSpec(graph=graph, design=design, effect="heterogeneous", sigma2_eps=0.5, sigma2_gamma=0.5)
     y = generate_outcomes(dgp, graph, exposure, rng)
     data = Dataset.build(graph, default_gps_table(graph, design), y, exposure)
@@ -154,7 +154,7 @@ def test_correct_spec_point_scales_by_the_full_data_mean_degree():
     graph = BipartiteGraph.from_rows(rows, m_diversion=base.m_diversion)
     design = AssignmentDesign.bernoulli(0.5)
     rng = substream(43, 1)
-    exposure = linear_exposure(graph, draw_assignment(design, graph.m_diversion, rng))
+    exposure = linear_exposure(graph, draw_assignments(design, graph.m_diversion, 1, rng)[:, 0])
     dgp = DgpSpec(graph=graph, design=design, effect="heterogeneous", sigma2_eps=0.5)
     y = generate_outcomes(dgp, graph, exposure, rng)
     with pytest.warns(UserWarning, match="excluded 16 isolated"):
