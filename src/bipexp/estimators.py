@@ -252,7 +252,8 @@ def _locate_level(levels: np.ndarray, value, tol: float) -> np.ndarray:
     pos = np.searchsorted(levels, value)
     best = np.full(value.shape, -1, dtype=np.int64)
     for shift in (0, -1):
-        idx = np.clip(pos + shift, 0, levels.size - 1)
+        # integer minimum/maximum: np.clip's wrapper costs more than the lookup
+        idx = np.minimum(np.maximum(pos + shift, 0), levels.size - 1)
         hit = (np.abs(levels[idx] - value) <= tol) & (best < 0)
         best = np.where(hit, idx, best)
     return best

@@ -48,6 +48,11 @@ MAX_EXACT_DEGREE = 20
 # rng stream, so changing this changes the table.
 MC_CHUNK = 512
 
+# At most this many query levels keep their per-distribution masses on a
+# table; further levels are computed on each lookup, so the kept arrays stay
+# within a small multiple of the table's own.
+_KEPT_LEVELS = 32
+
 # Bins and draws of a Monte Carlo table unless the caller sets them.
 MC_BINS = 20
 MC_DRAWS = 100_000
@@ -87,6 +92,11 @@ class GpsTable:
     once, here; `take` shares them. Query levels must lie inside [0, hi],
     the reachable exposure range (exposures are nonnegative). Support,
     probabilities, edges and `hi` must be finite, with hi >= 0.
+
+    The masses of every distribution at a common query level are computed
+    once and kept, read-only, in a dict that `take` shares (for up to
+    `_KEPT_LEVELS` levels), so resamples of one table look them up instead
+    of recomputing them.
     """
 
     offsets: np.ndarray
@@ -144,6 +154,7 @@ class GpsTable:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "unit_dist", unit_dist)
+        object.__setattr__(self, "_level_masses", {})  # not a field: level -> masses
 
     @property
     def n_units(self) -> int:
@@ -163,12 +174,11 @@ class GpsTable:
 
     def _check_range(self, e: np.ndarray) -> None:
         e = np.asarray(e, dtype=np.float64)
-        lo, hi = -ATOM_TOL, self.hi + ATOM_TOL
-        if np.any(e < lo) or np.any(e > hi):
-            bad = e[(e < lo) | (e > hi)]
-            raise DataError(
-                f"exposure level {bad.flat[0]!r} outside the table's range [0.0, {self.hi}]"
-            )
+        # written so that NaN fails as well
+        bad = ~((e >= -ATOM_TOL) & (e <= self.hi + ATOM_TOL))
+        if np.any(bad):
+            level = float(e[bad].flat[0])
+            raise DataError(f"exposure level {level!r} outside the table's range [0.0, {self.hi}]")
 
     def _mass(self, dist: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Mass distribution dist[k] puts on level e[k] (0 where nothing matches)."""
@@ -180,21 +190,29 @@ class GpsTable:
             idx = np.where((e >= edges[-1]) & (e <= edges[-1] + ATOM_TOL), top, idx)
             idx = np.where((e < edges[0]) & (e >= edges[0] - ATOM_TOL), 0, idx)
             inside = (idx >= 0) & (idx <= top)
-            return np.where(inside, self.probs[self.offsets[dist] + np.clip(idx, 0, top)], 0.0)
+            # integer minimum/maximum: np.clip's wrapper costs more than the lookup
+            idx_in = np.minimum(np.maximum(idx, 0), top)
+            return np.where(inside, self.probs[self.offsets[dist] + idx_in], 0.0)
         start, stop = self.offsets[dist], self.offsets[dist + 1]
         pos = _segment_searchsorted(self.support, start, stop, e)
         out = np.zeros(e.shape)
         for shift in (0, -1):  # candidate atoms on both sides of the insertion point
-            idx = np.clip(pos + shift, start, stop - 1)
+            idx = np.minimum(np.maximum(pos + shift, start), stop - 1)
             hit = np.abs(self.support[idx] - e) <= ATOM_TOL
             out = np.where(hit & (out == 0), self.probs[idx], out)
         return out
 
     def imputed_scores(self, e: float) -> np.ndarray:
-        """Score of every unit at the common query level e."""
-        self._check_range(np.asarray([e]))
-        per_dist = self._mass(np.arange(self.n_dists), np.full(self.n_dists, float(e)))
-        return per_dist[self.unit_dist]
+        """Score of every unit at the common query level e (masses kept per table)."""
+        e = float(e)
+        masses = self._level_masses.get(e)
+        if masses is None:
+            self._check_range(np.asarray([e]))
+            masses = self._mass(np.arange(self.n_dists), np.full(self.n_dists, e))
+            masses.setflags(write=False)
+            if len(self._level_masses) < _KEPT_LEVELS:
+                self._level_masses[e] = masses
+        return masses[self.unit_dist]
 
     def observed_scores(self, exposures: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
         """Score of each unit at its own realized exposure.
@@ -224,7 +242,10 @@ class GpsTable:
         return np.add.reduceat(dev * dev * self.probs, starts)[self.unit_dist]
 
     def take(self, units) -> "GpsTable":
-        """Row subset sharing the distribution arrays; only unit_dist is new."""
+        """Row subset sharing the distribution arrays and the kept level masses.
+
+        Only unit_dist is new.
+        """
         unit_dist = self.unit_dist[np.asarray(units, dtype=np.int64)]
         if unit_dist.ndim != 1:
             raise ValidationError("units must be a vector")

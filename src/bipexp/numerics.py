@@ -2,7 +2,10 @@
 
 Both routines are deliberately strict about failure: rank deficiency names
 the offending columns instead of silently pseudo-inverting, and a singular
-kernel system raises instead of returning garbage.
+kernel system raises instead of returning garbage. Both call the LAPACK
+routines that scipy.linalg's `qr`, `solve_triangular`, `cho_factor` and
+`cho_solve` call, the same way, so the results are theirs bit for bit
+without their per-call checks and dispatch.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import NumericalError, RankDeficiencyError
@@ -27,8 +30,52 @@ KRR_RIDGE = 0.1
 _BANDWIDTH_SAMPLE = 1500
 
 
+# The float64 LAPACK routines behind the solvers, fetched once.
+_GEQP3, _ORGQR, _TRTRS, _POTRF, _POTRS = get_lapack_funcs(
+    ("geqp3", "orgqr", "trtrs", "potrf", "potrs"), dtype=np.float64)
+
+
+def _with_workspace(routine, *args, **kwargs):
+    """Outputs of a LAPACK routine run with the workspace its own query asks for.
+
+    The query (lwork=-1) is the one scipy.linalg makes, so blocked routines
+    take the same code path and round the same way.
+    """
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *out, _, info = routine(*args, lwork=int(work[0]), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+def _pivoted_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`scipy.linalg.qr(x, mode="economic", pivoting=True)` for a tall (n, k) x, k >= 1.
+
+    q comes back Fortran-ordered, r C-ordered and piv int32, as there.
+    """
+    qr, piv, tau = _with_workspace(_GEQP3, x)
+    piv -= 1  # LAPACK numbers columns from 1
+    r = np.triu(qr[: x.shape[1], :])
+    (q,) = _with_workspace(_ORGQR, qr, tau, overwrite_a=1)
+    return q, r, piv
+
+
+def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`scipy.linalg.solve_triangular(r, rhs)` for the C-ordered upper-triangular r.
+
+    LAPACK reads arrays in Fortran order, so it is handed r's transpose (a
+    lower-triangular Fortran array, no copy) and solves the transposed system.
+    """
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must be finite")
+    x, info = _TRTRS(r.T, rhs, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _qr_solve(q, r, piv, rhs) -> np.ndarray:
-    z = sla.solve_triangular(r, q.T @ rhs)
+    z = _solve_upper(r, q.T @ rhs)
     coef = np.empty_like(z)
     coef[piv] = z
     return coef
@@ -36,7 +83,7 @@ def _qr_solve(q, r, piv, rhs) -> np.ndarray:
 
 def _xtx_inv(r, piv) -> np.ndarray:
     k = r.shape[0]
-    r_inv = sla.solve_triangular(r, np.eye(k))
+    r_inv = _solve_upper(r, np.eye(k))
     out = np.empty((k, k))
     out[np.ix_(piv, piv)] = r_inv @ r_inv.T
     return out
@@ -58,7 +105,10 @@ class LinearFit:
     piv: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """Coefficients of new responses on the design: (n,) gives (k,), (n, B) gives (k, B)."""
+        """Coefficients of new responses on the design: (n,) gives (k,), (n, B) gives (k, B).
+
+        Non-finite responses raise `ValueError`.
+        """
         return _qr_solve(self.q, self.r, self.piv, np.asarray(rhs, dtype=np.float64))
 
     def xtx_inv(self) -> np.ndarray:
@@ -93,8 +143,8 @@ def ols(x, y, *, labels=None) -> LinearFit:
         Numerically collinear columns (an R-diagonal entry at or below
         RANK_TOL times the largest); the error lists their labels.
     ValueError
-        Fewer observations than columns, a label count that differs from
-        the column count, or non-finite entries.
+        No columns, fewer observations than columns, a label count that
+        differs from the column count, or non-finite entries.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -106,15 +156,16 @@ def ols(x, y, *, labels=None) -> LinearFit:
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if k == 0:
+        raise ValueError("design matrix needs at least one column")
     if n < k:
         raise ValueError(f"need at least as many observations ({n}) as columns ({k})")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("design matrix and response must be finite")
 
-    q, r, piv = sla.qr(x, mode="economic", pivoting=True)
+    q, r, piv = _pivoted_qr(x)
     diag = np.abs(np.diag(r))
-    threshold = RANK_TOL * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > threshold)) if diag.size else 0
+    rank = int(np.sum(diag > RANK_TOL * diag[0]))
     if rank < k:
         culprits = tuple(labels[j] for j in piv[rank:])
         raise RankDeficiencyError(
@@ -125,6 +176,30 @@ def ols(x, y, *, labels=None) -> LinearFit:
 
     coef = _qr_solve(q, r, piv, y)
     return LinearFit(coef=coef, residuals=y - x @ coef, q=q, r=r, piv=piv)
+
+
+def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`scipy.linalg.cho_solve(cho_factor(system), rhs)` for a symmetric system.
+
+    The factor is the upper one, with the lower triangle left as it was,
+    as `cho_factor` leaves it.
+
+    Raises
+    ------
+    NumericalError
+        The system is not numerically positive definite.
+    ValueError
+        Non-finite entries.
+    """
+    if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+        raise ValueError("kernel system must be finite")
+    factor, info = _POTRF(system, clean=0)
+    if info > 0:
+        raise NumericalError(
+            f"kernel system is numerically singular (leading minor {info} is not "
+            "positive definite)"
+        )
+    return _POTRS(factor, rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -161,7 +236,11 @@ def _median_pairwise_distance(points: np.ndarray) -> float:
         points = points[::stride]
     if points.shape[0] < 2:
         return 0.0
-    return float(np.median(pdist(points)))
+    # the middle order statistics, averaged for an even count as np.median does
+    dist = pdist(points)
+    lo, hi = (dist.size - 1) // 2, dist.size // 2
+    part = np.partition(dist, (lo, hi))
+    return float(part[hi] if lo == hi else (part[lo] + part[hi]) / 2.0)
 
 
 def _unique_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,6 +271,9 @@ def krr_fit(x, y) -> KernelFit:
     ------
     NumericalError
         The regularized kernel system could not be factorized.
+    ValueError
+        Malformed or non-finite inputs, or targets so large that the
+        centered system overflows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -219,11 +301,7 @@ def krr_fit(x, y) -> KernelFit:
     gram = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
     # collapsed normal equations: (K + ridge * diag(1/counts)) alpha = ybar - y0
     system = gram + KRR_RIDGE * np.diag(1.0 / counts)
-    try:
-        cho = sla.cho_factor(system)
-        dual = sla.cho_solve(cho, ybar - target_center)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"kernel system is numerically singular ({exc})") from exc
+    dual = _cholesky_solve(system, ybar - target_center)
     return KernelFit(
         points=points,
         dual=dual,

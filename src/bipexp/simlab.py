@@ -101,8 +101,9 @@ def _check_study(effect: str, sigma2_eps: float, sigma2_gamma: float, n_sims: in
         raise ConfigError("n_sims must be positive")
     if effect not in (HOMOGENEOUS, HETEROGENEOUS):
         raise ConfigError(f"unknown effect form {effect!r}")
-    if sigma2_eps < 0 or sigma2_gamma < 0:
-        raise ConfigError("noise variances must be nonnegative")
+    # written so that NaN fails as well
+    if not (0 <= sigma2_eps < np.inf and 0 <= sigma2_gamma < np.inf):
+        raise ConfigError("noise variances must be nonnegative and finite")
 
 
 def effect_slopes(dgp: DgpSpec, graph: BipartiteGraph) -> np.ndarray:

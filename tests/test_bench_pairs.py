@@ -1,0 +1,75 @@
+"""tools/bench_pairs.py's summary arithmetic, on canned result summaries (no bench run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(run_s, rss, ok=1.0, correct=True):
+    """A `bench/run.py` summary line with the metrics the arithmetic reads."""
+    return {"correct": correct, "attempted": 10, "failed": 0, "metrics": {
+        "run_s": {"value": run_s, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+        "ok_share": {"value": ok, "unit": "ratio"},
+    }}
+
+
+BETTER = {"run_s": "lower", "peak_rss_mb": "lower", "ok_share": "higher"}
+
+
+def canned_runs():
+    # parent run_s 1..5, change run_s 0.5, 2.5, 3.0, 3.5, 6.0: the change wins pairs 0, 3
+    # and 4 is a loss; pair 2 (3.0 against 3.0) is a tie
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 3.0, 3.5, 6.0]
+    return [
+        {"seed": 1900 + k, "order": list(bench_pairs.pair_order(k)),
+         "parent": result(p, 80.0 + k), "change": result(c, 81.0, ok=1.0 if k else 0.9)}
+        for k, (p, c) in enumerate(zip(parent, change))
+    ]
+
+
+def test_summary_medians_quartiles_and_wins():
+    summary = bench_pairs.summarize(canned_runs(), BETTER)
+    assert summary["pairs"] == 5
+    run_s = summary["run_s"]
+    assert run_s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert run_s["change"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    assert run_s["change_wins"] == 2  # pairs 0 and 3; the tie counts for neither side
+    assert run_s["change_over_parent_median"] == 1.0
+    rss = summary["peak_rss_mb"]
+    assert rss["parent"]["median"] == 82.0 and rss["change"]["median"] == 81.0
+    assert rss["change_wins"] == 3  # 81 beats 82, 83 and 84
+    assert rss["change_over_parent_median"] == pytest.approx(81.0 / 82.0)
+    # higher is better: 0.9 loses pair 0, the others tie
+    assert summary["ok_share"]["change_wins"] == 0
+    assert summary["ok_share"]["change"]["q1"] == 1.0
+    assert summary["all_correct"] is True
+
+
+def test_summary_percentiles_interpolate_linearly():
+    runs = canned_runs()[:4]  # parent run_s 1, 2, 3, 4
+    run_s = bench_pairs.summarize(runs, {"run_s": "lower"})["run_s"]
+    assert run_s["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+
+
+def test_one_incorrect_run_clears_all_correct():
+    runs = canned_runs()
+    runs[3]["parent"]["correct"] = False
+    assert bench_pairs.summarize(runs, BETTER)["all_correct"] is False
+
+
+def test_pairs_alternate_which_side_goes_first():
+    assert [bench_pairs.pair_order(k) for k in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("1901-1903") == [1901, 1902, 1903]
+    assert bench_pairs.parse_seeds("7,9-10") == [7, 9, 10]

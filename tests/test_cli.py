@@ -670,9 +670,12 @@ def test_bad_level_or_replicates_exit_2_before_computing(tmp_path, capsys, comma
         ("simulate", {"n_sims": 0}, "n_sims must be positive"),
         ("sweep", {"sigma2_gamma": -1}, "noise variances must be nonnegative"),
         ("sweep", {"n_sims": 0}, "n_sims must be positive"),
+        ("simulate", {"sigma2_eps": float("nan")}, "noise variances must be nonnegative"),
+        ("sweep", {"sigma2_eps": float("nan")}, "noise variances must be nonnegative"),
     ],
     ids=["simulate-effect", "simulate-sigma2-eps", "simulate-n-sims",
-         "sweep-sigma2-gamma", "sweep-n-sims"],
+         "sweep-sigma2-gamma", "sweep-n-sims", "simulate-sigma2-eps-nan",
+         "sweep-sigma2-eps-nan"],
 )
 def test_bad_study_values_exit_2_before_any_graph(tmp_path, capsys, monkeypatch, command,
                                                    settings, message):

@@ -388,6 +388,63 @@ def test_dose_response_constant_surface(two_type_data):
     assert ate(curve) == 0.0
 
 
+def per_row_dose_response(surface, gps, grid):
+    """The per-row average: every unit's score at e, the surface at each distinct score.
+
+    Returns the curve, or the holes it would report.
+    """
+    mu, holes = [], []
+    for e in grid:
+        scores = gps.imputed_scores(float(e))
+        uniq, inverse = np.unique(scores, return_inverse=True)
+        vals = np.asarray(surface.evaluate(float(e), uniq), dtype=np.float64)
+        bad = ~np.isfinite(vals)
+        holes.extend((float(e), float(r)) for r in uniq[bad])
+        mu.append(vals[inverse].mean())
+    return (np.array(mu), []) if not holes else (None, holes)
+
+
+@pytest.mark.parametrize("kind", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("resample", ["all", "bootstrap", "some-distributions"])
+def test_dose_response_equals_the_per_row_average_bit_for_bit(kind, resample):
+    graph, table, e = degree_graph_dataset(71, n=60, m=15, deg=(1, 6))
+    if kind == "monte-carlo":
+        table = mc_gps(graph, AssignmentDesign.bernoulli(0.5), n_bins=8, n_draws=600,
+                       rng=substream(71, 2))
+    y = graph.degrees * e + substream(71, 3).normal(size=graph.n_outcome)
+    data = Dataset(y=y, exposure=e, graph=graph, gps=table)
+    if resample == "bootstrap":
+        data = data.take(substream(71, 4).integers(0, graph.n_outcome, size=graph.n_outcome))
+    elif resample == "some-distributions":
+        data = data.take(np.flatnonzero(table.unit_dist % 3 == 0))
+        assert np.unique(data.gps.unit_dist).size < table.n_dists
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
+    for surface in (beta_krr_fit(data), beta_poly_fit(data)):
+        want, _ = per_row_dose_response(surface, data.gps, grid)
+        assert dose_response(surface, data.gps, grid).mu_hat.tobytes() == want.tobytes()
+
+
+def test_dose_response_needs_no_cell_at_an_unused_distributions_score(two_type_data):
+    # at e = 1 the single-neighbor distribution scores 1/2 and the pair one 1/4;
+    # the (1, 1/2) cell is a hole
+    surface = CellMeanSurface(
+        e_levels=np.array([0.0, 1.0]),
+        r_levels=np.array([0.25, 0.5]),
+        values=np.array([[0.0, 0.0], [1.0, np.nan]]),
+        counts=np.ones((2, 2)),
+    )
+    grid = np.array([0.0, 1.0])
+    pairs = two_type_data.take(np.array([4, 7, 5]))  # uses the pair distribution only
+    curve = dose_response(surface, pairs.gps, grid)
+    np.testing.assert_array_equal(curve.mu_hat, [0.0, 1.0])
+    # a hole at a used distribution's score still raises, with the same holes as before
+    _, want = per_row_dose_response(surface, two_type_data.gps, grid)
+    assert want == [(1.0, 0.5)]
+    with pytest.raises(MissingCellError) as err:
+        dose_response(surface, two_type_data.gps, grid)
+    assert err.value.holes == want
+
+
 def test_ate_requires_endpoints(two_type_data):
     curve = dose_response(worked_example_cells(), two_type_data.gps, np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="not on the grid"):
@@ -520,6 +577,16 @@ def test_failed_score_lookup_is_not_kept(two_type_graph, bernoulli_half):
             data.observed_scores()
     with pytest.raises(DataError, match="outside"):
         data.take([7, 0]).observed_scores()
+
+
+def test_nan_exposure_fails_the_score_lookup(two_type_graph, bernoulli_half):
+    table = exact_gps_table(two_type_graph, bernoulli_half)
+    e = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.5, np.nan, 1.0])
+    data = Dataset(y=np.zeros(8), exposure=e, graph=two_type_graph, gps=table)
+    with pytest.raises(DataError, match="exposure level nan outside"):
+        data.observed_scores()
+    with pytest.raises(DataError, match="exposure level nan outside"):
+        beta_poly_fit(data)
 
 
 def test_constructors_leave_caller_arrays_writable(two_type_graph, bernoulli_half):

@@ -3,7 +3,9 @@
 The KRR collapse claim (duplicate rows pooled into weighted points leave
 predictions unchanged) is verified against an explicitly uncollapsed
 solve of the same regularized system, and the 1-d duplicate search
-against `np.unique` over whole rows, bit for bit.
+against `np.unique` over whole rows, bit for bit. The direct LAPACK calls
+are pinned bit for bit to the scipy.linalg wrappers they replace, and the
+bandwidth median to `np.median`.
 """
 
 from unittest import mock
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from bipexp import numerics
 from bipexp.errors import NumericalError, RankDeficiencyError
@@ -144,6 +146,91 @@ def test_ols_matches_lstsq_property(seed, n, k):
     np.testing.assert_allclose(fit.coef, coef_ref, atol=1e-8)
 
 
+# -- direct LAPACK calls against the scipy.linalg wrappers ---------------------
+
+
+@st.composite
+def tall_designs(draw):
+    """A C-ordered (n, k) design, k <= 8, with columns scaled over eight decades."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-4, 5, size=k)
+    return np.ascontiguousarray(rng.normal(size=(n, k)) * scales)
+
+
+def sla_coef(q, r, piv, rhs):
+    """The solve `LinearFit` made through scipy.linalg before it called LAPACK itself."""
+    z = sla.solve_triangular(r, q.T @ rhs)
+    coef = np.empty_like(z)
+    coef[piv] = z
+    return coef
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@settings(deadline=None, max_examples=120)
+@given(x=tall_designs(), b=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(x=np.array([[2.0]]), b=1, seed=0)  # 1 x 1: r is C- and F-ordered at once
+@example(x=np.ascontiguousarray(np.vander(np.linspace(0.0, 1.0, 8), 8)), b=3, seed=1)  # square
+def test_direct_lapack_qr_and_solves_match_scipy_linalg_bit_for_bit(x, b, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=x.shape[0])
+    q, r, piv = numerics._pivoted_qr(x)
+    q_ref, r_ref, piv_ref = sla.qr(x, mode="economic", pivoting=True)
+    for got, want in ((q, q_ref), (r, r_ref), (piv, piv_ref)):
+        assert_same_array(got, want)
+    try:
+        fit = ols(x, y)
+    except RankDeficiencyError:
+        return  # a column scaled far below the others counts as collinear
+    assert fit.coef.tobytes() == sla_coef(q_ref, r_ref, piv_ref, y).tobytes()
+    for attr, want in (("q", q_ref), ("r", r_ref), ("piv", piv_ref)):
+        assert_same_array(getattr(fit, attr), want)
+    # new responses, one vector and an (n, B) block
+    block = rng.normal(size=(x.shape[0], b))
+    for rhs in (block[:, 0], block):
+        assert_same_array(fit.solve(rhs), sla_coef(q_ref, r_ref, piv_ref, rhs))
+    k = x.shape[1]
+    r_inv = sla.solve_triangular(r_ref, np.eye(k))
+    want = np.empty((k, k))
+    want[np.ix_(piv_ref, piv_ref)] = r_inv @ r_inv.T
+    assert fit.xtx_inv().tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(g=st.integers(1, 40), b=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**16))
+def test_direct_cholesky_matches_cho_factor_and_cho_solve_bit_for_bit(g, b, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(g, 2))
+    gram = np.exp(-0.5 * cdist(points, points, "sqeuclidean"))
+    system = gram + KRR_RIDGE * np.diag(1.0 / rng.integers(1, 9, size=g))
+    rhs = rng.normal(size=g if b is None else (g, b))
+    want = sla.cho_solve(sla.cho_factor(system), rhs)
+    assert_same_array(numerics._cholesky_solve(system, rhs), want)
+
+
+def test_solve_refuses_non_finite_responses():
+    fit = ols(np.column_stack([np.ones(5), np.arange(5.0)]), np.arange(5.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = np.arange(5.0)
+        rhs[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit.solve(rhs)
+        with pytest.raises(ValueError, match="finite"):
+            fit.solve(np.column_stack([np.arange(5.0), rhs]))
+
+
+def test_ols_refuses_a_design_without_columns():
+    with pytest.raises(ValueError, match="at least one column"):
+        ols(np.ones((3, 0)), np.ones(3))
+
+
 # -- kernel ridge regression ------------------------------------------------
 
 
@@ -213,20 +300,25 @@ def test_krr_input_validation():
         krr_fit(np.ones((4, 1)), y)
     with pytest.raises(ValueError, match="at least one"):
         krr_fit(np.empty((0, 2)), np.empty(0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="system must be finite"):
+        krr_fit(np.arange(6.0).reshape(3, 2), np.full(3, 1.7e308))  # the mean overflows
     fit = krr_fit(x * np.arange(4)[:, None], np.arange(4.0))
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
         krr_predict(fit, np.ones((2, 3)))
 
 
 def test_krr_singular_system_raises_numerical_error(monkeypatch):
-    # at KRR_RIDGE the system is positive definite for any finite inputs,
-    # so a failing factorisation is simulated
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(numerics.sla, "cho_factor", fail)
+    # at KRR_RIDGE the system is positive definite for any finite inputs, so
+    # a negative ridge makes one that is not: its first leading minor is 1 - 10
+    monkeypatch.setattr(numerics, "KRR_RIDGE", -10.0)
     with pytest.raises(NumericalError, match="numerically singular"):
         krr_fit(rng_for(12).normal(size=(5, 2)), np.arange(5.0))
+    with pytest.raises(NumericalError, match="numerically singular"):
+        numerics._cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        numerics._cholesky_solve(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        numerics._cholesky_solve(np.eye(2), np.array([1.0, np.inf]))
 
 
 def test_kernel_fit_is_plain_record():
@@ -290,6 +382,30 @@ def test_unique_rows_matches_the_structured_collapse(x, seed):
 
 
 # -- helpers ------------------------------------------------------------------
+
+
+@st.composite
+def distance_clouds(draw):
+    """2 to 40 points in one or two dimensions, over a small grid when ties are wanted."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        values = st.integers(-3, 3).map(float)  # many tied distances
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+    return np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(points=distance_clouds())
+@example(points=np.array([[0.0], [1.0]]))  # one distance
+@example(points=np.array([[0.0], [1.0], [3.0], [6.0]]))  # six: an even count
+@example(points=np.array([[0.0], [1.0], [3.0]]))  # three: an odd count
+@example(points=np.zeros((5, 2)))  # every distance tied at 0
+def test_median_pairwise_distance_equals_np_median(points):
+    want = np.median(pdist(points))
+    got = _median_pairwise_distance(points)
+    assert type(got) is float and got == float(want)
 
 
 def test_median_pairwise_distance_small_cases():

@@ -68,6 +68,30 @@ def test_dgp_spec_validation():
         DgpSpec(graph=SMALL_GRAPH_SPEC, design=AssignmentDesign.bernoulli(0.5))
 
 
+@pytest.mark.parametrize("noise", ["sigma2_eps", "sigma2_gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_noise_variances_are_refused_before_any_graph(monkeypatch, noise, value):
+    # NaN compares false both ways: a `< 0` check passes it, and `> 0` then draws no noise
+    message = "noise variances must be nonnegative and finite"
+    g = synth_graph(SMALL_GRAPH_SPEC, 0)
+    with pytest.raises(ConfigError, match=message):
+        DgpSpec(graph=g, design=AssignmentDesign.bernoulli(0.5), **{noise: value})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph or a table was built")
+
+    monkeypatch.setattr(simlab, "synth_graph", refuse)
+    monkeypatch.setattr(simlab, "default_gps_table", refuse)
+    dgp = small_dgp()
+    object.__setattr__(dgp, noise, value)  # past the constructor's check
+    with pytest.raises(ConfigError, match=message):
+        run_study(dgp, ["naive-ols"], n_sims=2)
+    blocks = GraphSpec(kind="blocks", n_outcome=60, m_diversion=30, n_blocks=6)
+    with pytest.raises(ConfigError, match=message):
+        edges_cut_sweep(blocks, [0.0], design=AssignmentDesign.bernoulli(0.5), n_sims=2,
+                        **{noise: value})
+
+
 def test_effect_slopes_forms():
     graph = synth_graph(SMALL_GRAPH_SPEC, 0)
     degrees = graph.degrees.astype(np.float64)
