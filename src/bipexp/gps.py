@@ -303,14 +303,20 @@ def _merge_atoms(groups: list, support: np.ndarray, probs: np.ndarray):
     A run shares every group key and has consecutive gaps within `ATOM_TOL`;
     its masses are summed in order.
     """
-    order = np.lexsort((support, *groups[::-1]))
-    support, probs = support[order], probs[order]
-    groups = [g[order] for g in groups]
-    new_run = np.diff(support) > ATOM_TOL
+    # The nonnegative group keys fold into one integer rank, the first key
+    # most significant. Distributions number at most the outcome units and
+    # treated counts at most MAX_EXACT_DEGREE, so the rank stays far below
+    # 2^53 and is exact as a float64. Complex values sort by real part, then
+    # imaginary part, so one stable argsort of rank + i * support gives
+    # lexsort's order over (*groups, support).
+    rank = np.zeros(support.size, dtype=np.int64)
     for g in groups:
-        new_run |= np.diff(g) != 0
+        rank = rank * (int(g.max(initial=0)) + 1) + g
+    order = np.argsort(rank + 1j * support, kind="stable")
+    rank, support, probs = rank[order], support[order], probs[order]
+    new_run = (np.diff(support) > ATOM_TOL) | (np.diff(rank) != 0)
     starts = np.flatnonzero(np.concatenate([[True], new_run]))
-    return [g[starts] for g in groups], support[starts], np.add.reduceat(probs, starts)
+    return [g[order[starts]] for g in groups], support[starts], np.add.reduceat(probs, starts)
 
 
 def exact_gps_table(graph: BipartiteGraph, design: AssignmentDesign) -> GpsTable:

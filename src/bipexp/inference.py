@@ -10,6 +10,15 @@ Three routes:
   the diversion side through the graph), which stays honest when the
   naive bootstrap's independence assumption fails.
 
+A resampled statistic is applied to each resample, unless it is a fixed
+contrast of one least-squares fit on its rows and the caller hands over
+that design. Then no resample is built or refit: with the full-sample
+QR phi[:, piv] = q r, a resample that takes row i c_i times has pivoted
+coefficients r^-1 (q.T C q)^-1 q.T C target, so a replicate costs one
+`bincount` of its draws and one product with a per-row table, and all
+the k x k systems are solved at once. The draws, and so the intervals,
+are the same up to rounding.
+
 The error model's variance split is a method-of-moments estimate with
 exact trace coefficients: it needs sparse products and k x m arrays only,
 so it splits the variance on a connected graph of any width. The block
@@ -34,6 +43,17 @@ from .seeding import as_generator
 DEFAULT_LEVEL = 0.95
 MIN_BOOTSTRAP = 50
 MAX_FAILURE_SHARE = 0.01
+
+# A count refit's k x k system (see `_count_refits`) counts as singular when
+# its smallest eigenvalue is at most GRAM_TOL times its largest. The system
+# is the resample's Gram matrix in the full fit's orthonormal basis, so an
+# exactly singular one (a resample whose exposure is constant) rounds to
+# about n * eps of its largest eigenvalue, far below this. A refit of the
+# resample flags a condition number above 1 / RANK_TOL = 1e10 and this one
+# above 1e5 in that basis; between them a resample would fail here and not
+# there, but resamples of the exposure designs fall on one side or the
+# other by orders of magnitude (1e-17 against 0.05 on eight units).
+GRAM_TOL = 1e-10
 
 # The variance split's 2 x 2 moment system counts as singular when its
 # determinant is at most SPLIT_TOL times the size of the products it is a
@@ -87,25 +107,74 @@ def _quantile_interval(
     )
 
 
-def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
-    """Shared bootstrap loop with a failure census."""
+def _run_replicates(data, statistic, sampler, n_replicates, rng, method, design=None):
+    """Shared bootstrap loop with a failure census.
+
+    Each replicate applies `statistic` to the resample `sampler` draws; one
+    whose statistic raises `DataError` or `NumericalError`, or returns a
+    non-finite value, fails. With a linear `design` the replicates come
+    from `_count_refits` on the same draws instead.
+    """
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
+    if design is not None:
+        if np.shape(design[1]) != (data.n_units,):
+            raise ValueError("a linear design must have one target entry per outcome unit")
+        return _census(_count_refits(design, sampler, n_replicates, rng), method)
     values = np.empty(n_replicates)
-    failures = 0
     for b in range(n_replicates):
         idx = sampler(rng)
         try:
             values[b] = float(statistic(data.take(idx)))
         except (DataError, NumericalError):
-            failures += 1
             values[b] = np.nan
-    if failures > MAX_FAILURE_SHARE * n_replicates:
+    return _census(values, method)
+
+
+def _count_refits(design, sampler, n_replicates, rng) -> np.ndarray:
+    """Replicates of contrast @ ols(phi, target).coef, refit from each resample's row counts.
+
+    With the full-sample fit phi[:, piv] = q @ r, a resample that takes row
+    i c_i times has pivoted coefficients r^-1 (q.T C q)^-1 q.T C target. So
+    a replicate's k x k system is the product of its counts with one table
+    of the rows' q_i q_i.T (upper triangle) and q_i target_i, and all
+    systems are solved at once. Only the counts of the current replicate
+    and the (B, p) sums are held, never a (B, n) array. A system whose
+    eigenvalues lie more than 1 / GRAM_TOL apart is singular up to rounding,
+    as when the resample's exposure is constant; its replicate fails (NaN).
+    """
+    phi, target, contrast = design
+    target = np.asarray(target, dtype=np.float64)
+    fit = ols(phi, target)
+    n, k = fit.q.shape
+    rows, cols = np.triu_indices(k)
+    # (p, n), rows contiguous: the product with the counts runs along them
+    table = np.concatenate([(fit.q[:, rows] * fit.q[:, cols]).T, (fit.q * target[:, None]).T])
+    sums = np.empty((n_replicates, table.shape[0]))
+    for b in range(n_replicates):
+        sums[b] = table @ np.bincount(sampler(rng), minlength=n)
+    gram = np.empty((n_replicates, k, k))
+    gram[:, rows, cols] = gram[:, cols, rows] = sums[:, :rows.size]
+    eig = np.linalg.eigvalsh(gram)
+    ok = eig[:, 0] > GRAM_TOL * eig[:, -1]
+    values = np.full(n_replicates, np.nan)
+    if ok.any():
+        z = np.linalg.solve(gram[ok], sums[ok, rows.size:, None])[:, :, 0]
+        values[ok] = np.asarray(contrast, dtype=np.float64) @ fit.from_basis(z.T)
+    return values
+
+
+def _census(values: np.ndarray, method: str) -> np.ndarray:
+    """The finite replicate values; raises `DataError` when more than
+    `MAX_FAILURE_SHARE` of them are not finite (failed)."""
+    kept = values[np.isfinite(values)]
+    failures = values.size - kept.size
+    if failures > MAX_FAILURE_SHARE * values.size:
         raise DataError(
-            f"{method} bootstrap: {failures}/{n_replicates} replicates failed; "
+            f"{method} bootstrap: {failures}/{values.size} replicates failed; "
             "the statistic is too fragile for this resampling scheme"
         )
-    return values[np.isfinite(values)]
+    return kept
 
 
 def naive_bootstrap(
@@ -115,8 +184,17 @@ def naive_bootstrap(
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
+    design=None,
 ) -> IntervalEstimate:
-    """IID resample of outcome units; valid only without cross-unit noise."""
+    """IID resample of outcome units; valid only without cross-unit noise.
+
+    `design`, when given, is the (phi, target, contrast) of a statistic
+    that equals contrast @ ols(phi, target).coef on the data and on every
+    resample of its rows, with a contrast that does not depend on the rows.
+    The replicates are then refit from the resamples' row counts on the
+    full-sample QR (see `_count_refits`) instead of applying the statistic
+    to each resample; the draws are the same.
+    """
     rng = as_generator(rng)
     estimate = float(statistic(data))
     n = data.n_units
@@ -124,7 +202,7 @@ def naive_bootstrap(
     def sampler(r):
         return r.integers(0, n, size=n)
 
-    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "naive")
+    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "naive", design)
     return _quantile_interval(estimate, reps, level, "naive-bootstrap")
 
 
@@ -136,6 +214,7 @@ def block_bootstrap(
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
+    design=None,
 ) -> IntervalEstimate:
     """Resample whole graph components to respect within-component dependence.
 
@@ -143,7 +222,7 @@ def block_bootstrap(
     integer per outcome unit) to override. Requires at least 5 blocks with
     no single block holding more than half the outcome units; blocks are
     drawn with replacement until at least n rows are collected, then
-    truncated to n.
+    truncated to n. `design` is as in `naive_bootstrap`.
     """
     rng = as_generator(rng)
     if labels is None:
@@ -175,7 +254,7 @@ def block_bootstrap(
             total += len(b)
         return np.concatenate(chosen)[:n]
 
-    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "block")
+    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "block", design)
     return _quantile_interval(estimate, reps, level, "block-bootstrap")
 
 

@@ -75,9 +75,13 @@ def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _qr_solve(q, r, piv, rhs) -> np.ndarray:
-    z = _solve_upper(r, q.T @ rhs)
-    coef = np.empty_like(z)
-    coef[piv] = z
+    return _from_basis(r, piv, q.T @ rhs)
+
+
+def _from_basis(r, piv, z) -> np.ndarray:
+    x = _solve_upper(r, z)
+    coef = np.empty_like(x)
+    coef[piv] = x
     return coef
 
 
@@ -110,6 +114,13 @@ class LinearFit:
         Non-finite responses raise `ValueError`.
         """
         return _qr_solve(self.q, self.r, self.piv, np.asarray(rhs, dtype=np.float64))
+
+    def from_basis(self, z) -> np.ndarray:
+        """Coefficients whose fitted values are q @ z: (k,) gives (k,), (k, B) gives (k, B).
+
+        `solve(rhs)` is `from_basis(q.T @ rhs)`. Non-finite z raises `ValueError`.
+        """
+        return _from_basis(self.r, self.piv, np.asarray(z, dtype=np.float64))
 
     def xtx_inv(self) -> np.ndarray:
         """(x.T @ x)^-1 from the factorisation, in the design's column order."""

@@ -147,11 +147,24 @@ class StudyEstimator:
     `gps-poly` that equals the point estimate; `ht`'s design is the ratio
     (Hajek) form, whose level coefficients divide the inverse-weighted
     outcome sum by the inverse-weight sum rather than by n.
+
+    `linear_point` says that the point equals that contrast on every
+    resample too, with a contrast that does not depend on the rows taken
+    (`naive-ols` and `correct-spec`). The naive and block bootstraps then
+    get the design and refit each resample from its row counts on the
+    full-sample QR instead of calling `point` on it. `gps-poly` averages
+    its contrast over the rows, and `ht`'s design is not its point, so
+    both, and the estimators without a design, refit every resample.
     """
 
     name: str
     point: object
     design: object | None = None
+    linear_point: bool = False
+
+    def __post_init__(self):
+        if self.linear_point and self.design is None:
+            raise ValueError(f"estimator {self.name!r}: a linear point needs a design")
 
 
 def _point_naive_mean(data: Dataset) -> float:
@@ -220,8 +233,10 @@ def _point_stratified(data: Dataset) -> float:
 
 ESTIMATOR_REGISTRY: dict[str, StudyEstimator] = {
     "naive-mean": StudyEstimator("naive-mean", _point_naive_mean),
-    "naive-ols": StudyEstimator("naive-ols", naive_ols, _design_naive_ols),
-    "correct-spec": StudyEstimator("correct-spec", _point_correct_spec, _design_correct_spec),
+    "naive-ols": StudyEstimator("naive-ols", naive_ols, _design_naive_ols, linear_point=True),
+    "correct-spec": StudyEstimator(
+        "correct-spec", _point_correct_spec, _design_correct_spec, linear_point=True
+    ),
     "ht": StudyEstimator("ht", _point_ht, _design_ht),
     "gps-cell": StudyEstimator("gps-cell", _point_gps_cell),
     "gps-poly": StudyEstimator("gps-poly", _point_gps_poly, _design_gps_poly),
@@ -246,13 +261,22 @@ def resolve_estimators(estimators) -> list[StudyEstimator]:
 # -- interval methods -----------------------------------------------------------
 
 
+def _resampled_design(data, est):
+    """The design the resampling bootstraps refit from counts, for a linear point only."""
+    return est.design(data) if est.linear_point else None
+
+
 def _interval_naive(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return naive_bootstrap(data, est.point, n_replicates=b, level=level, rng=rng)
+    return naive_bootstrap(
+        data, est.point, n_replicates=b, level=level, rng=rng,
+        design=_resampled_design(data, est),
+    )
 
 
 def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
     return block_bootstrap(
-        data, est.point, labels=block_labels, n_replicates=b, level=level, rng=rng
+        data, est.point, labels=block_labels, n_replicates=b, level=level, rng=rng,
+        design=_resampled_design(data, est),
     )
 
 

@@ -21,6 +21,7 @@ def result(run_s, rss, ok=1.0, correct=True):
 
 
 BETTER = {"run_s": "lower", "peak_rss_mb": "lower", "ok_share": "higher"}
+BOUNDS = {"run_s": 0.2, "peak_rss_mb": 0.1, "ok_share": 0.01}
 
 
 def canned_runs():
@@ -36,7 +37,7 @@ def canned_runs():
 
 
 def test_summary_medians_quartiles_and_wins():
-    summary = bench_pairs.summarize(canned_runs(), BETTER)
+    summary = bench_pairs.summarize(canned_runs(), BETTER, BOUNDS)
     assert summary["pairs"] == 5
     run_s = summary["run_s"]
     assert run_s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
@@ -51,18 +52,56 @@ def test_summary_medians_quartiles_and_wins():
     assert summary["ok_share"]["change_wins"] == 0
     assert summary["ok_share"]["change"]["q1"] == 1.0
     assert summary["all_correct"] is True
+    # run_s: the parent's q3 - q1 (2.0) is wider than 20% of its median (0.6)
+    assert run_s["verdict"] == "unresolved"
+    assert rss["verdict"] == "flat"  # 3 of 5 pairs is no gain
+    assert summary["ok_share"]["verdict"] == "flat"
+
+
+def run_s_verdict(parent, change):
+    runs = [{"seed": k, "order": list(bench_pairs.pair_order(k)),
+             "parent": result(p, 80.0), "change": result(c, 80.0)}
+            for k, (p, c) in enumerate(zip(parent, change))]
+    return bench_pairs.summarize(runs, {"run_s": "lower"}, BOUNDS)["run_s"]["verdict"]
+
+
+TEN = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # q3 - q1 = 0.045
+
+
+@pytest.mark.parametrize("change, want", [
+    ([t - 0.5 for t in TEN], "gain"),
+    # 9 of 10 pairs still gains; 8 of 10 does not
+    ([t - 0.5 for t in TEN[:9]] + [2.0], "gain"),
+    ([t - 0.5 for t in TEN[:8]] + [2.0, 2.0], "flat"),
+    # wins every pair, but by less than the parent's quartile spread
+    ([t - 0.01 for t in TEN], "flat"),
+    ([t + 0.1 for t in TEN], "flat"),  # worse, within the 20% bound
+    ([t + 0.3 for t in TEN], "regression"),
+])
+def test_verdicts_on_a_tight_parent(change, want):
+    assert run_s_verdict(TEN, change) == want
+
+
+def test_verdicts_on_a_spread_parent():
+    # q1 1.0, median 1.0, q3 2.75: the spread is wider than 20% of the median
+    parent = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert run_s_verdict(parent, parent[::-1]) == "unresolved"
+    assert run_s_verdict(parent, [1.1] * 10) == "unresolved"
+    # every change run beats every parent run, by less than the spread
+    assert run_s_verdict(parent, [0.9] * 10) == "flat"
+    assert run_s_verdict(parent, [1.3] * 10) == "regression"
 
 
 def test_summary_percentiles_interpolate_linearly():
     runs = canned_runs()[:4]  # parent run_s 1, 2, 3, 4
-    run_s = bench_pairs.summarize(runs, {"run_s": "lower"})["run_s"]
+    run_s = bench_pairs.summarize(runs, {"run_s": "lower"}, BOUNDS)["run_s"]
     assert run_s["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
 
 
 def test_one_incorrect_run_clears_all_correct():
     runs = canned_runs()
     runs[3]["parent"]["correct"] = False
-    assert bench_pairs.summarize(runs, BETTER)["all_correct"] is False
+    assert bench_pairs.summarize(runs, BETTER, BOUNDS)["all_correct"] is False
 
 
 def test_pairs_alternate_which_side_goes_first():

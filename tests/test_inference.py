@@ -44,7 +44,7 @@ from bipexp.inference import (
 )
 from bipexp.numerics import LinearFit, ols
 from bipexp.seeding import substream
-from bipexp.simlab import DgpSpec, run_study
+from bipexp.simlab import ESTIMATOR_REGISTRY, DgpSpec, generate_outcomes, run_study
 
 
 def singles_dataset(n: int, seed: int) -> Dataset:
@@ -232,6 +232,129 @@ def test_block_bootstrap_replicates_match_the_old_blocks(custom):
 
     reps = inference._run_replicates(data, mean_outcome, sampler, 200, substream(9, 4), "block")
     assert iv == _quantile_interval(iv.estimate, reps, 0.95, "block-bootstrap")
+
+
+def test_non_finite_replicates_count_as_failures():
+    data = singles_dataset(20, seed=9)
+    calls = []
+
+    def nan_every_50th(d: Dataset) -> float:
+        # call 0 is the full-data estimate; replicates 50, 100, 150 and 200
+        # (2% of 200) are NaN, against a budget of 1%
+        calls.append(1)
+        return np.nan if len(calls) % 50 == 1 and len(calls) > 1 else float(d.y.mean())
+
+    with pytest.raises(DataError, match="4/200 replicates failed"):
+        naive_bootstrap(data, nan_every_50th, rng=substream(10, 4))
+
+
+# -- count refits of linear points ---------------------------------------------
+
+
+def capture_replicates(monkeypatch) -> list:
+    """Record the replicate values every bootstrap hands to its percentile interval."""
+    seen = []
+    real = inference._quantile_interval
+
+    def spy(estimate, replicates, level, method):
+        seen.append(np.array(replicates))
+        return real(estimate, replicates, level, method)
+
+    monkeypatch.setattr(inference, "_quantile_interval", spy)
+    return seen
+
+
+def paper_scale_dataset(seed: int) -> Dataset:
+    # 1000 outcome units on 10 disconnected blocks of 10 diversion units each
+    graph = synth_graph(
+        GraphSpec(kind="blocks", n_outcome=1000, m_diversion=100, deg_min=1, deg_max=10,
+                  n_blocks=10, cross_share=0.0),
+        substream(seed, 0),
+    )
+    design = AssignmentDesign.bernoulli(0.5)
+    rng = substream(seed, 1)
+    exposure = linear_exposure(graph, draw_assignments(design, graph.m_diversion, 1, rng)[:, 0])
+    dgp = DgpSpec(graph=graph, design=design, effect="heterogeneous", sigma2_eps=0.5,
+                  sigma2_gamma=0.5)
+    y = generate_outcomes(dgp, graph, exposure, rng)
+    return Dataset.build(graph, exact_gps_table(graph, design), y, exposure)
+
+
+@pytest.mark.parametrize("name", ["naive-ols", "correct-spec"])
+@pytest.mark.parametrize("bootstrap", [naive_bootstrap, block_bootstrap])
+def test_count_refits_match_per_replicate_refits(monkeypatch, name, bootstrap):
+    data = paper_scale_dataset(61)
+    est = ESTIMATOR_REGISTRY[name]
+    seen = capture_replicates(monkeypatch)
+    refit = bootstrap(data, est.point, rng=substream(62, 4))
+    counted = bootstrap(data, est.point, rng=substream(62, 4), design=est.design(data))
+    refits, counts = seen
+    assert refit.n_replicates == counted.n_replicates == refits.size == counts.size == 200
+    np.testing.assert_allclose(counts, refits, rtol=1e-9, atol=0)
+    assert counted.estimate == refit.estimate
+    assert counted.lower == pytest.approx(refit.lower, rel=1e-9)
+    assert counted.upper == pytest.approx(refit.upper, rel=1e-9)
+
+
+def mixed_singles(n_on: int, n_off: int) -> Dataset:
+    """Units on their own coins, n_on exposed and n_off not, so that some
+    resamples see one exposure only."""
+    n = n_on + n_off
+    graph = BipartiteGraph.from_rows([[(j, 1.0)] for j in range(n)], m_diversion=n)
+    e = np.repeat([1.0, 0.0], [n_on, n_off])
+    y = 1.0 + e + substream(63, 1).normal(size=n)
+    table = exact_gps_table(graph, AssignmentDesign.bernoulli(0.5))
+    return Dataset(y=y, exposure=e, graph=graph, gps=table)
+
+
+@pytest.mark.parametrize("name", ["naive-ols", "correct-spec"])
+def test_count_refits_fail_where_refits_fail(name):
+    data = mixed_singles(2, 6)
+    est = ESTIMATOR_REGISTRY[name]
+    n = data.n_units
+
+    def sampler(r):
+        return r.integers(0, n, size=n)
+
+    counted = inference._count_refits(est.design(data), sampler, 400, substream(64, 4))
+    rng = substream(64, 4)
+    refits = np.empty(400)
+    for b in range(400):
+        try:
+            refits[b] = est.point(data.take(sampler(rng)))
+        except (DataError, NumericalError):
+            refits[b] = np.nan
+    failed = np.isnan(refits)
+    assert 0 < failed.sum() < 400
+    assert np.array_equal(np.isnan(counted), failed)
+    np.testing.assert_allclose(counted[~failed], refits[~failed], rtol=1e-9)
+
+
+@pytest.mark.parametrize("bootstrap", [naive_bootstrap, block_bootstrap])
+def test_count_refits_keep_the_failure_census(monkeypatch, bootstrap):
+    data = mixed_singles(2, 6)  # every unit is its own graph component
+    est = ESTIMATOR_REGISTRY["naive-ols"]
+    outcomes = []
+    for design in (None, est.design(data)):
+        with pytest.raises(DataError, match="replicates failed") as err:
+            bootstrap(data, est.point, rng=substream(65, 4), design=design)
+        outcomes.append(str(err.value))
+    assert outcomes[0] == outcomes[1]
+
+    # with the budget lifted both keep the same replicates and report how many
+    monkeypatch.setattr(inference, "MAX_FAILURE_SHARE", 0.5)
+    seen = capture_replicates(monkeypatch)
+    refit = bootstrap(data, est.point, rng=substream(65, 4))
+    counted = bootstrap(data, est.point, rng=substream(65, 4), design=est.design(data))
+    assert 100 < counted.n_replicates == refit.n_replicates == seen[1].size < 200
+    np.testing.assert_allclose(seen[1], seen[0], rtol=1e-9)
+
+
+def test_count_refits_need_one_target_per_unit():
+    data = singles_dataset(60, seed=3)
+    phi = np.column_stack([np.ones(61), np.arange(61.0)])
+    with pytest.raises(ValueError, match="one target entry per outcome unit"):
+        naive_bootstrap(data, mean_outcome, design=(phi, np.zeros(61), [0.0, 1.0]))
 
 
 # -- asymptotic interval -------------------------------------------------------

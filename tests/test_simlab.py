@@ -319,6 +319,31 @@ def test_replicate_floor_applies_only_to_resampling_methods():
         simlab.check_intervals(ests, {"naive-ols": (method,)}, 50, 0.95)
 
 
+def test_only_linear_points_are_refit_from_counts(monkeypatch):
+    assert {n for n, e in ESTIMATOR_REGISTRY.items() if e.linear_point} == {
+        "naive-ols", "correct-spec"}
+    with pytest.raises(ValueError, match="a linear point needs a design"):
+        StudyEstimator("mine", lambda d: 0.0, linear_point=True)
+
+    takes = []
+    real_take = Dataset.take
+
+    def counted_take(self, indices):
+        takes.append(1)
+        return real_take(self, indices)
+
+    monkeypatch.setattr(Dataset, "take", counted_take)
+    resampling = ("naive-bootstrap", "block-bootstrap")
+    blocks = np.arange(SMALL_GRAPH.n_outcome) % 8
+    run_study(small_dgp(), ["naive-ols", "correct-spec"],
+              {"naive-ols": resampling, "correct-spec": resampling},
+              n_sims=2, b_replicates=50, block_labels=blocks)
+    assert takes == []
+    run_study(small_dgp(), ["gps-poly"], {"gps-poly": resampling}, n_sims=1, b_replicates=50,
+              block_labels=blocks)
+    assert len(takes) == 100
+
+
 def test_run_study_counts_point_failures():
     calls = {"n": 0}
 

@@ -15,7 +15,9 @@ summaries (`correct`, `attempted`, `failed`, `metrics`), as the last
 line `bench/run.py` prints. The summary gives, per end-to-end metric,
 each side's median and quartiles (numpy linear percentiles), the number
 of pairs the change won (better in the direction BENCHMARK.json gives;
-ties count for neither side) and the ratio of the medians.
+ties count for neither side), the ratio of the medians and a verdict
+(gain, regression, unresolved or flat; see `verdict`) against the
+metric's bound in BENCHMARK.json.
 
     python3 tools/bench_pairs.py <parent-rev> <n> --seeds 1901-1905 [--note TEXT]
 
@@ -61,20 +63,47 @@ def _quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles and pair wins of one workload's runs.
+def verdict(parent: np.ndarray, change: np.ndarray, bound: float) -> str:
+    """One metric's verdict on its pairs of runs, by the benchmark's rules.
 
-    `better` maps each end-to-end metric to "lower" or "higher".
+    `parent` and `change` hold each side's runs in pair order, signed so
+    that higher is better; `bound` is the share of the parent's median by
+    which the metric may worsen. In this order: "gain" when the change
+    wins at least nine tenths of the pairs and its median beats the parent's by more
+    than the parent's q3 - q1; "regression" when its median is worse than
+    the parent's by more than the bound; "unresolved" when the parent's
+    q3 - q1 is wider than the bound, unless every change run beats every
+    parent run; otherwise "flat".
+    """
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    lead = np.median(change) - median
+    allowed = bound * abs(median)
+    if 10 * np.sum(change > parent) >= 9 * parent.size and lead > q3 - q1:
+        return "gain"
+    if -lead > allowed:
+        return "regression"
+    if q3 - q1 > allowed and not change.min() > parent.max():
+        return "unresolved"
+    return "flat"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per-metric medians, quartiles, pair wins and verdicts of one workload's runs.
+
+    `better` maps each end-to-end metric to "lower" or "higher", and
+    `bounds` to the share of the parent median by which it may worsen
+    (see `verdict`).
     """
     summary: dict = {"pairs": len(runs)}
     for name, direction in better.items():
         values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        parent, change = (sign * np.asarray(values[side], dtype=np.float64) for side in SIDES)
         entry = {side: _quartiles(values[side]) for side in SIDES}
-        entry["change_wins"] = int(wins)
+        entry["change_wins"] = int(np.sum(change > parent))
         entry["change_over_parent_median"] = (
             entry["change"]["median"] / entry["parent"]["median"])
+        entry["verdict"] = verdict(parent, change, bounds[name])
         summary[name] = entry
     summary["all_correct"] = all(run[side]["correct"] for run in runs for side in SIDES)
     return summary
@@ -114,8 +143,9 @@ def describe(seeds: list[int], seconds: float, workloads: dict, meta: dict, note
         "side in its own `git archive` export (so meta.git_sha is null; meta.src_sha256 "
         f"identifies the source), --seconds {seconds:g}, --trace 0, seeds {seed_text}, "
         f"{len(seeds)} pairs per workload, workloads {', '.join(workloads)}. 'summary' gives "
-        "each side's median and quartiles (numpy linear percentiles) per end-to-end metric "
-        "and how many pairs the change won on it (ties count for neither). "
+        "each side's median and quartiles (numpy linear percentiles) per end-to-end metric, "
+        "how many pairs the change won on it (ties count for neither) and its verdict: "
+        "gain, regression, unresolved or flat against the metric's BENCHMARK.json bound. "
         f"Every run reported correct: {'true' if correct else 'NOT true'}. "
         f"Host: {meta['nproc']} cores, {meta['ram_mb']} MB RAM, Python {meta['python']}, "
         f"numpy {meta['numpy']}, scipy {meta['scipy']}."
@@ -133,6 +163,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workload_names = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     revs = {"parent": _git("rev-parse", args.parent),
@@ -158,7 +189,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: run_s {value:.4f} "
                           f"correct {run[side]['correct']}", file=sys.stderr, flush=True)
                 runs.append(run)
-            doc["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+            doc["workloads"][workload] = {"summary": summarize(runs, better, bounds), "runs": runs}
     doc["description"] = describe(args.seeds, seconds, doc["workloads"], meta, args.note)
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
