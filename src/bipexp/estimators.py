@@ -238,12 +238,18 @@ def ht_weighted_regression(data: Dataset, grid) -> HtWeightedRegression:
 # -- response surfaces -------------------------------------------------------
 
 
-def _merge_levels(values: np.ndarray, tol: float) -> np.ndarray:
-    u = np.sort(np.unique(values))
-    if u.size <= 1:
-        return u
-    keep = np.concatenate([[True], np.diff(u) > tol])
-    return u[keep]
+def _group_levels(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of `values` and each value's level index, from one sort: a level
+    is the first value of a sorted run whose consecutive gaps are within tol,
+    and labels every member of the run, however far it chains from the first."""
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.empty(ranked.size, dtype=bool)
+    starts[:1] = True
+    np.greater(np.diff(ranked), tol, out=starts[1:])
+    labels = np.empty(ranked.size, dtype=np.int64)
+    labels[order] = np.cumsum(starts) - 1
+    return ranked[starts], labels
 
 
 def _locate_level(levels: np.ndarray, value, tol: float) -> np.ndarray:
@@ -327,13 +333,11 @@ def beta_cell_means(data: Dataset) -> CellMeanSurface:
     """Average Y within each (exposure, observed score) cell.
 
     Cells are the distinct exposures and the distinct observed scores,
-    each axis merging values within `ATOM_TOL`.
+    each axis merging sorted runs whose consecutive gaps are within
+    `ATOM_TOL` (see `_group_levels`).
     """
-    scores = data.observed_scores()
-    e_levels = _merge_levels(data.exposure, ATOM_TOL)
-    r_levels = _merge_levels(scores, ATOM_TOL)
-    e_idx = _locate_level(e_levels, data.exposure, ATOM_TOL)
-    r_idx = _locate_level(r_levels, scores, ATOM_TOL)
+    e_levels, e_idx = _group_levels(data.exposure, ATOM_TOL)
+    r_levels, r_idx = _group_levels(data.observed_scores(), ATOM_TOL)
     values = np.full((e_levels.size, r_levels.size), np.nan)
     counts = np.zeros((e_levels.size, r_levels.size))
     flat = e_idx * r_levels.size + r_idx
@@ -459,10 +463,8 @@ def stratified_estimate(data: Dataset, e: float) -> float:
     `ATOM_TOL`).
     """
     stat = data.gps.dist_variance()
-    distinct = _merge_levels(stat, 1e-12)
-    if distinct.size <= N_STRATA:
-        labels = _locate_level(distinct, stat, 1e-12)
-    else:
+    distinct, labels = _group_levels(stat, 1e-12)
+    if distinct.size > N_STRATA:
         edges = np.unique(np.quantile(stat, np.linspace(0, 1, N_STRATA + 1)))
         labels = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0, edges.size - 2)
     at_level = np.abs(data.exposure - e) <= ATOM_TOL

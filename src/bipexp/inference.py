@@ -10,14 +10,13 @@ Three routes:
   the diversion side through the graph), which stays honest when the
   naive bootstrap's independence assumption fails.
 
-A resampled statistic is applied to each resample, unless it is a fixed
-contrast of one least-squares fit on its rows and the caller hands over
-that design. Then no resample is built or refit: with the full-sample
-QR phi[:, piv] = q r, a resample that takes row i c_i times has pivoted
-coefficients r^-1 (q.T C q)^-1 q.T C target, so a replicate costs one
-`bincount` of its draws and one product with a per-row table, and all
-the k x k systems are solved at once. The draws, and so the intervals,
-are the same up to rounding.
+A resampling bootstrap takes one statistic: a callable, applied to the
+data and to each resample, or a linear design (phi, target, contrast)
+whose estimate is contrast @ ols(phi, target).coef. A resample is a
+vector of row counts (Efron & Tibshirani 1993), so a design's replicates
+are refit from counts on the full-sample QR with no resampled dataset
+(`_count_refits`); on the same draws both forms of one statistic give
+the same intervals up to rounding.
 
 The error model's variance split is a method-of-moments estimate with
 exact trace coefficients: it needs sparse products and k x m arrays only,
@@ -107,20 +106,23 @@ def _quantile_interval(
     )
 
 
-def _run_replicates(data, statistic, sampler, n_replicates, rng, method, design=None):
-    """Shared bootstrap loop with a failure census.
+def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
+    """The estimate and the kept replicates of `statistic`, with a failure census.
 
-    Each replicate applies `statistic` to the resample `sampler` draws; one
-    whose statistic raises `DataError` or `NumericalError`, or returns a
-    non-finite value, fails. With a linear `design` the replicates come
-    from `_count_refits` on the same draws instead.
+    A callable statistic gives the estimate on `data` and one replicate on
+    each resample `sampler` draws; a replicate whose statistic raises
+    `DataError` or `NumericalError`, or returns a non-finite value, fails.
+    A linear design (phi, target, contrast) gives both from `_count_refits`
+    on the same draws.
     """
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
-    if design is not None:
-        if np.shape(design[1]) != (data.n_units,):
+    if not callable(statistic):
+        if np.shape(statistic[1]) != (data.n_units,):
             raise ValueError("a linear design must have one target entry per outcome unit")
-        return _census(_count_refits(design, sampler, n_replicates, rng), method)
+        estimate, values = _count_refits(statistic, sampler, n_replicates, rng)
+        return estimate, _census(values, method)
+    estimate = float(statistic(data))
     values = np.empty(n_replicates)
     for b in range(n_replicates):
         idx = sampler(rng)
@@ -128,11 +130,11 @@ def _run_replicates(data, statistic, sampler, n_replicates, rng, method, design=
             values[b] = float(statistic(data.take(idx)))
         except (DataError, NumericalError):
             values[b] = np.nan
-    return _census(values, method)
+    return estimate, _census(values, method)
 
 
-def _count_refits(design, sampler, n_replicates, rng) -> np.ndarray:
-    """Replicates of contrast @ ols(phi, target).coef, refit from each resample's row counts.
+def _count_refits(design, sampler, n_replicates, rng) -> tuple[float, np.ndarray]:
+    """contrast @ ols(phi, target).coef, and its replicates refit from each resample's row counts.
 
     With the full-sample fit phi[:, piv] = q @ r, a resample that takes row
     i c_i times has pivoted coefficients r^-1 (q.T C q)^-1 q.T C target. So
@@ -145,6 +147,7 @@ def _count_refits(design, sampler, n_replicates, rng) -> np.ndarray:
     """
     phi, target, contrast = design
     target = np.asarray(target, dtype=np.float64)
+    contrast = np.asarray(contrast, dtype=np.float64)
     fit = ols(phi, target)
     n, k = fit.q.shape
     rows, cols = np.triu_indices(k)
@@ -160,8 +163,8 @@ def _count_refits(design, sampler, n_replicates, rng) -> np.ndarray:
     values = np.full(n_replicates, np.nan)
     if ok.any():
         z = np.linalg.solve(gram[ok], sums[ok, rows.size:, None])[:, :, 0]
-        values[ok] = np.asarray(contrast, dtype=np.float64) @ fit.from_basis(z.T)
-    return values
+        values[ok] = contrast @ fit.from_basis(z.T)
+    return float(contrast @ fit.coef), values
 
 
 def _census(values: np.ndarray, method: str) -> np.ndarray:
@@ -184,25 +187,23 @@ def naive_bootstrap(
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
-    design=None,
 ) -> IntervalEstimate:
     """IID resample of outcome units; valid only without cross-unit noise.
 
-    `design`, when given, is the (phi, target, contrast) of a statistic
-    that equals contrast @ ols(phi, target).coef on the data and on every
-    resample of its rows, with a contrast that does not depend on the rows.
-    The replicates are then refit from the resamples' row counts on the
-    full-sample QR (see `_count_refits`) instead of applying the statistic
-    to each resample; the draws are the same.
+    `statistic` is a callable on a `Dataset`, applied to the data and to
+    each resample, or a linear design (phi, target, contrast) with one
+    target entry per outcome unit and a contrast that does not depend on
+    the rows. A design's estimate is contrast @ ols(phi, target).coef, and
+    its replicates are refit from the resamples' row counts on the
+    full-sample QR (see `_count_refits`); the draws are the same.
     """
     rng = as_generator(rng)
-    estimate = float(statistic(data))
     n = data.n_units
 
     def sampler(r):
         return r.integers(0, n, size=n)
 
-    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "naive", design)
+    estimate, reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "naive")
     return _quantile_interval(estimate, reps, level, "naive-bootstrap")
 
 
@@ -214,7 +215,6 @@ def block_bootstrap(
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
-    design=None,
 ) -> IntervalEstimate:
     """Resample whole graph components to respect within-component dependence.
 
@@ -222,7 +222,7 @@ def block_bootstrap(
     integer per outcome unit) to override. Requires at least 5 blocks with
     no single block holding more than half the outcome units; blocks are
     drawn with replacement until at least n rows are collected, then
-    truncated to n. `design` is as in `naive_bootstrap`.
+    truncated to n. `statistic` is as in `naive_bootstrap`.
     """
     rng = as_generator(rng)
     if labels is None:
@@ -243,7 +243,6 @@ def block_bootstrap(
             "block bootstrap is unreliable when one component holds more than "
             "half the outcome units"
         )
-    estimate = float(statistic(data))
 
     def sampler(r):
         chosen: list[np.ndarray] = []
@@ -254,7 +253,7 @@ def block_bootstrap(
             total += len(b)
         return np.concatenate(chosen)[:n]
 
-    reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "block", design)
+    estimate, reps = _run_replicates(data, statistic, sampler, n_replicates, rng, "block")
     return _quantile_interval(estimate, reps, level, "block-bootstrap")
 
 

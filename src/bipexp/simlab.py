@@ -139,9 +139,8 @@ ENDPOINT_GRID = (0.0, 1.0)
 class StudyEstimator:
     """Named ATE estimator: a point function plus an optional linear design.
 
-    `point` maps a Dataset to an ATE estimate; the resampling bootstraps
-    apply it to each resample as well. `design`, when present, maps a
-    Dataset to (phi, target, contrast), the linear fit that the parametric
+    `point` maps a Dataset to an ATE estimate. `design`, when present, maps
+    a Dataset to (phi, target, contrast), the linear fit that the parametric
     bootstrap and asymptotic intervals require and centre on,
     contrast @ ols(phi, target).coef. For `naive-ols`, `correct-spec` and
     `gps-poly` that equals the point estimate; `ht`'s design is the ratio
@@ -150,11 +149,11 @@ class StudyEstimator:
 
     `linear_point` says that the point equals that contrast on every
     resample too, with a contrast that does not depend on the rows taken
-    (`naive-ols` and `correct-spec`). The naive and block bootstraps then
-    get the design and refit each resample from its row counts on the
-    full-sample QR instead of calling `point` on it. `gps-poly` averages
-    its contrast over the rows, and `ht`'s design is not its point, so
-    both, and the estimators without a design, refit every resample.
+    (`naive-ols` and `correct-spec`); the naive and block bootstraps then
+    resample the design, refitting each resample from its row counts.
+    `gps-poly` averages its contrast over the rows and `ht`'s design is not
+    its point, so they, like the estimators without a design, resample
+    `point`.
     """
 
     name: str
@@ -261,22 +260,21 @@ def resolve_estimators(estimators) -> list[StudyEstimator]:
 # -- interval methods -----------------------------------------------------------
 
 
-def _resampled_design(data, est):
-    """The design the resampling bootstraps refit from counts, for a linear point only."""
-    return est.design(data) if est.linear_point else None
+def _resampled_statistic(data, est):
+    """What the resampling bootstraps resample: a linear point's design, else the point."""
+    return est.design(data) if est.linear_point else est.point
 
 
 def _interval_naive(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
     return naive_bootstrap(
-        data, est.point, n_replicates=b, level=level, rng=rng,
-        design=_resampled_design(data, est),
+        data, _resampled_statistic(data, est), n_replicates=b, level=level, rng=rng
     )
 
 
 def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
     return block_bootstrap(
-        data, est.point, labels=block_labels, n_replicates=b, level=level, rng=rng,
-        design=_resampled_design(data, est),
+        data, _resampled_statistic(data, est), labels=block_labels, n_replicates=b,
+        level=level, rng=rng,
     )
 
 

@@ -2,9 +2,11 @@
 
 `bench/tracing.py` wraps every name in its `TARGETS` by attribute lookup,
 and `bench/worker.py` and `bench/test_bench_smoke.py` call
-`bipexp.simlab.default_gps_table` with `rng` and `mc_draws`. A renamed or
-moved function breaks the benchmark only inside its smoke runs, about a
-minute in; these checks say so in under a second. They read `bench/` and
+`bipexp.simlab.default_gps_table` with `rng` and `mc_draws`; the tracer's
+replicate counters bind the bootstraps' `n_replicates` by name. A renamed
+or moved function, or a changed signature, breaks the benchmark only
+inside its smoke runs, about a minute in; these checks say so in under a
+second. They read `bench/` and
 change nothing there.
 """
 
@@ -53,7 +55,8 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         )
         design = AssignmentDesign.bernoulli(0.5)
         dgp = bipexp.simlab.DgpSpec(graph, design, sigma2_eps=0.5)
-        bipexp.simlab.run_study(dgp, ["naive-ols"], n_sims=2, master_seed=5)
+        bipexp.simlab.run_study(dgp, ["naive-ols"], {"naive-ols": ("naive-bootstrap",)},
+                                n_sims=2, b_replicates=50, master_seed=5)
         bipexp.gps.mc_gps(graph, design, n_draws=64, rng=substream(5, 1))
     finally:
         tracer.uninstall()
@@ -64,7 +67,13 @@ def test_tracer_installs_on_every_target_and_uninstalls():
                  "design.draw_assignments", "design.linear_exposure",
                  "simlab.generate_outcomes", "estimators.naive_ols", "gps.mc_gps"):
         assert name in spans, name
-    assert log.counter_sums([0])["gps.mc_gps.draws"] == 64
+    counters = log.counter_sums([0])
+    assert counters["gps.mc_gps.draws"] == 64
+    # the replicate counters bind `n_replicates` on the bootstrap's signature
+    kept, requested = "inference.naive_bootstrap.kept", "inference.naive_bootstrap.requested"
+    assert kept in counters and requested in counters
+    assert counters[requested] == 100
+    assert 0 < counters[kept] <= 100
 
 
 def test_default_gps_table_takes_rng_and_mc_draws():

@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -90,6 +91,32 @@ def test_verdicts_on_a_spread_parent():
     # every change run beats every parent run, by less than the spread
     assert run_s_verdict(parent, [0.9] * 10) == "flat"
     assert run_s_verdict(parent, [1.3] * 10) == "regression"
+
+
+# study-krr's run_s in BENCH_20.json, (parent, change) per pair; throughput
+# was work / run_s on the same runs
+KRR_RUN_S = [(0.3685, 0.3265), (0.3639, 0.3238), (0.3355, 0.3120), (0.3352, 0.3012),
+             (0.3178, 0.3219), (0.3955, 0.3342), (0.3631, 0.3213), (0.3752, 0.3611),
+             (0.3427, 0.3193), (0.3345, 0.3248)]
+
+
+def test_throughput_takes_the_run_s_verdict():
+    def sides(p, c):
+        return {side: {"correct": True, "metrics": {
+            "run_s": {"value": t}, "throughput": {"value": 1.0 / t}}}
+            for side, t in (("parent", p), ("change", c))}
+
+    runs = [{"seed": k, "order": list(bench_pairs.pair_order(k)), **sides(p, c)}
+            for k, (p, c) in enumerate(KRR_RUN_S)]
+    parent, change = (np.array(side) for side in zip(*KRR_RUN_S))
+    # judged apart the gap falls inside run_s's quartile spread and outside
+    # throughput's
+    assert bench_pairs.verdict(-parent, -change, 0.2) == "flat"
+    assert bench_pairs.verdict(1 / parent, 1 / change, 0.2) == "gain"
+    summary = bench_pairs.summarize(runs, {"run_s": "lower", "throughput": "higher"},
+                                    {"run_s": 0.2, "throughput": 0.2})
+    assert summary["run_s"]["verdict"] == summary["throughput"]["verdict"] == "flat"
+    assert summary["throughput"]["change_wins"] == summary["run_s"]["change_wins"] == 9
 
 
 def test_summary_percentiles_interpolate_linearly():

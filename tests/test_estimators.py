@@ -39,6 +39,7 @@ from bipexp.estimators import (
     ht_weighted_regression,
     naive_mean,
     naive_ols,
+    _group_levels,
     stratified_estimate,
 )
 from bipexp.gps import GpsTable, exact_gps_table, mc_gps
@@ -268,6 +269,46 @@ def test_cell_means_trivial_cases():
     surface = beta_cell_means(pair)
     assert surface.evaluate(1.0, np.array([0.5]))[0] == pytest.approx(1.0)
     np.testing.assert_array_equal(surface.counts, [[2.0]])
+
+
+@settings(deadline=None, max_examples=200)
+@given(steps=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.1, 3.0]), min_size=1, max_size=40),
+       perm=st.randoms(use_true_random=False))
+def test_group_levels_match_a_walk_over_the_sorted_values(steps, perm):
+    # consecutive gaps of 0, 0.5, 0.9, 1.1 or 3 tol: ties, gaps within tol
+    # that chain into long runs, and gaps beyond it, in a shuffled order
+    tol = 1e-9
+    values = 0.5 + tol * np.cumsum(steps)
+    perm.shuffle(values)
+    levels, labels = _group_levels(values, tol)
+    want_levels, want_labels = [], {}
+    for v in sorted(values):
+        if not want_levels or v - prev > tol:
+            want_levels.append(v)
+        want_labels[v] = len(want_levels) - 1
+        prev = v
+    np.testing.assert_array_equal(levels, want_levels)
+    np.testing.assert_array_equal(labels, [want_labels[v] for v in values])
+
+
+def test_cell_means_label_a_chained_score_run_as_one_level():
+    # three exposed units at scores 0.5, 0.5 + 0.8e-9 and 0.5 + 1.6e-9: each
+    # gap is within ATOM_TOL, so the run is one score level, although its
+    # last member lies more than ATOM_TOL from the first; one unexposed unit
+    # at score 0.5 fills the other exposure level's cell on its own
+    mass = 0.5 + np.array([0.0, 0.8e-9, 1.6e-9, 0.0])
+    graph = BipartiteGraph.from_rows([[(j, 1.0)] for j in range(4)], m_diversion=4)
+    table = GpsTable(offsets=[0, 2, 4, 6, 8], support=[0.0, 1.0] * 4,
+                     probs=np.column_stack([1.0 - mass, mass]).ravel(),
+                     unit_dist=np.arange(4), hi=1.0)
+    data = Dataset(y=np.array([10.0, 10.0, 10.0, -5.0]), exposure=np.array([1.0, 1.0, 1.0, 0.0]),
+                   graph=graph, gps=table)
+    np.testing.assert_array_equal(data.observed_scores(), mass)
+    surface = beta_cell_means(data)
+    np.testing.assert_array_equal(surface.e_levels, [0.0, 1.0])
+    np.testing.assert_array_equal(surface.r_levels, [0.5])
+    np.testing.assert_array_equal(surface.values, [[-5.0], [10.0]])
+    np.testing.assert_array_equal(surface.counts, [[1.0], [3.0]])
 
 
 def test_poly_fit_recovers_exact_quadratic():

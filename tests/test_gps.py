@@ -177,6 +177,21 @@ def test_nearly_tied_weights_merge_within_tol():
     np.testing.assert_allclose(probs, [0.49, 0.42, 0.09], atol=1e-12)
 
 
+def test_merged_masses_sum_tied_atoms_in_input_order():
+    # 40 exactly tied atoms, more than a sort's insertion-sort run, whose
+    # masses alternate between order 1 and order 2^-53: each small mass is
+    # lost or kept by rounding depending on what it is added to, so a sort
+    # that reorders ties changes the merged mass
+    even = np.arange(40) % 2 == 0
+    probs = np.where(even, 1.0, 2.0**-53) * (1 + 1e-3 * np.arange(40))
+    (dist,), support, merged = gps._merge_atoms(
+        [np.zeros(40, dtype=np.int64)], np.full(40, 0.25), probs
+    )
+    np.testing.assert_array_equal(dist, [0])
+    np.testing.assert_array_equal(support, [0.25])
+    np.testing.assert_array_equal(merged, np.add.reduceat(probs, [0]))
+
+
 def test_degree_cap_points_to_monte_carlo():
     m = MAX_EXACT_DEGREE + 1
     graph = one_row_graph([1.0 / m] * m)

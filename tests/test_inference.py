@@ -230,8 +230,10 @@ def test_block_bootstrap_replicates_match_the_old_blocks(custom):
             total += len(b)
         return np.concatenate(chosen)[:n]
 
-    reps = inference._run_replicates(data, mean_outcome, sampler, 200, substream(9, 4), "block")
-    assert iv == _quantile_interval(iv.estimate, reps, 0.95, "block-bootstrap")
+    estimate, reps = inference._run_replicates(
+        data, mean_outcome, sampler, 200, substream(9, 4), "block"
+    )
+    assert iv == _quantile_interval(estimate, reps, 0.95, "block-bootstrap")
 
 
 def test_non_finite_replicates_count_as_failures():
@@ -287,7 +289,7 @@ def test_count_refits_match_per_replicate_refits(monkeypatch, name, bootstrap):
     est = ESTIMATOR_REGISTRY[name]
     seen = capture_replicates(monkeypatch)
     refit = bootstrap(data, est.point, rng=substream(62, 4))
-    counted = bootstrap(data, est.point, rng=substream(62, 4), design=est.design(data))
+    counted = bootstrap(data, est.design(data), rng=substream(62, 4))
     refits, counts = seen
     assert refit.n_replicates == counted.n_replicates == refits.size == counts.size == 200
     np.testing.assert_allclose(counts, refits, rtol=1e-9, atol=0)
@@ -316,7 +318,8 @@ def test_count_refits_fail_where_refits_fail(name):
     def sampler(r):
         return r.integers(0, n, size=n)
 
-    counted = inference._count_refits(est.design(data), sampler, 400, substream(64, 4))
+    estimate, counted = inference._count_refits(est.design(data), sampler, 400, substream(64, 4))
+    assert estimate == est.point(data)
     rng = substream(64, 4)
     refits = np.empty(400)
     for b in range(400):
@@ -335,9 +338,9 @@ def test_count_refits_keep_the_failure_census(monkeypatch, bootstrap):
     data = mixed_singles(2, 6)  # every unit is its own graph component
     est = ESTIMATOR_REGISTRY["naive-ols"]
     outcomes = []
-    for design in (None, est.design(data)):
+    for statistic in (est.point, est.design(data)):
         with pytest.raises(DataError, match="replicates failed") as err:
-            bootstrap(data, est.point, rng=substream(65, 4), design=design)
+            bootstrap(data, statistic, rng=substream(65, 4))
         outcomes.append(str(err.value))
     assert outcomes[0] == outcomes[1]
 
@@ -345,7 +348,7 @@ def test_count_refits_keep_the_failure_census(monkeypatch, bootstrap):
     monkeypatch.setattr(inference, "MAX_FAILURE_SHARE", 0.5)
     seen = capture_replicates(monkeypatch)
     refit = bootstrap(data, est.point, rng=substream(65, 4))
-    counted = bootstrap(data, est.point, rng=substream(65, 4), design=est.design(data))
+    counted = bootstrap(data, est.design(data), rng=substream(65, 4))
     assert 100 < counted.n_replicates == refit.n_replicates == seen[1].size < 200
     np.testing.assert_allclose(seen[1], seen[0], rtol=1e-9)
 
@@ -354,7 +357,7 @@ def test_count_refits_need_one_target_per_unit():
     data = singles_dataset(60, seed=3)
     phi = np.column_stack([np.ones(61), np.arange(61.0)])
     with pytest.raises(ValueError, match="one target entry per outcome unit"):
-        naive_bootstrap(data, mean_outcome, design=(phi, np.zeros(61), [0.0, 1.0]))
+        naive_bootstrap(data, (phi, np.zeros(61), [0.0, 1.0]))
 
 
 # -- asymptotic interval -------------------------------------------------------

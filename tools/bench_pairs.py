@@ -17,7 +17,8 @@ each side's median and quartiles (numpy linear percentiles), the number
 of pairs the change won (better in the direction BENCHMARK.json gives;
 ties count for neither side), the ratio of the medians and a verdict
 (gain, regression, unresolved or flat; see `verdict`) against the
-metric's bound in BENCHMARK.json.
+metric's bound in BENCHMARK.json. Throughput is work / run_s on the same
+runs, so it takes run_s's verdict.
 
     python3 tools/bench_pairs.py <parent-rev> <n> --seeds 1901-1905 [--note TEXT]
 
@@ -92,7 +93,9 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
 
     `better` maps each end-to-end metric to "lower" or "higher", and
     `bounds` to the share of the parent median by which it may worsen
-    (see `verdict`).
+    (see `verdict`). `throughput` is work / run_s on the same runs, one
+    measurement, so it gets run_s's verdict: judged apart, a gap can fall
+    on different sides of the two quartile spreads.
     """
     summary: dict = {"pairs": len(runs)}
     for name, direction in better.items():
@@ -105,6 +108,8 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
             entry["change"]["median"] / entry["parent"]["median"])
         entry["verdict"] = verdict(parent, change, bounds[name])
         summary[name] = entry
+    if "throughput" in summary and "run_s" in summary:
+        summary["throughput"]["verdict"] = summary["run_s"]["verdict"]
     summary["all_correct"] = all(run[side]["correct"] for run in runs for side in SIDES)
     return summary
 
