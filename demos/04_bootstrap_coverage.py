@@ -45,13 +45,13 @@ print(f"  graph noise sigma2_gamma {sig.sigma2_gamma:.3f}")
 
 slope = lambda d: float(np.polyfit(d.exposure, d.y, 1)[0])
 naive_iv = naive_bootstrap(data, slope, n_replicates=500, rng=substream(20260819, 68))
+# the linear design (phi, y, contrast): the slope is [0, 1] @ ols(phi, y).coef
 para = parametric_bootstrap(
-    data, phi, y, contrast=np.array([0.0, 1.0]),
-    n_replicates=500, rng=substream(20260819, 69),
+    data, (phi, y, [0.0, 1.0]), n_replicates=500, rng=substream(20260819, 69)
 )
 print(f"\nslope interval, same dataset, same nominal 95%:")
 print(f"  naive bootstrap      [{naive_iv.lower:+.3f}, {naive_iv.upper:+.3f}]  width {naive_iv.width:.3f}")
-print(f"  parametric bootstrap [{para.interval.lower:+.3f}, {para.interval.upper:+.3f}]  width {para.interval.width:.3f}")
+print(f"  parametric bootstrap [{para.lower:+.3f}, {para.upper:+.3f}]  width {para.width:.3f}")
 
 # coverage over repeated experiments
 res = run_study(

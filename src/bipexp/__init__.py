@@ -63,7 +63,6 @@ from .graph import (
 from .inference import (
     ErrorVarianceEstimates,
     IntervalEstimate,
-    ParametricBootstrapResult,
     block_bootstrap,
     correlated_error_variance,
     estimate_sigmas,
@@ -113,7 +112,6 @@ __all__ = [
     "LinearFit",
     "MissingCellError",
     "NumericalError",
-    "ParametricBootstrapResult",
     "ParseError",
     "PolynomialSurface",
     "PropensityTrimWarning",

@@ -154,10 +154,10 @@ def naive_ols(data: Dataset) -> float:
 # -- inverse-propensity weighting -------------------------------------------
 
 
-def _trim_scores(scores: np.ndarray, where: str) -> np.ndarray:
+def _trim_scores(scores: np.ndarray, where: str, stacklevel: int = 3) -> np.ndarray:
     """Scores floored at `TRIM_FLOOR`, with one `PropensityTrimWarning` when any is.
 
-    The warning points at the caller of the estimator that called this.
+    By default the warning points at the caller of the estimator that called this.
     """
     floored = scores < TRIM_FLOOR
     if not np.any(floored):
@@ -165,7 +165,7 @@ def _trim_scores(scores: np.ndarray, where: str) -> np.ndarray:
     warnings.warn(
         f"floored {int(floored.sum())} observed propensity scores below {TRIM_FLOOR}{where}",
         PropensityTrimWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
     return np.maximum(scores, TRIM_FLOOR)
 
@@ -185,38 +185,22 @@ def ht_estimate(data: Dataset, e: float) -> float:
     return float(np.sum(data.y[mask] / scores) / data.n_units)
 
 
-@dataclass(frozen=True)
-class HtWeightedRegression:
-    """Inverse-propensity estimates recast as one weighted regression.
+def _ht_design(data: Dataset, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse-propensity regression (phi, target) across the levels in `grid`.
 
     Regressing Y_i / sqrt(score_i(E_i)) on indicator columns
     1[E_i = e_r] / sqrt(score_i(e_r)) gives the per-level ratio (Hajek)
     estimates as coefficients: the inverse-weighted outcome sum over the
-    inverse-weight sum, where `ht_estimate` divides by n. `fit` carries
-    the design so the inference module can resample or perturb it.
-    """
-
-    levels: np.ndarray
-    estimates: np.ndarray
-    fit: LinearFit
-    design: np.ndarray
-    target: np.ndarray
-
-
-def ht_weighted_regression(data: Dataset, grid) -> HtWeightedRegression:
-    """Joint inverse-propensity fit across the exposure levels in `grid`.
-
-    Requires every grid level to have at least one observation (within
-    `ATOM_TOL`) and a positive imputed score for every unit observed
-    there. Observed scores below `TRIM_FLOOR` are floored with a
-    `PropensityTrimWarning`.
+    inverse-weight sum, where `ht_estimate` divides by n. Every grid level
+    needs an observation (within `ATOM_TOL`), with a positive imputed score
+    for each. Scores below `TRIM_FLOOR` are floored with a warning that
+    points at the caller of the function that called this.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d vector")
-    n = data.n_units
-    phi = np.zeros((n, grid.size))
-    observed = _trim_scores(data.observed_scores(), "")
+    phi = np.zeros((data.n_units, grid.size))
+    observed = _trim_scores(data.observed_scores(), "", stacklevel=4)
     for r, e in enumerate(grid):
         mask = np.abs(data.exposure - e) <= ATOM_TOL
         if not np.any(mask):
@@ -228,20 +212,24 @@ def ht_weighted_regression(data: Dataset, grid) -> HtWeightedRegression:
                 "positivity fails"
             )
         phi[mask, r] = 1.0 / np.sqrt(imputed)
-    target = data.y / np.sqrt(observed)
-    fit = ols(phi, target, labels=[f"level_{e:g}" for e in grid])
-    return HtWeightedRegression(
-        levels=grid, estimates=fit.coef.copy(), fit=fit, design=phi, target=target
-    )
+    return phi, data.y / np.sqrt(observed)
+
+
+def ht_weighted_regression(data: Dataset, grid) -> LinearFit:
+    """Joint inverse-propensity fit across the exposure levels in `grid`; its
+    `coef` holds the per-level ratio (Hajek) estimates in grid order (see `_ht_design`)."""
+    phi, target = _ht_design(data, grid)
+    return ols(phi, target, labels=[f"level_{e:g}" for e in np.asarray(grid, dtype=np.float64)])
 
 
 # -- response surfaces -------------------------------------------------------
 
 
-def _group_levels(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of `values` and each value's level index, from one sort: a level
-    is the first value of a sorted run whose consecutive gaps are within tol,
-    and labels every member of the run, however far it chains from the first."""
+def _group_levels(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels of `values`, the last value of each level's run, and each value's
+    level index, from one sort: a level is the first value of a sorted run
+    whose consecutive gaps are within tol, and labels every member of the
+    run, however far it chains from the first."""
     order = np.argsort(values)
     ranked = values[order]
     starts = np.empty(ranked.size, dtype=bool)
@@ -249,18 +237,23 @@ def _group_levels(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     np.greater(np.diff(ranked), tol, out=starts[1:])
     labels = np.empty(ranked.size, dtype=np.int64)
     labels[order] = np.cumsum(starts) - 1
-    return ranked[starts], labels
+    # a run ends where the next one starts, and the last run at the end
+    return ranked[starts], ranked[np.roll(starts, -1)], labels
 
 
-def _locate_level(levels: np.ndarray, value, tol: float) -> np.ndarray:
-    """Index of the level matching each value within tol, -1 when none does."""
+def _locate_level(levels: np.ndarray, value, tol: float, ends=None) -> np.ndarray:
+    """Index of the level whose run [level - tol, end + tol] holds each value,
+    -1 when none does; `ends` defaults to the levels (one-value runs). A
+    value in two runs' ranges goes to the upper run."""
+    ends = levels if ends is None else ends
     value = np.atleast_1d(np.asarray(value, dtype=np.float64))
     pos = np.searchsorted(levels, value)
     best = np.full(value.shape, -1, dtype=np.int64)
     for shift in (0, -1):
         # integer minimum/maximum: np.clip's wrapper costs more than the lookup
         idx = np.minimum(np.maximum(pos + shift, 0), levels.size - 1)
-        hit = (np.abs(levels[idx] - value) <= tol) & (best < 0)
+        # both differences, not one abs, so one-value runs round as |level - value|
+        hit = (levels[idx] - value <= tol) & (value - ends[idx] <= tol) & (best < 0)
         best = np.where(hit, idx, best)
     return best
 
@@ -269,22 +262,26 @@ def _locate_level(levels: np.ndarray, value, tol: float) -> np.ndarray:
 class CellMeanSurface:
     """Cell-mean response surface over (exposure, score) cells.
 
-    Coordinates match a level within `ATOM_TOL`. Evaluation returns NaN
-    as the explicit missing marker for empty cells and for coordinates
-    that fall outside the table's levels.
+    Each axis level is the first value of a run that ends at the matching
+    `*_ends` value, and a coordinate matches the level whose run it lies
+    within `ATOM_TOL` of (see `_locate_level`). Evaluation returns NaN as
+    the explicit missing marker for empty cells and for coordinates that
+    fall outside the table's levels.
     """
 
     e_levels: np.ndarray
     r_levels: np.ndarray
     values: np.ndarray  # (n_e, n_r), NaN where empty
     counts: np.ndarray
+    e_ends: np.ndarray
+    r_ends: np.ndarray
 
     def evaluate(self, e: float, r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        ei = _locate_level(self.e_levels, e, ATOM_TOL)[0]
+        ei = _locate_level(self.e_levels, e, ATOM_TOL, self.e_ends)[0]
         if ei < 0:
             return np.full(r.shape, np.nan)
-        ri = _locate_level(self.r_levels, r, ATOM_TOL)
+        ri = _locate_level(self.r_levels, r, ATOM_TOL, self.r_ends)
         out = np.full(r.shape, np.nan)
         ok = ri >= 0
         out[ok] = self.values[ei, ri[ok]]
@@ -336,8 +333,8 @@ def beta_cell_means(data: Dataset) -> CellMeanSurface:
     each axis merging sorted runs whose consecutive gaps are within
     `ATOM_TOL` (see `_group_levels`).
     """
-    e_levels, e_idx = _group_levels(data.exposure, ATOM_TOL)
-    r_levels, r_idx = _group_levels(data.observed_scores(), ATOM_TOL)
+    e_levels, e_ends, e_idx = _group_levels(data.exposure, ATOM_TOL)
+    r_levels, r_ends, r_idx = _group_levels(data.observed_scores(), ATOM_TOL)
     values = np.full((e_levels.size, r_levels.size), np.nan)
     counts = np.zeros((e_levels.size, r_levels.size))
     flat = e_idx * r_levels.size + r_idx
@@ -346,7 +343,8 @@ def beta_cell_means(data: Dataset) -> CellMeanSurface:
     filled = ns > 0
     values.flat[filled] = sums[filled] / ns[filled]
     counts.flat[:] = ns
-    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts)
+    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts,
+                           e_ends=e_ends, r_ends=r_ends)
 
 
 def beta_poly_fit(data: Dataset) -> PolynomialSurface:
@@ -463,7 +461,7 @@ def stratified_estimate(data: Dataset, e: float) -> float:
     `ATOM_TOL`).
     """
     stat = data.gps.dist_variance()
-    distinct, labels = _group_levels(stat, 1e-12)
+    distinct, _, labels = _group_levels(stat, 1e-12)
     if distinct.size > N_STRATA:
         edges = np.unique(np.quantile(stat, np.linspace(0, 1, N_STRATA + 1)))
         labels = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0, edges.size - 2)

@@ -1,22 +1,22 @@
 """Uncertainty quantification for exposure-response estimates.
 
-Three routes:
+Four interval functions take one statistic and return an `IntervalEstimate`:
 
-* resampling the outcome units (naive bootstrap, or block bootstrap over
-  graph components when interference makes rows dependent),
-* the asymptotic normal interval for regression coefficients,
-* a parametric bootstrap that rebuilds outcomes from a fitted
-  two-component error model (unit-level noise plus noise propagated from
-  the diversion side through the graph), which stays honest when the
-  naive bootstrap's independence assumption fails.
+* `naive_bootstrap` and `block_bootstrap` resample the outcome units, the
+  latter by graph component when interference makes rows dependent,
+* `ols_asymptotic_interval` is the normal-theory interval of the fit,
+* `parametric_bootstrap` rebuilds outcomes from a fitted two-component
+  error model (unit-level noise plus noise propagated from the diversion
+  side through the graph), which stays honest when the naive bootstrap's
+  independence assumption fails.
 
-A resampling bootstrap takes one statistic: a callable, applied to the
-data and to each resample, or a linear design (phi, target, contrast)
-whose estimate is contrast @ ols(phi, target).coef. A resample is a
-vector of row counts (Efron & Tibshirani 1993), so a design's replicates
-are refit from counts on the full-sample QR with no resampled dataset
-(`_count_refits`); on the same draws both forms of one statistic give
-the same intervals up to rounding.
+The statistic is a linear design (phi, target, contrast), whose estimate
+is contrast @ ols(phi, target).coef, cast and checked by `_linear_design`;
+the resampling bootstraps also take a callable, applied to the data and
+to each resample. A resample is a vector of row counts (Efron &
+Tibshirani 1993), so a design's replicates are refit from counts on the
+full-sample QR with no resampled dataset (`_count_refits`); on the same
+draws both forms of one statistic give the same intervals up to rounding.
 
 The error model's variance split is a method-of-moments estimate with
 exact trace coefficients: it needs sparse products and k x m arrays only,
@@ -27,7 +27,6 @@ bootstrap groups units by graph component with one stable sort
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +105,23 @@ def _quantile_interval(
     )
 
 
+def _linear_design(design, n=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A linear design (phi, target, contrast) as contiguous float64 arrays.
+
+    phi must be (n, k), target (n,) and contrast (k,); n defaults to phi's
+    row count. Any other shape raises `ValueError`.
+    """
+    phi, target, contrast = (np.ascontiguousarray(a, dtype=np.float64) for a in design)
+    if phi.ndim != 2:
+        raise ValueError("a linear design's phi must be a 2-d array")
+    n = phi.shape[0] if n is None else n
+    if phi.shape[0] != n or target.shape != (n,):
+        raise ValueError("a design needs one phi row and one target entry per outcome unit")
+    if contrast.shape != (phi.shape[1],):
+        raise ValueError(f"a design needs one contrast entry per phi column ({phi.shape[1]})")
+    return phi, target, contrast
+
+
 def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
     """The estimate and the kept replicates of `statistic`, with a failure census.
 
@@ -118,9 +134,8 @@ def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     if not callable(statistic):
-        if np.shape(statistic[1]) != (data.n_units,):
-            raise ValueError("a linear design must have one target entry per outcome unit")
-        estimate, values = _count_refits(statistic, sampler, n_replicates, rng)
+        design = _linear_design(statistic, data.n_units)
+        estimate, values = _count_refits(design, sampler, n_replicates, rng)
         return estimate, _census(values, method)
     estimate = float(statistic(data))
     values = np.empty(n_replicates)
@@ -146,8 +161,6 @@ def _count_refits(design, sampler, n_replicates, rng) -> tuple[float, np.ndarray
     as when the resample's exposure is constant; its replicate fails (NaN).
     """
     phi, target, contrast = design
-    target = np.asarray(target, dtype=np.float64)
-    contrast = np.asarray(contrast, dtype=np.float64)
     fit = ols(phi, target)
     n, k = fit.q.shape
     rows, cols = np.triu_indices(k)
@@ -191,11 +204,11 @@ def naive_bootstrap(
     """IID resample of outcome units; valid only without cross-unit noise.
 
     `statistic` is a callable on a `Dataset`, applied to the data and to
-    each resample, or a linear design (phi, target, contrast) with one
-    target entry per outcome unit and a contrast that does not depend on
-    the rows. A design's estimate is contrast @ ols(phi, target).coef, and
-    its replicates are refit from the resamples' row counts on the
-    full-sample QR (see `_count_refits`); the draws are the same.
+    each resample, or a linear design (phi, target, contrast) whose
+    contrast does not depend on the rows. A design's estimate is
+    contrast @ ols(phi, target).coef, and its replicates are refit from
+    the resamples' row counts on the full-sample QR (see `_count_refits`);
+    the draws are the same.
     """
     rng = as_generator(rng)
     n = data.n_units
@@ -257,14 +270,12 @@ def block_bootstrap(
     return _quantile_interval(estimate, reps, level, "block-bootstrap")
 
 
-def ols_asymptotic_interval(
-    fit,
-    contrast,
-    *,
-    level: float = DEFAULT_LEVEL,
-) -> IntervalEstimate:
-    """Normal-theory interval for a linear contrast of regression coefficients."""
-    contrast = np.asarray(contrast, dtype=np.float64)
+def ols_asymptotic_interval(design, *, level: float = DEFAULT_LEVEL) -> IntervalEstimate:
+    """Normal-theory interval for contrast @ ols(phi, target).coef, with the
+    fit's homoskedastic coefficient covariance, for a linear design
+    (phi, target, contrast)."""
+    phi, target, contrast = _linear_design(design)
+    fit = ols(phi, target)
     est = float(contrast @ fit.coef)
     se = float(np.sqrt(contrast @ fit.coef_cov() @ contrast))
     z = float(ndtri(0.5 + level / 2))
@@ -399,45 +410,29 @@ def correlated_error_variance(
     return (cov + cov.T) / 2.0
 
 
-@dataclass(frozen=True)
-class ParametricBootstrapResult:
-    estimate: float
-    interval: IntervalEstimate
-    sigmas: ErrorVarianceEstimates
-    coef: np.ndarray
-
-
 def parametric_bootstrap(
     data: Dataset,
-    phi: np.ndarray,
-    target: np.ndarray,
-    contrast: np.ndarray,
+    design,
     *,
     n_replicates: int = 200,
     level: float = DEFAULT_LEVEL,
     rng=None,
-) -> ParametricBootstrapResult:
-    """Model-based bootstrap for a linear fit under graph-propagated noise.
+) -> IntervalEstimate:
+    """Model-based bootstrap for a linear design under graph-propagated noise.
 
-    Fits target ~ phi, splits the residual variance as `estimate_sigmas`
-    does (a negative variance is clipped to zero), then repeatedly rebuilds
-    synthetic targets phi @ coef + W @ gamma_b + eps_b and refits them all
-    through the fit's QR factorisation. The targets fill one (n, B) array,
-    with the noise drawn in blocks of `NOISE_BLOCK` values. The estimate
-    is contrast @ coef (one contrast entry per column of phi), and the
-    interval is formed from quantiles of the replicate contrasts. A
+    For a design (phi, target, contrast), fits target ~ phi, splits the
+    residual variance as `estimate_sigmas` does (a negative variance is
+    clipped to zero), then repeatedly rebuilds synthetic targets
+    phi @ coef + W @ gamma_b + eps_b and refits them all through the fit's
+    QR factorisation. The targets fill one (n, B) array, with the noise
+    drawn in blocks of `NOISE_BLOCK` values. The estimate is
+    contrast @ coef, and the interval is formed from quantiles of the
+    replicate contrasts. A
     rank-deficient design raises `RankDeficiencyError`, as in `ols`; a
     variance split the graph cannot identify raises `DataError`.
     """
     rng = as_generator(rng)
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    target = np.ascontiguousarray(target, dtype=np.float64)
-    n, k = phi.shape
-    if target.shape != (n,):
-        raise ValueError("target must align with the design's rows")
-    contrast = np.asarray(contrast, dtype=np.float64)
-    if contrast.shape != (k,):
-        raise ValueError(f"contrast must have one entry per design column ({k})")
+    phi, target, contrast = _linear_design(design, data.n_units)
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
 
@@ -455,9 +450,8 @@ def parametric_bootstrap(
     targets += (phi @ fit.coef)[:, None]
     scale = np.sqrt(sigmas.sigma2_eps)
     rows = max(1, NOISE_BLOCK // n_replicates)
-    for lo in range(0, n, rows):
+    for lo in range(0, phi.shape[0], rows):
         block = targets[lo:lo + rows]
         block += rng.normal(0.0, scale, size=block.shape)
     coef_reps = fit.solve(targets)  # (k, B), on the same factorisation
-    iv = _quantile_interval(estimate, contrast @ coef_reps, level, "parametric-bootstrap")
-    return ParametricBootstrapResult(estimate=estimate, interval=iv, sigmas=sigmas, coef=fit.coef)
+    return _quantile_interval(estimate, contrast @ coef_reps, level, "parametric-bootstrap")

@@ -22,6 +22,7 @@ from .design import AssignmentDesign, draw_assignments, linear_exposure
 from .errors import ConfigError, DataError, NumericalError
 from .estimators import (
     Dataset,
+    _ht_design,
     _poly_features,
     ate,
     beta_cell_means,
@@ -29,7 +30,6 @@ from .estimators import (
     beta_poly_fit,
     dose_response,
     ht_estimate,
-    ht_weighted_regression,
     naive_mean,
     naive_ols,
     stratified_estimate,
@@ -140,17 +140,18 @@ class StudyEstimator:
     """Named ATE estimator: a point function plus an optional linear design.
 
     `point` maps a Dataset to an ATE estimate. `design`, when present, maps
-    a Dataset to (phi, target, contrast), the linear fit that the parametric
-    bootstrap and asymptotic intervals require and centre on,
-    contrast @ ols(phi, target).coef. For `naive-ols`, `correct-spec` and
-    `gps-poly` that equals the point estimate; `ht`'s design is the ratio
-    (Hajek) form, whose level coefficients divide the inverse-weighted
-    outcome sum by the inverse-weight sum rather than by n.
+    a Dataset to the linear design (phi, target, contrast) that every
+    interval function in `inference` takes, with estimate
+    contrast @ ols(phi, target).coef; the parametric bootstrap and the
+    asymptotic interval need it and centre on it. For `naive-ols`,
+    `correct-spec` and `gps-poly` that equals the point estimate; `ht`'s
+    design is the ratio (Hajek) form, whose level coefficients divide the
+    inverse-weighted outcome sum by the inverse-weight sum, not by n.
 
     `linear_point` says that the point equals that contrast on every
     resample too, with a contrast that does not depend on the rows taken
     (`naive-ols` and `correct-spec`); the naive and block bootstraps then
-    resample the design, refitting each resample from its row counts.
+    take the design, refitting each resample from its row counts.
     `gps-poly` averages its contrast over the rows and `ht`'s design is not
     its point, so they, like the estimators without a design, resample
     `point`.
@@ -202,8 +203,8 @@ def _point_ht(data: Dataset) -> float:
 
 
 def _design_ht(data: Dataset):
-    hw = ht_weighted_regression(data, ENDPOINT_GRID)
-    return hw.design, hw.target, np.array([-1.0, 1.0])
+    phi, target = _ht_design(data, ENDPOINT_GRID)
+    return phi, target, np.array([-1.0, 1.0])
 
 
 def _point_gps_cell(data: Dataset) -> float:
@@ -249,7 +250,7 @@ def resolve_estimators(estimators) -> list[StudyEstimator]:
     for est in estimators:
         if isinstance(est, StudyEstimator):
             resolved.append(est)
-        elif est in ESTIMATOR_REGISTRY:
+        elif isinstance(est, str) and est in ESTIMATOR_REGISTRY:
             resolved.append(ESTIMATOR_REGISTRY[est])
         else:
             known = ", ".join(sorted(ESTIMATOR_REGISTRY))
@@ -279,14 +280,11 @@ def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEsti
 
 
 def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    phi, target, contrast = est.design(data)
-    out = parametric_bootstrap(data, phi, target, contrast, n_replicates=b, level=level, rng=rng)
-    return out.interval
+    return parametric_bootstrap(data, est.design(data), n_replicates=b, level=level, rng=rng)
 
 
 def _interval_ols_asymptotic(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    phi, target, contrast = est.design(data)
-    return ols_asymptotic_interval(ols(phi, target), contrast, level=level)
+    return ols_asymptotic_interval(est.design(data), level=level)
 
 
 INTERVAL_METHODS = {
@@ -319,7 +317,7 @@ def check_intervals(
         if name not in by_name:
             raise ConfigError(f"interval map names unknown estimator {name!r}")
         for m in methods:
-            if m not in INTERVAL_METHODS:
+            if not isinstance(m, str) or m not in INTERVAL_METHODS:
                 known = ", ".join(sorted(INTERVAL_METHODS))
                 raise ConfigError(f"unknown interval method {m!r} (known: {known})")
             if m in LINEAR_DESIGN_METHODS and by_name[name].design is None:

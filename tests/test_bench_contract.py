@@ -55,8 +55,12 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         )
         design = AssignmentDesign.bernoulli(0.5)
         dgp = bipexp.simlab.DgpSpec(graph, design, sigma2_eps=0.5)
-        bipexp.simlab.run_study(dgp, ["naive-ols"], {"naive-ols": ("naive-bootstrap",)},
-                                n_sims=2, b_replicates=50, master_seed=5)
+        # study-cr's interval mix: ht's two linear-design intervals as well
+        bipexp.simlab.run_study(
+            dgp, ["naive-ols", "ht"],
+            {"naive-ols": ("naive-bootstrap",), "ht": ("ols-asymptotic", "parametric-bootstrap")},
+            n_sims=2, b_replicates=50, master_seed=5,
+        )
         bipexp.gps.mc_gps(graph, design, n_draws=64, rng=substream(5, 1))
     finally:
         tracer.uninstall()
@@ -65,7 +69,8 @@ def test_tracer_installs_on_every_target_and_uninstalls():
     spans = set(log.names)
     for name in ("simlab.run_study", "simlab.default_gps_table", "gps.exact_gps_table",
                  "design.draw_assignments", "design.linear_exposure",
-                 "simlab.generate_outcomes", "estimators.naive_ols", "gps.mc_gps"):
+                 "simlab.generate_outcomes", "estimators.naive_ols", "gps.mc_gps",
+                 "inference.parametric_bootstrap"):
         assert name in spans, name
     counters = log.counter_sums([0])
     assert counters["gps.mc_gps.draws"] == 64

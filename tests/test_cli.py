@@ -662,6 +662,31 @@ def test_bad_level_or_replicates_exit_2_before_computing(tmp_path, capsys, comma
     assert not (out / out_name).exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("estimators", [{"naive-ols": 1}], "unknown estimator {'naive-ols': 1}"),
+        ("intervals", {"naive-ols": [["naive-bootstrap"]]},
+         "unknown interval method ['naive-bootstrap']"),
+    ],
+    ids=["estimator-mapping", "interval-list"],
+)
+def test_malformed_estimator_or_interval_name_exits_2(tmp_path, capsys, command, key, value,
+                                                       message):
+    # names that are not strings are refused, not looked up in the registries
+    cfg_path, out_name = interval_settings_config(tmp_path, command, {})
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg[key] = value
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (out / out_name).exists()
+
+
 @pytest.mark.parametrize(
     "command, settings, message",
     [

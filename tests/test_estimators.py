@@ -175,13 +175,13 @@ def test_ht_trims_tiny_scores_with_warning():
 
 
 def test_ht_weighted_regression_matches_ratio_formula(two_type_data):
-    res = ht_weighted_regression(two_type_data, [0.0, 0.5, 1.0])
+    grid = [0.0, 0.5, 1.0]
+    fit = ht_weighted_regression(two_type_data, grid)
     # per-level ratio: sum(Y/r) / sum(1/r) over units observed at the level
-    np.testing.assert_allclose(res.estimates, [0.0, 0.5, 0.5], atol=1e-12)
-    np.testing.assert_array_equal(res.levels, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(fit.coef, [0.0, 0.5, 0.5], atol=1e-12)
     # and the normalization identity back to the inverse-propensity form
     obs = two_type_data.observed_scores()
-    for level, coef in zip(res.levels, res.estimates):
+    for level, coef in zip(grid, fit.coef):
         mask = np.abs(two_type_data.exposure - level) <= 1e-9
         inv_sum = float(np.sum(1.0 / obs[mask]))
         assert ht_estimate(two_type_data, float(level)) == pytest.approx(
@@ -196,8 +196,8 @@ def test_ht_weighted_regression_constant_outcomes(two_type_data):
         graph=two_type_data.graph,
         gps=two_type_data.gps,
     )
-    res = ht_weighted_regression(data, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(res.estimates, 1.75, atol=1e-12)
+    fit = ht_weighted_regression(data, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(fit.coef, 1.75, atol=1e-12)
 
 
 def test_ht_weighted_regression_empty_level(two_type_data):
@@ -223,9 +223,9 @@ def test_ht_weighted_regression_positivity_failure():
 def test_ht_weighted_regression_floors_observed_scores():
     data = trim_dataset()
     with pytest.warns(PropensityTrimWarning):
-        res = ht_weighted_regression(data, [1.0])
+        fit = ht_weighted_regression(data, [1.0])
     # target uses the floored observed score, the design the exact imputed one
-    assert res.estimates[0] == pytest.approx(1000.0 / 1024.0)
+    assert fit.coef[0] == pytest.approx(1000.0 / 1024.0)
 
 
 @pytest.mark.parametrize(
@@ -280,14 +280,17 @@ def test_group_levels_match_a_walk_over_the_sorted_values(steps, perm):
     tol = 1e-9
     values = 0.5 + tol * np.cumsum(steps)
     perm.shuffle(values)
-    levels, labels = _group_levels(values, tol)
-    want_levels, want_labels = [], {}
+    levels, ends, labels = _group_levels(values, tol)
+    want_levels, want_ends, want_labels = [], [], {}
     for v in sorted(values):
         if not want_levels or v - prev > tol:
             want_levels.append(v)
+            want_ends.append(v)
+        want_ends[-1] = v
         want_labels[v] = len(want_levels) - 1
         prev = v
     np.testing.assert_array_equal(levels, want_levels)
+    np.testing.assert_array_equal(ends, want_ends)
     np.testing.assert_array_equal(labels, [want_labels[v] for v in values])
 
 
@@ -309,6 +312,51 @@ def test_cell_means_label_a_chained_score_run_as_one_level():
     np.testing.assert_array_equal(surface.r_levels, [0.5])
     np.testing.assert_array_equal(surface.values, [[-5.0], [10.0]])
     np.testing.assert_array_equal(surface.counts, [[1.0], [3.0]])
+    # every member of the run, the last one too, looks up its own cell
+    np.testing.assert_array_equal(surface.evaluate(1.0, data.observed_scores()), [10.0] * 4)
+    np.testing.assert_array_equal(surface.evaluate(0.0, data.observed_scores()), [-5.0] * 4)
+    # beyond ATOM_TOL of the run's ends there is no level
+    outside = 0.5 + np.array([-1.1e-9, 1.6e-9 + 1.1e-9])
+    assert np.isnan(surface.evaluate(1.0, outside)).all()
+
+
+@settings(deadline=None, max_examples=200)
+@given(e_steps=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.1, 3.0]), min_size=1, max_size=30),
+       r_steps=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.1, 3.0]), min_size=1, max_size=30),
+       perm=st.randoms(use_true_random=False))
+def test_cell_means_evaluate_each_unit_at_its_own_cell(e_steps, r_steps, perm):
+    # exposures and scores on chains of gaps within and beyond ATOM_TOL:
+    # each unit's own (exposure, observed score) evaluates to its cell mean
+    n = min(len(e_steps), len(r_steps))
+    e = 0.25 + 1e-9 * np.cumsum(e_steps[:n])
+    mass = 0.5 + 1e-9 * np.cumsum(r_steps[:n])
+    order = np.arange(n)
+    perm.shuffle(order)
+    e, mass = e[order], mass[order]
+    graph = BipartiteGraph.from_rows([[(j, 1.0)] for j in range(n)], m_diversion=n)
+    # one distribution per unit, with the unit's score as the mass at its own exposure
+    table = GpsTable(offsets=np.arange(0, 2 * n + 1, 2), support=np.column_stack([e, e + 0.5]).ravel(),
+                     probs=np.column_stack([mass, 1.0 - mass]).ravel(),
+                     unit_dist=np.arange(n), hi=1.0)
+    y = substream(72, 1).normal(size=n)
+    data = Dataset(y=y, exposure=e, graph=graph, gps=table)
+    np.testing.assert_array_equal(data.observed_scores(), mass)
+    surface = beta_cell_means(data)
+    # a unit's cell holds the units on the same chained run of both axes
+    e_run, r_run = run_labels(e, 1e-9), run_labels(mass, 1e-9)
+    for i in range(n):
+        got = surface.evaluate(e[i], data.observed_scores()[i:i + 1])[0]
+        cell = (e_run == e_run[i]) & (r_run == r_run[i])
+        assert got == pytest.approx(y[cell].mean(), rel=1e-12)
+
+
+def run_labels(values, tol) -> np.ndarray:
+    """Each value's run index, walking the sorted values: a gap above tol starts a run."""
+    runs, prev = {}, None
+    for v in sorted(values):
+        runs[v] = runs[prev] + (v - prev > tol) if runs else 0
+        prev = v
+    return np.array([runs[v] for v in values])
 
 
 def test_poly_fit_recovers_exact_quadratic():
@@ -394,6 +442,8 @@ def worked_example_cells() -> CellMeanSurface:
         r_levels=np.array([0.0, 0.25, 0.5]),
         values=values,
         counts=np.where(np.isnan(values), 0.0, 1.0),
+        e_ends=np.array([0.0, 0.5, 1.0]),
+        r_ends=np.array([0.0, 0.25, 0.5]),
     )
 
 
@@ -423,6 +473,8 @@ def test_dose_response_constant_surface(two_type_data):
         r_levels=np.array([0.25, 0.5]),
         values=np.full((2, 2), 3.0),
         counts=np.ones((2, 2)),
+        e_ends=np.array([0.0, 1.0]),
+        r_ends=np.array([0.25, 0.5]),
     )
     curve = dose_response(surface, two_type_data.gps, np.array([0.0, 1.0]))
     np.testing.assert_allclose(curve.mu_hat, 3.0, atol=1e-12)
@@ -473,6 +525,8 @@ def test_dose_response_needs_no_cell_at_an_unused_distributions_score(two_type_d
         r_levels=np.array([0.25, 0.5]),
         values=np.array([[0.0, 0.0], [1.0, np.nan]]),
         counts=np.ones((2, 2)),
+        e_ends=np.array([0.0, 1.0]),
+        r_ends=np.array([0.25, 0.5]),
     )
     grid = np.array([0.0, 1.0])
     pairs = two_type_data.take(np.array([4, 7, 5]))  # uses the pair distribution only

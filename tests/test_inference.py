@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -353,11 +352,35 @@ def test_count_refits_keep_the_failure_census(monkeypatch, bootstrap):
     np.testing.assert_allclose(seen[1], seen[0], rtol=1e-9)
 
 
-def test_count_refits_need_one_target_per_unit():
-    data = singles_dataset(60, seed=3)
-    phi = np.column_stack([np.ones(61), np.arange(61.0)])
-    with pytest.raises(ValueError, match="one target entry per outcome unit"):
-        naive_bootstrap(data, (phi, np.zeros(61), [0.0, 1.0]))
+INTERVAL_FUNCTIONS = {
+    "naive_bootstrap": naive_bootstrap,
+    "block_bootstrap": block_bootstrap,
+    "parametric_bootstrap": parametric_bootstrap,
+    "ols_asymptotic_interval": lambda data, design: ols_asymptotic_interval(design),
+}
+
+
+@pytest.mark.parametrize("function", INTERVAL_FUNCTIONS.values(), ids=INTERVAL_FUNCTIONS.keys())
+@pytest.mark.parametrize(
+    "flaw, message",
+    [
+        ("phi-rows", "a design needs one phi row and one target entry per outcome unit"),
+        ("target-length", "a design needs one phi row and one target entry per outcome unit"),
+        ("contrast-length", r"a design needs one contrast entry per phi column \(2\)"),
+    ],
+    ids=["phi-rows", "target-length", "contrast-length"],
+)
+def test_every_interval_function_checks_the_design_shape_alike(function, flaw, message):
+    data = singles_dataset(60, seed=3)  # 60 components, so the blocks pass their checks
+    phi, y = np.column_stack([np.ones(60), data.exposure]), data.y
+    contrast = [0.0, 1.0]
+    design = {
+        "phi-rows": (np.vstack([phi, phi[:1]]), y, contrast),
+        "target-length": (phi, np.append(y, 0.0), contrast),
+        "contrast-length": (phi, y, [1.0]),
+    }[flaw]
+    with pytest.raises(ValueError, match=message):
+        function(data, design)
 
 
 # -- asymptotic interval -------------------------------------------------------
@@ -368,7 +391,7 @@ def test_ols_asymptotic_interval_matches_normal_theory():
     x = np.column_stack([np.ones(120), rng.normal(size=120)])
     y = x @ np.array([1.0, 2.0]) + rng.normal(size=120)
     fit = ols(x, y)
-    iv = ols_asymptotic_interval(fit, [0, 1], level=0.95)
+    iv = ols_asymptotic_interval((x, y, [0, 1]), level=0.95)
     se = np.sqrt(fit.coef_cov()[1, 1])
     z = stats.norm.ppf(0.975)
     assert iv.estimate == pytest.approx(fit.coef[1])
@@ -379,9 +402,11 @@ def test_ols_asymptotic_interval_matches_normal_theory():
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-6, 1 - 1e-9])
 def test_ols_asymptotic_z_is_the_normal_quantile_bit_for_bit(level):
-    # with estimate 0 and standard error 1 the upper end is z itself
-    unit = types.SimpleNamespace(coef=np.array([0.0]), coef_cov=lambda: np.array([[1.0]]))
-    iv = ols_asymptotic_interval(unit, [1.0], level=level)
+    # with estimate 0 and standard error 1 the upper end is z itself: the
+    # design's one column e_1 is its own QR basis, so the coefficient is
+    # target[0] = 0, and the residuals (0, 1, 1) give u.u / (n - k) = 1
+    unit = (np.array([[1.0], [0.0], [0.0]]), np.array([0.0, 1.0, 1.0]), [1.0])
+    iv = ols_asymptotic_interval(unit, level=level)
     assert iv.upper == float(stats.norm.ppf(0.5 + level / 2))
     assert iv.lower == -iv.upper
 
@@ -668,9 +693,9 @@ def test_variance_split_and_parametric_bootstrap_never_densify(monkeypatch):
 
     monkeypatch.setattr(BipartiteGraph, "to_dense", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
-    est = estimate_sigmas(y, phi, data.graph)
-    res = parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=60, rng=substream(33, 4))
-    assert res.sigmas == est
+    estimate_sigmas(y, phi, data.graph)
+    res = parametric_bootstrap(data, (phi, y, [-1.0, 1.0]), n_replicates=60, rng=substream(33, 4))
+    assert res.n_replicates == 60
 
 
 def test_gram_sum_squares_is_kept_on_the_graph(monkeypatch):
@@ -736,7 +761,7 @@ def test_near_collinear_design_is_rank_deficient_everywhere():
         lambda: estimate_sigmas(y, near, data.graph),
         lambda: correlated_error_variance(near, data.graph, 0.5, 0.5),
         lambda: parametric_bootstrap(
-            data, near, y, [0.0, 1.0, 0.0], n_replicates=60, rng=substream(31, 4)
+            data, (near, y, [0.0, 1.0, 0.0]), n_replicates=60, rng=substream(31, 4)
         ),
     )
     for call in calls:
@@ -789,19 +814,20 @@ def test_parametric_bootstrap_matches_per_replicate_refit(monkeypatch):
     # the rank rule is relative, so a tiny but well-conditioned design refits too
     for scale in (1.0, 1e-12):
         res = parametric_bootstrap(
-            data, scale * phi, y, [-1.0, 1.0], n_replicates=60, rng=substream(25, 4)
+            data, (scale * phi, y, [-1.0, 1.0]), n_replicates=60, rng=substream(25, 4)
         )
         coef_reps = solved.pop()
+        sigmas = estimate_sigmas(y, scale * phi, data.graph)
         reps = np.array([-1.0, 1.0]) @ coef_reps
 
         # replay the identical noise stream and refit each replicate directly
         rng = substream(25, 4)
         n, k = phi.shape
         m = data.graph.m_diversion
-        gamma = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_gamma), size=(m, 60))
-        eps = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_eps), size=(n, 60))
+        gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, 60))
+        eps = rng.normal(0.0, np.sqrt(sigmas.sigma2_eps), size=(n, 60))
         w = data.graph.to_csr()
-        targets = (scale * phi @ res.coef)[:, None] + w @ gamma + eps
+        targets = (scale * phi @ ols(scale * phi, y).coef)[:, None] + w @ gamma + eps
         for b in range(60):
             coef_b, *_ = np.linalg.lstsq(scale * phi, targets[:, b], rcond=None)
             np.testing.assert_allclose(scale * coef_reps[:, b], scale * coef_b, atol=1e-9)
@@ -812,9 +838,9 @@ def test_parametric_bootstrap_matches_per_replicate_refit(monkeypatch):
         )
 
     lo, hi = np.quantile(reps, [0.025, 0.975])
-    assert res.interval.lower == pytest.approx(lo)
-    assert res.interval.upper == pytest.approx(hi)
-    assert res.interval.method == "parametric-bootstrap"
+    assert res.lower == pytest.approx(lo)
+    assert res.upper == pytest.approx(hi)
+    assert res.method == "parametric-bootstrap"
 
 
 @pytest.mark.parametrize("block", [None, 1, 1000])
@@ -829,21 +855,23 @@ def test_parametric_bootstrap_matches_one_shot_targets(monkeypatch, block):
         data, phi, y = parametric_inputs(seed)
         solved.clear()
         res = parametric_bootstrap(
-            data, phi, y, contrast, n_replicates=60, rng=substream(seed + 1, 4)
+            data, (phi, y, contrast), n_replicates=60, rng=substream(seed + 1, 4)
         )
         (got_coef_reps,) = solved  # all replicates refit in one solve
 
         rng = substream(seed + 1, 4)
         n, m = phi.shape[0], data.graph.m_diversion
-        gamma = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_gamma), size=(m, 60))
-        eps = rng.normal(0.0, np.sqrt(res.sigmas.sigma2_eps), size=(n, 60))
-        targets = (phi @ res.coef)[:, None] + data.row_graph().to_csr() @ gamma + eps
-        coef_reps = ols(phi, y).solve(targets)
+        sigmas = estimate_sigmas(y, phi, data.graph)
+        gamma = rng.normal(0.0, np.sqrt(sigmas.sigma2_gamma), size=(m, 60))
+        eps = rng.normal(0.0, np.sqrt(sigmas.sigma2_eps), size=(n, 60))
+        fit = ols(phi, y)
+        targets = (phi @ fit.coef)[:, None] + data.row_graph().to_csr() @ gamma + eps
+        coef_reps = fit.solve(targets)
         reps = contrast @ coef_reps
         iv = _quantile_interval(res.estimate, reps, 0.95, "parametric-bootstrap")
         assert got_coef_reps.tobytes() == coef_reps.tobytes()
         assert (contrast @ got_coef_reps).tobytes() == reps.tobytes()
-        assert (res.interval.lower, res.interval.upper) == (iv.lower, iv.upper)
+        assert (res.lower, res.upper) == (iv.lower, iv.upper)
 
 
 def test_parametric_bootstrap_holds_one_target_array():
@@ -851,10 +879,10 @@ def test_parametric_bootstrap_holds_one_target_array():
     # one-expression build held about three (n, B) arrays at once
     n, b = 2000, 200
     data, phi, y = parametric_inputs(31, n=n, m=100)
-    parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=b, rng=substream(32, 4))
+    parametric_bootstrap(data, (phi, y, [-1.0, 1.0]), n_replicates=b, rng=substream(32, 4))
     tracemalloc.start()
     try:
-        parametric_bootstrap(data, phi, y, [-1.0, 1.0], n_replicates=b, rng=substream(32, 4))
+        parametric_bootstrap(data, (phi, y, [-1.0, 1.0]), n_replicates=b, rng=substream(32, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -864,33 +892,29 @@ def test_parametric_bootstrap_holds_one_target_array():
 def test_parametric_bootstrap_contrast_and_estimate():
     data, phi, y = parametric_inputs(26)
     res = parametric_bootstrap(
-        data, phi, y, np.array([-1.0, 1.0]), n_replicates=80, rng=substream(27, 4)
+        data, (phi, y, np.array([-1.0, 1.0])), n_replicates=80, rng=substream(27, 4)
     )
     coef, *_ = np.linalg.lstsq(phi, y, rcond=None)
     assert res.estimate == pytest.approx(coef[1] - coef[0], abs=1e-10)
     picked = parametric_bootstrap(
-        data, phi, y, contrast=np.array([0.0, 1.0]), n_replicates=80, rng=substream(27, 4)
+        data, (phi, y, np.array([0.0, 1.0])), n_replicates=80, rng=substream(27, 4)
     )
     assert picked.estimate == pytest.approx(coef[1], abs=1e-10)
 
 
 def test_parametric_bootstrap_validation():
+    # the design's shape is checked as in every interval function (see
+    # test_every_interval_function_checks_the_design_shape_alike)
     data, phi, y = parametric_inputs(28)
     contrast = [-1.0, 1.0]
-    with pytest.raises(ValueError, match="align"):
-        parametric_bootstrap(data, phi, y[:-1], contrast)
     with pytest.raises(ValueError, match="at least 50"):
-        parametric_bootstrap(data, phi, y, contrast, n_replicates=10)
-    with pytest.raises(ValueError, match="one entry per design column"):
-        parametric_bootstrap(data, phi, y, [1.0])
-    with pytest.raises(TypeError, match="contrast"):
-        parametric_bootstrap(data, phi, y)
+        parametric_bootstrap(data, (phi, y, contrast), n_replicates=10)
     bad = np.column_stack([phi[:, 0], phi[:, 0]])
     with pytest.raises(NumericalError, match="rank deficient"):
-        parametric_bootstrap(data, bad, y, contrast)
+        parametric_bootstrap(data, (bad, y, contrast))
     # the replicate count is checked before the fit
     with pytest.raises(ValueError, match="at least 50"):
-        parametric_bootstrap(data, bad, y, contrast, n_replicates=10)
+        parametric_bootstrap(data, (bad, y, contrast), n_replicates=10)
 
 
 def test_parametric_bootstrap_interval_covers_truth_here():
@@ -898,6 +922,6 @@ def test_parametric_bootstrap_interval_covers_truth_here():
     # suite measures actual coverage rates across many runs)
     data, phi, y = parametric_inputs(29)
     res = parametric_bootstrap(
-        data, phi, y, contrast=np.array([0.0, 1.0]), n_replicates=300, rng=substream(30, 4)
+        data, (phi, y, np.array([0.0, 1.0])), n_replicates=300, rng=substream(30, 4)
     )
-    assert res.interval.covers(2.0)
+    assert res.covers(2.0)

@@ -128,6 +128,8 @@ def test_resolve_estimators():
     assert resolve_estimators([custom]) == [custom]
     with pytest.raises(ConfigError, match="unknown estimator 'nope'"):
         resolve_estimators(["nope"])
+    with pytest.raises(ConfigError, match="unknown estimator {'naive-ols': 1}"):
+        resolve_estimators([{"naive-ols": 1}])
     assert set(ESTIMATOR_REGISTRY) == {
         "naive-mean", "naive-ols", "correct-spec", "ht",
         "gps-cell", "gps-poly", "gps-krr", "stratified",
@@ -276,6 +278,12 @@ def test_run_study_validation():
         run_study(small_dgp(), ["naive-ols"], {"ht": ("naive-bootstrap",)}, n_sims=2)
     with pytest.raises(ConfigError, match="unknown interval method"):
         run_study(small_dgp(), ["naive-ols"], {"naive-ols": ("jackknife",)}, n_sims=2)
+    # names that are not strings are refused, not looked up (a dict or a
+    # list is unhashable)
+    with pytest.raises(ConfigError, match="unknown estimator"):
+        run_study(small_dgp(), [{"naive-ols": 1}], n_sims=2)
+    with pytest.raises(ConfigError, match="unknown interval method"):
+        run_study(small_dgp(), ["naive-ols"], {"naive-ols": (["naive-bootstrap"],)}, n_sims=2)
     for name, method in (("gps-cell", "parametric-bootstrap"), ("gps-krr", "ols-asymptotic")):
         calls = []
         with pytest.raises(ConfigError, match="no linear design"):
