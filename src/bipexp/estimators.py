@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, MissingCellError
 from .gps import ATOM_TOL, GpsTable
 from .graph import BipartiteGraph, _as_readonly
-from .numerics import KernelFit, LinearFit, krr_fit, krr_predict, ols
+from .numerics import KernelFit, LinearFit, _krr_fit_counts, krr_fit, krr_predict, ols
 
 # Scores below this floor are lifted to it before dividing (with a warning).
 TRIM_FLOOR = 1e-6
@@ -383,6 +383,27 @@ def beta_krr_fit(data: Dataset) -> KernelSurface:
     return KernelSurface(fit=fit, mean_coef=mean_coef)
 
 
+def _krr_surface_counts(cells: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> KernelSurface:
+    """`beta_krr_fit` of rows that repeat each distinct (exposure, observed
+    score) `cells[j]` `counts[j]` times, with outcomes summing to `sums[j]`.
+
+    `counts` is positive, as for `numerics._krr_fit_counts`. The trend is
+    the count-weighted least squares line in exposure, or the mean alone
+    when the cells share one exposure; the kernel fits the residual sums.
+    The line is `ols` of the cells' rows scaled by sqrt(counts), whose
+    normal equations and R diagonal are the repeated rows', so it refuses
+    the same near-constant exposures with `RankDeficiencyError`.
+    """
+    e = cells[:, 0]
+    if np.ptp(e) > 0:
+        w = np.sqrt(counts)
+        mean_coef = ols(np.column_stack([w, w * e]), sums / w).coef
+    else:
+        mean_coef = np.array([sums.sum() / counts.sum(), 0.0])
+    resid = sums - counts * (mean_coef[0] + mean_coef[1] * e)
+    return KernelSurface(fit=_krr_fit_counts(cells, counts, resid), mean_coef=mean_coef)
+
+
 # -- curves -------------------------------------------------------------------
 
 
@@ -421,17 +442,35 @@ def dose_response(surface, gps: GpsTable, grid) -> DoseResponseCurve:
     coordinates raise `MissingCellError` listing every (e, r) hole.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    mu = np.empty(grid.shape)
+    mu = _level_means(surface, grid, _imputed_levels(gps, grid))
+    return DoseResponseCurve(grid=grid, mu_hat=mu)
+
+
+def _imputed_levels(gps: GpsTable, grid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per grid level, the distinct imputed scores and each unit's index into them."""
+    return [np.unique(gps.imputed_scores(float(e)), return_inverse=True) for e in grid]
+
+
+def _level_means(surface, grid, levels, counts=None) -> np.ndarray:
+    """The mean of the surface over the units at each grid level, each unit
+    taken `counts` times (once each by default), from `_imputed_levels`.
+
+    Only the scores of units taken are evaluated; a non-finite value at
+    any of them is a hole, and holes raise `MissingCellError`.
+    """
+    mu = np.empty(len(grid))
     holes: list[tuple[float, float]] = []
-    for k, e in enumerate(grid):
-        scores = gps.imputed_scores(float(e))
-        uniq, inverse = np.unique(scores, return_inverse=True)
+    for k, (e, (uniq, inverse)) in enumerate(zip(grid, levels)):
+        if counts is not None:
+            weights = np.bincount(inverse, weights=counts, minlength=uniq.size)
+            taken = weights > 0
+            uniq, weights = uniq[taken], weights[taken]
         vals = np.asarray(surface.evaluate(float(e), uniq), dtype=np.float64)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             holes.extend((float(e), float(r)) for r in uniq[bad])
             continue
-        mu[k] = vals[inverse].mean()
+        mu[k] = vals[inverse].mean() if counts is None else weights @ vals / weights.sum()
     if holes:
         shown = ", ".join(f"({e:g}, {r:g})" for e, r in holes[:8])
         more = "" if len(holes) <= 8 else f" and {len(holes) - 8} more"
@@ -439,7 +478,7 @@ def dose_response(surface, gps: GpsTable, grid) -> DoseResponseCurve:
             f"surface has no value at required (exposure, score) cells: {shown}{more}",
             holes=holes,
         )
-    return DoseResponseCurve(grid=grid, mu_hat=mu)
+    return mu
 
 
 def ate(curve: DoseResponseCurve) -> float:

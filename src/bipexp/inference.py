@@ -11,12 +11,15 @@ Four interval functions take one statistic and return an `IntervalEstimate`:
   independence assumption fails.
 
 The statistic is a linear design (phi, target, contrast), whose estimate
-is contrast @ ols(phi, target).coef, cast and checked by `_linear_design`;
-the resampling bootstraps also take a callable, applied to the data and
-to each resample. A resample is a vector of row counts (Efron &
-Tibshirani 1993), so a design's replicates are refit from counts on the
-full-sample QR with no resampled dataset (`_count_refits`); on the same
-draws both forms of one statistic give the same intervals up to rounding.
+is contrast @ ols(phi, target).coef, cast and checked by `_linear_design`.
+The resampling bootstraps take two more kinds: a callable, applied to the
+data and to each resample `Dataset.take` builds, and a count statistic
+(`_CountStatistic`), built once on the full sample and applied to each
+resample's row counts. A resample is a vector of row counts (Efron &
+Tibshirani 1993), so neither a count statistic nor a design needs a
+resampled dataset: a design's replicates are refit from the counts on
+the full-sample QR, all at once (`_count_refits`). On the same draws the
+forms of one statistic give the same intervals up to rounding.
 
 The error model's variance split is a method-of-moments estimate with
 exact trace coefficients: it needs sparse products and k x m arrays only,
@@ -27,6 +30,7 @@ bootstrap groups units by graph component with one stable sort
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,27 +126,53 @@ def _linear_design(design, n=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, target, contrast
 
 
+@dataclass(frozen=True)
+class _CountStatistic:
+    """A statistic of a resample's row counts, built once on the full sample.
+
+    `at` maps one resample's counts (float64, one per row of the data: how
+    often the resample takes the row) to the replicate value, and fails as
+    a callable statistic does. `estimate` is the statistic on the data,
+    which `at` gives up to rounding with every count 1.
+    """
+
+    at: Callable[[np.ndarray], float]
+    estimate: float
+
+
 def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
     """The estimate and the kept replicates of `statistic`, with a failure census.
 
     A callable statistic gives the estimate on `data` and one replicate on
     each resample `sampler` draws; a replicate whose statistic raises
     `DataError` or `NumericalError`, or returns a non-finite value, fails.
-    A linear design (phi, target, contrast) gives both from `_count_refits`
-    on the same draws.
+    A count statistic gives them from each resample's row counts, one
+    resample at a time, with the same failures. A linear design
+    (phi, target, contrast) gives both from `_count_refits` on the same
+    draws.
     """
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
-    if not callable(statistic):
-        design = _linear_design(statistic, data.n_units)
+    n = data.n_units
+    if isinstance(statistic, _CountStatistic):
+        estimate = statistic.estimate
+
+        def replicate(idx):
+            return statistic.at(np.bincount(idx, minlength=n).astype(np.float64))
+    elif callable(statistic):
+        estimate = float(statistic(data))
+
+        def replicate(idx):
+            return statistic(data.take(idx))
+    else:
+        design = _linear_design(statistic, n)
         estimate, values = _count_refits(design, sampler, n_replicates, rng)
         return estimate, _census(values, method)
-    estimate = float(statistic(data))
     values = np.empty(n_replicates)
     for b in range(n_replicates):
         idx = sampler(rng)
         try:
-            values[b] = float(statistic(data.take(idx)))
+            values[b] = float(replicate(idx))
         except (DataError, NumericalError):
             values[b] = np.nan
     return estimate, _census(values, method)
@@ -203,12 +233,16 @@ def naive_bootstrap(
 ) -> IntervalEstimate:
     """IID resample of outcome units; valid only without cross-unit noise.
 
-    `statistic` is a callable on a `Dataset`, applied to the data and to
-    each resample, or a linear design (phi, target, contrast) whose
-    contrast does not depend on the rows. A design's estimate is
-    contrast @ ols(phi, target).coef, and its replicates are refit from
-    the resamples' row counts on the full-sample QR (see `_count_refits`);
-    the draws are the same.
+    `statistic` is one of three kinds, and the draws are the same for each:
+
+    * a callable on a `Dataset`, applied to the data and to each resample;
+    * a count statistic (`_CountStatistic`), built on the data, whose `at`
+      maps a resample's row counts to its value and which carries its
+      estimate;
+    * a linear design (phi, target, contrast) whose contrast does not
+      depend on the rows, with estimate contrast @ ols(phi, target).coef
+      and replicates refit from the row counts on the full-sample QR (see
+      `_count_refits`).
     """
     rng = as_generator(rng)
     n = data.n_units

@@ -1,11 +1,13 @@
 """Least squares and kernel ridge regression used by the estimators.
 
 Both routines are deliberately strict about failure: rank deficiency names
-the offending columns instead of silently pseudo-inverting, and a singular
-kernel system raises instead of returning garbage. Both call the LAPACK
-routines that scipy.linalg's `qr`, `solve_triangular`, `cho_factor` and
-`cho_solve` call, the same way, so the results are theirs bit for bit
-without their per-call checks and dispatch.
+the offending columns instead of silently pseudo-inverting, a singular
+kernel system raises instead of returning garbage, and a kernel fit over
+more than `KRR_MAX_POINTS` distinct inputs is refused before its g x g
+arrays exist. Both call the LAPACK routines that scipy.linalg's `qr`,
+`solve_triangular`, `cho_factor` and `cho_solve` call, the same way, so
+the results are theirs bit for bit without their per-call checks and
+dispatch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import NumericalError, RankDeficiencyError
+from .errors import DataError, NumericalError, RankDeficiencyError
 
 # R-diagonal entries below RANK_TOL * the largest count as zero.
 RANK_TOL = 1e-10
@@ -28,6 +30,13 @@ KRR_RIDGE = 0.1
 
 # Cap on the number of points entering the median-distance heuristic.
 _BANDWIDTH_SAMPLE = 1500
+
+# Budget on a kernel ridge fit's distinct points g. The fit holds about
+# 24 bytes x g^2 at peak (the pairwise distances, the Gram matrix and the
+# system, each g x g float64): 4000 points take about 0.4 GB and one second
+# to fit, and the next doubling 1.5 GB, too much for one fit on a host of a
+# few GB. A larger fit is refused before any g x g array exists.
+KRR_MAX_POINTS = 4000
 
 
 # The float64 LAPACK routines behind the solvers, fetched once.
@@ -217,15 +226,18 @@ def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class KernelFit:
     """Kernel ridge fit over standardized inputs.
 
-    Training inputs are standardized to unit variance, duplicate rows are
-    collapsed into one weighted point (the ridge objective depends on the
-    data only through per-point counts and mean targets, so predictions
-    are identical to the uncollapsed fit), and the dual weights are solved
-    against the collapsed system. `points` holds the distinct rows in
-    lexicographic order, found by one sort of the rows as complex numbers.
+    Duplicate input rows are collapsed into one weighted point (the ridge
+    objective depends on the data only through per-point counts and mean
+    targets, so predictions are identical to the uncollapsed fit), the
+    points are standardized to unit variance, and the dual weights are
+    solved against the collapsed system. The collapse compares the raw
+    rows, so which rows form one point does not depend on how the center
+    rounds; two distinct rows that standardize to one point stay two.
+    `points` holds the standardized points in lexicographic order, found
+    by one sort of the rows as complex numbers.
     """
 
-    points: np.ndarray  # (g, 2) distinct standardized inputs
+    points: np.ndarray  # (g, 2) standardized distinct inputs
     dual: np.ndarray  # (g,)
     bandwidth: np.ndarray  # (2,) per-feature length scales
     center: np.ndarray
@@ -233,11 +245,12 @@ class KernelFit:
     target_center: float
 
 
-def _standardize_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)  # constant features pass through
-    return center, scale
+def _unit_if_flat(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`scale`, with 1 for each feature that is constant over the rows x or
+    whose scale underflows to 0: such features pass through unscaled.
+    Constancy is read off the range, because np.std of a constant
+    non-dyadic column rounds to about 1e-17, not 0."""
+    return np.where((np.ptp(x, axis=0) > 0) & (scale > 0), scale, 1.0)
 
 
 def _median_pairwise_distance(points: np.ndarray) -> float:
@@ -247,11 +260,13 @@ def _median_pairwise_distance(points: np.ndarray) -> float:
         points = points[::stride]
     if points.shape[0] < 2:
         return 0.0
-    # the middle order statistics, averaged for an even count as np.median does
+    # the middle order statistics, averaged for an even count as np.median does;
+    # one partition at the upper one leaves the lower one the largest below it,
+    # and partitioning at a pair of positions costs several times more
     dist = pdist(points)
-    lo, hi = (dist.size - 1) // 2, dist.size // 2
-    part = np.partition(dist, (lo, hi))
-    return float(part[hi] if lo == hi else (part[lo] + part[hi]) / 2.0)
+    hi = dist.size // 2
+    part = np.partition(dist, hi)
+    return float(part[hi] if dist.size % 2 else (part[:hi].max() + part[hi]) / 2.0)
 
 
 def _unique_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +284,7 @@ def krr_fit(x, y) -> KernelFit:
     prediction time, so the ridge penalty shrinks toward the sample mean
     rather than toward zero. The kernel's length scale along each input
     is `KRR_BANDWIDTH_SCALE` times the median pairwise distance among the
-    distinct standardized inputs (1 when that is 0), and the ridge is
+    standardized distinct inputs (1 when that is 0), and the ridge is
     `KRR_RIDGE`.
 
     Parameters
@@ -280,6 +295,9 @@ def krr_fit(x, y) -> KernelFit:
 
     Raises
     ------
+    DataError
+        More than `KRR_MAX_POINTS` distinct inputs, refused before any
+        g x g array is allocated.
     NumericalError
         The regularized kernel system could not be factorized.
     ValueError
@@ -296,18 +314,51 @@ def krr_fit(x, y) -> KernelFit:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs and targets must be finite")
 
-    center, scale = _standardize_params(x)
-    xs = (x - center) / scale
-
-    points, inverse = _unique_rows(xs)
+    center, scale = x.mean(axis=0), _unit_if_flat(x, x.std(axis=0))
+    cells, inverse = _unique_rows(x)
     counts = np.bincount(inverse).astype(np.float64)
     ybar = np.bincount(inverse, weights=y) / counts
+    return _kernel_fit((cells - center) / scale, counts, ybar, float(y.mean()), center, scale)
 
+
+def _krr_fit_counts(cells: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> KernelFit:
+    """`krr_fit` of rows that repeat each distinct input `cells[j]` `counts[j]`
+    times, with targets summing to `sums[j]` over those rows.
+
+    `counts` is positive. The center and the ddof-0 scale are
+    count-weighted; the points are the cells, as `krr_fit`'s are the
+    distinct rows, so the fit agrees with `krr_fit` on the expanded rows
+    up to rounding. Raises as `krr_fit` does.
+    """
+    total = counts.sum()
+    center = counts @ cells / total
+    dev = cells - center
+    scale = _unit_if_flat(cells, np.sqrt(counts @ (dev * dev) / total))
+    return _kernel_fit(dev / scale, counts, sums / counts, float(sums.sum() / total), center,
+                       scale)
+
+
+def _kernel_fit(points, counts, ybar, target_center, center, scale) -> KernelFit:
+    """The kernel ridge fit of the standardized distinct inputs `points` (a
+    fresh C-ordered array) with per-point counts and mean targets: the
+    bandwidth heuristic and the collapsed system, solved, with the points in
+    lexicographic order. More than `KRR_MAX_POINTS` points raise `DataError`
+    first."""
+    g = points.shape[0]
+    if g > KRR_MAX_POINTS:
+        raise DataError(
+            f"kernel ridge fit over {g} distinct (exposure, score) points exceeds the "
+            f"budget of {KRR_MAX_POINTS} (KRR_MAX_POINTS); its g x g kernel system "
+            f"would take about {24 * g * g / 1e9:.1f} GB"
+        )
+    # standardizing keeps the distinct inputs' lexicographic order except
+    # where it ties the first coordinates of two of them; sort again
+    order = np.argsort(points.view(np.complex128).ravel(), kind="stable")
+    points, counts, ybar = points[order], counts[order], ybar[order]
     base = _median_pairwise_distance(points)
     bandwidth = np.asarray(KRR_BANDWIDTH_SCALE) * (base if base > 0 else 1.0)
     bandwidth.setflags(write=False)
 
-    target_center = float(y.mean())
     scaled = points / bandwidth
     gram = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
     # collapsed normal equations: (K + ridge * diag(1/counts)) alpha = ybar - y0

@@ -21,8 +21,12 @@ import numpy as np
 from .design import AssignmentDesign, draw_assignments, linear_exposure
 from .errors import ConfigError, DataError, NumericalError
 from .estimators import (
+    POLY_LABELS,
     Dataset,
     _ht_design,
+    _imputed_levels,
+    _krr_surface_counts,
+    _level_means,
     _poly_features,
     ate,
     beta_cell_means,
@@ -46,12 +50,13 @@ from .graph import (
 from .inference import (
     MIN_BOOTSTRAP,
     IntervalEstimate,
+    _CountStatistic,
     block_bootstrap,
     naive_bootstrap,
     ols_asymptotic_interval,
     parametric_bootstrap,
 )
-from .numerics import ols
+from .numerics import _unique_rows, ols
 from .seeding import substream
 
 HOMOGENEOUS = "homogeneous"
@@ -137,7 +142,8 @@ ENDPOINT_GRID = (0.0, 1.0)
 
 @dataclass(frozen=True)
 class StudyEstimator:
-    """Named ATE estimator: a point function plus an optional linear design.
+    """Named ATE estimator: a point function, an optional linear design, and
+    what the resampling bootstraps resample.
 
     `point` maps a Dataset to an ATE estimate. `design`, when present, maps
     a Dataset to the linear design (phi, target, contrast) that every
@@ -148,23 +154,21 @@ class StudyEstimator:
     design is the ratio (Hajek) form, whose level coefficients divide the
     inverse-weighted outcome sum by the inverse-weight sum, not by n.
 
-    `linear_point` says that the point equals that contrast on every
-    resample too, with a contrast that does not depend on the rows taken
-    (`naive-ols` and `correct-spec`); the naive and block bootstraps then
-    take the design, refitting each resample from its row counts.
-    `gps-poly` averages its contrast over the rows and `ht`'s design is not
-    its point, so they, like the estimators without a design, resample
-    `point`.
+    `resampled`, when present, maps a Dataset to the statistic the naive
+    and block bootstraps take in place of `point`: one that equals `point`
+    on every resample up to rounding and needs no resampled Dataset. For
+    `naive-ols` and `correct-spec` it is the design, whose contrast does
+    not depend on the rows, refit from the row counts in one batch; for
+    `gps-krr` it is a count statistic, one kernel fit per resample's row
+    counts (see `inference.naive_bootstrap`). Without it the bootstraps
+    resample `point` through `Dataset.take`, as they do for the other
+    estimators (`stratified`'s quantile strata depend on the resample).
     """
 
     name: str
     point: object
     design: object | None = None
-    linear_point: bool = False
-
-    def __post_init__(self):
-        if self.linear_point and self.design is None:
-            raise ValueError(f"estimator {self.name!r}: a linear point needs a design")
+    resampled: object | None = None
 
 
 def _point_naive_mean(data: Dataset) -> float:
@@ -216,6 +220,11 @@ def _point_gps_poly(data: Dataset) -> float:
 
 
 def _design_gps_poly(data: Dataset):
+    # fewer rows than terms fail as `beta_poly_fit` does, not with ols's ValueError
+    if data.n_units < len(POLY_LABELS):
+        raise DataError(
+            f"need at least {len(POLY_LABELS)} observations for the polynomial surface"
+        )
     phi = _poly_features(data.exposure, data.observed_scores())
     ones = np.ones(data.n_units)
     f1 = _poly_features(ones, data.gps.imputed_scores(1.0)).mean(axis=0)
@@ -227,20 +236,46 @@ def _point_gps_krr(data: Dataset) -> float:
     return ate(dose_response(beta_krr_fit(data), data.gps, ENDPOINT_GRID))
 
 
+def _counts_gps_krr(data: Dataset) -> _CountStatistic:
+    """`gps-krr` as a function of the row counts.
+
+    The rows collapse once into their distinct (exposure, observed score)
+    cells, and each unit is labelled by its distinct imputed score at each
+    endpoint. A resample fits the cells it takes, with their counts and
+    outcome sums (`_krr_surface_counts`), and averages the surface over the
+    imputed scores with each unit weighted by its count.
+    """
+    cells, label = _unique_rows(np.column_stack([data.exposure, data.observed_scores()]))
+    levels = _imputed_levels(data.gps, ENDPOINT_GRID)
+    y, g = data.y, cells.shape[0]
+
+    def at(counts):
+        weights = np.bincount(label, weights=counts, minlength=g)
+        sums = np.bincount(label, weights=counts * y, minlength=g)
+        taken = weights > 0
+        surface = _krr_surface_counts(cells[taken], weights[taken], sums[taken])
+        mu = _level_means(surface, ENDPOINT_GRID, levels, counts)
+        return mu[1] - mu[0]
+
+    return _CountStatistic(at, _point_gps_krr(data))
+
+
 def _point_stratified(data: Dataset) -> float:
     return stratified_estimate(data, 1.0) - stratified_estimate(data, 0.0)
 
 
 ESTIMATOR_REGISTRY: dict[str, StudyEstimator] = {
     "naive-mean": StudyEstimator("naive-mean", _point_naive_mean),
-    "naive-ols": StudyEstimator("naive-ols", naive_ols, _design_naive_ols, linear_point=True),
+    "naive-ols": StudyEstimator(
+        "naive-ols", naive_ols, _design_naive_ols, resampled=_design_naive_ols
+    ),
     "correct-spec": StudyEstimator(
-        "correct-spec", _point_correct_spec, _design_correct_spec, linear_point=True
+        "correct-spec", _point_correct_spec, _design_correct_spec, resampled=_design_correct_spec
     ),
     "ht": StudyEstimator("ht", _point_ht, _design_ht),
     "gps-cell": StudyEstimator("gps-cell", _point_gps_cell),
     "gps-poly": StudyEstimator("gps-poly", _point_gps_poly, _design_gps_poly),
-    "gps-krr": StudyEstimator("gps-krr", _point_gps_krr),
+    "gps-krr": StudyEstimator("gps-krr", _point_gps_krr, resampled=_counts_gps_krr),
     "stratified": StudyEstimator("stratified", _point_stratified),
 }
 
@@ -262,8 +297,8 @@ def resolve_estimators(estimators) -> list[StudyEstimator]:
 
 
 def _resampled_statistic(data, est):
-    """What the resampling bootstraps resample: a linear point's design, else the point."""
-    return est.design(data) if est.linear_point else est.point
+    """What the resampling bootstraps resample: `est.resampled(data)`, else the point."""
+    return est.point if est.resampled is None else est.resampled(data)
 
 
 def _interval_naive(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
@@ -306,9 +341,10 @@ def check_intervals(
     """Reject interval settings before any computation.
 
     The level must lie in (0, 1). Every key must name one of `estimators`,
-    every method must be in `INTERVAL_METHODS`, the methods in
-    `LINEAR_DESIGN_METHODS` need an estimator with a linear design, and
-    those in `BOOTSTRAP_METHODS` need at least `MIN_BOOTSTRAP` replicates.
+    every value must be a list or tuple of methods, each method must be in
+    `INTERVAL_METHODS`, the methods in `LINEAR_DESIGN_METHODS` need an
+    estimator with a linear design, and those in `BOOTSTRAP_METHODS` need
+    at least `MIN_BOOTSTRAP` replicates.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
@@ -316,6 +352,11 @@ def check_intervals(
     for name, methods in intervals.items():
         if name not in by_name:
             raise ConfigError(f"interval map names unknown estimator {name!r}")
+        if not isinstance(methods, (list, tuple)):
+            raise ConfigError(
+                f"the interval methods of estimator {name!r} must be a list or tuple of "
+                f"method names, not {type(methods).__name__}"
+            )
         for m in methods:
             if not isinstance(m, str) or m not in INTERVAL_METHODS:
                 known = ", ".join(sorted(INTERVAL_METHODS))

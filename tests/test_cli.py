@@ -475,6 +475,17 @@ def test_estimate_interval_rows(tmp_path):
     assert int(iv["b_replicates"]) == 60
 
 
+def test_estimate_kernel_fit_over_budget_exits_3(tmp_path, capsys, monkeypatch):
+    from bipexp import numerics
+
+    monkeypatch.setattr(numerics, "KRR_MAX_POINTS", 2)
+    cfg_path = fixture_config(tmp_path, estimators=["gps-krr"])
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    record = stderr_record(capsys)
+    assert record["error"] == "DataError" and record["exit_code"] == 3
+    assert "budget of 2 (KRR_MAX_POINTS)" in record["message"]
+
+
 def test_estimate_json_format(tmp_path):
     cfg_path = fixture_config(tmp_path)
     out = tmp_path / "out"

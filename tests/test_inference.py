@@ -23,7 +23,7 @@ from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure, l
 from bipexp.errors import DataError, NumericalError, RankDeficiencyError
 from bipexp.estimators import Dataset
 from bipexp.gps import exact_gps_table
-from bipexp import inference
+from bipexp import inference, numerics
 from bipexp.graph import (
     BipartiteGraph,
     GraphSpec,
@@ -350,6 +350,173 @@ def test_count_refits_keep_the_failure_census(monkeypatch, bootstrap):
     counted = bootstrap(data, est.design(data), rng=substream(65, 4))
     assert 100 < counted.n_replicates == refit.n_replicates == seen[1].size < 200
     np.testing.assert_allclose(seen[1], seen[0], rtol=1e-9)
+
+
+# -- count statistics ------------------------------------------------------------
+
+
+def raw_replicates(monkeypatch) -> list:
+    """Record every bootstrap's replicate values, failures (NaN) included, before its census."""
+    seen = []
+    real = inference._census
+
+    def spy(values, method):
+        seen.append(np.array(values))
+        return real(values, method)
+
+    monkeypatch.setattr(inference, "_census", spy)
+    return seen
+
+
+def small_dataset(seed: int, n: int, m: int, deg_max: int) -> Dataset:
+    graph = synth_graph(
+        GraphSpec(kind="uniform-degree", n_outcome=n, m_diversion=m, deg_min=1, deg_max=deg_max),
+        substream(seed, 0),
+    )
+    design = AssignmentDesign.bernoulli(0.5)
+    rng = substream(seed, 1)
+    e = linear_exposure(graph, draw_assignments(design, m, 1, rng)[:, 0])
+    return Dataset.build(graph, exact_gps_table(graph, design), 1.0 + e + rng.normal(size=n), e)
+
+
+@pytest.mark.parametrize("bootstrap", [naive_bootstrap, block_bootstrap])
+def test_krr_count_statistic_matches_per_resample_refits(monkeypatch, bootstrap):
+    data = paper_scale_dataset(61)
+    est = ESTIMATOR_REGISTRY["gps-krr"]
+    statistic = est.resampled(data)
+    seen = raw_replicates(monkeypatch)
+    loop = bootstrap(data, est.point, rng=substream(62, 4))
+    counted = bootstrap(data, statistic, rng=substream(62, 4))
+    loops, counts = seen
+    assert loop.n_replicates == counted.n_replicates == 200
+    np.testing.assert_allclose(counts, loops, rtol=1e-9, atol=0)
+    # the estimate is the point itself; the counts of one give it up to rounding
+    assert counted.estimate == loop.estimate == est.point(data)
+    assert statistic.at(np.ones(data.n_units)) == pytest.approx(loop.estimate, rel=1e-12)
+    assert counted.lower == pytest.approx(loop.lower, rel=1e-9)
+    assert counted.upper == pytest.approx(loop.upper, rel=1e-9)
+
+
+def test_krr_count_statistic_matches_on_exposures_an_ulp_apart(monkeypatch):
+    # a 16-unit graph whose linear exposures include pairs an ulp apart; a
+    # kernel fit that merged inputs after standardizing them would make such
+    # a pair one point in a resample's refit and two in its count statistic,
+    # whose center rounds differently (replicate 142: ATE 0.072 against 0.137)
+    data = small_dataset(5, 16, 8, 4)
+    levels = np.unique(data.exposure)
+    assert np.any(np.diff(levels) <= 4 * np.spacing(levels[1:]))
+    est = ESTIMATOR_REGISTRY["gps-krr"]
+    monkeypatch.setattr(inference, "MAX_FAILURE_SHARE", 1.0)
+    seen = raw_replicates(monkeypatch)
+    naive_bootstrap(data, est.point, rng=substream(3, 4))
+    naive_bootstrap(data, est.resampled(data), rng=substream(3, 4))
+    loops, counts = seen
+    failed = np.isnan(loops)
+    assert np.array_equal(np.isnan(counts), failed)
+    np.testing.assert_allclose(counts[~failed], loops[~failed], rtol=1e-9, atol=1e-12)
+
+
+def test_count_statistic_holds_one_resample_of_counts():
+    data = paper_scale_dataset(61)
+    statistic = ESTIMATOR_REGISTRY["gps-krr"].resampled(data)
+    shapes = []
+
+    def at(counts):
+        shapes.append(counts.shape)
+        assert counts.dtype == np.float64
+        return statistic.at(counts)
+
+    iv = naive_bootstrap(data, inference._CountStatistic(at, statistic.estimate),
+                         rng=substream(62, 4))
+    assert shapes == [(data.n_units,)] * 200 and iv.n_replicates == 200
+
+
+def ulp_twins(n_twins: int, n_off: int) -> Dataset:
+    """Units on their own three coins of weight 1/3: n_twins exposed at 2/3,
+    alternately written as two floats an ulp apart, and n_off unexposed, so
+    that some resamples see only the two near-equal exposures."""
+    n = n_twins + n_off
+    graph = BipartiteGraph.from_rows(
+        [[(3 * j + t, 1.0 / 3.0) for t in range(3)] for j in range(n)], m_diversion=3 * n)
+    twins = np.resize([2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0)], n_twins)
+    e = np.concatenate([twins, np.zeros(n_off)])
+    y = 1.0 + e + substream(63, 2).normal(size=n)
+    table = exact_gps_table(graph, AssignmentDesign.bernoulli(0.5))
+    return Dataset(y=y, exposure=e, graph=graph, gps=table)
+
+
+def negative_ridge(monkeypatch):
+    # a negative ridge makes kernel systems that are not positive definite,
+    # in the resamples whose counts leave the diagonal too small
+    monkeypatch.setattr(numerics, "KRR_RIDGE", -0.01)
+
+
+KRR_FAILURES = {
+    "not-positive-definite": (lambda: mixed_singles(2, 6), negative_ridge),
+    # the trend's rank rule refuses exposures that differ in the last bits
+    "near-constant-exposure": (lambda: ulp_twins(5, 1), None),
+}
+
+
+@pytest.mark.parametrize("case", KRR_FAILURES.values(), ids=KRR_FAILURES.keys())
+@pytest.mark.parametrize("bootstrap", [naive_bootstrap, block_bootstrap])
+def test_krr_count_statistic_fails_where_refits_fail(monkeypatch, case, bootstrap):
+    build, patch = case
+    data = build()
+    if patch is not None:
+        patch(monkeypatch)
+    est = ESTIMATOR_REGISTRY["gps-krr"]
+    blocks = {"labels": np.arange(data.n_units) % 5} if bootstrap is block_bootstrap else {}
+
+    def run(statistic):
+        return bootstrap(data, statistic, rng=substream(66, 4), **blocks)
+
+    messages = []
+    for statistic in (est.point, est.resampled(data)):
+        with pytest.raises(DataError, match="replicates failed") as err:
+            run(statistic)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+    # with the budget lifted, the same replicates fail and the others agree
+    monkeypatch.setattr(inference, "MAX_FAILURE_SHARE", 1.0)
+    seen = raw_replicates(monkeypatch)
+    run(est.point)
+    run(est.resampled(data))
+    loops, counts = seen
+    failed = np.isnan(loops)
+    assert 0 < failed.sum() < failed.size
+    assert np.array_equal(np.isnan(counts), failed)
+    # atol for the ATEs of constant-exposure resamples, zero up to rounding
+    np.testing.assert_allclose(counts[~failed], loops[~failed], rtol=1e-9, atol=1e-12)
+
+
+def test_krr_count_statistic_keeps_constant_exposure_resamples():
+    # resamples that take only unexposed (or only exposed) units fit the mean
+    # alone, as beta_krr_fit does, and do not fail
+    data = mixed_singles(2, 6)
+    est = ESTIMATOR_REGISTRY["gps-krr"]
+    statistic = est.resampled(data)
+    rng = substream(67, 4)
+    constant = 0
+    for _ in range(200):
+        idx = rng.integers(0, data.n_units, size=data.n_units)
+        sub = data.take(idx)
+        constant += np.ptp(sub.exposure) == 0
+        counted = statistic.at(np.bincount(idx, minlength=data.n_units).astype(np.float64))
+        # both ATEs of a constant-exposure resample are zero up to rounding
+        assert counted == pytest.approx(est.point(sub), rel=1e-9, abs=1e-12)
+    assert constant > 0
+
+
+def test_gps_poly_refuses_fewer_rows_than_terms_alike():
+    # the design too: its least-squares fit would raise ValueError, which a
+    # study does not count as a failure
+    data = singles_dataset(5, seed=3)
+    est = ESTIMATOR_REGISTRY["gps-poly"]
+    for statistic in (est.point, est.design):
+        with pytest.raises(DataError, match="need at least 6 observations"):
+            statistic(data)
 
 
 INTERVAL_FUNCTIONS = {

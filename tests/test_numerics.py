@@ -8,6 +8,7 @@ are pinned bit for bit to the scipy.linalg wrappers they replace, and the
 bandwidth median to `np.median`.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,12 +19,15 @@ from scipy import linalg as sla
 from scipy.spatial.distance import cdist, pdist
 
 from bipexp import numerics
-from bipexp.errors import NumericalError, RankDeficiencyError
+from bipexp.errors import DataError, NumericalError, RankDeficiencyError
 from bipexp.numerics import (
     KRR_BANDWIDTH_SCALE,
+    KRR_MAX_POINTS,
     KRR_RIDGE,
     KernelFit,
+    _krr_fit_counts,
     _median_pairwise_distance,
+    _unique_rows,
     krr_fit,
     krr_predict,
     ols,
@@ -289,6 +293,78 @@ def test_krr_bandwidth_is_scaled_median_heuristic():
     np.testing.assert_array_equal(single.bandwidth, KRR_BANDWIDTH_SCALE)
 
 
+def test_krr_count_fit_matches_the_expanded_rows():
+    rng = rng_for(10)
+    # dyadic inputs, so both fits see one exposure where a column is constant
+    x = np.column_stack([rng.integers(0, 8, 120) / 8, rng.integers(0, 4, 120) / 4])
+    y = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=x.shape[0])
+    grid = rng.uniform(size=(9, 2))
+    for constant_score in (False, True):
+        rows = x.copy()
+        if constant_score:
+            rows[:, 1] = 0.5  # passes through unscaled
+        cells, label = _unique_rows(rows)
+        counts = np.bincount(label).astype(np.float64)
+        want = krr_fit(rows, y)
+        got = _krr_fit_counts(cells, counts, np.bincount(label, weights=y))
+        assert got.points.shape == want.points.shape == cells.shape
+        np.testing.assert_allclose(got.bandwidth, want.bandwidth, rtol=1e-12)
+        np.testing.assert_allclose(got.scale, want.scale, rtol=1e-12)
+        np.testing.assert_allclose(krr_predict(got, grid), krr_predict(want, grid), rtol=1e-9)
+
+
+def test_krr_keeps_distinct_inputs_that_standardize_to_one_point():
+    # 0 and 1e-300 less a center near 0.5 round to one value: the two rows
+    # stay two points, as their cells do in the count fit, whose center
+    # rounds its own way; merging after standardizing would let the two
+    # fits' points, and so their bandwidths, differ for inputs an ulp apart
+    x = np.array([[0.0, 0.0], [1e-300, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    y = np.arange(4.0)
+    fit = krr_fit(x, y)
+    assert fit.points.shape == (3, 2)
+    np.testing.assert_array_equal(fit.points[0], fit.points[1])
+    counted = _krr_fit_counts(x[:3], np.array([1.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0]))
+    assert counted.points.shape == (3, 2)
+    np.testing.assert_allclose(counted.bandwidth, fit.bandwidth, rtol=1e-12)
+
+
+def test_krr_constant_feature_passes_through_unscaled():
+    # np.std of a constant 0.1 column is about 1e-17, not 0; dividing by it
+    # would put every query off that value infinitely far from the data
+    rng = rng_for(11)
+    x = np.column_stack([np.full(30, 0.1), rng.uniform(size=30)])
+    fit = krr_fit(x, rng.normal(size=30))
+    assert fit.scale[0] == 1.0
+    near = np.column_stack([np.full(5, 0.1), np.linspace(0, 1, 5)])
+    np.testing.assert_allclose(krr_predict(fit, near + [1e-3, 0.0]), krr_predict(fit, near),
+                               rtol=1e-3)
+
+
+@pytest.mark.parametrize("g", [KRR_MAX_POINTS + 1, 20_000])
+def test_krr_refuses_more_points_than_the_budget_before_allocating(g):
+    # 20k points would need about 10 GB of g x g arrays
+    cells = np.column_stack([np.arange(g) / g, np.zeros(g)])
+    message = rf"over {g} distinct .* budget of {KRR_MAX_POINTS} \(KRR_MAX_POINTS\)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=message):
+            krr_fit(cells, np.ones(g))
+        with pytest.raises(DataError, match=message):
+            _krr_fit_counts(cells, np.ones(g), np.ones(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_krr_budget_counts_distinct_points(monkeypatch):
+    monkeypatch.setattr(numerics, "KRR_MAX_POINTS", 3)
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] * 4)
+    krr_fit(x, np.arange(12.0))  # 12 rows on 3 points fit
+    with pytest.raises(DataError, match="over 4 distinct"):
+        krr_fit(np.vstack([x, [[1.0, 1.0]]]), np.arange(13.0))
+
+
 def test_krr_input_validation():
     x = np.ones((4, 2))
     y = np.ones(4)
@@ -359,6 +435,7 @@ def collapse_inputs(draw):
 @example(x=np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0], [1.0, np.nextafter(2.0, 0.0)],
                      [1.0, 2.0], [np.nextafter(1.0, 0.0), 2.0]]), seed=2)
 @example(x=np.array([[3.0, 4.0], [1.0, 4.0], [3.0, 4.0], [2.0, 4.0]]), seed=3)  # constant column
+@example(x=np.array([[0.0, 0.0], [0.0, 4.2e-272]]), seed=0)  # a spread whose std underflows
 def test_unique_rows_matches_the_structured_collapse(x, seed):
     points, inverse = numerics._unique_rows(x)
     old_points, old_inverse, old_counts = np.unique(

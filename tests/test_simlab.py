@@ -284,6 +284,14 @@ def test_run_study_validation():
         run_study(small_dgp(), [{"naive-ols": 1}], n_sims=2)
     with pytest.raises(ConfigError, match="unknown interval method"):
         run_study(small_dgp(), ["naive-ols"], {"naive-ols": (["naive-bootstrap"],)}, n_sims=2)
+    # a map value that is not a list of methods is refused as a whole, not
+    # read letter by letter or iterated
+    for value, kind in (("naive-bootstrap", "str"), (5, "int")):
+        with pytest.raises(ConfigError, match=(
+            f"the interval methods of estimator 'naive-ols' must be a list or tuple of "
+            f"method names, not {kind}"
+        )):
+            run_study(small_dgp(), ["naive-ols"], {"naive-ols": value}, n_sims=2)
     for name, method in (("gps-cell", "parametric-bootstrap"), ("gps-krr", "ols-asymptotic")):
         calls = []
         with pytest.raises(ConfigError, match="no linear design"):
@@ -327,11 +335,13 @@ def test_replicate_floor_applies_only_to_resampling_methods():
         simlab.check_intervals(ests, {"naive-ols": (method,)}, 50, 0.95)
 
 
-def test_only_linear_points_are_refit_from_counts(monkeypatch):
-    assert {n for n, e in ESTIMATOR_REGISTRY.items() if e.linear_point} == {
+def test_only_resampled_estimators_run_on_counts(monkeypatch):
+    registry = ESTIMATOR_REGISTRY.values()
+    # the linear points pass their design, gps-krr a count statistic
+    assert {e.name for e in registry if e.resampled is not None} == {
+        "naive-ols", "correct-spec", "gps-krr"}
+    assert {e.name for e in registry if e.design and e.resampled is e.design} == {
         "naive-ols", "correct-spec"}
-    with pytest.raises(ValueError, match="a linear point needs a design"):
-        StudyEstimator("mine", lambda d: 0.0, linear_point=True)
 
     takes = []
     real_take = Dataset.take
@@ -343,12 +353,14 @@ def test_only_linear_points_are_refit_from_counts(monkeypatch):
     monkeypatch.setattr(Dataset, "take", counted_take)
     resampling = ("naive-bootstrap", "block-bootstrap")
     blocks = np.arange(SMALL_GRAPH.n_outcome) % 8
-    run_study(small_dgp(), ["naive-ols", "correct-spec"],
-              {"naive-ols": resampling, "correct-spec": resampling},
-              n_sims=2, b_replicates=50, block_labels=blocks)
+    counted = ["naive-ols", "correct-spec", "gps-krr"]
+    res = run_study(small_dgp(), counted, {name: resampling for name in counted},
+                    n_sims=2, b_replicates=50, block_labels=blocks)
     assert takes == []
-    run_study(small_dgp(), ["gps-poly"], {"gps-poly": resampling}, n_sims=1, b_replicates=50,
-              block_labels=blocks)
+    # the counted bootstraps ran, rather than failing before any resample
+    assert all(np.isfinite(v).all() for v in res.covered.values()) and len(res.covered) == 6
+    run_study(small_dgp(), ["gps-poly"], {"gps-poly": resampling}, n_sims=1,
+              b_replicates=50, block_labels=blocks)
     assert len(takes) == 100
 
 
@@ -365,6 +377,17 @@ def test_run_study_counts_point_failures():
     assert res.point_failures["flaky"] == 3
     assert int(np.isnan(res.estimates["flaky"]).sum()) == 3
     assert np.isfinite(res.bias("flaky"))  # aggregation skips the failures
+
+
+def test_kernel_fit_over_budget_is_a_point_and_interval_failure(monkeypatch):
+    from bipexp import numerics
+
+    monkeypatch.setattr(numerics, "KRR_MAX_POINTS", 2)
+    res = run_study(small_dgp(), ["naive-ols", "gps-krr"], {"gps-krr": ("naive-bootstrap",)},
+                    n_sims=3, b_replicates=50)
+    assert res.point_failures == {"gps-krr": 3}
+    assert res.interval_failures == {("gps-krr", "naive-bootstrap"): 3}
+    assert np.isnan(res.estimates["gps-krr"]).all() and np.isfinite(res.estimates["naive-ols"]).all()
 
 
 def test_run_study_keyboard_interrupt_truncates():
