@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, MissingCellError
 from .gps import ATOM_TOL, GpsTable
 from .graph import BipartiteGraph, _as_readonly
-from .numerics import KernelFit, LinearFit, _krr_fit_counts, krr_fit, krr_predict, ols
+from .numerics import KernelFit, LinearFit, _krr_fit_counts, _unique_rows, krr_predict, ols
 
 # Scores below this floor are lifted to it before dividing (with a warning).
 TRIM_FLOOR = 1e-6
@@ -369,31 +369,35 @@ def beta_krr_fit(data: Dataset) -> KernelSurface:
     bandwidth (`numerics.KRR_BANDWIDTH_SCALE` times the median heuristic)
     stretches far along the exposure axis, while the score axis stays
     close to the plain heuristic so units with unusual scores are not
-    smoothed into the crowd.
+    smoothed into the crowd. It is `_krr_surface_counts` with every row
+    counted once.
     """
-    scores = data.observed_scores()
-    x = np.column_stack([data.exposure, scores])
-    if np.ptp(data.exposure) > 0:
-        trend = np.column_stack([np.ones(data.n_units), data.exposure])
-        mean_coef = ols(trend, data.y).coef
-    else:
-        mean_coef = np.array([float(data.y.mean()), 0.0])  # degenerate: no exposure variation
-    resid = data.y - (mean_coef[0] + mean_coef[1] * data.exposure)
-    fit = krr_fit(x, resid)
-    return KernelSurface(fit=fit, mean_coef=mean_coef)
+    cells, label = _krr_cells(data)
+    return _krr_surface_counts(cells, label, data.y, np.ones(data.n_units))
 
 
-def _krr_surface_counts(cells: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> KernelSurface:
-    """`beta_krr_fit` of rows that repeat each distinct (exposure, observed
-    score) `cells[j]` `counts[j]` times, with outcomes summing to `sums[j]`.
+def _krr_cells(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (exposure, observed score) rows, sorted, and each row's index into them."""
+    return _unique_rows(np.column_stack([data.exposure, data.observed_scores()]))
 
-    `counts` is positive, as for `numerics._krr_fit_counts`. The trend is
-    the count-weighted least squares line in exposure, or the mean alone
-    when the cells share one exposure; the kernel fits the residual sums.
-    The line is `ols` of the cells' rows scaled by sqrt(counts), whose
-    normal equations and R diagonal are the repeated rows', so it refuses
-    the same near-constant exposures with `RankDeficiencyError`.
+
+def _krr_surface_counts(cells, label, y, counts) -> KernelSurface:
+    """`beta_krr_fit` of the resample that takes row i `counts[i]` times, for
+    rows with outcomes `y` and cells and labels from `_krr_cells`.
+
+    The fit runs over the cells the resample takes, with their counts and
+    outcome sums (`numerics._krr_fit_counts`). The trend is the
+    count-weighted least squares line in exposure, or the mean alone when
+    those cells share one exposure; the kernel fits the residual sums. The
+    line is `ols` of the cells' rows scaled by sqrt(counts), whose normal
+    equations and R diagonal are the repeated rows', so it refuses the same
+    near-constant exposures with `RankDeficiencyError`.
     """
+    g = cells.shape[0]
+    weights = np.bincount(label, weights=counts, minlength=g)
+    sums = np.bincount(label, weights=counts * y, minlength=g)
+    taken = weights > 0
+    cells, counts, sums = cells[taken], weights[taken], sums[taken]
     e = cells[:, 0]
     if np.ptp(e) > 0:
         w = np.sqrt(counts)
@@ -442,7 +446,7 @@ def dose_response(surface, gps: GpsTable, grid) -> DoseResponseCurve:
     coordinates raise `MissingCellError` listing every (e, r) hole.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    mu = _level_means(surface, grid, _imputed_levels(gps, grid))
+    mu = _level_means(surface, grid, _imputed_levels(gps, grid), np.ones(gps.n_units))
     return DoseResponseCurve(grid=grid, mu_hat=mu)
 
 
@@ -451,9 +455,9 @@ def _imputed_levels(gps: GpsTable, grid) -> list[tuple[np.ndarray, np.ndarray]]:
     return [np.unique(gps.imputed_scores(float(e)), return_inverse=True) for e in grid]
 
 
-def _level_means(surface, grid, levels, counts=None) -> np.ndarray:
+def _level_means(surface, grid, levels, counts) -> np.ndarray:
     """The mean of the surface over the units at each grid level, each unit
-    taken `counts` times (once each by default), from `_imputed_levels`.
+    taken `counts` times, from `_imputed_levels`.
 
     Only the scores of units taken are evaluated; a non-finite value at
     any of them is a hole, and holes raise `MissingCellError`.
@@ -461,16 +465,14 @@ def _level_means(surface, grid, levels, counts=None) -> np.ndarray:
     mu = np.empty(len(grid))
     holes: list[tuple[float, float]] = []
     for k, (e, (uniq, inverse)) in enumerate(zip(grid, levels)):
-        if counts is not None:
-            weights = np.bincount(inverse, weights=counts, minlength=uniq.size)
-            taken = weights > 0
-            uniq, weights = uniq[taken], weights[taken]
-        vals = np.asarray(surface.evaluate(float(e), uniq), dtype=np.float64)
+        taken = np.bincount(inverse, weights=counts, minlength=uniq.size) > 0
+        vals = np.zeros(uniq.size)
+        vals[taken] = surface.evaluate(float(e), uniq[taken])
         bad = ~np.isfinite(vals)
         if np.any(bad):
             holes.extend((float(e), float(r)) for r in uniq[bad])
             continue
-        mu[k] = vals[inverse].mean() if counts is None else weights @ vals / weights.sum()
+        mu[k] = (vals[inverse] * counts).sum() / counts.sum()
     if holes:
         shown = ", ".join(f"({e:g}, {r:g})" for e, r in holes[:8])
         more = "" if len(holes) <= 8 else f" and {len(holes) - 8} more"

@@ -227,8 +227,9 @@ def _read_id_column(source, key_header: str, value_header: str, ids) -> np.ndarr
     """Values of a two-column CSV keyed by external id, aligned with `ids`.
 
     The header must be exactly ``key_header,value_header`` and every id in
-    `ids` must appear exactly once. Malformed lines raise ParseError;
-    unknown, duplicate or missing ids raise ValidationError.
+    `ids` must appear exactly once. Malformed lines and non-finite values
+    (nan, inf) raise ParseError; unknown, duplicate or missing ids raise
+    ValidationError.
     """
     where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
     index = {s: i for i, s in enumerate(ids)}
@@ -252,9 +253,12 @@ def _read_id_column(source, key_header: str, value_header: str, ids) -> np.ndarr
             if seen[i]:
                 raise ValidationError(f"line {lineno}: {where}duplicate {key_header} {key!r}")
             try:
-                out[i] = float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"{where}{value_header} {text!r} is not a decimal literal", lineno)
+            if not math.isfinite(value):
+                raise ParseError(f"{where}{value_header} {text!r} is not finite", lineno)
+            out[i] = value
             seen[i] = True
     missing = np.flatnonzero(~seen)
     if missing.size:

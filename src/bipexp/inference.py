@@ -16,10 +16,12 @@ The resampling bootstraps take two more kinds: a callable, applied to the
 data and to each resample `Dataset.take` builds, and a count statistic
 (`_CountStatistic`), built once on the full sample and applied to each
 resample's row counts. A resample is a vector of row counts (Efron &
-Tibshirani 1993), so neither a count statistic nor a design needs a
-resampled dataset: a design's replicates are refit from the counts on
-the full-sample QR, all at once (`_count_refits`). On the same draws the
-forms of one statistic give the same intervals up to rounding.
+Tibshirani 1993), and the data is the resample whose counts are all 1,
+so neither a count statistic nor a design needs a resampled dataset: a
+count statistic's estimate is its value at unit counts, and a design's
+replicates are refit from the counts on the full-sample QR, all at once
+(`_count_refits`). On the same draws the forms of one statistic give the
+same intervals up to rounding.
 
 The error model's variance split is a method-of-moments estimate with
 exact trace coefficients: it needs sparse products and k x m arrays only,
@@ -132,12 +134,11 @@ class _CountStatistic:
 
     `at` maps one resample's counts (float64, one per row of the data: how
     often the resample takes the row) to the replicate value, and fails as
-    a callable statistic does. `estimate` is the statistic on the data,
-    which `at` gives up to rounding with every count 1.
+    a callable statistic does. The data is the resample that takes every
+    row once, so the estimate is `at` of all ones.
     """
 
     at: Callable[[np.ndarray], float]
-    estimate: float
 
 
 def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
@@ -146,16 +147,16 @@ def _run_replicates(data, statistic, sampler, n_replicates, rng, method):
     A callable statistic gives the estimate on `data` and one replicate on
     each resample `sampler` draws; a replicate whose statistic raises
     `DataError` or `NumericalError`, or returns a non-finite value, fails.
-    A count statistic gives them from each resample's row counts, one
-    resample at a time, with the same failures. A linear design
-    (phi, target, contrast) gives both from `_count_refits` on the same
-    draws.
+    A count statistic gives the estimate at unit counts and the replicates
+    from each resample's row counts, one resample at a time, with the same
+    failures. A linear design (phi, target, contrast) gives both from
+    `_count_refits` on the same draws.
     """
     if n_replicates < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} replicates, got {n_replicates}")
     n = data.n_units
     if isinstance(statistic, _CountStatistic):
-        estimate = statistic.estimate
+        estimate = float(statistic.at(np.ones(n)))
 
         def replicate(idx):
             return statistic.at(np.bincount(idx, minlength=n).astype(np.float64))
@@ -237,8 +238,8 @@ def naive_bootstrap(
 
     * a callable on a `Dataset`, applied to the data and to each resample;
     * a count statistic (`_CountStatistic`), built on the data, whose `at`
-      maps a resample's row counts to its value and which carries its
-      estimate;
+      maps a resample's row counts to its value; the estimate is its value
+      at unit counts, the data itself;
     * a linear design (phi, target, contrast) whose contrast does not
       depend on the rows, with estimate contrast @ ols(phi, target).coef
       and replicates refit from the row counts on the full-sample QR (see

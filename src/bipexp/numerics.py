@@ -226,15 +226,12 @@ def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class KernelFit:
     """Kernel ridge fit over standardized inputs.
 
-    Duplicate input rows are collapsed into one weighted point (the ridge
-    objective depends on the data only through per-point counts and mean
-    targets, so predictions are identical to the uncollapsed fit), the
-    points are standardized to unit variance, and the dual weights are
-    solved against the collapsed system. The collapse compares the raw
-    rows, so which rows form one point does not depend on how the center
-    rounds; two distinct rows that standardize to one point stay two.
-    `points` holds the standardized points in lexicographic order, found
-    by one sort of the rows as complex numbers.
+    Fit by `_krr_fit_counts` from distinct inputs with counts and target
+    sums, into which `krr_fit` collapses duplicate raw rows (the ridge
+    objective depends on the data only through those, so predictions are
+    the uncollapsed fit's). Two distinct rows that standardize to one
+    point stay two. `points` holds the standardized points in
+    lexicographic order.
     """
 
     points: np.ndarray  # (g, 2) standardized distinct inputs
@@ -285,7 +282,8 @@ def krr_fit(x, y) -> KernelFit:
     rather than toward zero. The kernel's length scale along each input
     is `KRR_BANDWIDTH_SCALE` times the median pairwise distance among the
     standardized distinct inputs (1 when that is 0), and the ridge is
-    `KRR_RIDGE`.
+    `KRR_RIDGE`. The distinct rows, with counts and target sums, are fit
+    by `_krr_fit_counts`.
 
     Parameters
     ----------
@@ -314,47 +312,36 @@ def krr_fit(x, y) -> KernelFit:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("inputs and targets must be finite")
 
-    center, scale = x.mean(axis=0), _unit_if_flat(x, x.std(axis=0))
     cells, inverse = _unique_rows(x)
     counts = np.bincount(inverse).astype(np.float64)
-    ybar = np.bincount(inverse, weights=y) / counts
-    return _kernel_fit((cells - center) / scale, counts, ybar, float(y.mean()), center, scale)
+    return _krr_fit_counts(cells, counts, np.bincount(inverse, weights=y))
 
 
 def _krr_fit_counts(cells: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> KernelFit:
     """`krr_fit` of rows that repeat each distinct input `cells[j]` `counts[j]`
     times, with targets summing to `sums[j]` over those rows.
 
-    `counts` is positive. The center and the ddof-0 scale are
-    count-weighted; the points are the cells, as `krr_fit`'s are the
-    distinct rows, so the fit agrees with `krr_fit` on the expanded rows
-    up to rounding. Raises as `krr_fit` does.
+    `counts` is positive. The center, the ddof-0 scale and the target mean
+    are count-weighted. More than `KRR_MAX_POINTS` cells raise `DataError`
+    before any g x g array exists; otherwise raises as `krr_fit` does.
     """
-    total = counts.sum()
-    center = counts @ cells / total
-    dev = cells - center
-    scale = _unit_if_flat(cells, np.sqrt(counts @ (dev * dev) / total))
-    return _kernel_fit(dev / scale, counts, sums / counts, float(sums.sum() / total), center,
-                       scale)
-
-
-def _kernel_fit(points, counts, ybar, target_center, center, scale) -> KernelFit:
-    """The kernel ridge fit of the standardized distinct inputs `points` (a
-    fresh C-ordered array) with per-point counts and mean targets: the
-    bandwidth heuristic and the collapsed system, solved, with the points in
-    lexicographic order. More than `KRR_MAX_POINTS` points raise `DataError`
-    first."""
-    g = points.shape[0]
+    g = cells.shape[0]
     if g > KRR_MAX_POINTS:
         raise DataError(
             f"kernel ridge fit over {g} distinct (exposure, score) points exceeds the "
             f"budget of {KRR_MAX_POINTS} (KRR_MAX_POINTS); its g x g kernel system "
             f"would take about {24 * g * g / 1e9:.1f} GB"
         )
-    # standardizing keeps the distinct inputs' lexicographic order except
-    # where it ties the first coordinates of two of them; sort again
+    total = counts.sum()
+    target_center = float(sums.sum() / total)
+    center = counts @ cells / total
+    dev = cells - center
+    scale = _unit_if_flat(cells, np.sqrt(counts @ (dev * dev) / total))
+    points = dev / scale
+    # standardizing keeps the cells' lexicographic order except where it
+    # ties the first coordinates of two of them; sort again
     order = np.argsort(points.view(np.complex128).ravel(), kind="stable")
-    points, counts, ybar = points[order], counts[order], ybar[order]
+    points, counts, sums = points[order], counts[order], sums[order]
     base = _median_pairwise_distance(points)
     bandwidth = np.asarray(KRR_BANDWIDTH_SCALE) * (base if base > 0 else 1.0)
     bandwidth.setflags(write=False)
@@ -363,7 +350,7 @@ def _kernel_fit(points, counts, ybar, target_center, center, scale) -> KernelFit
     gram = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
     # collapsed normal equations: (K + ridge * diag(1/counts)) alpha = ybar - y0
     system = gram + KRR_RIDGE * np.diag(1.0 / counts)
-    dual = _cholesky_solve(system, ybar - target_center)
+    dual = _cholesky_solve(system, sums / counts - target_center)
     return KernelFit(
         points=points,
         dual=dual,

@@ -25,6 +25,7 @@ from .estimators import (
     Dataset,
     _ht_design,
     _imputed_levels,
+    _krr_cells,
     _krr_surface_counts,
     _level_means,
     _poly_features,
@@ -56,7 +57,7 @@ from .inference import (
     ols_asymptotic_interval,
     parametric_bootstrap,
 )
-from .numerics import _unique_rows, ols
+from .numerics import ols
 from .seeding import substream
 
 HOMOGENEOUS = "homogeneous"
@@ -160,9 +161,10 @@ class StudyEstimator:
     `naive-ols` and `correct-spec` it is the design, whose contrast does
     not depend on the rows, refit from the row counts in one batch; for
     `gps-krr` it is a count statistic, one kernel fit per resample's row
-    counts (see `inference.naive_bootstrap`). Without it the bootstraps
-    resample `point` through `Dataset.take`, as they do for the other
-    estimators (`stratified`'s quantile strata depend on the resample).
+    counts, which gives `point` bit for bit at unit counts (see
+    `inference.naive_bootstrap`). Without it the bootstraps resample
+    `point` through `Dataset.take`, as they do for the other estimators
+    (`stratified`'s quantile strata depend on the resample).
     """
 
     name: str
@@ -237,27 +239,23 @@ def _point_gps_krr(data: Dataset) -> float:
 
 
 def _counts_gps_krr(data: Dataset) -> _CountStatistic:
-    """`gps-krr` as a function of the row counts.
+    """`gps-krr` as a function of the row counts; `_point_gps_krr` at unit counts.
 
     The rows collapse once into their distinct (exposure, observed score)
-    cells, and each unit is labelled by its distinct imputed score at each
-    endpoint. A resample fits the cells it takes, with their counts and
-    outcome sums (`_krr_surface_counts`), and averages the surface over the
-    imputed scores with each unit weighted by its count.
+    cells (`_krr_cells`), and each unit is labelled by its distinct imputed
+    score at each endpoint. A resample fits the cells it takes
+    (`_krr_surface_counts`) and averages the surface over the imputed
+    scores with each unit weighted by its count.
     """
-    cells, label = _unique_rows(np.column_stack([data.exposure, data.observed_scores()]))
+    cells, label = _krr_cells(data)
     levels = _imputed_levels(data.gps, ENDPOINT_GRID)
-    y, g = data.y, cells.shape[0]
 
     def at(counts):
-        weights = np.bincount(label, weights=counts, minlength=g)
-        sums = np.bincount(label, weights=counts * y, minlength=g)
-        taken = weights > 0
-        surface = _krr_surface_counts(cells[taken], weights[taken], sums[taken])
+        surface = _krr_surface_counts(cells, label, data.y, counts)
         mu = _level_means(surface, ENDPOINT_GRID, levels, counts)
         return mu[1] - mu[0]
 
-    return _CountStatistic(at, _point_gps_krr(data))
+    return _CountStatistic(at)
 
 
 def _point_stratified(data: Dataset) -> float:

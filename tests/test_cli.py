@@ -584,6 +584,30 @@ def test_estimate_bad_header_exits_3(tmp_path, capsys):
     assert stderr_record(capsys)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, column", [("outcomes", "y"), ("exposures", "exposure")])
+def test_estimate_refuses_non_finite_values_with_the_line(tmp_path, capsys, name, column, text):
+    # read as they were, naive-mean and ht would write nan or inf and
+    # naive-ols would die on a ValueError traceback
+    files = {"outcomes": ["y", "2.0", "5.0", "4.0"], "exposures": ["exposure", "1.0", "0.5", "0.0"]}
+    files[name][2] = text  # unit b, on line 3
+    cfg_path = file_inputs_config(tmp_path, ())
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["estimators"] = ["naive-mean", "naive-ols", "ht"]
+    del cfg["data"]["assignment"]
+    for key, (header, *values) in files.items():
+        path = tmp_path / f"{key}.csv"
+        path.write_text("".join(
+            f"{u},{v}\n" for u, v in zip(["outcome_id", *"abc"], [header, *values])))
+        cfg["data"][key] = str(path)
+    write_yaml(cfg_path, cfg)
+    rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = stderr_record(capsys)
+    assert record["error"] == "ParseError"
+    assert record["message"] == f"line 3: {tmp_path / name}.csv: {column} '{text}' is not finite"
+
+
 def test_estimate_rejects_exposures_plus_assignment(tmp_path, capsys):
     cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "a,2.0", "b,5.0", "c,4.0"))
     cfg = yaml.safe_load(cfg_path.read_text())

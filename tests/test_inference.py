@@ -390,9 +390,9 @@ def test_krr_count_statistic_matches_per_resample_refits(monkeypatch, bootstrap)
     loops, counts = seen
     assert loop.n_replicates == counted.n_replicates == 200
     np.testing.assert_allclose(counts, loops, rtol=1e-9, atol=0)
-    # the estimate is the point itself; the counts of one give it up to rounding
+    # the estimate is the point itself, the statistic at unit counts
     assert counted.estimate == loop.estimate == est.point(data)
-    assert statistic.at(np.ones(data.n_units)) == pytest.approx(loop.estimate, rel=1e-12)
+    assert statistic.at(np.ones(data.n_units)) == loop.estimate
     assert counted.lower == pytest.approx(loop.lower, rel=1e-9)
     assert counted.upper == pytest.approx(loop.upper, rel=1e-9)
 
@@ -406,6 +406,7 @@ def test_krr_count_statistic_matches_on_exposures_an_ulp_apart(monkeypatch):
     levels = np.unique(data.exposure)
     assert np.any(np.diff(levels) <= 4 * np.spacing(levels[1:]))
     est = ESTIMATOR_REGISTRY["gps-krr"]
+    assert est.resampled(data).at(np.ones(data.n_units)) == est.point(data)
     monkeypatch.setattr(inference, "MAX_FAILURE_SHARE", 1.0)
     seen = raw_replicates(monkeypatch)
     naive_bootstrap(data, est.point, rng=substream(3, 4))
@@ -426,9 +427,9 @@ def test_count_statistic_holds_one_resample_of_counts():
         assert counts.dtype == np.float64
         return statistic.at(counts)
 
-    iv = naive_bootstrap(data, inference._CountStatistic(at, statistic.estimate),
-                         rng=substream(62, 4))
-    assert shapes == [(data.n_units,)] * 200 and iv.n_replicates == 200
+    iv = naive_bootstrap(data, inference._CountStatistic(at), rng=substream(62, 4))
+    # the estimate's unit counts, then one resample's counts per replicate
+    assert shapes == [(data.n_units,)] * 201 and iv.n_replicates == 200
 
 
 def ulp_twins(n_twins: int, n_off: int) -> Dataset:

@@ -294,23 +294,23 @@ def test_krr_bandwidth_is_scaled_median_heuristic():
 
 
 def test_krr_count_fit_matches_the_expanded_rows():
+    # krr_fit is this count fit on its collapsed rows, so the check is the
+    # plain solve over the expanded rows, with no pooling
     rng = rng_for(10)
-    # dyadic inputs, so both fits see one exposure where a column is constant
-    x = np.column_stack([rng.integers(0, 8, 120) / 8, rng.integers(0, 4, 120) / 4])
-    y = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=x.shape[0])
+    base = rng.normal(size=(30, 2))
+    rows = np.vstack([base, base[rng.integers(0, 30, 90)]])  # non-dyadic, repeated
+    dyadic = np.column_stack([rng.integers(0, 8, 120) / 8, np.full(120, 0.5)])
     grid = rng.uniform(size=(9, 2))
-    for constant_score in (False, True):
-        rows = x.copy()
-        if constant_score:
-            rows[:, 1] = 0.5  # passes through unscaled
-        cells, label = _unique_rows(rows)
+    for x in (rows, dyadic):  # the dyadic score is constant and passes through unscaled
+        y = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(scale=0.1, size=x.shape[0])
+        cells, label = _unique_rows(x)
         counts = np.bincount(label).astype(np.float64)
-        want = krr_fit(rows, y)
         got = _krr_fit_counts(cells, counts, np.bincount(label, weights=y))
-        assert got.points.shape == want.points.shape == cells.shape
-        np.testing.assert_allclose(got.bandwidth, want.bandwidth, rtol=1e-12)
-        np.testing.assert_allclose(got.scale, want.scale, rtol=1e-12)
-        np.testing.assert_allclose(krr_predict(got, grid), krr_predict(want, grid), rtol=1e-9)
+        assert got.points.shape == cells.shape
+        want_scale = np.where(np.ptp(x, axis=0) > 0, x.std(axis=0), 1.0)
+        np.testing.assert_allclose(got.scale, want_scale, rtol=1e-12)
+        want = uncollapsed_krr_oracle(x, y, got.bandwidth, KRR_RIDGE, grid)
+        np.testing.assert_allclose(krr_predict(got, grid), want, atol=1e-8)
 
 
 def test_krr_keeps_distinct_inputs_that_standardize_to_one_point():
