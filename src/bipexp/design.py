@@ -110,7 +110,8 @@ def linear_exposure(graph: BipartiteGraph, z: np.ndarray) -> np.ndarray:
 
 
 def linear_exposure_many(graph: BipartiteGraph, z_matrix: np.ndarray) -> np.ndarray:
-    """Exposure profiles for a (m, n_draws) matrix of assignments, as (n_outcome, n_draws)."""
+    """Exposure profiles for a (m, n_draws) matrix of assignments, as (n_outcome, n_draws);
+    per-row sums, so a column can differ from `linear_exposure`'s in the last bits."""
     z_matrix = np.asarray(z_matrix)
     if z_matrix.ndim != 2 or z_matrix.shape[0] != graph.m_diversion:
         raise ValueError(

@@ -347,15 +347,18 @@ def beta_cell_means(data: Dataset) -> CellMeanSurface:
                            e_ends=e_ends, r_ends=r_ends)
 
 
-def beta_poly_fit(data: Dataset) -> PolynomialSurface:
-    """Regress Y on (1, E, E^2, R, R^2, E*R) with R the observed score."""
+def _poly_rows(data: Dataset) -> np.ndarray:
+    """`gps-poly`'s rows (1, E, E^2, R, R^2, E*R); fewer rows than terms raise DataError."""
     if data.n_units < len(POLY_LABELS):
         raise DataError(
             f"need at least {len(POLY_LABELS)} observations for the polynomial surface"
         )
-    scores = data.observed_scores()
-    x = _poly_features(data.exposure, scores)
-    return PolynomialSurface(coef=ols(x, data.y, labels=POLY_LABELS).coef)
+    return _poly_features(data.exposure, data.observed_scores())
+
+
+def beta_poly_fit(data: Dataset) -> PolynomialSurface:
+    """Regress Y on (1, E, E^2, R, R^2, E*R) with R the observed score."""
+    return PolynomialSurface(coef=ols(_poly_rows(data), data.y, labels=POLY_LABELS).coef)
 
 
 def beta_krr_fit(data: Dataset) -> KernelSurface:

@@ -79,6 +79,13 @@ def _segment_searchsorted(values: np.ndarray, start: np.ndarray, stop: np.ndarra
         hi = np.where(active & ~below, mid, hi)
 
 
+def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Right-open bin of x + ATOM_TOL, clipped to the bins: the one bin rule, which
+    `mc_gps` counts with and `GpsTable` reads with. Searching the shifted inner
+    edges closes the top bin, puts spill below 0 in bin 0 and copies no x."""
+    return np.searchsorted(edges[1:-1] - ATOM_TOL, x, side="right")
+
+
 @dataclass(frozen=True)
 class GpsTable:
     """Per-unit exposure distributions in flat arrays, with batched score lookups.
@@ -88,7 +95,8 @@ class GpsTable:
     of `probs`. `unit_dist` maps each unit to its distribution; units
     sharing an identical (weights, probabilities) row share one. `edges`
     holds the bin edges of a Monte Carlo table, and is None for exact
-    atoms, which match a level within `ATOM_TOL`. The arrays are validated
+    atoms, which match a level within `ATOM_TOL`; a level's bin is the one
+    `mc_gps` counts it in (`_bin_index`). The arrays are validated
     once, here; `take` shares them. Query levels must lie inside [0, hi],
     the reachable exposure range (exposures are nonnegative). Support,
     probabilities, edges and `hi` must be finite, with hi >= 0.
@@ -173,7 +181,6 @@ class GpsTable:
         return self.support[lo:hi], self.probs[lo:hi]
 
     def _check_range(self, e: np.ndarray) -> None:
-        e = np.asarray(e, dtype=np.float64)
         # written so that NaN fails as well
         bad = ~((e >= -ATOM_TOL) & (e <= self.hi + ATOM_TOL))
         if np.any(bad):
@@ -183,16 +190,10 @@ class GpsTable:
     def _mass(self, dist: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Mass distribution dist[k] puts on level e[k] (0 where nothing matches)."""
         if self.edges is not None:
-            edges = self.edges
-            top = len(edges) - 2
-            idx = np.searchsorted(edges, e, side="right") - 1
-            # the top edge closes the last bin; ATOM_TOL absorbs float spill past either end
-            idx = np.where((e >= edges[-1]) & (e <= edges[-1] + ATOM_TOL), top, idx)
-            idx = np.where((e < edges[0]) & (e >= edges[0] - ATOM_TOL), 0, idx)
-            inside = (idx >= 0) & (idx <= top)
-            # integer minimum/maximum: np.clip's wrapper costs more than the lookup
-            idx_in = np.minimum(np.maximum(idx, 0), top)
-            return np.where(inside, self.probs[self.offsets[dist] + idx_in], 0.0)
+            mass = self.probs[self.offsets[dist] + _bin_index(self.edges, e)]
+            # a hand-built table's range [0, hi] may reach past its bins; nothing lies there
+            inside = (e >= self.edges[0] - ATOM_TOL) & (e <= self.edges[-1] + ATOM_TOL)
+            return np.where(inside, mass, 0.0)
         start, stop = self.offsets[dist], self.offsets[dist + 1]
         pos = _segment_searchsorted(self.support, start, stop, e)
         out = np.zeros(e.shape)
@@ -445,9 +446,9 @@ def mc_gps(
 
     Works for any design. Each of `n_draws` assignments is drawn from
     `rng`, in batches of `MC_CHUNK`, and every unit's exposure is counted
-    in `n_bins` equal-width bins on [0, 1]; the top edge closes the last
-    bin. Deterministic for a fixed rng seed. Every unit gets its own
-    distribution.
+    in `n_bins` equal-width bins on [0, 1] by `_bin_index`, the rule the
+    table's lookups read with. Deterministic for a fixed rng seed. Every
+    unit gets its own distribution.
 
     Raises
     ------
@@ -474,9 +475,7 @@ def mc_gps(
         z = draw_assignments(design, graph.m_diversion, take, rng)
         # coverage was validated above, so clipping only absorbs float spill;
         # one (n_outcome, batch) index array is updated in place
-        idx = np.searchsorted(edges, csr @ z.astype(np.float64), side="right")
-        idx -= 1
-        np.clip(idx, 0, n_bins - 1, out=idx)
+        idx = _bin_index(edges, csr @ z.astype(np.float64))
         idx += np.arange(n)[:, None] * n_bins
         counts += np.bincount(idx.ravel(), minlength=counts.size).reshape(counts.shape)
         done += take

@@ -359,7 +359,7 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     ``normalize=True`` each nonempty row is rescaled to sum to 1.
 
     When several lines are bad, the error names the first of them in file
-    order. Line numbers count CSV records, header included.
+    order. Line numbers count CSV records, header included; a path `source` is named too.
 
     Returns
     -------
@@ -374,6 +374,7 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     """
     o_index: dict[str, int] = {}
     d_index: dict[str, int] = {}
+    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
     # one typed entry per edge, in file order: no per-edge Python object
     # outlives its line
     rows, cols, lines, weights = array("q"), array("q"), array("q"), array("d")
@@ -383,27 +384,27 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError("empty file: expected header outcome_id,diversion_id,weight", 1)
+            raise ParseError(f"{where}empty file: expected header {','.join(EDGE_HEADER)}", 1)
         if tuple(h.strip() for h in header) != EDGE_HEADER:
             raise ParseError(
-                f"expected header {','.join(EDGE_HEADER)}, got {','.join(header)}", 1
+                f"{where}expected header {','.join(EDGE_HEADER)}, got {','.join(header)}", 1
             )
         try:
             for lineno, record in enumerate(reader, start=2):
                 if not record:
                     continue
                 if len(record) != 3:
-                    raise ParseError(f"expected 3 fields, got {len(record)}", lineno)
+                    raise ParseError(f"{where}expected 3 fields, got {len(record)}", lineno)
                 oid, did, wtext = record
                 wtext = wtext.strip()
                 try:
                     w = float(wtext)
                 except ValueError:
-                    raise ParseError(f"weight {wtext!r} is not a decimal literal", lineno)
+                    raise ParseError(f"{where}weight {wtext!r} is not a decimal literal", lineno)
                 if not math.isfinite(w):
-                    raise ParseError(f"weight {wtext!r} is not finite", lineno)
+                    raise ParseError(f"{where}weight {wtext!r} is not finite", lineno)
                 if w < 0:
-                    raise ValidationError(f"line {lineno}: negative weight {w!r}")
+                    raise ValidationError(f"line {lineno}: {where}negative weight {w!r}")
                 rows.append(o_index.setdefault(oid.strip(), len(o_index)))
                 cols.append(d_index.setdefault(did.strip(), len(d_index)))
                 lines.append(lineno)
@@ -423,7 +424,8 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     if repeats.size:
         k = int(repeats.min())
         raise ValidationError(
-            f"line {lines[k]}: duplicate edge ({outcome_ids[row[k]]!r}, {diversion_ids[col[k]]!r})"
+            f"line {lines[k]}: {where}duplicate edge "
+            f"({outcome_ids[row[k]]!r}, {diversion_ids[col[k]]!r})"
         )
     if bad_line is not None:
         raise bad_line
@@ -436,7 +438,7 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
         zero = np.flatnonzero(totals <= 0)
         if zero.size:
             raise ValidationError(
-                f"cannot normalize outcome unit {outcome_ids[zero[0]]!r}: row sum is 0"
+                f"{where}cannot normalize outcome unit {outcome_ids[zero[0]]!r}: row sum is 0"
             )
         w = w / totals[row]
     graph = BipartiteGraph(

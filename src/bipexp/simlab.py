@@ -21,7 +21,6 @@ import numpy as np
 from .design import AssignmentDesign, draw_assignments, linear_exposure
 from .errors import ConfigError, DataError, NumericalError
 from .estimators import (
-    POLY_LABELS,
     Dataset,
     _ht_design,
     _imputed_levels,
@@ -29,6 +28,7 @@ from .estimators import (
     _krr_surface_counts,
     _level_means,
     _poly_features,
+    _poly_rows,
     ate,
     beta_cell_means,
     beta_krr_fit,
@@ -222,14 +222,8 @@ def _point_gps_poly(data: Dataset) -> float:
 
 
 def _design_gps_poly(data: Dataset):
-    # fewer rows than terms fail as `beta_poly_fit` does, not with ols's ValueError
-    if data.n_units < len(POLY_LABELS):
-        raise DataError(
-            f"need at least {len(POLY_LABELS)} observations for the polynomial surface"
-        )
-    phi = _poly_features(data.exposure, data.observed_scores())
-    ones = np.ones(data.n_units)
-    f1 = _poly_features(ones, data.gps.imputed_scores(1.0)).mean(axis=0)
+    phi = _poly_rows(data)
+    f1 = _poly_features(np.ones(data.n_units), data.gps.imputed_scores(1.0)).mean(axis=0)
     f0 = _poly_features(np.zeros(data.n_units), data.gps.imputed_scores(0.0)).mean(axis=0)
     return phi, data.y, f1 - f0
 

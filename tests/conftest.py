@@ -19,6 +19,20 @@ def row_edges(graph: BipartiteGraph, i: int) -> list[tuple[int, float]]:
     return list(zip(graph.indices[lo:hi].tolist(), graph.weights[lo:hi].tolist()))
 
 
+# Malformed edge lists: (file text, error class name, "line N", message after the file name).
+BAD_EDGE_LISTS = [
+    pytest.param("outcome_id,diversion_id,weight\na,x,1.0\nb,x,inf\n", "ParseError",
+                 "line 3", "weight 'inf' is not finite", id="weight"),
+    pytest.param("outcome,diversion_id,weight\na,x,1.0\n", "ParseError", "line 1",
+                 "expected header outcome_id,diversion_id,weight, got outcome,diversion_id,weight",
+                 id="header"),
+    pytest.param("outcome_id,diversion_id,weight\na,x,1.0\nb,x\n", "ParseError",
+                 "line 3", "expected 3 fields, got 2", id="fields"),
+    pytest.param("outcome_id,diversion_id,weight\na,x,0.5\nb,x,1.0\na,x,0.5\n",
+                 "ValidationError", "line 4", "duplicate edge ('a', 'x')", id="duplicate"),
+]
+
+
 @pytest.fixture
 def bernoulli_half() -> AssignmentDesign:
     return AssignmentDesign.bernoulli(0.5)

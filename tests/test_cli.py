@@ -14,6 +14,7 @@ import yaml
 from bipexp import __version__, cli, simlab
 from bipexp.cli import PRESETS, _COMMANDS, _parse_graph, load_config, main
 from bipexp.graph import GraphSpec
+from conftest import BAD_EDGE_LISTS
 
 EDGES_CSV = (
     "outcome_id,diversion_id,weight\n"
@@ -582,6 +583,17 @@ def test_estimate_bad_header_exits_3(tmp_path, capsys):
     rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert stderr_record(capsys)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("text, error, line, message", BAD_EDGE_LISTS)
+def test_estimate_names_a_malformed_edge_list(tmp_path, capsys, text, error, line, message):
+    cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "a,2.0", "b,5.0"))
+    (tmp_path / "edges.csv").write_text(text)
+    rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = stderr_record(capsys)
+    assert record["error"] == error
+    assert record["message"] == f"{line}: {tmp_path / 'edges.csv'}: {message}"
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bipexp import gps
-from bipexp.design import AssignmentDesign, draw_assignments, linear_exposure_many
+from bipexp.design import (
+    AssignmentDesign,
+    draw_assignments,
+    linear_exposure,
+    linear_exposure_many,
+)
 from bipexp.errors import DataError, ValidationError
 from bipexp.gps import (
     ATOM_TOL,
@@ -537,6 +542,28 @@ def test_mc_bins_aggregate_exact_mass(small_graph, bernoulli_half):
         assert np.all(np.abs(got - want) <= band + 1e-12)
 
 
+def test_bin_index_places_levels_within_tol_below_an_edge_above_it():
+    edges = np.linspace(0.0, 1.0, 5)
+    x = np.concatenate([edges - 0.5 * ATOM_TOL, edges, edges + 0.5 * ATOM_TOL,
+                        edges - 3 * ATOM_TOL])
+    want = np.concatenate([[0, 1, 2, 3, 3]] * 3 + [[0, 0, 1, 2, 3]])
+    np.testing.assert_array_equal(gps._bin_index(edges, x), want)
+    np.testing.assert_array_equal(gps._bin_index(np.array([0.0, 1.0]), x), 0)
+
+
+def test_mc_table_scores_every_realized_exposure():
+    # The paper graph's running-sum exposures often sit an ulp below an edge
+    # that the table's per-row products reach exactly; a lookup that places
+    # them in another bin than the count did scores them 0.
+    graph = synth_graph(GraphSpec("uniform-degree", 1000, 100, 1, 10), substream(20260819, 0))
+    design = AssignmentDesign.bernoulli(0.5)
+    table = mc_gps(graph, design, rng=substream(1, 11))
+    for s in range(20):
+        z = draw_assignments(design, graph.m_diversion, 1, substream(s, 1))[:, 0]
+        zero = np.flatnonzero(table.observed_scores(linear_exposure(graph, z)) <= 0)
+        assert zero.size == 0, f"draw {s}: {zero.size} units score 0"
+
+
 def test_mc_bins_must_cover_reachable_range(bernoulli_half):
     # a row summing to 1.5 reaches exposures past the top edge of [0, 1]
     graph = BipartiteGraph.from_rows([[(0, 0.5)], [(0, 0.75), (1, 0.75)]], m_diversion=2)
@@ -715,8 +742,11 @@ def reference_mass(support, probs, edges, e):
 
     Atoms (no edges): the atom at the left insertion point wins when it lies
     within tol and carries mass, else the atom before it when that lies
-    within tol. Bins: right-open bins, the top edge closes the last bin, and
-    tol absorbs spill past either end.
+    within tol. Bins, the rule `mc_gps` counts with: e is in the right-open
+    bin of e + tol, so a level within tol below an interior edge is in the
+    bin that edge opens; the top edge closes the last bin, spill below the
+    bottom edge is in bin 0, and a level more than tol outside the edges
+    scores 0.
     """
     tol = ATOM_TOL
     if edges is None:
@@ -728,14 +758,12 @@ def reference_mass(support, probs, edges, e):
                 out = probs[k]
         return out
     edges = list(edges)
-    if edges[-1] <= e <= edges[-1] + tol:
-        return probs[-1]
-    if edges[0] - tol <= e < edges[0]:
-        return probs[0]
-    for b in range(len(edges) - 1):
-        if edges[b] <= e < edges[b + 1]:
+    if not edges[0] - tol <= e <= edges[-1] + tol:
+        return 0.0
+    for b in range(len(edges) - 2):
+        if e + tol < edges[b + 1]:
             return probs[b]
-    return 0.0
+    return probs[-1]
 
 
 grid_points = st.integers(0, 64).map(lambda k: k / 64.0)
@@ -756,7 +784,8 @@ def flat_tables(draw):
                      for a in atoms[:-1] if draw(st.booleans())]
             supports.append(np.array(sorted(atoms + twins)))
     else:
-        edges = np.linspace(0.0, 1.0, draw(st.integers(1, 5)) + 1)
+        # bins from 0.25 leave part of the range [0, hi] outside every bin
+        edges = np.linspace(draw(st.sampled_from([0.0, 0.25])), 1.0, draw(st.integers(1, 5)) + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         supports = [centers] * n_dists
     probs = []

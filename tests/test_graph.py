@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipexp import graph as graph_module
-from bipexp.errors import ParseError, ValidationError
+from bipexp.errors import DataError, ParseError, ValidationError
 from bipexp.graph import (
     BipartiteGraph,
     GraphSpec,
@@ -20,7 +20,7 @@ from bipexp.graph import (
     write_edge_list,
 )
 from bipexp.seeding import substream
-from conftest import row_edges
+from conftest import BAD_EDGE_LISTS, row_edges
 
 
 def test_from_rows_matches_dense(small_graph):
@@ -128,6 +128,20 @@ def test_load_edge_list_duplicate_edge():
     dup = "outcome_id,diversion_id,weight\nu,d,0.5\nu,d,0.5\n"
     with pytest.raises(ValidationError, match="duplicate"):
         load_edge_list(io.StringIO(dup))
+
+
+@pytest.mark.parametrize("text, error, line, message", BAD_EDGE_LISTS)
+def test_load_edge_list_names_the_file(tmp_path, text, error, line, message):
+    path = tmp_path / "edges.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_edge_list(path)
+    assert type(info.value).__name__ == error
+    assert str(info.value) == f"{line}: {path}: {message}"
+    # a file object has no name to give
+    with pytest.raises(DataError) as info:
+        load_edge_list(io.StringIO(text))
+    assert str(info.value) == f"{line}: {message}"
 
 
 def test_edge_list_roundtrip(tmp_path, small_graph):
