@@ -391,10 +391,8 @@ def _build_estimate_inputs(cfg: dict, gps: dict, seed: int) -> Dataset:
     if data["exposures"] is not None:
         exposure = _read_id_column(data["exposures"], "outcome_id", "exposure", id_map.outcome_ids)
     else:
-        z_path = data["assignment"]
-        z = _read_id_column(z_path, "diversion_id", "z", id_map.diversion_ids)
-        if not np.all((z == 0) | (z == 1)):
-            raise DataError(f"{z_path}: assignment values must be 0 or 1")
+        z = _read_id_column(data["assignment"], "diversion_id", "z", id_map.diversion_ids,
+                            (lambda z: z == 0 or z == 1, "must be 0 or 1"))
         exposure = linear_exposure(graph, z.astype(np.uint8))
     return Dataset.build(graph, build_gps(gps, graph, design, seed), y, exposure)
 

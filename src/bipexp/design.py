@@ -124,9 +124,8 @@ def load_probability_file(source, id_map: IdMap) -> np.ndarray:
     """Read per-diversion-unit probabilities (columns diversion_id,p).
 
     Every diversion unit in `id_map` must appear exactly once, and every
-    probability must lie strictly inside (0, 1).
+    probability must lie strictly inside (0, 1); an error names the line
+    and the id.
     """
-    p = _read_id_column(source, "diversion_id", "p", id_map.diversion_ids)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValidationError("all probabilities must lie strictly inside (0, 1)")
-    return p
+    return _read_id_column(source, "diversion_id", "p", id_map.diversion_ids,
+                           (lambda p: 0.0 < p < 1.0, "must lie strictly inside (0, 1)"))

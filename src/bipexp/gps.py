@@ -48,11 +48,6 @@ MAX_EXACT_DEGREE = 20
 # rng stream, so changing this changes the table.
 MC_CHUNK = 512
 
-# At most this many query levels keep their per-distribution masses on a
-# table; further levels are computed on each lookup, so the kept arrays stay
-# within a small multiple of the table's own.
-_KEPT_LEVELS = 32
-
 # Bins and draws of a Monte Carlo table unless the caller sets them.
 MC_BINS = 20
 MC_DRAWS = 100_000
@@ -100,11 +95,6 @@ class GpsTable:
     once, here; `take` shares them. Query levels must lie inside [0, hi],
     the reachable exposure range (exposures are nonnegative). Support,
     probabilities, edges and `hi` must be finite, with hi >= 0.
-
-    The masses of every distribution at a common query level are computed
-    once and kept, read-only, in a dict that `take` shares (for up to
-    `_KEPT_LEVELS` levels), so resamples of one table look them up instead
-    of recomputing them.
     """
 
     offsets: np.ndarray
@@ -162,7 +152,6 @@ class GpsTable:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "unit_dist", unit_dist)
-        object.__setattr__(self, "_level_masses", {})  # not a field: level -> masses
 
     @property
     def n_units(self) -> int:
@@ -204,16 +193,9 @@ class GpsTable:
         return out
 
     def imputed_scores(self, e: float) -> np.ndarray:
-        """Score of every unit at the common query level e (masses kept per table)."""
-        e = float(e)
-        masses = self._level_masses.get(e)
-        if masses is None:
-            self._check_range(np.asarray([e]))
-            masses = self._mass(np.arange(self.n_dists), np.full(self.n_dists, e))
-            masses.setflags(write=False)
-            if len(self._level_masses) < _KEPT_LEVELS:
-                self._level_masses[e] = masses
-        return masses[self.unit_dist]
+        """Score of every unit at the common query level e."""
+        self._check_range(np.asarray([float(e)]))
+        return self._mass(np.arange(self.n_dists), np.full(self.n_dists, float(e)))[self.unit_dist]
 
     def observed_scores(self, exposures: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
         """Score of each unit at its own realized exposure.
@@ -243,10 +225,7 @@ class GpsTable:
         return np.add.reduceat(dev * dev * self.probs, starts)[self.unit_dist]
 
     def take(self, units) -> "GpsTable":
-        """Row subset sharing the distribution arrays and the kept level masses.
-
-        Only unit_dist is new.
-        """
+        """Row subset sharing the distribution arrays; only unit_dist is new."""
         unit_dist = self.unit_dist[np.asarray(units, dtype=np.int64)]
         if unit_dist.ndim != 1:
             raise ValidationError("units must be a vector")

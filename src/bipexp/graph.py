@@ -223,43 +223,82 @@ def _open_read(source):
     return _NonClosing(source)
 
 
-def _read_id_column(source, key_header: str, value_header: str, ids) -> np.ndarray:
+def _where(source) -> str:
+    """Prefix naming a file given by path in error messages; none for a file object."""
+    return f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
+
+
+def _records(source, header: tuple[str, ...], rule=None):
+    """Yield (line, fields, value) for each nonempty record of an input CSV.
+
+    The one reader of every input file. The first record must be exactly
+    `header` (fields stripped); each later one needs as many fields, and its
+    last field must be a finite decimal, `value`. `rule` is an optional
+    (test, text) pair: a value failing `test(value)` raises ValidationError
+    naming the first field as the record's id. Line numbers count CSV
+    records, the header being line 1. A malformed record, a `csv.Error` or
+    text that is not UTF-8 raises ParseError; every error names a path
+    `source`. UTF-8 is decoded ahead of the records, so a decode error
+    names no line.
+    """
+    where = _where(source)
+    n_fields, name = len(header), header[-1]
+    last, isfinite = n_fields - 1, math.isfinite
+    lineno = 0
+    try:
+        with _open_read(source) as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            lineno = 1
+            if got is None or tuple(h.strip() for h in got) != header:
+                got = "an empty file" if got is None else ",".join(got)
+                raise ParseError(f"{where}expected header {','.join(header)}, got {got}", 1)
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != n_fields:
+                    if not record:
+                        continue
+                    raise ParseError(f"{where}expected {n_fields} fields, got {len(record)}", lineno)
+                text = record[last]
+                try:
+                    value = float(text)  # float() skips the whitespace strip() removes
+                except ValueError:
+                    raise ParseError(f"{where}{name} {text.strip()!r} is not a decimal literal", lineno)
+                if not isfinite(value):
+                    raise ParseError(f"{where}{name} {text.strip()!r} is not finite", lineno)
+                if rule is not None and not rule[0](value):
+                    raise ValidationError(
+                        f"line {lineno}: {where}{name} {text.strip()!r} of {header[0]} "
+                        f"{record[0].strip()!r} {rule[1]}"
+                    )
+                yield lineno, record, value
+    except csv.Error as exc:
+        # the record after the last one read is the one being read
+        raise ParseError(f"{where}{exc}", lineno + 1) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}not UTF-8 text: {exc.reason}") from None
+
+
+def _read_id_column(source, key_header: str, value_header: str, ids, rule=None) -> np.ndarray:
     """Values of a two-column CSV keyed by external id, aligned with `ids`.
 
     The header must be exactly ``key_header,value_header`` and every id in
-    `ids` must appear exactly once. Malformed lines and non-finite values
-    (nan, inf) raise ParseError; unknown, duplicate or missing ids raise
+    `ids` must appear exactly once. The file is read by `_records`, under the
+    optional value `rule`; unknown, duplicate or missing ids raise
     ValidationError.
     """
-    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
+    where = _where(source)
     index = {s: i for i, s in enumerate(ids)}
     out = np.full(len(index), np.nan)
     seen = np.zeros(len(index), dtype=bool)
-    with _open_read(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [key_header, value_header]:
-            got = "an empty file" if header is None else ",".join(header)
-            raise ParseError(f"{where}expected header {key_header},{value_header}, got {got}", 1)
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 2:
-                raise ParseError(f"{where}expected 2 fields, got {len(record)}", lineno)
-            key, text = (f.strip() for f in record)
-            i = index.get(key)
-            if i is None:
-                raise ValidationError(f"line {lineno}: {where}unknown {key_header} {key!r}")
-            if seen[i]:
-                raise ValidationError(f"line {lineno}: {where}duplicate {key_header} {key!r}")
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"{where}{value_header} {text!r} is not a decimal literal", lineno)
-            if not math.isfinite(value):
-                raise ParseError(f"{where}{value_header} {text!r} is not finite", lineno)
-            out[i] = value
-            seen[i] = True
+    for lineno, (key, _), value in _records(source, (key_header, value_header), rule):
+        key = key.strip()
+        i = index.get(key)
+        if i is None:
+            raise ValidationError(f"line {lineno}: {where}unknown {key_header} {key!r}")
+        if seen[i]:
+            raise ValidationError(f"line {lineno}: {where}duplicate {key_header} {key!r}")
+        out[i] = value
+        seen[i] = True
     missing = np.flatnonzero(~seen)
     if missing.size:
         names = ", ".join(ids[j] for j in missing[:5]) + (", ..." if missing.size > 5 else "")
@@ -368,50 +407,29 @@ def load_edge_list(source, normalize: bool = False) -> tuple[BipartiteGraph, IdM
     Raises
     ------
     ParseError
-        Malformed header or row (carries the line number).
+        Malformed header or row (carries the line number), or text that is
+        not UTF-8; the file is read by `_records`.
     ValidationError
         Negative weight or duplicate (outcome, diversion) pair.
     """
     o_index: dict[str, int] = {}
     d_index: dict[str, int] = {}
-    where = f"{source}: " if isinstance(source, (str, os.PathLike)) else ""
+    where = _where(source)
     # one typed entry per edge, in file order: no per-edge Python object
     # outlives its line
     rows, cols, lines, weights = array("q"), array("q"), array("q"), array("d")
     bad_line = None
-    with _open_read(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{where}empty file: expected header {','.join(EDGE_HEADER)}", 1)
-        if tuple(h.strip() for h in header) != EDGE_HEADER:
-            raise ParseError(
-                f"{where}expected header {','.join(EDGE_HEADER)}, got {','.join(header)}", 1
-            )
-        try:
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != 3:
-                    raise ParseError(f"{where}expected 3 fields, got {len(record)}", lineno)
-                oid, did, wtext = record
-                wtext = wtext.strip()
-                try:
-                    w = float(wtext)
-                except ValueError:
-                    raise ParseError(f"{where}weight {wtext!r} is not a decimal literal", lineno)
-                if not math.isfinite(w):
-                    raise ParseError(f"{where}weight {wtext!r} is not finite", lineno)
-                if w < 0:
-                    raise ValidationError(f"line {lineno}: {where}negative weight {w!r}")
-                rows.append(o_index.setdefault(oid.strip(), len(o_index)))
-                cols.append(d_index.setdefault(did.strip(), len(d_index)))
-                lines.append(lineno)
-                weights.append(w)
-        except (DataError, csv.Error) as exc:
-            # raised below unless an earlier line repeats an edge
-            bad_line = exc
+    try:
+        for lineno, (oid, did, _), w in _records(source, EDGE_HEADER):
+            if w < 0:
+                raise ValidationError(f"line {lineno}: {where}negative weight {w!r}")
+            rows.append(o_index.setdefault(oid.strip(), len(o_index)))
+            cols.append(d_index.setdefault(did.strip(), len(d_index)))
+            lines.append(lineno)
+            weights.append(w)
+    except DataError as exc:
+        # raised below unless an earlier line repeats an edge
+        bad_line = exc
 
     outcome_ids, diversion_ids = tuple(o_index), tuple(d_index)
     row = np.frombuffer(rows, dtype=np.int64)

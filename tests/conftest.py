@@ -30,6 +30,10 @@ BAD_EDGE_LISTS = [
                  "line 3", "expected 3 fields, got 2", id="fields"),
     pytest.param("outcome_id,diversion_id,weight\na,x,0.5\nb,x,1.0\na,x,0.5\n",
                  "ValidationError", "line 4", "duplicate edge ('a', 'x')", id="duplicate"),
+    # over the csv module's field limit of 131,072 characters
+    pytest.param("outcome_id,diversion_id,weight\na,x,1.0\n" + "b" * 200_000 + ",x,1.0\n",
+                 "ParseError", "line 3", "field larger than field limit (131072)",
+                 id="long-field"),
 ]
 
 

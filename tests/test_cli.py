@@ -229,6 +229,29 @@ def test_gps_exact_table(tmp_path):
     assert prov["outputs"] == ["gps.csv"]
 
 
+@pytest.mark.parametrize("content, error, message", [
+    (b"diversion_id,p\nx,0.5\n" + b"y" * 200_000 + b",0.5\n", "ParseError",
+     "line 3: {path}: field larger than field limit (131072)"),
+    (b"diversion_id,p\nx,0.5\ny,1.5\n", "ValidationError",
+     "line 3: {path}: p '1.5' of diversion_id 'y' must lie strictly inside (0, 1)"),
+    (b"diversion_id,p\nx,0.5\ny,\xff\n", "ParseError",
+     "{path}: not UTF-8 text: invalid start byte"),
+], ids=["long-field", "range", "not-utf8"])
+def test_gps_names_the_file_of_a_bad_probability(tmp_path, capsys, content, error, message):
+    path = tmp_path / "p.csv"
+    path.write_bytes(content)
+    cfg_path = external_graph_config(tmp_path)
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["design"] = {"kind": "bernoulli-heterogeneous", "p_file": str(path)}
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main(["gps", "--config", str(cfg_path), "--out", str(out)]) == 3
+    record = stderr_record(capsys)
+    assert record["error"] == error
+    assert record["message"] == message.format(path=path)
+    assert not (out / "gps.csv").exists()
+
+
 def test_gps_monte_carlo_mode(tmp_path):
     cfg_path = external_graph_config(tmp_path, {"mode": "monte-carlo", "bins": 10, "n_draws": 2000})
     out = tmp_path / "out"
@@ -618,6 +641,23 @@ def test_estimate_refuses_non_finite_values_with_the_line(tmp_path, capsys, name
     record = stderr_record(capsys)
     assert record["error"] == "ParseError"
     assert record["message"] == f"line 3: {tmp_path / name}.csv: {column} '{text}' is not finite"
+
+
+@pytest.mark.parametrize("name, content, error, message", [
+    ("outcomes", b"outcome_id,y\na,2.0\nb,\xff\nc,4.0\n", "ParseError",
+     "{path}: not UTF-8 text: invalid start byte"),
+    ("assignment", b"diversion_id,z\nx,1\ny,2\n", "ValidationError",
+     "line 3: {path}: z '2' of diversion_id 'y' must be 0 or 1"),
+], ids=["not-utf8", "range"])
+def test_estimate_names_the_file_of_a_bad_input(tmp_path, capsys, name, content, error, message):
+    cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "a,2.0", "b,5.0", "c,4.0"))
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(content)
+    rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    record = stderr_record(capsys)
+    assert record["error"] == error
+    assert record["message"] == message.format(path=path)
 
 
 def test_estimate_rejects_exposures_plus_assignment(tmp_path, capsys):

@@ -187,7 +187,10 @@ def test_load_probability_file_boundary_probability():
     ("diversion_id,p\na,0.5\nq,0.5\nb,0.5\n", ValidationError, "line 3: unknown diversion_id 'q'"),
     ("diversion_id,p\na,0.5\na,0.25\nb,0.5\n", ValidationError, "line 3: duplicate diversion_id 'a'"),
     ("diversion_id,p\na,nan\nb,0.5\n", ParseError, "line 2: p 'nan' is not finite"),
-    ("diversion_id,p\na,0.5\nb,1.5\n", ValidationError, "strictly inside (0, 1)"),
+    ("diversion_id,p\na,0.5\nb,1.5\n", ValidationError,
+     "line 3: p '1.5' of diversion_id 'b' must lie strictly inside (0, 1)"),
+    pytest.param("diversion_id,p\na,0.5\n" + "b" * 200_000 + ",0.5\n", ParseError,
+                 "line 3: field larger than field limit (131072)", id="long-field"),
 ])
 def test_load_probability_file_rejects_bad_lines(text, error, message):
     id_map = IdMap(("u",), ("a", "b"))

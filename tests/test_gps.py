@@ -444,26 +444,6 @@ def test_take_shares_distribution_objects(two_type_graph, bernoulli_half):
     assert score(sub, 1, 1.0) == score(table, 1, 1.0)
 
 
-def test_level_masses_are_kept_once_and_shared_by_take(two_type_graph, bernoulli_half):
-    table = exact_gps_table(two_type_graph, bernoulli_half)
-    first = table.imputed_scores(0.5)
-    kept = table._level_masses
-    assert list(kept) == [0.5]
-    assert not kept[0.5].flags.writeable
-    assert first.tobytes() == kept[0.5][table.unit_dist].tobytes()
-    sub = table.take(np.array([6, 1, 6]))
-    assert sub._level_masses is kept
-    with mock.patch.object(GpsTable, "_mass", side_effect=AssertionError("masses recomputed")):
-        assert sub.imputed_scores(0.5).tobytes() == first[[6, 1, 6]].tobytes()
-        assert table.imputed_scores(np.float64(0.5)).tobytes() == first.tobytes()
-    # a level first asked of a subset is kept for the whole table
-    sub.imputed_scores(1.0)
-    assert list(kept) == [0.5, 1.0]
-    assert table.imputed_scores(1.0).tobytes() == kept[1.0][table.unit_dist].tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        kept[1.0][0] = 0.0
-
-
 @pytest.mark.parametrize("level", [np.nan, np.inf, -0.2, 1.5])
 def test_levels_outside_the_range_raise_every_time_and_are_not_kept(
     two_type_graph, bernoulli_half, level
@@ -472,18 +452,6 @@ def test_levels_outside_the_range_raise_every_time_and_are_not_kept(
     for _ in range(2):
         with pytest.raises(DataError, match="outside the table's range"):
             table.imputed_scores(level)
-    assert table._level_masses == {}
-
-
-def test_kept_levels_are_capped(small_graph, bernoulli_half):
-    table = exact_gps_table(small_graph, bernoulli_half)
-    levels = np.linspace(0.0, 1.0, gps._KEPT_LEVELS + 5)
-    for e in levels:
-        table.imputed_scores(e)
-    assert list(table._level_masses) == levels[: gps._KEPT_LEVELS].tolist()
-    fresh = exact_gps_table(small_graph, bernoulli_half)
-    for e in levels:  # levels past the cap are computed on each lookup
-        assert table.imputed_scores(e).tobytes() == fresh.imputed_scores(e).tobytes()
 
 
 def test_nan_exposure_levels_raise():
@@ -497,7 +465,6 @@ def test_nan_exposure_levels_raise():
         table.observed_scores(exposures)
     with pytest.raises(DataError, match="exposure level nan outside"):
         table.observed_scores(exposures[3:5], units=np.array([3, 4]))
-    assert table._level_masses == {}
 
 
 def test_dist_variance_binomial():

@@ -223,7 +223,7 @@ def reference_load_edge_list(text: str, normalize: bool):
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None:
-        raise ParseError("empty file: expected header outcome_id,diversion_id,weight", 1)
+        raise ParseError("expected header outcome_id,diversion_id,weight, got an empty file", 1)
     if tuple(h.strip() for h in header) != ("outcome_id", "diversion_id", "weight"):
         raise ParseError(
             f"expected header outcome_id,diversion_id,weight, got {','.join(header)}", 1

@@ -29,3 +29,18 @@ def test_simple_example_digests_are_stable(capsys):
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     assert runs[1] == lines
+
+
+def test_check_prints_the_lines_that_differ(tmp_path, capsys):
+    tool = load_tool()
+    checked = tmp_path / "digests.sha256"
+    checked.write_text((ROOT / "tools" / "preset_digests.sha256").read_text())
+    assert tool.main(["--presets", "simple-example", "--check", str(checked)]) == 0
+    assert capsys.readouterr().out == f"2 digests match {checked}\n"
+    lines = checked.read_text().splitlines()
+    wrong = next(i for i, line in enumerate(lines) if line.endswith("simple-example/estimates.csv"))
+    right = lines[wrong]
+    lines[wrong] = "0" * 64 + "  simple-example/estimates.csv"
+    checked.write_text("\n".join(lines) + "\n")
+    assert tool.main(["--presets", "simple-example", "--check", str(checked)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"- {lines[wrong]}", f"+ {right}"]

@@ -11,6 +11,16 @@ directory of the checkout this script lives in, so two checkouts can be
 compared by running each one's copy and diffing the output:
 
     python3 tools/preset_digests.py [--presets simple-example ...]
+
+`--check FILE` compares the run presets' lines with those FILE holds for
+them instead of printing all of them. `tools/preset_digests.sha256` holds
+the 13 lines that the output files must keep while a change is meant to
+leave them byte-identical:
+
+    python3 tools/preset_digests.py --check tools/preset_digests.sha256
+
+Each line that differs is printed, the expected one after `-` and the
+computed one after `+`, and the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -48,14 +58,24 @@ def preset_digests(preset: str, out_dir: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--presets", nargs="+", choices=PRESETS, default=list(PRESETS))
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare with FILE's lines and exit 1 if any differs")
     args = parser.parse_args(argv)
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for preset in args.presets:
             out_dir = Path(tmp) / preset
             out_dir.mkdir()
-            for line in preset_digests(preset, out_dir):
-                print(line)
-    return 0
+            lines += preset_digests(preset, out_dir)
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    expected = [line for line in args.check.read_text().splitlines()
+                if line.split("  ")[-1].split("/")[0] in args.presets]
+    differ = [f"- {line}" for line in expected if line not in lines]
+    differ += [f"+ {line}" for line in lines if line not in expected]
+    print("\n".join(differ) if differ else f"{len(lines)} digests match {args.check}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
