@@ -31,13 +31,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .estimators import (
-    Dataset,
-    beta_cell_means,
-    beta_krr_fit,
-    beta_poly_fit,
-    dose_response,
-)
+from .estimators import Dataset, dose_response
 from .gps import MC_BINS, MC_DRAWS, default_gps_table, exact_gps_table, mc_gps
 from .graph import (
     BipartiteGraph,
@@ -50,17 +44,15 @@ from .graph import (
     synth_graph,
     write_edge_list,
 )
-from .inference import IntervalEstimate
 from .seeding import substream
 from .simlab import (
-    ESTIMATOR_REGISTRY,
-    INTERVAL_METHODS,
+    _GPS_STREAM,
     DgpSpec,
     _check_study,
     _check_workers,
-    check_intervals,
+    _interval,
+    check_request,
     edges_cut_sweep,
-    resolve_estimators,
     run_study,
     simple_example,
 )
@@ -281,22 +273,14 @@ def build_gps(gps: dict, graph, design, seed: int):
         return exact_gps_table(graph, design)
     if gps["mode"] == "monte-carlo":
         return mc_gps(graph, design, n_bins=gps["bins"], n_draws=gps["n_draws"],
-                      rng=substream(seed, 11))
-    return default_gps_table(graph, design, rng=substream(seed, 11))
+                      rng=substream(seed, _GPS_STREAM))
+    return default_gps_table(graph, design, rng=substream(seed, _GPS_STREAM))
 
 
-def _parse_estimators(cfg: dict, b_replicates: int, level: float) -> tuple[list[str], dict]:
-    """The `estimators` list and the `intervals` map, checked with the interval settings."""
-    names = cfg.get("estimators", ["naive-ols"])
-    if not isinstance(names, list) or not names:
-        raise ConfigError("estimators must be a nonempty list")
-    intervals: dict[str, tuple] = {}
-    for key, methods in _section(cfg, "intervals", required=False).items():
-        if not isinstance(methods, list):
-            raise ConfigError("intervals values must be lists of method names")
-        intervals[key] = tuple(methods)
-    check_intervals(resolve_estimators(names), intervals, b_replicates, level)
-    return names, intervals
+def _parse_estimators(cfg: dict, b_replicates: int, level: float):
+    """The `estimators` list and the `intervals` map, checked by `simlab.check_request`."""
+    return check_request(cfg.get("estimators", ["naive-ols"]), cfg.get("intervals"),
+                         b_replicates, level)
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -397,17 +381,10 @@ def _build_estimate_inputs(cfg: dict, gps: dict, seed: int) -> Dataset:
     return Dataset.build(graph, build_gps(gps, graph, design, seed), y, exposure)
 
 
-_SURFACE_FITTERS = {
-    "gps-cell": beta_cell_means,
-    "gps-poly": beta_poly_fit,
-    "gps-krr": beta_krr_fit,
-}
-
-
 def cmd_estimate(cfg: dict, args, seed: int, out_dir: Path):
     b = _value(cfg, "b_replicates", int, "config", 1000)
     level = _value(cfg, "level", float, "config", 0.95)
-    names, intervals = _parse_estimators(cfg, b, level)
+    ests, intervals = _parse_estimators(cfg, b, level)
     grid = cfg.get("grid")
     if grid is not None:
         grid = _unit_levels(grid, "grid", ascending=True)
@@ -417,22 +394,21 @@ def cmd_estimate(cfg: dict, args, seed: int, out_dir: Path):
     rng = substream(seed, 13)
     no_interval = {"interval_method": "", "lower": "", "upper": "",
                    "interval_level": "", "b_replicates": ""}
-    for name in names:
-        est = ESTIMATOR_REGISTRY[name]
+    for est in ests:
+        name = est.name
         point = float(est.point(data))
         rows.append({"estimator": name, "quantity": "ate", "level": "",
                      "estimate": point, **no_interval})
         for method in intervals.get(name, ()):
-            iv: IntervalEstimate = INTERVAL_METHODS[method](data, est, b, level, rng)
+            iv = _interval(data, est, method, b, level, rng, None)
             rows.append({
                 "estimator": name, "quantity": "ate", "level": "",
                 "estimate": iv.estimate, "interval_method": method,
                 "lower": iv.lower, "upper": iv.upper,
                 "interval_level": iv.level, "b_replicates": iv.n_replicates,
             })
-        if grid is not None and name in _SURFACE_FITTERS:
-            surface = _SURFACE_FITTERS[name](data)
-            curve = dose_response(surface, data.gps, np.asarray(grid, dtype=np.float64))
+        if grid is not None and est.surface is not None:
+            curve = dose_response(est.surface(data), data.gps, np.asarray(grid, dtype=np.float64))
             for e, mu in zip(curve.grid, curve.mu_hat):
                 rows.append({"estimator": name, "quantity": "mu", "level": float(e),
                              "estimate": float(mu), **no_interval})
@@ -458,7 +434,7 @@ def cmd_simulate(cfg: dict, args, seed: int, out_dir: Path):
     study = _read(cfg, "study", _STUDY)
     n_sims, b, level = study.pop("n_sims"), study.pop("b_replicates"), study.pop("level")
     _check_study(study["effect"], study["sigma2_eps"], study["sigma2_gamma"], n_sims)
-    names, intervals = _parse_estimators(cfg, b, level)
+    ests, intervals = _parse_estimators(cfg, b, level)
     gps, source, parsed_design = _parse_gps(cfg), _parse_graph(cfg), _parse_design(cfg)
     graph, id_map = build_graph(source, seed)
     design = build_design(parsed_design, id_map)
@@ -469,7 +445,7 @@ def cmd_simulate(cfg: dict, args, seed: int, out_dir: Path):
             print(f"simulate: {done}/{total} replicates", file=sys.stderr)
 
     result = run_study(
-        dgp, names, intervals,
+        dgp, ests, intervals,
         n_sims=n_sims,
         b_replicates=b,
         level=level,

@@ -21,8 +21,6 @@ BERNOULLI = "bernoulli"
 BERNOULLI_HETEROGENEOUS = "bernoulli-heterogeneous"
 COMPLETELY_RANDOMIZED = "completely-randomized"
 
-DESIGN_KINDS = (BERNOULLI, BERNOULLI_HETEROGENEOUS, COMPLETELY_RANDOMIZED)
-
 
 @dataclass(frozen=True)
 class AssignmentDesign:

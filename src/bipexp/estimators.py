@@ -41,7 +41,9 @@ class Dataset:
     graph, which every resample shares; `source_indices` defaults to all
     graph rows in order. `gps` rows are aligned with the dataset's rows.
     Observed scores are looked up in `gps` once, on the first call to
-    `observed_scores`, and `take` gathers them with the rows it keeps.
+    `observed_scores`, and the imputed scores at a level once, on the
+    first call to `imputed_scores` at that level; `take` gathers both with
+    the rows it keeps.
     """
 
     y: np.ndarray
@@ -110,26 +112,41 @@ class Dataset:
 
         The gathers are fresh arrays aligned by construction, so they are
         frozen in place instead of going through the copying constructor.
-        Scores already looked up are gathered too.
+        Scores already looked up are gathered too, the imputed ones into a
+        new dict, so the resample never writes into this one's.
         """
         indices = np.asarray(indices, dtype=np.int64)
         sub = copy.copy(self)
         object.__setattr__(sub, "gps", self.gps.take(indices))
         for name in ("y", "exposure", "source_indices", "_scores"):
             if name in self.__dict__:
-                rows = self.__dict__[name][indices]
-                rows.setflags(write=False)
-                object.__setattr__(sub, name, rows)
+                object.__setattr__(sub, name, _frozen(self.__dict__[name][indices]))
+        if "_imputed" in self.__dict__:
+            gathered = {e: _frozen(rows[indices]) for e, rows in self._imputed.items()}
+            object.__setattr__(sub, "_imputed", gathered)
         return sub
 
     def observed_scores(self) -> np.ndarray:
         """Score of each row at its own exposure; looked up once, read-only, not a field."""
         if "_scores" not in self.__dict__:
             # gps rows are taken alongside y, so no index mapping here
-            scores = self.gps.observed_scores(self.exposure)
-            scores.setflags(write=False)
-            object.__setattr__(self, "_scores", scores)
+            object.__setattr__(self, "_scores", _frozen(self.gps.observed_scores(self.exposure)))
         return self._scores
+
+    def imputed_scores(self, e: float) -> np.ndarray:
+        """Score of each row at level e; looked up once per level, read-only, not a field."""
+        if "_imputed" not in self.__dict__:
+            object.__setattr__(self, "_imputed", {})
+        e = float(e)
+        if e not in self._imputed:
+            self._imputed[e] = _frozen(self.gps.imputed_scores(e))
+        return self._imputed[e]
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """`rows`, a fresh array, made read-only in place."""
+    rows.setflags(write=False)
+    return rows
 
 
 # -- naive estimators -------------------------------------------------------
@@ -205,7 +222,7 @@ def _ht_design(data: Dataset, grid) -> tuple[np.ndarray, np.ndarray]:
         mask = np.abs(data.exposure - e) <= ATOM_TOL
         if not np.any(mask):
             raise DataError(f"no observations at grid level e={e!r}")
-        imputed = data.gps.imputed_scores(e)[mask]
+        imputed = data.imputed_scores(e)[mask]
         if np.any(imputed <= 0):
             raise DataError(
                 f"grid level e={e!r} has zero propensity for some observed units; "
@@ -272,7 +289,6 @@ class CellMeanSurface:
     e_levels: np.ndarray
     r_levels: np.ndarray
     values: np.ndarray  # (n_e, n_r), NaN where empty
-    counts: np.ndarray
     e_ends: np.ndarray
     r_ends: np.ndarray
 
@@ -336,14 +352,12 @@ def beta_cell_means(data: Dataset) -> CellMeanSurface:
     e_levels, e_ends, e_idx = _group_levels(data.exposure, ATOM_TOL)
     r_levels, r_ends, r_idx = _group_levels(data.observed_scores(), ATOM_TOL)
     values = np.full((e_levels.size, r_levels.size), np.nan)
-    counts = np.zeros((e_levels.size, r_levels.size))
     flat = e_idx * r_levels.size + r_idx
     sums = np.bincount(flat, weights=data.y, minlength=values.size)
     ns = np.bincount(flat, minlength=values.size)
     filled = ns > 0
     values.flat[filled] = sums[filled] / ns[filled]
-    counts.flat[:] = ns
-    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values, counts=counts,
+    return CellMeanSurface(e_levels=e_levels, r_levels=r_levels, values=values,
                            e_ends=e_ends, r_ends=r_ends)
 
 

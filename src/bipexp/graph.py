@@ -219,7 +219,7 @@ class IdMap:
 
 def _open_read(source):
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     return _NonClosing(source)
 
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RngLike = "int | np.random.Generator | None"
-
-
 def substream(*keys: int) -> np.random.Generator:
     """Return a fresh generator keyed by an ordered tuple of integers."""
     if not keys:

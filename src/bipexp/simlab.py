@@ -12,9 +12,11 @@ cross-component wiring.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -65,10 +67,12 @@ HETEROGENEOUS = "heterogeneous"
 
 # substream tags: keep these distinct so study-level draws never collide
 # with per-replicate draws under any (master_seed, n_sims); tag 0 drew the
-# graph of a recipe study and is not reused
+# graph of a recipe study and tag 2 an earlier study's table, and neither
+# is reused. A table's tag is the one `bipexp` commands draw theirs from,
+# so a study and the CLI build the same table at the same seed.
 _SIM_STREAM = 1
-_GPS_STREAM = 2
 _SWEEP_STREAM = 3
+_GPS_STREAM = 11
 
 SEED_SCHEME = "SeedSequence([master_seed, 1, sim_index])"
 
@@ -143,8 +147,8 @@ ENDPOINT_GRID = (0.0, 1.0)
 
 @dataclass(frozen=True)
 class StudyEstimator:
-    """Named ATE estimator: a point function, an optional linear design, and
-    what the resampling bootstraps resample.
+    """Named ATE estimator: a point function, an optional linear design, what
+    the resampling bootstraps resample, and an optional response surface.
 
     `point` maps a Dataset to an ATE estimate. `design`, when present, maps
     a Dataset to the linear design (phi, target, contrast) that every
@@ -165,12 +169,17 @@ class StudyEstimator:
     `inference.naive_bootstrap`). Without it the bootstraps resample
     `point` through `Dataset.take`, as they do for the other estimators
     (`stratified`'s quantile strata depend on the resample).
+
+    `surface`, when present, fits the response surface of a Dataset whose
+    average at the endpoints is the point (`_surface_ate`); `bipexp
+    estimate` averages it at each level of its `grid` as well.
     """
 
     name: str
     point: object
     design: object | None = None
     resampled: object | None = None
+    surface: object | None = None
 
 
 def _point_naive_mean(data: Dataset) -> float:
@@ -213,27 +222,25 @@ def _design_ht(data: Dataset):
     return phi, target, np.array([-1.0, 1.0])
 
 
-def _point_gps_cell(data: Dataset) -> float:
-    return ate(dose_response(beta_cell_means(data), data.gps, ENDPOINT_GRID))
+def _surface_ate(name: str, data: Dataset) -> float:
+    """The point of a surface estimator: its surface averaged at both endpoints.
 
-
-def _point_gps_poly(data: Dataset) -> float:
-    return ate(dose_response(beta_poly_fit(data), data.gps, ENDPOINT_GRID))
+    The surface is read from the registry entry `name` at call time, so a
+    rebound entry's surface is the one that runs.
+    """
+    surface = ESTIMATOR_REGISTRY[name].surface(data)
+    return ate(dose_response(surface, data.gps, ENDPOINT_GRID))
 
 
 def _design_gps_poly(data: Dataset):
     phi = _poly_rows(data)
-    f1 = _poly_features(np.ones(data.n_units), data.gps.imputed_scores(1.0)).mean(axis=0)
-    f0 = _poly_features(np.zeros(data.n_units), data.gps.imputed_scores(0.0)).mean(axis=0)
+    f1 = _poly_features(np.ones(data.n_units), data.imputed_scores(1.0)).mean(axis=0)
+    f0 = _poly_features(np.zeros(data.n_units), data.imputed_scores(0.0)).mean(axis=0)
     return phi, data.y, f1 - f0
 
 
-def _point_gps_krr(data: Dataset) -> float:
-    return ate(dose_response(beta_krr_fit(data), data.gps, ENDPOINT_GRID))
-
-
 def _counts_gps_krr(data: Dataset) -> _CountStatistic:
-    """`gps-krr` as a function of the row counts; `_point_gps_krr` at unit counts.
+    """`gps-krr` as a function of the row counts; its point at unit counts.
 
     The rows collapse once into their distinct (exposure, observed score)
     cells (`_krr_cells`), and each unit is labelled by its distinct imputed
@@ -265,82 +272,94 @@ ESTIMATOR_REGISTRY: dict[str, StudyEstimator] = {
         "correct-spec", _point_correct_spec, _design_correct_spec, resampled=_design_correct_spec
     ),
     "ht": StudyEstimator("ht", _point_ht, _design_ht),
-    "gps-cell": StudyEstimator("gps-cell", _point_gps_cell),
-    "gps-poly": StudyEstimator("gps-poly", _point_gps_poly, _design_gps_poly),
-    "gps-krr": StudyEstimator("gps-krr", _point_gps_krr, resampled=_counts_gps_krr),
+    "gps-cell": StudyEstimator(
+        "gps-cell", partial(_surface_ate, "gps-cell"), surface=beta_cell_means
+    ),
+    "gps-poly": StudyEstimator(
+        "gps-poly", partial(_surface_ate, "gps-poly"), _design_gps_poly, surface=beta_poly_fit
+    ),
+    "gps-krr": StudyEstimator(
+        "gps-krr", partial(_surface_ate, "gps-krr"), resampled=_counts_gps_krr,
+        surface=beta_krr_fit,
+    ),
     "stratified": StudyEstimator("stratified", _point_stratified),
 }
-
-
-def resolve_estimators(estimators) -> list[StudyEstimator]:
-    resolved = []
-    for est in estimators:
-        if isinstance(est, StudyEstimator):
-            resolved.append(est)
-        elif isinstance(est, str) and est in ESTIMATOR_REGISTRY:
-            resolved.append(ESTIMATOR_REGISTRY[est])
-        else:
-            known = ", ".join(sorted(ESTIMATOR_REGISTRY))
-            raise ConfigError(f"unknown estimator {est!r} (known: {known})")
-    return resolved
 
 
 # -- interval methods -----------------------------------------------------------
 
 
-def _resampled_statistic(data, est):
-    """What the resampling bootstraps resample: `est.resampled(data)`, else the point."""
-    return est.point if est.resampled is None else est.resampled(data)
+@dataclass(frozen=True)
+class _IntervalMethod:
+    """How one interval method runs on an estimator.
 
+    `run` is the `inference` function. With `linear` it takes the
+    estimator's linear design, which the estimator must have; otherwise
+    its resampled statistic (`resampled(data)`, else `point`). A method
+    that `resamples` also takes the data, the replicate count and the
+    generator, and needs at least `MIN_BOOTSTRAP` replicates; one with
+    `blocks` takes the study's block labels.
+    """
 
-def _interval_naive(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return naive_bootstrap(
-        data, _resampled_statistic(data, est), n_replicates=b, level=level, rng=rng
-    )
-
-
-def _interval_block(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return block_bootstrap(
-        data, _resampled_statistic(data, est), labels=block_labels, n_replicates=b,
-        level=level, rng=rng,
-    )
-
-
-def _interval_parametric(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return parametric_bootstrap(data, est.design(data), n_replicates=b, level=level, rng=rng)
-
-
-def _interval_ols_asymptotic(data, est, b, level, rng, block_labels=None) -> IntervalEstimate:
-    return ols_asymptotic_interval(est.design(data), level=level)
+    run: object
+    linear: bool
+    resamples: bool
+    blocks: bool = False
 
 
 INTERVAL_METHODS = {
-    "naive-bootstrap": _interval_naive,
-    "block-bootstrap": _interval_block,
-    "parametric-bootstrap": _interval_parametric,
-    "ols-asymptotic": _interval_ols_asymptotic,
+    "naive-bootstrap": _IntervalMethod(naive_bootstrap, linear=False, resamples=True),
+    "block-bootstrap": _IntervalMethod(block_bootstrap, linear=False, resamples=True, blocks=True),
+    "parametric-bootstrap": _IntervalMethod(parametric_bootstrap, linear=True, resamples=True),
+    "ols-asymptotic": _IntervalMethod(ols_asymptotic_interval, linear=True, resamples=False),
 }
 
-# interval methods that fit the estimator's linear design
-LINEAR_DESIGN_METHODS = ("parametric-bootstrap", "ols-asymptotic")
-# interval methods that resample, and so need `MIN_BOOTSTRAP` replicates
-BOOTSTRAP_METHODS = ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap")
+
+def _interval(data, est, method, b_replicates, level, rng, block_labels) -> IntervalEstimate:
+    """The `method` interval of `est`'s ATE on `data`; the one dispatch of every interval."""
+    how = INTERVAL_METHODS[method]
+    if how.linear:
+        taken = est.design(data)
+    else:
+        taken = est.point if est.resampled is None else est.resampled(data)
+    if not how.resamples:
+        return how.run(taken, level=level)
+    labels = {"labels": block_labels} if how.blocks else {}
+    return how.run(data, taken, n_replicates=b_replicates, level=level, rng=rng, **labels)
 
 
-def check_intervals(
-    estimators: list[StudyEstimator], intervals: dict[str, tuple], b_replicates: int, level: float
-) -> None:
-    """Reject interval settings before any computation.
+def check_request(
+    estimators, intervals, b_replicates: int, level: float
+) -> tuple[list[StudyEstimator], dict[str, tuple]]:
+    """The estimators and interval map of a request, checked before any computation.
 
-    The level must lie in (0, 1). Every key must name one of `estimators`,
-    every value must be a list or tuple of methods, each method must be in
-    `INTERVAL_METHODS`, the methods in `LINEAR_DESIGN_METHODS` need an
-    estimator with a linear design, and those in `BOOTSTRAP_METHODS` need
-    at least `MIN_BOOTSTRAP` replicates.
+    `estimators` must be a nonempty list or tuple of registry names or
+    `StudyEstimator`s, and `intervals` None or a mapping from their names
+    to lists or tuples of `INTERVAL_METHODS` names. The level must lie in
+    (0, 1), a `linear` method needs an estimator with a linear design, and
+    a method that resamples needs at least `MIN_BOOTSTRAP` replicates.
+    Any other request raises `ConfigError`. Returns the estimators and
+    the map with each method list as a tuple.
     """
+    if not isinstance(estimators, (list, tuple)) or not estimators:
+        raise ConfigError(f"estimators must be a nonempty list or tuple, got {estimators!r}")
+    intervals = {} if intervals is None else intervals
+    if not isinstance(intervals, Mapping):
+        raise ConfigError(
+            "intervals must be a mapping from estimator names to lists of interval methods, "
+            f"got {intervals!r}"
+        )
+    ests = []
+    for est in estimators:
+        if isinstance(est, str) and est in ESTIMATOR_REGISTRY:
+            est = ESTIMATOR_REGISTRY[est]
+        elif not isinstance(est, StudyEstimator):
+            known = ", ".join(sorted(ESTIMATOR_REGISTRY))
+            raise ConfigError(f"unknown estimator {est!r} (known: {known})")
+        ests.append(est)
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
-    by_name = {e.name: e for e in estimators}
+    by_name = {e.name: e for e in ests}
     for name, methods in intervals.items():
         if name not in by_name:
             raise ConfigError(f"interval map names unknown estimator {name!r}")
@@ -353,15 +372,16 @@ def check_intervals(
             if not isinstance(m, str) or m not in INTERVAL_METHODS:
                 known = ", ".join(sorted(INTERVAL_METHODS))
                 raise ConfigError(f"unknown interval method {m!r} (known: {known})")
-            if m in LINEAR_DESIGN_METHODS and by_name[name].design is None:
+            if INTERVAL_METHODS[m].linear and by_name[name].design is None:
                 raise ConfigError(
                     f"estimator {name!r} has no linear design; the {m} interval does not apply"
                 )
-            if m in BOOTSTRAP_METHODS and b_replicates < MIN_BOOTSTRAP:
+            if INTERVAL_METHODS[m].resamples and b_replicates < MIN_BOOTSTRAP:
                 raise ConfigError(
                     f"b_replicates must be at least {MIN_BOOTSTRAP} "
                     f"for bootstrap intervals, got {b_replicates}"
                 )
+    return ests, {name: tuple(methods) for name, methods in intervals.items()}
 
 
 # -- study runner ----------------------------------------------------------------
@@ -380,8 +400,8 @@ class SimStudyResult:
     truth: np.ndarray
     estimates: dict[str, np.ndarray]
     covered: dict[tuple[str, str], np.ndarray]
-    point_failures: dict[str, int] = field(default_factory=dict)
-    interval_failures: dict[tuple[str, str], int] = field(default_factory=dict)
+    point_failures: dict[str, int]
+    interval_failures: dict[tuple[str, str], int]
     seed_scheme = SEED_SCHEME
 
     def bias(self, estimator: str) -> float:
@@ -481,16 +501,9 @@ def _simulate_one(ctx: dict, t: int):
     iv_fail: dict[tuple[str, str], int] = {}
     for est in ctx["estimators"]:
         for method in ctx["intervals"].get(est.name, ()):
-            fn = INTERVAL_METHODS[method]
             try:
-                iv = fn(
-                    data,
-                    est,
-                    ctx["b_replicates"],
-                    ctx["level"],
-                    rng,
-                    block_labels=ctx["block_labels"],
-                )
+                iv = _interval(data, est, method, ctx["b_replicates"], ctx["level"], rng,
+                               ctx["block_labels"])
                 covered[(est.name, method)] = 1.0 if iv.covers(truth) else 0.0
             except (DataError, NumericalError):
                 covered[(est.name, method)] = np.nan
@@ -515,21 +528,19 @@ def run_study(
     """Replay assignment -> exposure -> outcomes -> estimates n_sims times.
 
     All replicates share one graph, one propensity table (without `gps`,
-    `default_gps_table`'s) and so one true ATE. Each replicate draws from
+    `default_gps_table`'s on `substream(master_seed, 11)`, as the CLI
+    builds it) and so one true ATE. Each replicate draws from
     its own substream of the master seed, so results are bit-identical
     for any worker count. Estimator or interval failures inside a
     replicate are recorded (NaN + census), not fatal. A KeyboardInterrupt
     truncates the study to the completed prefix. Before any table is
     built or replicate run, `ConfigError` is raised for `n_sims` or
     `workers` below 1, an unknown estimator or interval method, a level
-    outside (0, 1), and fewer than `MIN_BOOTSTRAP` replicates for a
-    method in `BOOTSTRAP_METHODS` (see `check_intervals`).
+    outside (0, 1), and every other request `check_request` refuses.
     """
     _check_study(dgp.effect, dgp.sigma2_eps, dgp.sigma2_gamma, n_sims)
     _check_workers(workers)
-    ests = resolve_estimators(estimators)
-    intervals = dict(intervals or {})
-    check_intervals(ests, intervals, b_replicates, level)
+    ests, intervals = check_request(estimators, intervals, b_replicates, level)
 
     if gps is None:
         gps = default_gps_table(dgp.graph, dgp.design, rng=substream(master_seed, _GPS_STREAM))
@@ -623,7 +634,7 @@ def edges_cut_sweep(
     _check_study(HOMOGENEOUS, sigma2_eps, sigma2_gamma, n_sims)
     _check_workers(workers)
     methods = ("naive-bootstrap", "block-bootstrap")
-    check_intervals(resolve_estimators([estimator]), {estimator: methods}, b_replicates, level)
+    check_request([estimator], {estimator: methods}, b_replicates, level)
     rows: list[dict] = []
     labels = contiguous_blocks(base_spec.n_outcome, base_spec.n_blocks)
     for k, share in enumerate(cut_shares):

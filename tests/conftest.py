@@ -37,6 +37,19 @@ BAD_EDGE_LISTS = [
 ]
 
 
+# Study requests the one check refuses as a whole, through the Python API
+# and the CLI alike: (estimators, intervals, message).
+MALFORMED_REQUESTS = [
+    pytest.param("naive-ols", None,
+                 "estimators must be a nonempty list or tuple, got 'naive-ols'", id="estimators-str"),
+    pytest.param([], None, "estimators must be a nonempty list or tuple, got []",
+                 id="estimators-empty"),
+    pytest.param(["naive-ols"], ["naive-bootstrap"],
+                 "intervals must be a mapping from estimator names to lists of interval methods, "
+                 "got ['naive-bootstrap']", id="intervals-list"),
+]
+
+
 @pytest.fixture
 def bernoulli_half() -> AssignmentDesign:
     return AssignmentDesign.bernoulli(0.5)

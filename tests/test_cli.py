@@ -14,7 +14,8 @@ import yaml
 from bipexp import __version__, cli, simlab
 from bipexp.cli import PRESETS, _COMMANDS, _parse_graph, load_config, main
 from bipexp.graph import GraphSpec
-from conftest import BAD_EDGE_LISTS
+from bipexp.seeding import substream
+from conftest import BAD_EDGE_LISTS, MALFORMED_REQUESTS
 
 EDGES_CSV = (
     "outcome_id,diversion_id,weight\n"
@@ -594,6 +595,44 @@ def test_estimate_joins_files_by_external_id(tmp_path):
     assert float(rows[0]["estimate"]) == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_estimate_accepts_a_byte_order_mark(tmp_path):
+    cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "c,4.0", "a,2.0", "b,5.0"))
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+    outcomes = tmp_path / "outcomes.csv"
+    outcomes.write_bytes("\ufeff".encode() + outcomes.read_bytes())
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "mark")]) == 0
+    plain, mark = (tmp_path / d / "estimates.csv" for d in ("plain", "mark"))
+    assert mark.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["gps-cell", "gps-poly", "gps-krr"])
+def test_estimate_grid_rows_of_each_surface_estimator(tmp_path, name):
+    # a recipe graph's ids are its row numbers
+    n, m = 200, 40
+    rng = substream(8, 1)
+    outcomes, assignment = tmp_path / "outcomes.csv", tmp_path / "assignment.csv"
+    outcomes.write_text("outcome_id,y\n" + "".join(
+        f"{i},{y!r}\n" for i, y in enumerate(rng.normal(size=n).tolist())))
+    assignment.write_text("diversion_id,z\n" + "".join(
+        f"{j},{z}\n" for j, z in enumerate(rng.integers(0, 2, size=m).tolist())))
+    cfg_path = tmp_path / "cfg.yaml"
+    write_yaml(cfg_path, {
+        "seed": 8,
+        "graph": {"kind": "uniform-degree", "n_outcome": n, "m_diversion": m,
+                  "deg_min": 1, "deg_max": 3},
+        "design": {"kind": "bernoulli", "p": 0.5},
+        "data": {"outcomes": str(outcomes), "assignment": str(assignment)},
+        "estimators": [name],
+        "grid": [0.0, 1.0],
+    })
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    point, mu0, mu1 = read_rows(out / "estimates.csv")
+    assert (point["quantity"], mu0["quantity"], mu1["quantity"]) == ("ate", "mu", "mu")
+    assert (float(mu0["level"]), float(mu1["level"])) == (0.0, 1.0)
+    assert float(mu1["estimate"]) - float(mu0["estimate"]) == float(point["estimate"])
+
+
 def test_estimate_missing_outcome_exits_3(tmp_path, capsys):
     cfg_path = file_inputs_config(tmp_path, ("outcome_id,y", "a,2.0", "b,5.0"))
     rc = main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -771,6 +810,23 @@ def test_malformed_estimator_or_interval_name_exits_2(tmp_path, capsys, command,
     record = stderr_record(capsys)
     assert record["error"] == "ConfigError"
     assert message in record["message"]
+    assert not (out / out_name).exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("estimators, intervals, message", MALFORMED_REQUESTS)
+def test_malformed_requests_exit_2_with_the_python_api_message(tmp_path, capsys, command,
+                                                               estimators, intervals, message):
+    cfg_path, out_name = interval_settings_config(tmp_path, command, {})
+    cfg = yaml.safe_load(cfg_path.read_text())
+    cfg["estimators"] = estimators
+    cfg.pop("intervals")
+    if intervals is not None:
+        cfg["intervals"] = intervals
+    write_yaml(cfg_path, cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert stderr_record(capsys) == {"error": "ConfigError", "message": message, "exit_code": 2}
     assert not (out / out_name).exists()
 
 

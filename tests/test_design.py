@@ -162,6 +162,14 @@ def test_load_probability_file():
     np.testing.assert_allclose(load_probability_file(src, id_map), [0.75, 0.25])
 
 
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+def test_load_probability_file_by_path(tmp_path, mark):
+    # a UTF-8 byte-order mark, as some spreadsheet tools write it, is not part of the header
+    path = tmp_path / "p.csv"
+    path.write_text(mark + "diversion_id,p\nb,0.25\na,0.75\n", encoding="utf-8")
+    np.testing.assert_allclose(load_probability_file(path, IdMap(("u",), ("a", "b"))), [0.75, 0.25])
+
+
 def test_load_probability_file_missing_unit():
     id_map = IdMap(("u",), ("a", "b"))
     with pytest.raises(Exception, match="b"):

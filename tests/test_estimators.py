@@ -268,7 +268,6 @@ def test_cell_means_trivial_cases():
     pair = Dataset(y=np.array([0.0, 2.0]), exposure=np.array([1.0, 1.0]), graph=graph, gps=table)
     surface = beta_cell_means(pair)
     assert surface.evaluate(1.0, np.array([0.5]))[0] == pytest.approx(1.0)
-    np.testing.assert_array_equal(surface.counts, [[2.0]])
 
 
 @settings(deadline=None, max_examples=200)
@@ -311,7 +310,6 @@ def test_cell_means_label_a_chained_score_run_as_one_level():
     np.testing.assert_array_equal(surface.e_levels, [0.0, 1.0])
     np.testing.assert_array_equal(surface.r_levels, [0.5])
     np.testing.assert_array_equal(surface.values, [[-5.0], [10.0]])
-    np.testing.assert_array_equal(surface.counts, [[1.0], [3.0]])
     # every member of the run, the last one too, looks up its own cell
     np.testing.assert_array_equal(surface.evaluate(1.0, data.observed_scores()), [10.0] * 4)
     np.testing.assert_array_equal(surface.evaluate(0.0, data.observed_scores()), [-5.0] * 4)
@@ -441,7 +439,6 @@ def worked_example_cells() -> CellMeanSurface:
         e_levels=np.array([0.0, 0.5, 1.0]),
         r_levels=np.array([0.0, 0.25, 0.5]),
         values=values,
-        counts=np.where(np.isnan(values), 0.0, 1.0),
         e_ends=np.array([0.0, 0.5, 1.0]),
         r_ends=np.array([0.0, 0.25, 0.5]),
     )
@@ -472,7 +469,6 @@ def test_dose_response_constant_surface(two_type_data):
         e_levels=np.array([0.0, 1.0]),
         r_levels=np.array([0.25, 0.5]),
         values=np.full((2, 2), 3.0),
-        counts=np.ones((2, 2)),
         e_ends=np.array([0.0, 1.0]),
         r_ends=np.array([0.25, 0.5]),
     )
@@ -524,7 +520,6 @@ def test_dose_response_needs_no_cell_at_an_unused_distributions_score(two_type_d
         e_levels=np.array([0.0, 1.0]),
         r_levels=np.array([0.25, 0.5]),
         values=np.array([[0.0, 0.0], [1.0, np.nan]]),
-        counts=np.ones((2, 2)),
         e_ends=np.array([0.0, 1.0]),
         r_ends=np.array([0.25, 0.5]),
     )
@@ -661,6 +656,42 @@ def test_observed_scores_are_looked_up_once_and_gathered_by_take(kind, looked_up
     assert again.observed_scores().tobytes() == table.observed_scores(
         e[idx[pick]], units=idx[pick]).tobytes()
     np.testing.assert_array_equal(again.source_indices, idx[pick])
+
+
+def test_imputed_scores_are_looked_up_once_per_level_and_gathered_by_take(monkeypatch):
+    from bipexp.simlab import ESTIMATOR_REGISTRY
+
+    graph, table, e = degree_graph_dataset(62)
+    y = substream(62, 4).normal(size=graph.n_outcome)
+    data = Dataset(y=y, exposure=e, graph=graph, gps=table)
+    shown = repr(data)
+    looked_up = []
+    real = GpsTable.imputed_scores
+
+    def spy(self, level):
+        looked_up.append(level)
+        return real(self, level)
+
+    monkeypatch.setattr(GpsTable, "imputed_scores", spy)
+    for _ in range(2):
+        ht_weighted_regression(data, [0.0, 1.0])
+        ESTIMATOR_REGISTRY["gps-poly"].design(data)
+    assert looked_up == [0.0, 1.0]
+    # the kept scores are not a field: construction, equality and repr are unchanged
+    assert repr(data) == shown
+    ones = data.imputed_scores(1.0)
+    assert not ones.flags.writeable
+    assert ones.tobytes() == real(table, 1.0).tobytes()
+    # a resample reads its gathered rows and writes its own levels into a dict of its own
+    idx = substream(62, 3).integers(0, graph.n_outcome, size=graph.n_outcome)
+    sub = data.take(idx)
+    got = sub.imputed_scores(1.0)
+    assert not got.flags.writeable
+    assert got.tobytes() == ones[idx].tobytes()
+    assert looked_up == [0.0, 1.0]
+    sub.imputed_scores(0.5)
+    data.imputed_scores(0.5)
+    assert looked_up == [0.0, 1.0, 0.5, 0.5]
 
 
 def test_failed_score_lookup_is_not_kept(two_type_graph, bernoulli_half):

@@ -106,6 +106,16 @@ def test_load_edge_list_first_appearance_order():
     np.testing.assert_allclose(graph.to_dense(), [[1.0, 0.0], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+def test_load_edge_list_by_path(tmp_path, mark):
+    # a UTF-8 byte-order mark, as some spreadsheet tools write it, is not part of the header
+    path = tmp_path / "edges.csv"
+    path.write_text(mark + EDGE_CSV, encoding="utf-8")
+    graph, id_map = load_edge_list(path)
+    assert id_map.outcome_ids == ("u1", "u2")
+    np.testing.assert_allclose(graph.to_dense(), [[1.0, 0.0], [0.5, 0.5]])
+
+
 def test_load_edge_list_normalize():
     raw = "outcome_id,diversion_id,weight\nu,d1,2\nu,d2,6\n"
     graph, _ = load_edge_list(io.StringIO(raw), normalize=True)

@@ -7,6 +7,7 @@ the bias/rmse/coverage arithmetic, serialization, and error paths).
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from bipexp.simlab import (
     edges_cut_sweep,
     effect_slopes,
     generate_outcomes,
-    resolve_estimators,
+    check_request,
     run_study,
     simple_example,
     true_ate,
 )
+from conftest import MALFORMED_REQUESTS
 
 SMALL_GRAPH_SPEC = GraphSpec(
     kind="uniform-degree", n_outcome=80, m_diversion=20, deg_min=1, deg_max=4
@@ -119,6 +121,10 @@ def test_generate_outcomes_noise_free_and_stream_order():
     eps = rng.normal(0.0, np.sqrt(0.3), size=graph.n_outcome)
     want = effect_slopes(noisy, graph) * e + graph.to_csr() @ gamma + eps
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+def resolve_estimators(estimators):
+    return check_request(estimators, None, 200, 0.95)[0]
 
 
 def test_resolve_estimators():
@@ -326,13 +332,53 @@ def test_interval_settings_are_refused_before_any_graph_or_table(
                         b_replicates=b_replicates, level=level)
 
 
+@pytest.mark.parametrize("estimators, intervals, message", MALFORMED_REQUESTS)
+def test_malformed_requests_are_refused_before_any_table(
+    monkeypatch, estimators, intervals, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(simlab, "default_gps_table", refuse)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_study(small_dgp(), estimators, intervals, n_sims=2)
+
+
+def test_edges_cut_sweep_goes_through_the_request_check(monkeypatch):
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(simlab, "check_request", spy)
+    blocks = GraphSpec(kind="blocks", n_outcome=60, m_diversion=30, n_blocks=6)
+    with pytest.raises(ConfigError, match="refused"):
+        edges_cut_sweep(blocks, [0.0], design=AssignmentDesign.bernoulli(0.5),
+                        estimator="ht", n_sims=2, b_replicates=60, level=0.9)
+    assert seen == [(["ht"], {"ht": ("naive-bootstrap", "block-bootstrap")}, 60, 0.9)]
+
+
+def test_study_table_is_drawn_from_the_cli_stream():
+    # a degree above MAX_EXACT_DEGREE gets a Monte Carlo table, which draws
+    spec = GraphSpec(kind="uniform-degree", n_outcome=60, m_diversion=30, deg_min=1, deg_max=21)
+    dgp = small_dgp(graph=synth_graph(spec, substream(4, 0)))
+    table = default_gps_table(dgp.graph, dgp.design, rng=substream(7, 11))
+    assert table.mode == "monte-carlo"
+    settings = dict(n_sims=3, master_seed=7)
+    own = run_study(dgp, ["ht", "gps-poly"], **settings)
+    given = run_study(dgp, ["ht", "gps-poly"], gps=table, **settings)
+    for name in ("ht", "gps-poly"):
+        np.testing.assert_array_equal(own.estimates[name], given.estimates[name])
+
+
 def test_replicate_floor_applies_only_to_resampling_methods():
-    ests = resolve_estimators(["naive-ols"])
-    simlab.check_intervals(ests, {"naive-ols": ("ols-asymptotic",)}, 10, 0.95)
+    ests = ["naive-ols"]
+    check_request(ests, {"naive-ols": ("ols-asymptotic",)}, 10, 0.95)
     for method in ("naive-bootstrap", "block-bootstrap", "parametric-bootstrap"):
         with pytest.raises(ConfigError, match="at least 50 for bootstrap intervals, got 49"):
-            simlab.check_intervals(ests, {"naive-ols": (method,)}, 49, 0.95)
-        simlab.check_intervals(ests, {"naive-ols": (method,)}, 50, 0.95)
+            check_request(ests, {"naive-ols": (method,)}, 49, 0.95)
+        check_request(ests, {"naive-ols": (method,)}, 50, 0.95)
 
 
 def test_only_resampled_estimators_run_on_counts(monkeypatch):
